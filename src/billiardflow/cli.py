@@ -312,11 +312,6 @@ def cmd_find(args) -> int:
 
 def cmd_classify(args) -> int:
     lift, n, m = load_lift(args.orbit)
-    inc = lift.increments()
-    if float(inc.min()) <= 0.0 or float(inc.max()) >= 1.0:
-        raise ValueError(
-            f"lift leaves the admissible region: increments span "
-            f"[{inc.min():.6g}, {inc.max():.6g}], need (0, 1)")
     cp = _read_config(args.config)
     boundary = reparametrize_constant_speed(make_boundary(_billiard_descriptor(cp)))
     residual = float(np.max(np.abs(gradient_field(boundary, lift))))

@@ -348,8 +348,11 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
         # the certified mode must gain action; shrink the nudge if the gain
         # is swamped at the default amplitude
         for _ in range(6):
-            if periodic_action(cs, start) > action_ref:
+            gap = periodic_action(cs, start) - action_ref
+            if gap > 0:
                 break
+            log.info("halving epsilon %.3g -> %.3g: action gap %.3e <= 0",
+                     eps, 0.5 * eps, gap)
             eps *= 0.5
             start = initial_perturbation(request.kind, reference, K, k, eps)
         else:

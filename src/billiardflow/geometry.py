@@ -20,8 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +29,15 @@ GEOMETRIC_TOL = 1e-10
 SPEED_TOL = 1e-8
 #: arc-length table resolution per unit of parameter
 KNOTS_PER_UNIT = 4096
+#: periodic trapezoid rule for the circumference: first node count, the node
+#: count past which it stops doubling, and the relative agreement it stops at
+ARC_NODES_START = 64
+ARC_NODES_CAP = 1 << 16
+ARC_RTOL = 1e-14
+#: grid points per bracket when refining the convexity minimum; each pass keeps
+#: two of the 64 cells, and passes stop once the bracket is narrower than XTOL
+MARGIN_GRID = 65
+MARGIN_XTOL = 1e-12
 
 CurveMap = Callable[[np.ndarray], np.ndarray]
 
@@ -75,19 +82,30 @@ class CurvePoint:
     curvature: float
 
 
-def _speed(boundary: Boundary, x: np.ndarray) -> np.ndarray:
-    d = boundary.dgamma(x)
+def _speed(dgamma: CurveMap, x: np.ndarray) -> np.ndarray:
+    d = dgamma(x)
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
 def _arc_length(dgamma: CurveMap) -> float:
-    val, err = quad(
-        lambda t: float(np.linalg.norm(dgamma(t))), 0.0, 1.0,
-        limit=200, epsabs=1e-13, epsrel=1e-13,
-    )
-    if err > 1e-9:
-        log.warning("arc-length quadrature error estimate %.3e", err)
-    return float(val)
+    """Circumference by the periodic trapezoid rule.
+
+    The speed is periodic and analytic, so the rule converges exponentially
+    (Trefethen & Weideman, SIAM Review 56(3), 2014).  The node count doubles,
+    reusing the previous nodes, until two estimates agree to ``ARC_RTOL``.
+    """
+    nodes = ARC_NODES_START
+    total = float(_speed(dgamma, np.arange(nodes) / nodes).sum())
+    estimate = total / nodes
+    while nodes < ARC_NODES_CAP:
+        total += float(_speed(dgamma, (np.arange(nodes) + 0.5) / nodes).sum())
+        nodes *= 2
+        previous, estimate = estimate, total / nodes
+        change = abs(estimate - previous)
+        if change <= ARC_RTOL * estimate:
+            return estimate
+    log.warning("arc-length quadrature error estimate %.3e", change)
+    return estimate
 
 
 def make_limacon(n: int, alpha: float) -> Boundary:
@@ -270,36 +288,15 @@ def point_at(boundary: Boundary, x: float) -> CurvePoint:
     )
 
 
-def _golden_min(f, lo: float, hi: float, xtol: float = 1e-12):
-    """Classic golden-section minimization on [lo, hi]; returns (fmin, xmin).
-
-    Deliberately bracket-free: works on flat objectives (constant determinant
-    on a circle) where a strict three-point bracket does not exist.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    candidates = [(f(xm), xm), (fc, c), (fd, d)]
-    return min(candidates, key=lambda t: t[0])
-
-
 def convexity_margin(boundary: Boundary, samples: int | None = None) -> float:
     """Minimum of det(gamma', gamma'') over the curve.
 
     Positive iff the curve is strictly convex.  Samples the determinant on a
-    uniform grid and refines around the best sample by golden-section search.
+    uniform grid, then shrinks a bracket around the best sample: each pass
+    evaluates the determinant on ``MARGIN_GRID`` points across the bracket and
+    keeps the two cells beside the smallest value, until the bracket is
+    narrower than ``MARGIN_XTOL``.  A flat determinant (a circle) needs no
+    strict bracket: the passes still shrink and every value is the minimum.
 
     Parameters
     ----------
@@ -316,13 +313,16 @@ def convexity_margin(boundary: Boundary, samples: int | None = None) -> float:
     xs = np.arange(samples) / samples
     det = orientation_det(boundary, xs)
     j = int(np.argmin(det))
-    h = 1.0 / samples
-
-    def f(t: float) -> float:
-        return float(orientation_det(boundary, np.float64(t)))
-
-    refined, _ = _golden_min(f, xs[j] - h, xs[j] + h)
-    return float(min(float(det[j]), refined))
+    best = float(det[j])
+    lo, hi = xs[j] - 1.0 / samples, xs[j] + 1.0 / samples
+    while hi - lo > MARGIN_XTOL:
+        grid = np.linspace(lo, hi, MARGIN_GRID)
+        vals = orientation_det(boundary, grid)
+        i = int(np.argmin(vals))
+        best = min(best, float(vals[i]))
+        i = min(max(i, 1), MARGIN_GRID - 2)
+        lo, hi = grid[i - 1], grid[i + 1]
+    return best
 
 
 def check_equivariance(boundary: Boundary, n: int, samples: int = 128,
@@ -352,9 +352,9 @@ def reparametrize_constant_speed(boundary: Boundary, tol: float = SPEED_TOL) -> 
     """Resample a boundary so that ``|dgamma|`` is constant.
 
     Builds the normalized arc-length map on a fine knot table (panel-wise
-    Gauss-Legendre quadrature), inverts it with a monotone interpolant plus
-    Newton polish, and returns a new :class:`Boundary` whose derivative
-    closures use the exact chain rule.  The construction commutes with the
+    Gauss-Legendre quadrature), inverts it by three Newton steps from the
+    piecewise-linear inverse of the knot table, and returns a new
+    :class:`Boundary` whose derivative closures use the exact chain rule.  The construction commutes with the
     dihedral symmetries, so equivariance carries over.
 
     Raises
@@ -367,7 +367,7 @@ def reparametrize_constant_speed(boundary: Boundary, tol: float = SPEED_TOL) -> 
         return boundary
 
     # cheap probe: the caller may not have flagged an already-uniform curve
-    probe = _speed(boundary, (np.arange(64) + 0.5) / 64)
+    probe = _speed(boundary.dgamma, (np.arange(64) + 0.5) / 64)
     mean_speed = float(probe.mean())
     if np.max(np.abs(probe - mean_speed)) <= 1e-12 * mean_speed:
         return replace(boundary, constant_speed=True, total_length=mean_speed)
@@ -379,13 +379,11 @@ def reparametrize_constant_speed(boundary: Boundary, tol: float = SPEED_TOL) -> 
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 / knots
     panel_pts = mid[:, None] + half * _GAUSS_NODES[None, :]
-    panel_speed = _speed(boundary, panel_pts.ravel()).reshape(knots, -1)
+    panel_speed = _speed(boundary.dgamma, panel_pts.ravel()).reshape(knots, -1)
     panel_integral = half * (panel_speed @ _GAUSS_WEIGHTS)
     total = float(panel_integral.sum())
     s_knots = np.concatenate(([0.0], np.cumsum(panel_integral))) / total
     s_knots[-1] = 1.0
-
-    inverse_guess = PchipInterpolator(s_knots, edges)
 
     def arc_fraction(x: np.ndarray) -> np.ndarray:
         """Normalized arc length of [0, x] for x in [0, 1], machine precision."""
@@ -395,7 +393,7 @@ def reparametrize_constant_speed(boundary: Boundary, tol: float = SPEED_TOL) -> 
         halfw = 0.5 * (x - a)
         midp = 0.5 * (x + a)
         pts = midp[..., None] + halfw[..., None] * _GAUSS_NODES
-        sp = _speed(boundary, pts.reshape(-1)).reshape(pts.shape)
+        sp = _speed(boundary.dgamma, pts.reshape(-1)).reshape(pts.shape)
         part = halfw * (sp @ _GAUSS_WEIGHTS)
         return s_knots[j] + part / total
 
@@ -405,9 +403,9 @@ def reparametrize_constant_speed(boundary: Boundary, tol: float = SPEED_TOL) -> 
         t = np.atleast_1d(t)
         k = np.floor(t)
         frac = t - k
-        x = np.clip(inverse_guess(frac), 0.0, 1.0)
+        x = np.interp(frac, s_knots, edges)
         for _ in range(3):
-            x = x - (arc_fraction(x) - frac) * total / _speed(boundary, x)
+            x = x - (arc_fraction(x) - frac) * total / _speed(boundary.dgamma, x)
             x = np.clip(x, 0.0, 1.0)
         out = x + k
         return out[0] if scalar else out
@@ -417,7 +415,7 @@ def reparametrize_constant_speed(boundary: Boundary, tol: float = SPEED_TOL) -> 
     # a multiple of 2n, so the symmetry fixed points j/(2n) are exact nodes.
     x_nodes = inverse(edges)
     x_nodes[0], x_nodes[-1] = 0.0, 1.0
-    dx_nodes = total / _speed(boundary, x_nodes)
+    dx_nodes = total / _speed(boundary.dgamma, x_nodes)
 
     def inverse_fast(t):
         t = np.asarray(t, dtype=float)

@@ -425,7 +425,14 @@ def save_lift(path, lift: PeriodicLift, n: int, m: int) -> None:
 
 
 def load_lift(path):
-    """Read an orbit file; returns (lift, n, m)."""
+    """Read an orbit file; returns (lift, n, m).
+
+    Raises
+    ------
+    ValueError
+        If the file is malformed or the lift leaves the admissible region
+        (some increment outside the open interval (0, 1)).
+    """
     raw = [ln.strip() for ln in Path(path).read_text().splitlines()]
     rows = [ln for ln in raw if ln and not ln.startswith("#")]
     if not rows:
@@ -437,4 +444,10 @@ def load_lift(path):
     coords = np.array([float(v) for v in rows[1:]], dtype=float)
     if coords.shape != (p,):
         raise ValueError(f"expected {p} coordinates, found {coords.size}")
-    return PeriodicLift(p, q, coords), n, m
+    lift = PeriodicLift(p, q, coords)
+    inc = lift.increments()
+    if float(inc.min()) <= 0.0 or float(inc.max()) >= 1.0:
+        raise ValueError(
+            f"lift leaves the admissible region: increments span "
+            f"[{inc.min():.6g}, {inc.max():.6g}], need (0, 1)")
+    return lift, n, m

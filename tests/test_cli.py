@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 
+import billiardflow
 from billiardflow import save_lift
 from billiardflow.cli import main
 from billiardflow.sequences import PeriodicLift
@@ -167,6 +169,18 @@ def test_classify_rejects_inadmissible_orbit_file(flagship_ini, tmp_path, capsys
     assert "admissible" in capsys.readouterr().err
 
 
+def test_render_rejects_inadmissible_orbit_file(tmp_path, capsys):
+    bad = PeriodicLift(4, 1, np.array([0.0, 0.5, 0.2, 0.7]))
+    path = tmp_path / "bad.orbit.txt"
+    save_lift(path, bad, 4, 1)
+    out_dir = tmp_path / "artifacts"
+    code = main(["render", str(path), "--mode", "aubry_diagram",
+                 "--out", str(out_dir), "--prefix", "bad"])
+    assert code == 2
+    assert "admissible" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.svg"))
+
+
 def test_render_orbit_figure_mode(flagship_ini, tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     assert main(["find", "--config", str(flagship_ini),
@@ -246,3 +260,17 @@ def test_log_level_environment_variable(flagship_ini, tmp_path):
         env=dict(os.environ, BILLIARD_LOG="warning"), timeout=120)
     assert quiet.returncode == 0
     assert "INFO" not in quiet.stderr
+
+
+def test_import_loads_no_scipy():
+    src = Path(billiardflow.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, billiardflow; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """End-to-end orbit searches: postdiction checks, shift handling, sweeps."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,18 @@ def test_epsilon_validation():
     with pytest.raises(ValueError, match="epsilon"):
         find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main",
                                  N=4, s=3, epsilon=0.0))
+
+
+def test_epsilon_halving_is_logged(caplog):
+    # at the flagship margin a nudge of 0.08 loses action; 0.04 gains it
+    with caplog.at_level(logging.INFO, logger="billiardflow.finder"):
+        find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main",
+                                 N=4, s=3, epsilon=0.08,
+                                 options=FlowOptions(max_steps=3)))
+    halvings = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("halving epsilon")]
+    assert len(halvings) == 1
+    assert halvings[0].startswith("halving epsilon 0.08 -> 0.04: action gap -")
 
 
 def test_degenerate_mode_is_rejected():

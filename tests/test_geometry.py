@@ -49,6 +49,27 @@ def test_limacon_convex_below_threshold_concave_above():
         assert convexity_margin(make_limacon(n, 1.2 * star)) < 0
 
 
+def test_limacon_margin_matches_closed_form():
+    # the minimum of det(gamma', gamma'') sits at x = 1/(2n), where
+    # r = 1 - a, r' = 0 and r'' = tau^2 n^2 a
+    tau = 2 * np.pi
+    for n in range(2, 10):
+        star = limacon_convexity_threshold(n)
+        for frac in (0.1, 0.5, 0.9, 0.99, 1.2):
+            a = frac * star
+            exact = tau ** 3 * (1 - a) * (1 - a * (1 + n * n))
+            assert convexity_margin(make_limacon(n, a)) == pytest.approx(
+                exact, rel=1e-12)
+
+
+def test_circle_margin_is_the_flat_determinant():
+    # det(gamma', gamma'') is constant on a circle: no strict minimum to bracket
+    tau = 2 * np.pi
+    for r in (0.5, 1.0, 2.5):
+        assert convexity_margin(make_circle(r, 4)) == pytest.approx(
+            tau ** 3 * r * r, rel=1e-12)
+
+
 def test_circle_curvature_is_inverse_radius():
     for r in (0.5, 1.0, 2.5):
         b = make_circle(r)
@@ -126,6 +147,14 @@ LIMACON4_LENGTH = 6.345591781726427
 
 def test_limacon4_total_length_frozen_value(limacon4_cs):
     assert limacon4_cs.total_length == pytest.approx(LIMACON4_LENGTH, abs=1e-12)
+
+
+def test_raw_table_lengths_match_frozen_values(limacon4, ellipse21):
+    # raw tables, before reparametrization: the circumference comes from
+    # construction alone; the ellipse value is the complete elliptic integral
+    # 8 E(3/4) for semi-axes (2, 1)
+    assert limacon4.total_length == pytest.approx(LIMACON4_LENGTH, abs=1e-12)
+    assert ellipse21.total_length == pytest.approx(9.688448220547675, abs=1e-12)
 
 
 def test_reparametrization_has_constant_speed(limacon4_cs, limacon2_19_cs):
