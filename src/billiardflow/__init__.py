@@ -10,7 +10,6 @@ that are not well-ordered (not Birkhoff).
 
 from .geometry import (
     Boundary,
-    CurvePoint,
     check_equivariance,
     convexity_margin,
     curvature_at,
@@ -19,16 +18,11 @@ from .geometry import (
     make_circle,
     make_ellipse,
     make_limacon,
-    point_at,
     reparametrize_constant_speed,
 )
 from .lagrangian import (
-    ChordAngles,
     SecondPartials,
-    chord_angles,
     chord_length,
-    d1_chord,
-    d2_chord,
     force_minus,
     force_plus,
     gradient_field,
@@ -54,7 +48,7 @@ from .sequences import (
     spatiotemporal_group,
     symmetric_birkhoff,
 )
-from .flow import FlowOptions, FlowResult, comparison_check, integrate, project_affine
+from .flow import FlowOptions, FlowResult, comparison_check, integrate
 from .spectral import (
     BirkhoffCoefficients,
     CirculantHessian,

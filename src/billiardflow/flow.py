@@ -63,6 +63,8 @@ class FlowOptions:
             raise ValueError("tolerances and max_time must be positive")
         if self.plateau_window < 1 or not 0.0 < self.plateau_factor < 1.0:
             raise ValueError("plateau_window must be >= 1 and plateau_factor in (0, 1)")
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
 @dataclass
@@ -85,19 +87,6 @@ class FlowResult:
     failure: str | None = None
     domain_violation: str | None = None
     anomalies: list = field(default_factory=list)
-
-    @property
-    def action_history(self):
-        return list(zip(self.times.tolist(), self.actions.tolist()))
-
-    @property
-    def crossing_history(self):
-        return list(zip(self.times.tolist(), self.crossings))
-
-
-def project_affine(lift: PeriodicLift, system: AffineSystem) -> PeriodicLift:
-    """Orthogonally project a lift onto the affine symmetry class."""
-    return lift.with_coords(system.project(lift.coords))
 
 
 def _guard_violation(coords: np.ndarray, q: int, lo: float):

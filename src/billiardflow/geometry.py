@@ -25,10 +25,6 @@ log = logging.getLogger(__name__)
 
 #: default residual tolerance for geometric identities (periodicity, symmetry)
 GEOMETRIC_TOL = 1e-10
-#: default relative tolerance for the constant-speed property after resampling
-SPEED_TOL = 1e-8
-#: arc-length table resolution per unit of parameter
-KNOTS_PER_UNIT = 4096
 #: periodic trapezoid rule for the circumference: first node count, the node
 #: count past which it stops doubling, and the relative agreement it stops at
 ARC_NODES_START = 64
@@ -38,10 +34,18 @@ ARC_RTOL = 1e-14
 #: two of the 64 cells, and passes stop once the bracket is narrower than XTOL
 MARGIN_GRID = 65
 MARGIN_XTOL = 1e-12
+#: the constant-speed series: first node count, doubled while the top quarter
+#: of the modes of the speed or of the curve is above SERIES_TOL relative to
+#: the largest; modes below SERIES_TRIM relative to the largest are left out
+SERIES_NODES_START = 256
+SERIES_TOL = 1e-15
+SERIES_TRIM = 1e-16
+#: Newton inversion of the arc length: step limit, and the step size after
+#: which the next correction is below roundoff
+NEWTON_MAX_STEPS = 20
+NEWTON_XTOL = 1e-10
 
 CurveMap = Callable[[np.ndarray], np.ndarray]
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -70,16 +74,6 @@ class Boundary:
     constant_speed: bool
     total_length: float
     period: float = 1.0
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """Pointwise curve data at parameter ``x``."""
-
-    x: float
-    position: np.ndarray
-    tangent: np.ndarray
-    curvature: float
 
 
 def _speed(dgamma: CurveMap, x: np.ndarray) -> np.ndarray:
@@ -192,31 +186,14 @@ def make_ellipse(a: float, b: float) -> Boundary:
 
 
 def make_circle(radius: float = 1.0, symmetry_order: int = 2) -> Boundary:
-    """Circle of the given radius.
+    """Circle of the given radius: the ellipse with equal semi-axes.
 
     A circle is equivariant under every dihedral group; ``symmetry_order``
     records the n the caller intends to work with.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    tau = 2.0 * math.pi
-    r = float(radius)
-
-    def gamma(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack((r * np.cos(tau * x), r * np.sin(tau * x)), axis=-1)
-
-    def dgamma(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack((-tau * r * np.sin(tau * x), tau * r * np.cos(tau * x)), axis=-1)
-
-    def ddgamma(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack((-tau * tau * r * np.cos(tau * x),
-                         -tau * tau * r * np.sin(tau * x)), axis=-1)
-
-    return Boundary(gamma, dgamma, ddgamma, symmetry_order=int(symmetry_order),
-                    constant_speed=True, total_length=tau * r)
+    return replace(make_ellipse(radius, radius), symmetry_order=int(symmetry_order))
 
 
 def make_boundary(descriptor: dict) -> Boundary:
@@ -276,16 +253,6 @@ def curvature_at(boundary: Boundary, x) -> np.ndarray:
         raise ValueError("degenerate tangent: |gamma'(x)| vanishes")
     det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
     return np.abs(det) / speed_sq ** 1.5
-
-
-def point_at(boundary: Boundary, x: float) -> CurvePoint:
-    """Bundle position, tangent and curvature at one parameter value."""
-    return CurvePoint(
-        x=float(x),
-        position=boundary.gamma(x),
-        tangent=boundary.dgamma(x),
-        curvature=float(curvature_at(boundary, x)),
-    )
 
 
 def convexity_margin(boundary: Boundary, samples: int | None = None) -> float:
@@ -348,123 +315,130 @@ def check_equivariance(boundary: Boundary, n: int, samples: int = 128,
     return bool(np.max(np.abs(mirrored - reversed_)) <= tol)
 
 
-def reparametrize_constant_speed(boundary: Boundary, tol: float = SPEED_TOL) -> Boundary:
-    """Resample a boundary so that ``|dgamma|`` is constant.
+def _series_map(coef: np.ndarray, n: int) -> CurveMap:
+    """The map y -> sum_j c_{1+nj} e^{2 pi i (1+nj) y} + c_{1-nj} e^{2 pi i (1-nj) y}.
 
-    Builds the normalized arc-length map on a fine knot table (panel-wise
-    Gauss-Legendre quadrature), inverts it by three Newton steps from the
-    piecewise-linear inverse of the knot table, and returns a new
-    :class:`Boundary` whose derivative closures use the exact chain rule.  The construction commutes with the
-    dihedral symmetries, so equivariance carries over.
+    Returned as (real, imag), with ``coef[0, j] = c_{1+nj}`` and
+    ``coef[1, j] = conj(c_{1-nj})`` (``coef[1, 0]`` is zero).  The powers of
+    w = e^{2 pi i n y} are built by doubling outwards from the dominant mode
+    k = 1, which is cheaper than one exponential per mode and keeps that
+    mode's phase to an ulp; y is reduced mod 1 first, so the long lifts of long
+    orbits do too.
+    """
+    depth = coef.shape[1]
+
+    def f(y):
+        y = np.asarray(y, dtype=float)
+        t = y.reshape(-1) - np.floor(y.reshape(-1))
+        powers = np.empty((depth, t.size), dtype=complex)
+        powers[0] = 1.0
+        jump = np.exp((2j * math.pi * n) * t)
+        size = 1
+        while size < depth:
+            grow = min(size, depth - size)
+            np.multiply(powers[:grow], jump, out=powers[size:size + grow])
+            jump = jump * jump
+            size += grow
+        up, down = coef @ powers
+        z = np.exp(2j * math.pi * t) * (up + down.conj())
+        return z.view(float).reshape(y.shape + (2,))
+
+    return f
+
+
+def _resolved(coef: np.ndarray) -> bool:
+    """Whether the top quarter of an FFT's modes is below SERIES_TOL relative."""
+    top = coef[3 * coef.size // 8: coef.size - 3 * coef.size // 8 + 1]
+    return bool(np.max(np.abs(top)) <= SERIES_TOL * np.max(np.abs(coef)))
+
+
+def _arc_inverse(boundary: Boundary, speed: np.ndarray) -> np.ndarray:
+    """The parameters x_j whose normalized arc length is j / nodes.
+
+    ``speed`` is the FFT of the speed at the nodes.  Integrated term by term it
+    gives sigma(x) = x + 2 Re sum_{k>0} a_k (e^{2 pi i k x} - 1), with
+    a_k = speed_k / (2 pi i k L) and L the circumference.  Newton's method
+    starts from the piecewise-linear inverse of sigma's node values (one
+    inverse FFT) and evaluates sigma by Horner's rule in e^{2 pi i x}, in
+    O(nodes) memory whatever the mode count.
+    """
+    nodes = speed.size
+    y = np.arange(nodes) / nodes
+    total = boundary.total_length
+    k = np.arange(1, nodes // 2)
+    a = speed[k] / (2j * math.pi * k * total)
+    wiggle = np.fft.irfft(np.r_[0.0, a], nodes) * nodes
+    x = np.interp(y, np.append(y + wiggle - wiggle[0], 1.0), np.append(y, 1.0))
+    above = np.nonzero(np.abs(speed[k]) > SERIES_TRIM * speed[0].real)[0]
+    a = a[:above.max(initial=-1) + 1]
+    offset = a.real.sum()
+    for _ in range(NEWTON_MAX_STEPS):
+        u = np.exp(2j * math.pi * x)
+        acc = np.zeros_like(u)
+        for c in a[::-1]:
+            acc = (acc + c) * u
+        step = (x + 2.0 * (acc.real - offset) - y) * total / _speed(boundary.dgamma, x)
+        x = x - step
+        if np.max(np.abs(step)) <= NEWTON_XTOL:
+            return x
+    raise ValueError("the arc-length inversion did not converge")
+
+
+def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
+    """The same curve traced at constant speed, as one trigonometric series.
+
+    The speed is periodic and analytic, so its Fourier series converges
+    exponentially.  The curve is sampled where its arc length is uniform (see
+    :func:`_arc_inverse`) and transformed by FFT, on ``SERIES_NODES_START``
+    nodes doubled until the top quarter of the modes of both the speed and the
+    resampled curve is at roundoff.  Of the curve's modes only the
+    wavenumbers k = 1 (mod n) with real coefficients are kept: exactly the
+    series with ``R @ gamma(y) == gamma(y + 1/n)`` and
+    ``S @ gamma(y) == gamma(-y)``, so dihedral equivariance holds by
+    construction.  The returned ``gamma``, ``dgamma`` and ``ddgamma`` are that
+    series and its exact derivatives; the speed is ``boundary.total_length``,
+    the circumference computed at construction.
 
     Raises
     ------
-    RuntimeError
-        If the inversion residual exceeds ``tol`` (reported with the achieved
-        tolerance).
+    ValueError
+        If the part the projection drops (modes off the lattice and imaginary
+        parts) exceeds ``GEOMETRIC_TOL`` relative to the part it keeps, i.e.
+        the table lacks the dihedral symmetry of the order it claims (order 1:
+        the reflection alone); or if the series needs more than
+        ``ARC_NODES_CAP`` nodes.
     """
     if boundary.constant_speed:
         return boundary
-
-    # cheap probe: the caller may not have flagged an already-uniform curve
-    probe = _speed(boundary.dgamma, (np.arange(64) + 0.5) / 64)
-    mean_speed = float(probe.mean())
-    if np.max(np.abs(probe - mean_speed)) <= 1e-12 * mean_speed:
-        return replace(boundary, constant_speed=True, total_length=mean_speed)
-
     n = max(1, boundary.symmetry_order)
-    cell = 2 * n
-    knots = int(math.ceil(KNOTS_PER_UNIT / cell) * cell)
-    edges = np.arange(knots + 1) / knots
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 / knots
-    panel_pts = mid[:, None] + half * _GAUSS_NODES[None, :]
-    panel_speed = _speed(boundary.dgamma, panel_pts.ravel()).reshape(knots, -1)
-    panel_integral = half * (panel_speed @ _GAUSS_WEIGHTS)
-    total = float(panel_integral.sum())
-    s_knots = np.concatenate(([0.0], np.cumsum(panel_integral))) / total
-    s_knots[-1] = 1.0
+    nodes = SERIES_NODES_START
+    while True:
+        speed = np.fft.fft(_speed(boundary.dgamma, np.arange(nodes) / nodes)) / nodes
+        if _resolved(speed):
+            pts = boundary.gamma(_arc_inverse(boundary, speed))
+            coef = np.fft.fft(pts[:, 0] + 1j * pts[:, 1]) / nodes
+            if _resolved(coef):
+                break
+        if nodes >= ARC_NODES_CAP:
+            raise ValueError(f"{nodes} nodes do not resolve the constant-speed series")
+        nodes *= 2
 
-    def arc_fraction(x: np.ndarray) -> np.ndarray:
-        """Normalized arc length of [0, x] for x in [0, 1], machine precision."""
-        x = np.asarray(x, dtype=float)
-        j = np.clip((x * knots).astype(int), 0, knots - 1)
-        a = edges[j]
-        halfw = 0.5 * (x - a)
-        midp = 0.5 * (x + a)
-        pts = midp[..., None] + halfw[..., None] * _GAUSS_NODES
-        sp = _speed(boundary.dgamma, pts.reshape(-1)).reshape(pts.shape)
-        part = halfw * (sp @ _GAUSS_WEIGHTS)
-        return s_knots[j] + part / total
+    wave = np.fft.fftfreq(nodes, 1.0 / nodes).astype(int)
+    kept = np.where((wave - 1) % n == 0, coef.real, 0.0)
+    dropped = float(np.sum(np.abs(coef - kept)) / np.sum(np.abs(kept)))
+    if dropped > GEOMETRIC_TOL:
+        raise ValueError(
+            f"the constant-speed series drops {dropped:.3e} (relative) to keep "
+            f"the order-{n} dihedral symmetry the table claims")
 
-    def inverse(t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        k = np.floor(t)
-        frac = t - k
-        x = np.interp(frac, s_knots, edges)
-        for _ in range(3):
-            x = x - (arc_fraction(x) - frac) * total / _speed(boundary.dgamma, x)
-            x = np.clip(x, 0.0, 1.0)
-        out = x + k
-        return out[0] if scalar else out
-
-    # dense inverse table: cubic Hermite with exact node derivatives keeps the
-    # per-evaluation cost flat (no Newton in the hot path).  The node count is
-    # a multiple of 2n, so the symmetry fixed points j/(2n) are exact nodes.
-    x_nodes = inverse(edges)
-    x_nodes[0], x_nodes[-1] = 0.0, 1.0
-    dx_nodes = total / _speed(boundary.dgamma, x_nodes)
-
-    def inverse_fast(t):
-        t = np.asarray(t, dtype=float)
-        k = np.floor(t)
-        frac = t - k
-        j = np.clip((frac * knots).astype(int), 0, knots - 1)
-        u = frac * knots - j
-        u2 = u * u
-        um2 = (1.0 - u) * (1.0 - u)
-        x = ((1.0 + 2.0 * u) * um2 * x_nodes[j]
-             + u * um2 * (dx_nodes[j] / knots)
-             + u2 * (3.0 - 2.0 * u) * x_nodes[j + 1]
-             + u2 * (u - 1.0) * (dx_nodes[j + 1] / knots))
-        return x + k
-
-    # achieved inversion tolerance, measured off the table nodes where the
-    # interpolation error peaks
-    t_check = (np.arange(512) + 0.382) / 512
-    achieved = float(np.max(np.abs(arc_fraction(inverse_fast(t_check)) - t_check)))
-    if achieved > tol:
-        raise RuntimeError(
-            f"arc-length inversion achieved residual {achieved:.3e} > tol {tol:.3e}")
-
-    g, dg, ddg = boundary.gamma, boundary.dgamma, boundary.ddgamma
-
-    def gamma_new(y):
-        return g(inverse_fast(y))
-
-    def dgamma_new(y):
-        x = inverse_fast(y)
-        d1 = dg(x)
-        v = np.sqrt(np.sum(d1 * d1, axis=-1, keepdims=True))
-        return d1 * (total / v)
-
-    def ddgamma_new(y):
-        x = inverse_fast(y)
-        d1 = dg(x)
-        d2 = ddg(x)
-        v_sq = np.sum(d1 * d1, axis=-1, keepdims=True)
-        v = np.sqrt(v_sq)
-        xp = total / v                                  # dx/dy
-        dv = np.sum(d1 * d2, axis=-1, keepdims=True) / v  # d|gamma'|/dx
-        xpp = -total * total * dv / (v_sq * v)          # d2x/dy2
-        return d2 * xp * xp + d1 * xpp
-
-    out = Boundary(gamma_new, dgamma_new, ddgamma_new,
-                   symmetry_order=boundary.symmetry_order,
-                   constant_speed=True, total_length=total)
-    if boundary.symmetry_order > 1 and not check_equivariance(
-            out, boundary.symmetry_order, tol=max(10 * tol, 1e-9)):
-        log.warning("equivariance degraded past %.1e after reparametrization", max(10 * tol, 1e-9))
-    return out
+    # rows k = 1 + n j and k = 1 - n j, out to the last mode above SERIES_TRIM
+    significant = wave[np.abs(kept) > SERIES_TRIM * np.max(np.abs(kept))]
+    j = np.arange(max(significant.max() - 1, 1 - significant.min()) // n + 1)
+    series = np.stack((kept[(1 + n * j) % nodes], kept[(1 - n * j) % nodes]))
+    series[1, 0] = 0.0
+    spin = 2j * math.pi * np.stack((1 + n * j, n * j - 1))
+    return Boundary(_series_map(series, n),
+                    _series_map(spin * series, n),
+                    _series_map(spin * spin * series, n),
+                    symmetry_order=boundary.symmetry_order,
+                    constant_speed=True, total_length=boundary.total_length)

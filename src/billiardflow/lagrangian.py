@@ -23,14 +23,6 @@ COINCIDENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ChordAngles:
-    """Angles between the chord and the tangents at its two endpoints."""
-
-    theta: np.ndarray  # at the departure point, in (0, pi)
-    phi: np.ndarray    # at the arrival point, in (0, pi)
-
-
-@dataclass(frozen=True)
 class SecondPartials:
     d11: np.ndarray
     d12: np.ndarray
@@ -45,13 +37,8 @@ def _dot(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
 
 
-def _gap(x, X):
-    """Fractional part of X - x in [0, 1)."""
-    return np.mod(np.asarray(X, dtype=float) - np.asarray(x, dtype=float), 1.0)
-
-
 def _check_not_coincident(x, X):
-    t = _gap(x, X)
+    t = np.mod(np.asarray(X, dtype=float) - np.asarray(x, dtype=float), 1.0)
     t = np.minimum(t, 1.0 - t)
     if np.any(t <= COINCIDENT_TOL):
         raise ValueError("coincident boundary points: x - X is an integer")
@@ -60,51 +47,6 @@ def _check_not_coincident(x, X):
 def chord_length(boundary: Boundary, x, X):
     d = boundary.gamma(X) - boundary.gamma(x)
     return np.sqrt(np.sum(d * d, axis=-1))
-
-
-def chord_angles(boundary: Boundary, x, X) -> ChordAngles:
-    """Chord-tangent angles via atan2 of cross/dot products."""
-    _check_not_coincident(x, X)
-    tx = boundary.dgamma(x)
-    tX = boundary.dgamma(X)
-    d = boundary.gamma(X) - boundary.gamma(x)
-    theta = np.arctan2(_cross(tx, d), _dot(tx, d))
-    phi = np.arctan2(_cross(d, tX), _dot(d, tX))
-    return ChordAngles(theta=theta, phi=phi)
-
-
-def d1_chord(boundary: Boundary, x, X):
-    """d/dx of the chord length; -|gamma'(x)| cos(theta).
-
-    Within DIAG_GUARD of the diagonal the continuous extension is returned
-    (-|gamma'| as X -> x+, +|gamma'| as X -> (x+1)-).
-    """
-    _check_not_coincident(x, X)
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    t = _gap(x, X)
-    tx = boundary.dgamma(x)
-    speed = np.sqrt(np.sum(tx * tx, axis=-1))
-    d = boundary.gamma(X) - boundary.gamma(x)
-    length = np.sqrt(np.sum(d * d, axis=-1))
-    raw = -_dot(tx, d) / np.where(length > 0, length, 1.0)
-    return np.where(t <= DIAG_GUARD, -speed,
-                    np.where(1.0 - t <= DIAG_GUARD, speed, raw))
-
-
-def d2_chord(boundary: Boundary, x, X):
-    """d/dX of the chord length; +|gamma'(X)| cos(phi)."""
-    _check_not_coincident(x, X)
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    t = _gap(x, X)
-    tX = boundary.dgamma(X)
-    speed = np.sqrt(np.sum(tX * tX, axis=-1))
-    d = boundary.gamma(X) - boundary.gamma(x)
-    length = np.sqrt(np.sum(d * d, axis=-1))
-    raw = _dot(tX, d) / np.where(length > 0, length, 1.0)
-    return np.where(t <= DIAG_GUARD, speed,
-                    np.where(1.0 - t <= DIAG_GUARD, -speed, raw))
 
 
 def second_partials(boundary: Boundary, x, X) -> SecondPartials:
@@ -148,7 +90,7 @@ def _force_domain_check(x, X):
 
 
 def force_minus(boundary: Boundary, x, X):
-    """Continuous extension of d2_chord to the closed strip x <= X <= x + 1.
+    """d/dX of the chord length, |gamma'(X)| cos(phi), on x <= X <= x + 1.
 
     Equals +|gamma'(x)| at X = x and -|gamma'(x)| at X = x + 1; strictly
     increasing in x for fixed X on a strictly convex table.
@@ -165,7 +107,7 @@ def force_minus(boundary: Boundary, x, X):
 
 
 def force_plus(boundary: Boundary, x, X):
-    """Continuous extension of d1_chord to the closed strip x <= X <= x + 1.
+    """d/dx of the chord length, -|gamma'(x)| cos(theta), on x <= X <= x + 1.
 
     Equals -|gamma'(x)| at X = x and +|gamma'(x)| at X = x + 1; strictly
     increasing in X for fixed x on a strictly convex table.

@@ -104,18 +104,17 @@ def hessian(boundary: Boundary, lift: PeriodicLift) -> np.ndarray:
     if residual >= 1e-8:
         warnings.warn(f"Hessian requested at a non-stationary lift "
                       f"(|F|_inf = {residual:.3e})", stacklevel=2)
-    p, q = lift.p, lift.q
-    x = lift.coords
+    p = lift.p
+    x = np.asarray(lift.coords, dtype=float)
+    # edge j joins vertex j to vertex j + 1, the last one to x_0 + q
+    sp = second_partials(boundary, x, np.append(x[1:], x[0] + lift.q))
+    j = np.arange(p)
+    jn = (j + 1) % p
     h = np.zeros((p, p))
-    for j in range(p):
-        a = x[j]
-        b = x[(j + 1) % p] + (q if j == p - 1 else 0)
-        sp = second_partials(boundary, a, b)
-        jn = (j + 1) % p
-        h[j, j] += float(sp.d11)
-        h[jn, jn] += float(sp.d22)
-        h[j, jn] += float(sp.d12)
-        h[jn, j] += float(sp.d12)
+    np.add.at(h, (j, j), sp.d11)
+    np.add.at(h, (jn, jn), sp.d22)
+    np.add.at(h, (j, jn), sp.d12)
+    np.add.at(h, (jn, j), sp.d12)
     return h
 
 

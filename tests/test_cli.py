@@ -220,6 +220,15 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_record_every_below_one_exits_2(tmp_path, capsys):
+    ini = tmp_path / "record.ini"
+    ini.write_text(FLAGSHIP_INI + "\n[flow]\nrecord_every = 0\n")
+    assert main(["find", "--config", str(ini), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "record_every" in err
+    assert "Traceback" not in err
+
+
 def test_config_without_theorem_section_exits_2(tmp_path, capsys):
     ini = tmp_path / "partial.ini"
     ini.write_text("[billiard]\nfamily = limacon\nn = 4\nalpha = 0.05\n")

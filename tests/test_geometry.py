@@ -1,5 +1,7 @@
 """Boundary construction, curvature, symmetry checks, reparametrization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from billiardflow import (
     make_circle,
     make_ellipse,
     make_limacon,
-    point_at,
     reparametrize_constant_speed,
 )
 from billiardflow.geometry import scaled
@@ -83,14 +84,6 @@ def test_curvature_matches_finite_differences(limacon4, ellipse21):
         # the FD oracle itself carries ~3e-6 relative error at this h
         assert np.allclose(curvature_at(b, x), fd_curvature(b, x),
                            rtol=1e-5, atol=1e-6)
-
-
-def test_point_at_bundles_the_local_data(limacon4):
-    pt = point_at(limacon4, 0.3)
-    assert pt.x == 0.3
-    assert np.allclose(pt.position, limacon4.gamma(0.3))
-    assert np.allclose(pt.tangent, limacon4.dgamma(0.3))
-    assert pt.curvature == pytest.approx(float(curvature_at(limacon4, 0.3)))
 
 
 def test_boundary_closes_up(limacon4, ellipse21):
@@ -204,6 +197,45 @@ def test_reparametrization_preserves_curvature_function(limacon4, limacon4_cs):
     j = np.arange(8) / 8.0
     assert np.allclose(curvature_at(limacon4_cs, j), curvature_at(limacon4, j),
                        rtol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def series_tables():
+    """Constant-speed series of limacons n = 2..9 at 0.9x their convexity
+    threshold and of the 2:1 and 5:1 ellipses, with their symmetry orders."""
+    raw = [make_limacon(n, 0.9 * limacon_convexity_threshold(n)) for n in range(2, 10)]
+    raw += [make_ellipse(2.0, 1.0), make_ellipse(5.0, 1.0)]
+    return [(b.symmetry_order, reparametrize_constant_speed(b)) for b in raw]
+
+
+def test_series_is_equivariant_to_roundoff(series_tables):
+    for n, cs in series_tables:
+        assert check_equivariance(cs, n, tol=1e-13)
+
+
+def test_series_speed_is_constant_to_roundoff(series_tables):
+    t = np.linspace(0.0, 1.0, 1001)
+    for _, cs in series_tables:
+        speed = np.sqrt(np.sum(cs.dgamma(t) ** 2, axis=-1))
+        assert np.max(np.abs(speed - cs.total_length)) <= 1e-12 * cs.total_length
+
+
+def test_series_second_derivative_matches_finite_differences(ellipse21_cs):
+    # fourth-order central differences of gamma'
+    h = 1e-4
+    t = np.linspace(0.013, 0.987, 31)
+    for cs in (ellipse21_cs, reparametrize_constant_speed(make_limacon(2, 0.195))):
+        d1 = cs.dgamma
+        fd = (8 * (d1(t + h) - d1(t - h)) - (d1(t + 2 * h) - d1(t - 2 * h))) / (12 * h)
+        dd = cs.ddgamma(t)
+        assert np.max(np.abs(dd - fd)) <= 1e-9 * np.max(np.abs(dd))
+
+
+def test_reparametrization_rejects_a_claimed_symmetry_the_table_lacks():
+    # a 3-fold limacon claiming 6-fold symmetry: its series has modes off the
+    # lattice k = 1 (mod 6)
+    with pytest.raises(ValueError, match="order-6"):
+        reparametrize_constant_speed(replace(make_limacon(3, 0.05), symmetry_order=6))
 
 
 def test_convexity_margin_positive_cases(limacon4, ellipse21, circle4):

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from billiardflow import (
-    chord_angles,
     chord_length,
-    d1_chord,
-    d2_chord,
     force_minus,
     force_plus,
     gradient_field,
@@ -17,6 +14,17 @@ from billiardflow import (
     symmetric_birkhoff,
 )
 from billiardflow.sequences import PeriodicLift
+
+
+def chord_angles(boundary, x, X):
+    """Angles (theta, phi) of the chord with the tangents at x and at X."""
+    tx, tX = boundary.dgamma(x), boundary.dgamma(X)
+    d = boundary.gamma(X) - boundary.gamma(x)
+    theta = np.arctan2(tx[..., 0] * d[..., 1] - tx[..., 1] * d[..., 0],
+                       np.sum(tx * d, axis=-1))
+    phi = np.arctan2(d[..., 0] * tX[..., 1] - d[..., 1] * tX[..., 0],
+                     np.sum(d * tX, axis=-1))
+    return theta, phi
 
 
 def random_admissible_lift(rng, p, q, margin=0.1):
@@ -47,29 +55,29 @@ def test_chord_partials_match_finite_differences(limacon4_cs):
                - chord_length(limacon4_cs, x - h, X)) / (2 * h)
         fd2 = (chord_length(limacon4_cs, x, X + h)
                - chord_length(limacon4_cs, x, X - h)) / (2 * h)
-        assert d1_chord(limacon4_cs, x, X) == pytest.approx(fd1, abs=2e-7)
-        assert d2_chord(limacon4_cs, x, X) == pytest.approx(fd2, abs=2e-7)
+        assert force_plus(limacon4_cs, x, X) == pytest.approx(fd1, abs=2e-7)
+        assert force_minus(limacon4_cs, x, X) == pytest.approx(fd2, abs=2e-7)
 
 
 def test_chord_partials_in_terms_of_angles(limacon4_cs):
     # the first partials are (-cos incoming, +cos outgoing) scaled by speed;
-    # cross-check through the reported chord angles
+    # cross-check through the chord angles
     c = limacon4_cs.total_length
     x, X = 0.12, 0.55
-    ang = chord_angles(limacon4_cs, x, X)
-    assert d1_chord(limacon4_cs, x, X) == pytest.approx(-c * np.cos(ang.theta),
-                                                        rel=1e-12)
-    assert d2_chord(limacon4_cs, x, X) == pytest.approx(c * np.cos(ang.phi),
-                                                        rel=1e-12)
+    theta, phi = chord_angles(limacon4_cs, x, X)
+    assert force_plus(limacon4_cs, x, X) == pytest.approx(-c * np.cos(theta),
+                                                          rel=1e-12)
+    assert force_minus(limacon4_cs, x, X) == pytest.approx(c * np.cos(phi),
+                                                           rel=1e-12)
 
 
 def test_chord_angles_lie_in_the_open_interval(limacon4_cs):
     rng = np.random.default_rng(11)
     x = rng.uniform(0, 1, 40)
     X = x + rng.uniform(0.02, 0.98, 40)
-    ang = chord_angles(limacon4_cs, x, X)
-    assert np.all(ang.theta > 0) and np.all(ang.theta < np.pi)
-    assert np.all(ang.phi > 0) and np.all(ang.phi < np.pi)
+    theta, phi = chord_angles(limacon4_cs, x, X)
+    assert np.all(theta > 0) and np.all(theta < np.pi)
+    assert np.all(phi > 0) and np.all(phi < np.pi)
 
 
 def test_second_partials_match_finite_differences(limacon4_cs):
@@ -77,9 +85,9 @@ def test_second_partials_match_finite_differences(limacon4_cs):
     b = limacon4_cs
     for (x, X) in ((0.05, 0.4), (0.3, 0.62), (0.8, 1.45)):
         sp = second_partials(b, x, X)
-        fd11 = (d1_chord(b, x + h, X) - d1_chord(b, x - h, X)) / (2 * h)
-        fd12 = (d1_chord(b, x, X + h) - d1_chord(b, x, X - h)) / (2 * h)
-        fd22 = (d2_chord(b, x, X + h) - d2_chord(b, x, X - h)) / (2 * h)
+        fd11 = (force_plus(b, x + h, X) - force_plus(b, x - h, X)) / (2 * h)
+        fd12 = (force_plus(b, x, X + h) - force_plus(b, x, X - h)) / (2 * h)
+        fd22 = (force_minus(b, x, X + h) - force_minus(b, x, X - h)) / (2 * h)
         assert sp.d11 == pytest.approx(fd11, rel=1e-5, abs=1e-5)
         assert sp.d12 == pytest.approx(fd12, rel=1e-5, abs=1e-5)
         assert sp.d22 == pytest.approx(fd22, rel=1e-5, abs=1e-5)

@@ -13,6 +13,7 @@ from billiardflow import (
     kappa_chord,
     mode_eigenpair,
     repeat_lift,
+    second_partials,
     subgroup_mode_parameters,
     symmetric_birkhoff,
 )
@@ -113,6 +114,27 @@ def test_hessian_matches_finite_differences(limacon4_cs):
     h = hessian(limacon4_cs, ref)
     fd = fd_hessian(limacon4_cs, ref)
     assert np.allclose(h, fd, rtol=1e-4, atol=1e-6 * np.max(np.abs(h)))
+
+
+def test_hessian_matches_the_per_edge_assembly(limacon4_cs):
+    # reference: one second_partials call per edge, off a critical point so
+    # every entry differs; at p = 2 both edges meet in the off-diagonal entries
+    rng = np.random.default_rng(17)
+    for p, q in ((2, 1), (3, 1), (7, 2), (12, 5)):
+        inc = rng.uniform(0.2, 0.8, p)
+        coords = 0.1 + np.r_[0.0, np.cumsum(inc / inc.sum() * q)[:-1]]
+        lift = PeriodicLift(p, q, coords)
+        ref = np.zeros((p, p))
+        for j in range(p):
+            jn = (j + 1) % p
+            sp = second_partials(limacon4_cs, coords[j], coords[jn] + (q if jn == 0 else 0))
+            ref[j, j] += float(sp.d11)
+            ref[jn, jn] += float(sp.d22)
+            ref[j, jn] += float(sp.d12)
+            ref[jn, j] += float(sp.d12)
+        with pytest.warns(UserWarning, match="non-stationary"):
+            h = hessian(limacon4_cs, lift)
+        assert np.max(np.abs(h - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_hessian_warns_off_a_critical_point(limacon4_cs):
