@@ -19,7 +19,6 @@ from .lagrangian import _gradient_coords, periodic_action
 from .sequences import AffineSystem, PeriodicLift, intersection_index
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -27,8 +26,9 @@ _A = np.array([
     [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    # the fifth-order weights: the last stage point is the fifth-order solution
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ])
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 
@@ -59,8 +59,17 @@ class FlowOptions:
     def __post_init__(self):
         if not 0.0 <= self.guard_margin < 0.5:
             raise ValueError("guard_margin must lie in [0, 0.5)")
-        if self.stationarity_tol <= 0 or self.max_time <= 0:
+        # written so that NaN fails each test
+        if not (self.stationarity_tol > 0 and self.max_time > 0):
             raise ValueError("tolerances and max_time must be positive")
+        if not (self.abs_tol >= 0 and self.rel_tol >= 0) or self.abs_tol == self.rel_tol == 0:
+            raise ValueError(f"abs_tol and rel_tol must be >= 0 and not both 0, "
+                             f"got {self.abs_tol} and {self.rel_tol}")
+        if not (self.initial_step > 0 and self.max_step > 0):
+            raise ValueError(f"initial_step and max_step must be positive, "
+                             f"got {self.initial_step} and {self.max_step}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.plateau_window < 1 or not 0.0 < self.plateau_factor < 1.0:
             raise ValueError("plateau_window must be >= 1 and plateau_factor in (0, 1)")
         if self.record_every < 1:
@@ -190,22 +199,21 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
 
     while steps < opts.max_steps:
         stages[0] = f_cur
-        fail_eval = False
-        try:
-            for s in range(1, 6):
-                xs = x + dt * (stages[:s].T @ _A[s, :s])
-                stages[s] = rhs(xs)
-            x5 = x + dt * (stages[:6].T @ _B5)
-            stages[6] = rhs(x5)
-        except ValueError:
-            # a stage left the admissible region: retry with a smaller step
-            fail_eval = True
-        if not fail_eval:
+        for s in range(1, 7):
+            xs = x + dt * (stages[:s].T @ _A[s, :s])
+            f = rhs(xs)
+            if f is None:
+                break
+            stages[s] = f
+        if f is not None:
+            x5 = xs
             x4 = x + dt * (stages.T @ _B4)
             err_vec = x5 - x4
             scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x5))
             err_ratio = max(float(np.max(np.abs(err_vec) / scale)), 1e-16)
-        if fail_eval or not np.isfinite(err_ratio):
+        # a stage left the admissible region, or the error is not finite:
+        # retry with a smaller step
+        if f is None or not np.isfinite(err_ratio):
             dt *= 0.2
             if dt < 1e-14:
                 return result(x, False, "step_underflow", t, fnorm, steps,

@@ -4,7 +4,9 @@ A boundary is a closed strictly convex C^2 curve traced counterclockwise by a
 1-periodic map ``gamma : R -> R^2``.  Curves are supplied analytically as
 vectorized closures (``gamma``, ``dgamma``, ``ddgamma``) so derivatives are
 exact; every map accepts a scalar or an ndarray of parameters and returns an
-array whose last axis has length 2.
+array whose last axis has length 2.  The ``jet`` map returns the position and
+the tangent together, as complex numbers x + iy of the parameters' shape, from
+one evaluation of the curve.
 
 The dihedral symmetry convention: a curve has n-fold symmetry when rotating by
 2*pi/n advances the parameter by 1/n and reflecting across the horizontal axis
@@ -46,6 +48,7 @@ NEWTON_MAX_STEPS = 20
 NEWTON_XTOL = 1e-10
 
 CurveMap = Callable[[np.ndarray], np.ndarray]
+JetMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,10 @@ class Boundary:
     gamma, dgamma, ddgamma : callable
         The curve and its first two derivatives, all vectorized and
         1-periodic: ``gamma(x + 1) == gamma(x)``.
+    jet : callable
+        ``x -> (gamma(x), gamma'(x))`` as complex arrays of the shape of x,
+        from one evaluation of the curve; the gradient kernel and the action
+        use it.
     symmetry_order : int
         The n of the dihedral symmetry the curve is built with (1 if none).
     constant_speed : bool
@@ -70,10 +77,20 @@ class Boundary:
     gamma: CurveMap
     dgamma: CurveMap
     ddgamma: CurveMap
+    jet: JetMap
     symmetry_order: int
     constant_speed: bool
     total_length: float
     period: float = 1.0
+
+
+def _jet(gamma: CurveMap, dgamma: CurveMap) -> JetMap:
+    """The jet of a curve given by its point maps."""
+    def jet(x):
+        g, d = gamma(x), dgamma(x)
+        return g[..., 0] + 1j * g[..., 1], d[..., 0] + 1j * d[..., 1]
+
+    return jet
 
 
 def _speed(dgamma: CurveMap, x: np.ndarray) -> np.ndarray:
@@ -144,10 +161,11 @@ def make_limacon(n: int, alpha: float) -> Boundary:
         v_coef = 2.0 * tau * dr
         return np.stack((u_coef * c - v_coef * s, u_coef * s + v_coef * c), axis=-1)
 
+    jet = _jet(gamma, dgamma)
     if a == 0.0:
-        return Boundary(gamma, dgamma, ddgamma, symmetry_order=n,
+        return Boundary(gamma, dgamma, ddgamma, jet, symmetry_order=n,
                         constant_speed=True, total_length=tau)
-    return Boundary(gamma, dgamma, ddgamma, symmetry_order=n,
+    return Boundary(gamma, dgamma, ddgamma, jet, symmetry_order=n,
                     constant_speed=False, total_length=_arc_length(dgamma))
 
 
@@ -178,10 +196,11 @@ def make_ellipse(a: float, b: float) -> Boundary:
         return np.stack((-tau * tau * a * np.cos(tau * x),
                          -tau * tau * b * np.sin(tau * x)), axis=-1)
 
+    jet = _jet(gamma, dgamma)
     if a == b:
-        return Boundary(gamma, dgamma, ddgamma, symmetry_order=2,
+        return Boundary(gamma, dgamma, ddgamma, jet, symmetry_order=2,
                         constant_speed=True, total_length=tau * a)
-    return Boundary(gamma, dgamma, ddgamma, symmetry_order=2,
+    return Boundary(gamma, dgamma, ddgamma, jet, symmetry_order=2,
                     constant_speed=False, total_length=_arc_length(dgamma))
 
 
@@ -220,13 +239,19 @@ def scaled(boundary: Boundary, factor: float) -> Boundary:
     """The same curve magnified by ``factor`` (used for scale-invariance checks)."""
     if factor <= 0:
         raise ValueError("scale factor must be positive")
-    g, dg, ddg = boundary.gamma, boundary.dgamma, boundary.ddgamma
+    g, dg, ddg, jet = boundary.gamma, boundary.dgamma, boundary.ddgamma, boundary.jet
     f = float(factor)
+
+    def scaled_jet(x):
+        z, dz = jet(x)
+        return f * z, f * dz
+
     return replace(
         boundary,
         gamma=lambda x: f * g(x),
         dgamma=lambda x: f * dg(x),
         ddgamma=lambda x: f * ddg(x),
+        jet=scaled_jet,
         total_length=f * boundary.total_length,
     )
 
@@ -315,35 +340,50 @@ def check_equivariance(boundary: Boundary, n: int, samples: int = 128,
     return bool(np.max(np.abs(mirrored - reversed_)) <= tol)
 
 
-def _series_map(coef: np.ndarray, n: int) -> CurveMap:
-    """The map y -> sum_j c_{1+nj} e^{2 pi i (1+nj) y} + c_{1-nj} e^{2 pi i (1-nj) y}.
+def _series_sums(coef: np.ndarray, n: int, y) -> np.ndarray:
+    """The sums sum_j c_{1+nj} e^{2 pi i (1+nj) y} + c_{1-nj} e^{2 pi i (1-nj) y}.
 
-    Returned as (real, imag), with ``coef[0, j] = c_{1+nj}`` and
-    ``coef[1, j] = conj(c_{1-nj})`` (``coef[1, 0]`` is zero).  The powers of
-    w = e^{2 pi i n y} are built by doubling outwards from the dominant mode
-    k = 1, which is cheaper than one exponential per mode and keeps that
-    mode's phase to an ulp; y is reduced mod 1 first, so the long lifts of long
-    orbits do too.
+    One complex sum per pair of rows of ``coef``, with ``coef[2r, j] = c_{1+nj}``
+    and ``coef[2r + 1, j] = conj(c_{1-nj})`` (``coef[2r + 1, 0]`` is zero); the
+    result has one row per pair and one column per entry of y, flattened.  The
+    powers of w = e^{2 pi i n y} are built once for all rows, by doubling
+    outwards from the dominant mode k = 1, which is cheaper than one
+    exponential per mode and keeps that mode's phase to an ulp; y is reduced
+    mod 1 first, so the long lifts of long orbits do too.
     """
     depth = coef.shape[1]
+    y = np.asarray(y, dtype=float).reshape(-1)
+    t = y - np.floor(y)
+    powers = np.empty((depth, t.size), dtype=complex)
+    powers[0] = 1.0
+    jump = np.exp((2j * math.pi * n) * t)
+    size = 1
+    while size < depth:
+        grow = min(size, depth - size)
+        np.multiply(powers[:grow], jump, out=powers[size:size + grow])
+        jump = jump * jump
+        size += grow
+    sums = coef @ powers
+    return np.exp(2j * math.pi * t) * (sums[0::2] + sums[1::2].conj())
 
+
+def _series_map(coef: np.ndarray, n: int) -> CurveMap:
+    """The series of one pair of rows as a map to points (x, y)."""
     def f(y):
-        y = np.asarray(y, dtype=float)
-        t = y.reshape(-1) - np.floor(y.reshape(-1))
-        powers = np.empty((depth, t.size), dtype=complex)
-        powers[0] = 1.0
-        jump = np.exp((2j * math.pi * n) * t)
-        size = 1
-        while size < depth:
-            grow = min(size, depth - size)
-            np.multiply(powers[:grow], jump, out=powers[size:size + grow])
-            jump = jump * jump
-            size += grow
-        up, down = coef @ powers
-        z = np.exp(2j * math.pi * t) * (up + down.conj())
-        return z.view(float).reshape(y.shape + (2,))
+        return _series_sums(coef, n, y)[0].view(float).reshape(np.shape(y) + (2,))
 
     return f
+
+
+def _series_jet(coef: np.ndarray, dcoef: np.ndarray, n: int) -> JetMap:
+    """The series and its derivative from one power table and one product."""
+    both = np.concatenate((coef, dcoef))
+
+    def jet(y):
+        z, dz = _series_sums(both, n, y)
+        return z.reshape(np.shape(y)), dz.reshape(np.shape(y))
+
+    return jet
 
 
 def _resolved(coef: np.ndarray) -> bool:
@@ -440,5 +480,6 @@ def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
     return Boundary(_series_map(series, n),
                     _series_map(spin * series, n),
                     _series_map(spin * spin * series, n),
+                    _series_jet(series, spin * series, n),
                     symmetry_order=boundary.symmetry_order,
                     constant_speed=True, total_length=boundary.total_length)

@@ -123,31 +123,48 @@ def force_plus(boundary: Boundary, x, X):
                     np.where(t >= 1.0 - DIAG_GUARD, speed, raw))
 
 
-def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> np.ndarray:
-    """Gradient of the periodic action in plain-array form (hot path).
-
-    Evaluates the curve once per vertex and assembles
-    F_i = <gamma'(x_i), d_{i-1}/|d_{i-1}| - d_i/|d_i|> with chords
-    d_i = gamma(x_{i+1}) - gamma(x_i); by 1-periodicity of the curve the
-    wrapped chord needs no special casing.  Equal to
-    force_minus(x_{i-1}, x_i) + force_plus(x_i, x_{i+1}) on admissible lifts.
-    """
-    x = coords
-    p = x.shape[0]
-    inc = np.empty(p)
+def _increments(x: np.ndarray, q: int) -> np.ndarray:
+    """x_{i+1} - x_i with the wraparound x_p = x_0 + q."""
+    inc = np.empty(x.shape[0])
     inc[:-1] = x[1:] - x[:-1]
     inc[-1] = x[0] + q - x[-1]
-    bad = np.nonzero((inc <= 0.0) | (inc >= 1.0))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"lift leaves the admissible region at increment {i}: "
-            f"x[{(i + 1) % p}] - x[{i}] = {inc[i]:.6g}")
-    pts = boundary.gamma(x)
-    tangents = boundary.dgamma(x)
-    chords = np.roll(pts, -1, axis=0) - pts
-    unit = chords / np.sqrt(np.sum(chords * chords, axis=-1))[:, None]
-    return np.sum(tangents * (np.roll(unit, 1, axis=0) - unit), axis=-1)
+    return inc
+
+
+def _inadmissible(inc: np.ndarray) -> np.ndarray:
+    return np.nonzero((inc <= 0.0) | (inc >= 1.0))[0]
+
+
+def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> np.ndarray | None:
+    """Gradient of the periodic action in plain-array form (hot path).
+
+    Evaluates the curve once, as complex positions z_i and tangents z'_i, and
+    assembles F_i = Re(conj(z'_i) (u_{i-1} - u_i)) with u_i the unit chord
+    from z_i to z_{i+1}; by 1-periodicity of the curve the wrapped chord ends
+    at z_0.  Equal to force_minus(x_{i-1}, x_i) + force_plus(x_i, x_{i+1}) on
+    admissible lifts.  Returns None when an increment leaves (0, 1), where
+    the action is not smooth.
+    """
+    if _inadmissible(_increments(coords, q)).size:
+        return None
+    z, dz = boundary.jet(coords)
+    # ring = (z_0, ..., z_{p-1}, z_0), whose differences are the chords; the
+    # unit chords then overwrite ring[1:] and ring[0] takes u_{p-1}, so that
+    # ring[:-1] holds u_{i-1}.  Lengths, quotients and the final product are
+    # formed from real and imaginary parts: complex abs (hypot), division and
+    # multiplication round differently, and the flow's step sequence follows
+    # the last bit of the gradient.
+    ring = np.empty(z.size + 1, dtype=complex)
+    ring[:-1] = z
+    ring[-1] = z[0]
+    chords = ring[1:] - ring[:-1]
+    length = np.sqrt(chords.real * chords.real + chords.imag * chords.imag)
+    unit = ring[1:]
+    np.divide(chords.real, length, out=unit.real)
+    np.divide(chords.imag, length, out=unit.imag)
+    ring[0] = unit[-1]
+    turn = ring[:-1] - unit
+    return dz.real * turn.real + dz.imag * turn.imag
 
 
 def gradient_field(boundary: Boundary, lift) -> np.ndarray:
@@ -157,11 +174,22 @@ def gradient_field(boundary: Boundary, lift) -> np.ndarray:
     at billiard configurations.  Raises ValueError (naming the first violating
     index) if any increment leaves (0, 1).
     """
-    return _gradient_coords(boundary, np.asarray(lift.coords, dtype=float), lift.q)
+    x = np.asarray(lift.coords, dtype=float)
+    grad = _gradient_coords(boundary, x, lift.q)
+    if grad is None:
+        inc = _increments(x, lift.q)
+        i = int(_inadmissible(inc)[0])
+        raise ValueError(
+            f"lift leaves the admissible region at increment {i}: "
+            f"x[{(i + 1) % x.shape[0]}] - x[{i}] = {inc[i]:.6g}")
+    return grad
 
 
 def periodic_action(boundary: Boundary, lift) -> float:
-    """Total chord length W of the closed polygon the lift traces."""
-    x = np.asarray(lift.coords, dtype=float)
-    nxt = np.concatenate((x[1:], (x[0] + lift.q,)))
-    return float(np.sum(chord_length(boundary, x, nxt)))
+    """Total chord length W of the closed polygon the lift traces.
+
+    The curve is evaluated once; by 1-periodicity the last chord ends at the
+    first vertex.
+    """
+    z, _ = boundary.jet(np.asarray(lift.coords, dtype=float))
+    return float(np.abs(np.diff(z, append=z[:1])).sum())

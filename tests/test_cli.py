@@ -229,6 +229,23 @@ def test_record_every_below_one_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flow, name", [
+    ("abs_tol = 0\nrel_tol = 0", "abs_tol"),
+    ("abs_tol = -1", "abs_tol"),
+    ("rel_tol = -1e-11", "rel_tol"),
+    ("max_steps = 0", "max_steps"),
+    ("max_steps = -5", "max_steps"),
+    ("rel_tol = nan", "rel_tol"),
+])
+def test_unusable_step_control_exits_2(flow, name, tmp_path, capsys):
+    ini = tmp_path / "flow.ini"
+    ini.write_text(FLAGSHIP_INI + f"\n[flow]\n{flow}\n")
+    assert main(["find", "--config", str(ini), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+
+
 def test_config_without_theorem_section_exits_2(tmp_path, capsys):
     ini = tmp_path / "partial.ini"
     ini.write_text("[billiard]\nfamily = limacon\nn = 4\nalpha = 0.05\n")

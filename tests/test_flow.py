@@ -14,6 +14,7 @@ from billiardflow import (
     repeat_lift,
     symmetric_birkhoff,
 )
+from billiardflow import flow as flow_module
 from billiardflow.sequences import PeriodicLift, SymmetryGenerator, SymmetrySpec
 
 
@@ -151,6 +152,65 @@ def test_flow_options_are_validated():
         FlowOptions(plateau_factor=1.5)
     with pytest.raises(ValueError):
         FlowOptions(stationarity_tol=-1.0)
+
+
+@pytest.mark.parametrize("bad, name", [
+    (dict(abs_tol=-1.0), "abs_tol"),
+    (dict(rel_tol=-1e-11), "rel_tol"),
+    (dict(abs_tol=0.0, rel_tol=0.0), "abs_tol"),
+    (dict(initial_step=0.0), "initial_step"),
+    (dict(initial_step=-1e-2), "initial_step"),
+    (dict(max_step=0.0), "max_step"),
+    (dict(max_steps=0), "max_steps"),
+    (dict(abs_tol=float("nan")), "abs_tol"),
+    (dict(max_step=float("nan")), "max_step"),
+    (dict(stationarity_tol=float("nan")), "tolerances"),
+])
+def test_flow_options_reject_unusable_values(bad, name):
+    with pytest.raises(ValueError, match=name):
+        FlowOptions(**bad)
+
+
+def test_one_error_tolerance_may_be_zero():
+    assert FlowOptions(abs_tol=0.0).rel_tol > 0
+    assert FlowOptions(rel_tol=0.0).abs_tol > 0
+
+
+def test_inadmissible_stage_shrinks_the_step(limacon4_cs, monkeypatch):
+    # a first step far too long sends a stage out of the admissible region;
+    # the kernel reports it by returning None and the run shrinks the step
+    kernel = flow_module._gradient_coords
+    returned = []
+
+    def spy(*args):
+        out = kernel(*args)
+        returned.append(out is None)
+        return out
+
+    monkeypatch.setattr(flow_module, "_gradient_coords", spy)
+    ref, system, start = flagship_setup(limacon4_cs)
+    run = integrate(limacon4_cs, start, system=system,
+                    options=FlowOptions(initial_step=1e3))
+    assert returned[1]
+    assert run.converged
+
+
+def test_a_value_error_inside_the_rhs_propagates(limacon4_cs, monkeypatch):
+    # only inadmissibility shrinks the step; any other error is a fault
+    kernel = flow_module._gradient_coords
+    calls = []
+
+    def faulty(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise ValueError("fault inside the right-hand side")
+        return kernel(*args)
+
+    monkeypatch.setattr(flow_module, "_gradient_coords", faulty)
+    ref, system, start = flagship_setup(limacon4_cs)
+    with pytest.raises(ValueError, match="fault inside"):
+        integrate(limacon4_cs, start, system=system)
+    assert len(calls) == 2
 
 
 def test_comparison_runs_stay_strictly_ordered(limacon2_10_cs):

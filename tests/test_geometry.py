@@ -125,6 +125,8 @@ def test_scaled_boundary_scales_geometry(limacon4):
     big = scaled(limacon4, 3.0)
     x = np.linspace(0.05, 0.95, 7)
     assert np.allclose(big.gamma(x), 3.0 * limacon4.gamma(x))
+    for mine, theirs in zip(big.jet(x), limacon4.jet(x)):
+        assert np.allclose(mine, 3.0 * theirs)
     assert np.allclose(curvature_at(big, x), curvature_at(limacon4, x) / 3.0)
 
 
@@ -218,6 +220,22 @@ def test_series_speed_is_constant_to_roundoff(series_tables):
     for _, cs in series_tables:
         speed = np.sqrt(np.sum(cs.dgamma(t) ** 2, axis=-1))
         assert np.max(np.abs(speed - cs.total_length)) <= 1e-12 * cs.total_length
+
+
+def test_series_jet_is_the_curve_and_its_tangent(series_tables):
+    # one evaluation gives gamma and gamma' as complex numbers, also on lifts
+    # far from [0, 1)
+    x = np.r_[np.linspace(-3.0, 50.0, 1001), 49.75, 50.0]
+    for _, cs in series_tables:
+        z, dz = cs.jet(x)
+        g, d = cs.gamma(x), cs.dgamma(x)
+        tol = 1e-15 * cs.total_length
+        assert np.max(np.abs(z - (g[:, 0] + 1j * g[:, 1]))) <= tol
+        assert np.max(np.abs(dz - (d[:, 0] + 1j * d[:, 1]))) <= tol
+        z0, dz0 = cs.jet(0.3)
+        assert np.shape(z0) == np.shape(dz0) == ()
+        assert abs(z0 - complex(*cs.gamma(0.3))) <= tol
+        assert abs(dz0 - complex(*cs.dgamma(0.3))) <= tol
 
 
 def test_series_second_derivative_matches_finite_differences(ellipse21_cs):

@@ -109,15 +109,27 @@ def test_periodic_action_is_the_polygon_perimeter(limacon4_cs):
     assert periodic_action(limacon4_cs, lift) == pytest.approx(expected, abs=1e-12)
 
 
-def test_gradient_matches_the_two_route_assembly(limacon4_cs):
+def test_gradient_matches_the_two_route_assembly(limacon4_cs, limacon4, ellipse21):
     rng = np.random.default_rng(9)
     lift = random_admissible_lift(rng, 10, 3)
     x = lift.coords
     prev = np.r_[x[-1] - lift.q, x[:-1]]
     nxt = np.r_[x[1:], x[0] + lift.q]
-    two_route = (force_minus(limacon4_cs, prev, x)
-                 + force_plus(limacon4_cs, x, nxt))
-    assert np.allclose(gradient_field(limacon4_cs, lift), two_route, atol=1e-13)
+    # the series table and two analytic (non-series) boundaries
+    for boundary in (limacon4_cs, limacon4, ellipse21):
+        two_route = (force_minus(boundary, prev, x)
+                     + force_plus(boundary, x, nxt))
+        assert np.allclose(gradient_field(boundary, lift), two_route, atol=1e-13)
+
+
+def test_periodic_action_of_a_long_lift_sums_the_chords(limacon4_cs):
+    # p = 192 vertices winding q = 48 times: the last chord ends at x_0 + q
+    rng = np.random.default_rng(17)
+    lift = random_admissible_lift(rng, 192, 48)
+    x = lift.coords
+    nxt = np.r_[x[1:], x[0] + lift.q]
+    expected = float(np.sum(chord_length(limacon4_cs, x, nxt)))
+    assert periodic_action(limacon4_cs, lift) == pytest.approx(expected, abs=1e-12)
 
 
 def test_gradient_matches_finite_difference_of_action(limacon4_cs):
@@ -149,6 +161,20 @@ def test_gradient_rejects_inadmissible_lifts(limacon4_cs):
     too_wide = PeriodicLift(3, 2, np.array([0.0, 1.05, 1.5]))  # increment > 1
     with pytest.raises(ValueError, match="admissible"):
         gradient_field(limacon4_cs, too_wide)
+
+
+def test_inadmissible_lift_message_names_the_increment(limacon4_cs):
+    bad = PeriodicLift(4, 1, np.array([0.0, 0.5, 0.4, 0.8]))
+    with pytest.raises(ValueError) as info:
+        gradient_field(limacon4_cs, bad)
+    assert str(info.value) == ("lift leaves the admissible region at increment 1: "
+                               "x[2] - x[1] = -0.1")
+    # the wrapped increment x_0 + q - x_{p-1}
+    wrap = PeriodicLift(3, 1, np.array([0.0, 0.2, 0.4]))
+    with pytest.raises(ValueError) as info:
+        gradient_field(limacon4_cs, wrap.with_coords(np.array([0.5, 0.7, 1.6])))
+    assert str(info.value) == ("lift leaves the admissible region at increment 2: "
+                               "x[0] - x[2] = -0.1")
 
 
 def test_second_partials_require_constant_speed(limacon4):
