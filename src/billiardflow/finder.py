@@ -22,10 +22,10 @@ from .flow import FlowOptions, FlowResult, integrate
 from .geometry import (check_equivariance, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
 from .lagrangian import gradient_field, periodic_action
-from .sequences import (GroupDescription, PeriodicLift, SymmetryGenerator,
-                        SymmetrySpec, expand_constraints, intersection_index,
-                        is_birkhoff, minimal_period, repeat_lift,
-                        spatiotemporal_group, symmetric_birkhoff)
+from .sequences import (AffineSystem, GroupDescription, PeriodicLift,
+                        SymmetryGenerator, SymmetrySpec, expand_constraints,
+                        intersection_index, is_birkhoff, minimal_period,
+                        repeat_lift, spatiotemporal_group, symmetric_birkhoff)
 from .spectral import (KINDS, CriterionReport, criterion, hessian,
                        kappa_chord, subgroup_mode_parameters)
 
@@ -218,8 +218,8 @@ def _null_basis(matrix: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def _newton_polish(boundary, lift: PeriodicLift, system, target: float = 1e-12,
-                   max_iter: int = 30):
+def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem,
+                   target: float = 1e-12, max_iter: int = 30):
     """Refine a near-stationary lift by Newton steps inside the affine class.
 
     The adaptive flow stalls at its local-error noise floor; a couple of
@@ -227,7 +227,7 @@ def _newton_polish(boundary, lift: PeriodicLift, system, target: float = 1e-12,
     Returns (refined lift, |F|_inf at it); never leaves the admissible region
     and falls back to the best iterate seen if a step misbehaves.
     """
-    basis = _null_basis(system.matrix) if system is not None else np.eye(lift.p)
+    basis = _null_basis(system.matrix)
     cur = lift.coords.copy()
     best = cur
     best_norm = float(np.max(np.abs(gradient_field(boundary, lift))))
@@ -258,7 +258,7 @@ def _newton_polish(boundary, lift: PeriodicLift, system, target: float = 1e-12,
             scale *= 0.5
         else:
             break
-        cur = system.project(cand) if system is not None else cand
+        cur = system.project(cand)
     grad = gradient_field(boundary, lift.with_coords(cur))
     norm = float(np.max(np.abs(grad)))
     if norm < best_norm:

@@ -1,12 +1,12 @@
 """Strictly convex boundary curves: construction, curvature, reparametrization.
 
 A boundary is a closed strictly convex C^2 curve traced counterclockwise by a
-1-periodic map ``gamma : R -> R^2``.  Curves are supplied analytically as
-vectorized closures (``gamma``, ``dgamma``, ``ddgamma``) so derivatives are
-exact; every map accepts a scalar or an ndarray of parameters and returns an
-array whose last axis has length 2.  The ``jet`` map returns the position and
-the tangent together, as complex numbers x + iy of the parameters' shape, from
-one evaluation of the curve.
+1-periodic map ``gamma : R -> R^2``.  Each curve is one vectorized map, its
+jet: ``jet(x, order)`` gives ``[gamma(x), gamma'(x), ...]`` up to
+``order <= 2`` as complex numbers x + iy of the parameters' shape, from one
+evaluation of the curve, so derivatives are exact.  ``Boundary.gamma``,
+``dgamma`` and ``ddgamma`` view one entry as points, an array whose last axis
+has length 2.
 
 The dihedral symmetry convention: a curve has n-fold symmetry when rotating by
 2*pi/n advances the parameter by 1/n and reflecting across the horizontal axis
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -47,58 +47,70 @@ SERIES_TRIM = 1e-16
 NEWTON_MAX_STEPS = 20
 NEWTON_XTOL = 1e-10
 
-CurveMap = Callable[[np.ndarray], np.ndarray]
-JetMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+JetMap = Callable[[np.ndarray, int], Sequence[np.ndarray]]
 
 
 @dataclass(frozen=True)
 class Boundary:
     """A closed convex curve with exact first and second derivatives.
 
+    ``gamma(x)``, ``dgamma(x)`` and ``ddgamma(x)`` give one entry of the jet
+    as points, an array whose last axis has length 2.
+
     Attributes
     ----------
-    gamma, dgamma, ddgamma : callable
-        The curve and its first two derivatives, all vectorized and
-        1-periodic: ``gamma(x + 1) == gamma(x)``.
     jet : callable
-        ``x -> (gamma(x), gamma'(x))`` as complex arrays of the shape of x,
-        from one evaluation of the curve; the gradient kernel and the action
-        use it.
+        ``jet(x, order) -> [gamma(x), gamma'(x), ...]`` up to ``order <= 2``,
+        complex arrays of the shape of x from one evaluation of the curve;
+        1-periodic: ``gamma(x + 1) == gamma(x)``.
     symmetry_order : int
         The n of the dihedral symmetry the curve is built with (1 if none).
     constant_speed : bool
-        True when ``|dgamma|`` is constant (equal to ``total_length``).
+        True when ``|gamma'|`` is constant (equal to ``total_length``).
     total_length : float
         Circumference of the curve.
-    period : float
-        Parameter period; always 1 for the provided families.
     """
 
-    gamma: CurveMap
-    dgamma: CurveMap
-    ddgamma: CurveMap
     jet: JetMap
     symmetry_order: int
     constant_speed: bool
     total_length: float
-    period: float = 1.0
+
+    def gamma(self, x) -> np.ndarray:
+        return _points(self.jet(x, 0)[0])
+
+    def dgamma(self, x) -> np.ndarray:
+        return _points(self.jet(x, 1)[1])
+
+    def ddgamma(self, x) -> np.ndarray:
+        return _points(self.jet(x, 2)[2])
 
 
-def _jet(gamma: CurveMap, dgamma: CurveMap) -> JetMap:
-    """The jet of a curve given by its point maps."""
-    def jet(x):
-        g, d = gamma(x), dgamma(x)
-        return g[..., 0] + 1j * g[..., 1], d[..., 0] + 1j * d[..., 1]
-
-    return jet
+def _points(z) -> np.ndarray:
+    """Complex numbers x + iy as points (x, y) on the last axis."""
+    return np.stack((z.real, z.imag), axis=-1)
 
 
-def _speed(dgamma: CurveMap, x: np.ndarray) -> np.ndarray:
-    d = dgamma(x)
-    return np.sqrt(np.sum(d * d, axis=-1))
+def _complex(re, im) -> np.ndarray:
+    """x + iy from its two parts, with no arithmetic that could round."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
 
-def _arc_length(dgamma: CurveMap) -> float:
+def _positive(name: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} = {value} must be positive and finite")
+    return value
+
+
+def _speed(jet: JetMap, x: np.ndarray) -> np.ndarray:
+    d = jet(x, 1)[1]
+    return np.sqrt(d.real * d.real + d.imag * d.imag)
+
+
+def _arc_length(jet: JetMap) -> float:
     """Circumference by the periodic trapezoid rule.
 
     The speed is periodic and analytic, so the rule converges exponentially
@@ -106,10 +118,10 @@ def _arc_length(dgamma: CurveMap) -> float:
     reusing the previous nodes, until two estimates agree to ``ARC_RTOL``.
     """
     nodes = ARC_NODES_START
-    total = float(_speed(dgamma, np.arange(nodes) / nodes).sum())
+    total = float(_speed(jet, np.arange(nodes) / nodes).sum())
     estimate = total / nodes
     while nodes < ARC_NODES_CAP:
-        total += float(_speed(dgamma, (np.arange(nodes) + 0.5) / nodes).sum())
+        total += float(_speed(jet, (np.arange(nodes) + 0.5) / nodes).sum())
         nodes *= 2
         previous, estimate = estimate, total / nodes
         change = abs(estimate - previous)
@@ -129,44 +141,40 @@ def make_limacon(n: int, alpha: float) -> Boundary:
     Raises
     ------
     ValueError
-        If ``n < 2`` or ``|alpha| >= 1`` (the curve would not be simple).
+        If ``n < 2``, alpha is not finite or ``|alpha| >= 1`` (the curve would
+        not be simple).
     """
     if n < 2:
         raise ValueError(f"symmetry order n={n} must be >= 2")
-    if abs(alpha) >= 1:
-        raise ValueError(f"|alpha| = {abs(alpha)} >= 1 does not give a simple curve")
-    tau = 2.0 * math.pi
     a = float(alpha)
+    if not math.isfinite(a):
+        raise ValueError(f"alpha = {a} must be finite")
+    if abs(a) >= 1:
+        raise ValueError(f"|alpha| = {abs(a)} >= 1 does not give a simple curve")
+    tau = 2.0 * math.pi
 
-    def gamma(x):
+    def jet(x, order):
         x = np.asarray(x, dtype=float)
-        r = 1.0 + a * np.cos(tau * n * x)
-        return np.stack((r * np.cos(tau * x), r * np.sin(tau * x)), axis=-1)
+        turn = tau * x
+        c, s = np.cos(turn), np.sin(turn)
+        wave = tau * n * x
+        cw = np.cos(wave)
+        r = 1.0 + a * cw
+        out = [_complex(r * c, r * s)]
+        if order >= 1:
+            dr = -tau * n * a * np.sin(wave)
+            out.append(_complex(dr * c - tau * r * s, dr * s + tau * r * c))
+        if order >= 2:
+            # radial / angular decomposition: gamma'' = (r'' - tau^2 r) u + 2 tau r' u_perp
+            u_coef = -tau * tau * n * n * a * cw - tau * tau * r
+            v_coef = 2.0 * tau * dr
+            out.append(_complex(u_coef * c - v_coef * s, u_coef * s + v_coef * c))
+        return out
 
-    def dgamma(x):
-        x = np.asarray(x, dtype=float)
-        c, s = np.cos(tau * x), np.sin(tau * x)
-        r = 1.0 + a * np.cos(tau * n * x)
-        dr = -tau * n * a * np.sin(tau * n * x)
-        return np.stack((dr * c - tau * r * s, dr * s + tau * r * c), axis=-1)
-
-    def ddgamma(x):
-        x = np.asarray(x, dtype=float)
-        c, s = np.cos(tau * x), np.sin(tau * x)
-        r = 1.0 + a * np.cos(tau * n * x)
-        dr = -tau * n * a * np.sin(tau * n * x)
-        ddr = -tau * tau * n * n * a * np.cos(tau * n * x)
-        # radial / angular decomposition: gamma'' = (r'' - tau^2 r) u + 2 tau r' u_perp
-        u_coef = ddr - tau * tau * r
-        v_coef = 2.0 * tau * dr
-        return np.stack((u_coef * c - v_coef * s, u_coef * s + v_coef * c), axis=-1)
-
-    jet = _jet(gamma, dgamma)
     if a == 0.0:
-        return Boundary(gamma, dgamma, ddgamma, jet, symmetry_order=n,
-                        constant_speed=True, total_length=tau)
-    return Boundary(gamma, dgamma, ddgamma, jet, symmetry_order=n,
-                    constant_speed=False, total_length=_arc_length(dgamma))
+        return Boundary(jet, symmetry_order=n, constant_speed=True, total_length=tau)
+    return Boundary(jet, symmetry_order=n, constant_speed=False,
+                    total_length=_arc_length(jet))
 
 
 def limacon_convexity_threshold(n: int) -> float:
@@ -178,30 +186,20 @@ def limacon_convexity_threshold(n: int) -> float:
 
 def make_ellipse(a: float, b: float) -> Boundary:
     """Axis-aligned ellipse (a*cos(2*pi*x), b*sin(2*pi*x)); 2-fold symmetric."""
-    if a <= 0 or b <= 0:
-        raise ValueError("ellipse semi-axes must be positive")
+    a, b = _positive("ellipse semi-axis a", a), _positive("ellipse semi-axis b", b)
     tau = 2.0 * math.pi
-    a, b = float(a), float(b)
 
-    def gamma(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack((a * np.cos(tau * x), b * np.sin(tau * x)), axis=-1)
+    def jet(x, order):
+        turn = tau * np.asarray(x, dtype=float)
+        c, s = np.cos(turn), np.sin(turn)
+        out = [_complex(a * c, b * s), _complex(-tau * a * s, tau * b * c),
+               _complex(-tau * tau * a * c, -tau * tau * b * s)]
+        return out[:order + 1]
 
-    def dgamma(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack((-tau * a * np.sin(tau * x), tau * b * np.cos(tau * x)), axis=-1)
-
-    def ddgamma(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack((-tau * tau * a * np.cos(tau * x),
-                         -tau * tau * b * np.sin(tau * x)), axis=-1)
-
-    jet = _jet(gamma, dgamma)
     if a == b:
-        return Boundary(gamma, dgamma, ddgamma, jet, symmetry_order=2,
-                        constant_speed=True, total_length=tau * a)
-    return Boundary(gamma, dgamma, ddgamma, jet, symmetry_order=2,
-                    constant_speed=False, total_length=_arc_length(dgamma))
+        return Boundary(jet, symmetry_order=2, constant_speed=True, total_length=tau * a)
+    return Boundary(jet, symmetry_order=2, constant_speed=False,
+                    total_length=_arc_length(jet))
 
 
 def make_circle(radius: float = 1.0, symmetry_order: int = 2) -> Boundary:
@@ -210,8 +208,7 @@ def make_circle(radius: float = 1.0, symmetry_order: int = 2) -> Boundary:
     A circle is equivariant under every dihedral group; ``symmetry_order``
     records the n the caller intends to work with.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = _positive("radius", radius)
     return replace(make_ellipse(radius, radius), symmetry_order=int(symmetry_order))
 
 
@@ -237,47 +234,35 @@ def make_boundary(descriptor: dict) -> Boundary:
 
 def scaled(boundary: Boundary, factor: float) -> Boundary:
     """The same curve magnified by ``factor`` (used for scale-invariance checks)."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    g, dg, ddg, jet = boundary.gamma, boundary.dgamma, boundary.ddgamma, boundary.jet
-    f = float(factor)
-
-    def scaled_jet(x):
-        z, dz = jet(x)
-        return f * z, f * dz
-
-    return replace(
-        boundary,
-        gamma=lambda x: f * g(x),
-        dgamma=lambda x: f * dg(x),
-        ddgamma=lambda x: f * ddg(x),
-        jet=scaled_jet,
-        total_length=f * boundary.total_length,
-    )
+    f, jet = _positive("scale factor", factor), boundary.jet
+    return replace(boundary, jet=lambda x, order: [f * z for z in jet(x, order)],
+                   total_length=f * boundary.total_length)
 
 
 def orientation_det(boundary: Boundary, x) -> np.ndarray:
     """det(gamma'(x), gamma''(x)); positive everywhere iff strictly convex."""
-    d1 = boundary.dgamma(x)
-    d2 = boundary.ddgamma(x)
-    return d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    _, d1, d2 = boundary.jet(x, 2)
+    return d1.real * d2.imag - d1.imag * d2.real
 
 
-def curvature_at(boundary: Boundary, x) -> np.ndarray:
-    """Unsigned curvature |det(gamma', gamma'')| / |gamma'|^3.
+def curvature(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Unsigned curvature |det(gamma', gamma'')| / |gamma'|^3 from jet values.
 
     Raises
     ------
     ValueError
-        If the tangent degenerates (|gamma'| ~ 0) at any requested point.
+        If the tangent degenerates (|gamma'| ~ 0) at any point.
     """
-    d1 = boundary.dgamma(x)
-    d2 = boundary.ddgamma(x)
-    speed_sq = np.sum(d1 * d1, axis=-1)
+    speed_sq = d1.real * d1.real + d1.imag * d1.imag
     if np.any(speed_sq <= 1e-24):
         raise ValueError("degenerate tangent: |gamma'(x)| vanishes")
-    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    return np.abs(det) / speed_sq ** 1.5
+    return np.abs(d1.real * d2.imag - d1.imag * d2.real) / speed_sq ** 1.5
+
+
+def curvature_at(boundary: Boundary, x) -> np.ndarray:
+    """Unsigned curvature of the boundary at the parameters x (see curvature)."""
+    _, d1, d2 = boundary.jet(x, 2)
+    return curvature(d1, d2)
 
 
 def convexity_margin(boundary: Boundary, samples: int | None = None) -> float:
@@ -367,25 +352,6 @@ def _series_sums(coef: np.ndarray, n: int, y) -> np.ndarray:
     return np.exp(2j * math.pi * t) * (sums[0::2] + sums[1::2].conj())
 
 
-def _series_map(coef: np.ndarray, n: int) -> CurveMap:
-    """The series of one pair of rows as a map to points (x, y)."""
-    def f(y):
-        return _series_sums(coef, n, y)[0].view(float).reshape(np.shape(y) + (2,))
-
-    return f
-
-
-def _series_jet(coef: np.ndarray, dcoef: np.ndarray, n: int) -> JetMap:
-    """The series and its derivative from one power table and one product."""
-    both = np.concatenate((coef, dcoef))
-
-    def jet(y):
-        z, dz = _series_sums(both, n, y)
-        return z.reshape(np.shape(y)), dz.reshape(np.shape(y))
-
-    return jet
-
-
 def _resolved(coef: np.ndarray) -> bool:
     """Whether the top quarter of an FFT's modes is below SERIES_TOL relative."""
     top = coef[3 * coef.size // 8: coef.size - 3 * coef.size // 8 + 1]
@@ -417,7 +383,7 @@ def _arc_inverse(boundary: Boundary, speed: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(u)
         for c in a[::-1]:
             acc = (acc + c) * u
-        step = (x + 2.0 * (acc.real - offset) - y) * total / _speed(boundary.dgamma, x)
+        step = (x + 2.0 * (acc.real - offset) - y) * total / _speed(boundary.jet, x)
         x = x - step
         if np.max(np.abs(step)) <= NEWTON_XTOL:
             return x
@@ -435,9 +401,9 @@ def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
     wavenumbers k = 1 (mod n) with real coefficients are kept: exactly the
     series with ``R @ gamma(y) == gamma(y + 1/n)`` and
     ``S @ gamma(y) == gamma(-y)``, so dihedral equivariance holds by
-    construction.  The returned ``gamma``, ``dgamma`` and ``ddgamma`` are that
-    series and its exact derivatives; the speed is ``boundary.total_length``,
-    the circumference computed at construction.
+    construction.  The returned jet is that series and its exact derivatives;
+    the speed is ``boundary.total_length``, the circumference computed at
+    construction.
 
     Raises
     ------
@@ -453,10 +419,9 @@ def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
     n = max(1, boundary.symmetry_order)
     nodes = SERIES_NODES_START
     while True:
-        speed = np.fft.fft(_speed(boundary.dgamma, np.arange(nodes) / nodes)) / nodes
+        speed = np.fft.fft(_speed(boundary.jet, np.arange(nodes) / nodes)) / nodes
         if _resolved(speed):
-            pts = boundary.gamma(_arc_inverse(boundary, speed))
-            coef = np.fft.fft(pts[:, 0] + 1j * pts[:, 1]) / nodes
+            coef = np.fft.fft(boundary.jet(_arc_inverse(boundary, speed), 0)[0]) / nodes
             if _resolved(coef):
                 break
         if nodes >= ARC_NODES_CAP:
@@ -476,10 +441,13 @@ def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
     j = np.arange(max(significant.max() - 1, 1 - significant.min()) // n + 1)
     series = np.stack((kept[(1 + n * j) % nodes], kept[(1 - n * j) % nodes]))
     series[1, 0] = 0.0
+    # then the rows of gamma' and gamma'', times 2 pi i k and (2 pi i k)^2;
+    # a jet of order m takes one product with the first 2m + 2 rows
     spin = 2j * math.pi * np.stack((1 + n * j, n * j - 1))
-    return Boundary(_series_map(series, n),
-                    _series_map(spin * series, n),
-                    _series_map(spin * spin * series, n),
-                    _series_jet(series, spin * series, n),
-                    symmetry_order=boundary.symmetry_order,
+    rows = np.concatenate((series, spin * series, spin * spin * series))
+
+    def jet(y, order):
+        return _series_sums(rows[:2 * order + 2], n, y).reshape((order + 1,) + np.shape(y))
+
+    return Boundary(jet, symmetry_order=boundary.symmetry_order,
                     constant_speed=True, total_length=boundary.total_length)

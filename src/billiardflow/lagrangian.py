@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Boundary, curvature_at
+from .geometry import Boundary, curvature
 
 #: within this distance of the diagonal, first partials switch to their
 #: continuous boundary extension (the raw quotient loses precision there)
@@ -29,14 +29,6 @@ class SecondPartials:
     d22: np.ndarray
 
 
-def _cross(u, v):
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-def _dot(u, v):
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
-
-
 def _check_not_coincident(x, X):
     t = np.mod(np.asarray(X, dtype=float) - np.asarray(x, dtype=float), 1.0)
     t = np.minimum(t, 1.0 - t)
@@ -45,8 +37,8 @@ def _check_not_coincident(x, X):
 
 
 def chord_length(boundary: Boundary, x, X):
-    d = boundary.gamma(X) - boundary.gamma(x)
-    return np.sqrt(np.sum(d * d, axis=-1))
+    d = boundary.jet(X, 0)[0] - boundary.jet(x, 0)[0]
+    return np.sqrt(d.real * d.real + d.imag * d.imag)
 
 
 def second_partials(boundary: Boundary, x, X) -> SecondPartials:
@@ -64,15 +56,15 @@ def second_partials(boundary: Boundary, x, X) -> SecondPartials:
                          "reparametrize first")
     _check_not_coincident(x, X)
     c = boundary.total_length
-    tx = boundary.dgamma(x)
-    tX = boundary.dgamma(X)
-    d = boundary.gamma(X) - boundary.gamma(x)
-    length = np.sqrt(np.sum(d * d, axis=-1))
+    zx, tx, ddx = boundary.jet(x, 2)
+    zX, tX, ddX = boundary.jet(X, 2)
+    d = zX - zx
+    length = np.sqrt(d.real * d.real + d.imag * d.imag)
     # sines from cross products; both positive for 0 < X - x < 1 on a convex curve
-    sin_theta = _cross(tx, d) / (c * length)
-    sin_phi = _cross(d, tX) / (c * length)
-    kx = curvature_at(boundary, x)
-    kX = curvature_at(boundary, X)
+    sin_theta = (tx.real * d.imag - tx.imag * d.real) / (c * length)
+    sin_phi = (d.real * tX.imag - d.imag * tX.real) / (c * length)
+    kx = curvature(tx, ddx)
+    kX = curvature(tX, ddX)
     c2 = c * c
     return SecondPartials(
         d11=c2 * (sin_theta * sin_theta / length - kx * sin_theta),
@@ -89,6 +81,20 @@ def _force_domain_check(x, X):
     return x, X
 
 
+def _force(zx, zX, tangent, t):
+    """The component of the tangent along the unit chord from zx to zX.
+
+    Continued by +|tangent| at t = 0 and by -|tangent| at t = 1, where the
+    chord vanishes.
+    """
+    d = zX - zx
+    speed = np.sqrt(tangent.real * tangent.real + tangent.imag * tangent.imag)
+    length = np.sqrt(d.real * d.real + d.imag * d.imag)
+    raw = (tangent.real * d.real + tangent.imag * d.imag) / np.where(length > 0, length, 1.0)
+    return np.where(t <= DIAG_GUARD, speed,
+                    np.where(t >= 1.0 - DIAG_GUARD, -speed, raw))
+
+
 def force_minus(boundary: Boundary, x, X):
     """d/dX of the chord length, |gamma'(X)| cos(phi), on x <= X <= x + 1.
 
@@ -96,14 +102,8 @@ def force_minus(boundary: Boundary, x, X):
     increasing in x for fixed X on a strictly convex table.
     """
     x, X = _force_domain_check(x, X)
-    t = X - x
-    tX = boundary.dgamma(X)
-    speed = np.sqrt(np.sum(tX * tX, axis=-1))
-    d = boundary.gamma(X) - boundary.gamma(x)
-    length = np.sqrt(np.sum(d * d, axis=-1))
-    raw = _dot(tX, d) / np.where(length > 0, length, 1.0)
-    return np.where(t <= DIAG_GUARD, speed,
-                    np.where(t >= 1.0 - DIAG_GUARD, -speed, raw))
+    zX, tX = boundary.jet(X, 1)
+    return _force(boundary.jet(x, 0)[0], zX, tX, X - x)
 
 
 def force_plus(boundary: Boundary, x, X):
@@ -113,14 +113,8 @@ def force_plus(boundary: Boundary, x, X):
     increasing in X for fixed x on a strictly convex table.
     """
     x, X = _force_domain_check(x, X)
-    t = X - x
-    tx = boundary.dgamma(x)
-    speed = np.sqrt(np.sum(tx * tx, axis=-1))
-    d = boundary.gamma(X) - boundary.gamma(x)
-    length = np.sqrt(np.sum(d * d, axis=-1))
-    raw = -_dot(tx, d) / np.where(length > 0, length, 1.0)
-    return np.where(t <= DIAG_GUARD, -speed,
-                    np.where(t >= 1.0 - DIAG_GUARD, speed, raw))
+    zx, tx = boundary.jet(x, 1)
+    return -_force(zx, boundary.jet(X, 0)[0], tx, X - x)
 
 
 def _increments(x: np.ndarray, q: int) -> np.ndarray:
@@ -147,7 +141,7 @@ def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> np.ndarr
     """
     if _inadmissible(_increments(coords, q)).size:
         return None
-    z, dz = boundary.jet(coords)
+    z, dz = boundary.jet(coords, 1)
     # ring = (z_0, ..., z_{p-1}, z_0), whose differences are the chords; the
     # unit chords then overwrite ring[1:] and ring[0] takes u_{p-1}, so that
     # ring[:-1] holds u_{i-1}.  Lengths, quotients and the final product are
@@ -191,5 +185,5 @@ def periodic_action(boundary: Boundary, lift) -> float:
     The curve is evaluated once; by 1-periodicity the last chord ends at the
     first vertex.
     """
-    z, _ = boundary.jet(np.asarray(lift.coords, dtype=float))
+    z = boundary.jet(np.asarray(lift.coords, dtype=float), 0)[0]
     return float(np.abs(np.diff(z, append=z[:1])).sum())

@@ -446,7 +446,7 @@ def load_lift(path):
         raise ValueError(f"expected {p} coordinates, found {coords.size}")
     lift = PeriodicLift(p, q, coords)
     inc = lift.increments()
-    if float(inc.min()) <= 0.0 or float(inc.max()) >= 1.0:
+    if not np.all((inc > 0.0) & (inc < 1.0)):      # NaN fails too
         raise ValueError(
             f"lift leaves the admissible region: increments span "
             f"[{inc.min():.6g}, {inc.max():.6g}], need (0, 1)")

@@ -160,25 +160,46 @@ def test_classify_found_orbit(flagship_ini, tmp_path, capsys):
     assert payload["stationarity_residual"] < 1e-8
 
 
+#: orbit files outside the admissible region: two with a decreasing step, and
+#: one with a NaN coordinate, which no comparison flags as out of range
+BAD_COORDS = ([0.0, 0.6, 0.5, 0.9], [0.0, 0.5, 0.2, 0.7], [0.0, 0.25, np.nan, 0.75])
+
+
 def test_classify_rejects_inadmissible_orbit_file(flagship_ini, tmp_path, capsys):
-    bad = PeriodicLift(4, 1, np.array([0.0, 0.6, 0.5, 0.9]))
-    path = tmp_path / "bad.orbit.txt"
-    save_lift(path, bad, 4, 1)
-    code = main(["classify", str(path), "--config", str(flagship_ini)])
-    assert code == 2
-    assert "admissible" in capsys.readouterr().err
+    for i, coords in enumerate(BAD_COORDS):
+        path = tmp_path / f"bad{i}.orbit.txt"
+        save_lift(path, PeriodicLift(4, 1, np.array(coords)), 4, 1)
+        code = main(["classify", str(path), "--config", str(flagship_ini)])
+        assert code == 2, coords
+        assert "admissible" in capsys.readouterr().err
 
 
 def test_render_rejects_inadmissible_orbit_file(tmp_path, capsys):
-    bad = PeriodicLift(4, 1, np.array([0.0, 0.5, 0.2, 0.7]))
-    path = tmp_path / "bad.orbit.txt"
-    save_lift(path, bad, 4, 1)
-    out_dir = tmp_path / "artifacts"
-    code = main(["render", str(path), "--mode", "aubry_diagram",
-                 "--out", str(out_dir), "--prefix", "bad"])
-    assert code == 2
-    assert "admissible" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("*.svg"))
+    for i, coords in enumerate(BAD_COORDS):
+        path = tmp_path / f"bad{i}.orbit.txt"
+        save_lift(path, PeriodicLift(4, 1, np.array(coords)), 4, 1)
+        out_dir = tmp_path / "artifacts"
+        code = main(["render", str(path), "--mode", "aubry_diagram",
+                     "--out", str(out_dir), "--prefix", "bad"])
+        assert code == 2, coords
+        assert "admissible" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.svg"))
+
+
+@pytest.mark.parametrize("billiard, name", [
+    ("family = limacon\nn = 4\nalpha = nan", "alpha"),
+    ("family = limacon\nn = 4\nalpha = inf", "alpha"),
+    ("family = ellipse\na = nan\nb = 1.0", "semi-axis a"),
+], ids=["limacon-nan", "limacon-inf", "ellipse-nan"])
+def test_check_rejects_non_finite_table_parameters(billiard, name, tmp_path, capsys,
+                                                   caplog):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[billiard]\n{billiard}\n\n" + FLAGSHIP_INI.split("\n\n", 1)[1])
+    assert main(["check", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+    assert "quadrature" not in err + caplog.text
 
 
 def test_render_orbit_figure_mode(flagship_ini, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Boundary construction, curvature, symmetry checks, reparametrization."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,16 +10,20 @@ from hypothesis import strategies as st
 
 from billiardflow import (
     check_equivariance,
+    chord_length,
     convexity_margin,
     curvature_at,
+    force_minus,
+    force_plus,
     limacon_convexity_threshold,
     make_boundary,
     make_circle,
     make_ellipse,
     make_limacon,
     reparametrize_constant_speed,
+    second_partials,
 )
-from billiardflow.geometry import scaled
+from billiardflow.geometry import orientation_det, scaled
 
 
 def fd_curvature(boundary, x, h=1e-4):
@@ -125,7 +130,7 @@ def test_scaled_boundary_scales_geometry(limacon4):
     big = scaled(limacon4, 3.0)
     x = np.linspace(0.05, 0.95, 7)
     assert np.allclose(big.gamma(x), 3.0 * limacon4.gamma(x))
-    for mine, theirs in zip(big.jet(x), limacon4.jet(x)):
+    for mine, theirs in zip(big.jet(x, 2), limacon4.jet(x, 2), strict=True):
         assert np.allclose(mine, 3.0 * theirs)
     assert np.allclose(curvature_at(big, x), curvature_at(limacon4, x) / 3.0)
 
@@ -202,12 +207,17 @@ def test_reparametrization_preserves_curvature_function(limacon4, limacon4_cs):
 
 
 @pytest.fixture(scope="module")
-def series_tables():
-    """Constant-speed series of limacons n = 2..9 at 0.9x their convexity
-    threshold and of the 2:1 and 5:1 ellipses, with their symmetry orders."""
+def raw_tables():
+    """Limacons n = 2..9 at 0.9x their convexity threshold and the 2:1 and
+    5:1 ellipses, as constructed."""
     raw = [make_limacon(n, 0.9 * limacon_convexity_threshold(n)) for n in range(2, 10)]
-    raw += [make_ellipse(2.0, 1.0), make_ellipse(5.0, 1.0)]
-    return [(b.symmetry_order, reparametrize_constant_speed(b)) for b in raw]
+    return raw + [make_ellipse(2.0, 1.0), make_ellipse(5.0, 1.0)]
+
+
+@pytest.fixture(scope="module")
+def series_tables(raw_tables):
+    """The constant-speed series of the raw tables, with their symmetry orders."""
+    return [(b.symmetry_order, reparametrize_constant_speed(b)) for b in raw_tables]
 
 
 def test_series_is_equivariant_to_roundoff(series_tables):
@@ -222,20 +232,49 @@ def test_series_speed_is_constant_to_roundoff(series_tables):
         assert np.max(np.abs(speed - cs.total_length)) <= 1e-12 * cs.total_length
 
 
-def test_series_jet_is_the_curve_and_its_tangent(series_tables):
-    # one evaluation gives gamma and gamma' as complex numbers, also on lifts
-    # far from [0, 1)
+def test_series_jet_is_the_curve_and_its_tangent(raw_tables, series_tables):
+    # a jet of order m gives gamma, ..., gamma^(m) as complex numbers; every
+    # order agrees with the point views, on the analytic families and on the
+    # series, also on lifts far from [0, 1)
     x = np.r_[np.linspace(-3.0, 50.0, 1001), 49.75, 50.0]
-    for _, cs in series_tables:
-        z, dz = cs.jet(x)
-        g, d = cs.gamma(x), cs.dgamma(x)
-        tol = 1e-15 * cs.total_length
-        assert np.max(np.abs(z - (g[:, 0] + 1j * g[:, 1]))) <= tol
-        assert np.max(np.abs(dz - (d[:, 0] + 1j * d[:, 1]))) <= tol
-        z0, dz0 = cs.jet(0.3)
-        assert np.shape(z0) == np.shape(dz0) == ()
-        assert abs(z0 - complex(*cs.gamma(0.3))) <= tol
-        assert abs(dz0 - complex(*cs.dgamma(0.3))) <= tol
+    for b in raw_tables + [cs for _, cs in series_tables]:
+        views = (b.gamma(x), b.dgamma(x), b.ddgamma(x))
+        for order in range(3):
+            jet = b.jet(x, order)
+            assert len(jet) == order + 1
+            for z, ref in zip(jet, views):
+                assert z.shape == x.shape
+                tol = 1e-15 * np.max(np.abs(ref))
+                assert np.max(np.abs(z - (ref[:, 0] + 1j * ref[:, 1]))) <= tol
+        point = b.jet(0.3, 2)
+        for z, ref in zip(point, (b.gamma(0.3), b.dgamma(0.3), b.ddgamma(0.3)),
+                          strict=True):
+            assert np.shape(z) == ()
+            assert abs(z - complex(*ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_each_query_evaluates_the_jet_once_per_endpoint(limacon4_cs):
+    calls = []
+
+    def spy(x, order):
+        calls.append(order)
+        return limacon4_cs.jet(x, order)
+
+    b = replace(limacon4_cs, jet=spy)
+    x = np.linspace(0.05, 0.95, 9)
+    X = x + 0.3
+    queries = {
+        "orientation_det": (lambda: orientation_det(b, x), [2]),
+        "curvature_at": (lambda: curvature_at(b, x), [2]),
+        "second_partials": (lambda: second_partials(b, x, X), [2, 2]),
+        "chord_length": (lambda: chord_length(b, x, X), [0, 0]),
+        "force_minus": (lambda: force_minus(b, x, X), [1, 0]),
+        "force_plus": (lambda: force_plus(b, x, X), [1, 0]),
+    }
+    for name, (query, orders) in queries.items():
+        calls.clear()
+        query()
+        assert calls == orders, name
 
 
 def test_series_second_derivative_matches_finite_differences(ellipse21_cs):
@@ -266,3 +305,18 @@ def test_reparametrize_is_idempotent_on_circles(circle4):
     again = reparametrize_constant_speed(circle4)
     t = np.linspace(0, 1, 33)
     assert np.allclose(again.gamma(t), circle4.gamma(t), atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite_parameters(bad, caplog):
+    builds = {
+        "alpha": lambda: make_limacon(4, bad),
+        "semi-axis a": lambda: make_ellipse(bad, 1.0),
+        "semi-axis b": lambda: make_ellipse(2.0, bad),
+        "radius": lambda: make_circle(bad, 4),
+        "scale factor": lambda: scaled(make_limacon(4, 0.05), bad),
+    }
+    for name, build in builds.items():
+        with pytest.raises(ValueError, match=name):
+            build()
+    assert not caplog.records      # no quadrature ran on a non-finite table
