@@ -38,7 +38,6 @@ from .sequences import (
     aubry_vertices,
     expand_constraints,
     geometrically_equal,
-    has_increment_margin,
     intersection_index,
     is_birkhoff,
     load_lift,
@@ -51,13 +50,11 @@ from .sequences import (
 from .flow import FlowOptions, FlowResult, comparison_check, integrate
 from .spectral import (
     BirkhoffCoefficients,
-    CirculantHessian,
     CriterionReport,
     birkhoff_coefficients,
     criterion,
     hessian,
     kappa_chord,
-    mode_eigenpair,
     subgroup_mode_parameters,
 )
 from .finder import (

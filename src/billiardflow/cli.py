@@ -313,7 +313,11 @@ def cmd_find(args) -> int:
 def cmd_classify(args) -> int:
     lift, n, m = load_lift(args.orbit)
     cp = _read_config(args.config)
-    boundary = reparametrize_constant_speed(make_boundary(_billiard_descriptor(cp)))
+    boundary = make_boundary(_billiard_descriptor(cp))
+    if not check_equivariance(boundary, n):
+        raise ValueError(f"boundary lacks the order-{n} dihedral symmetry "
+                         "named by the orbit file")
+    boundary = reparametrize_constant_speed(boundary)
     residual = float(np.max(np.abs(gradient_field(boundary, lift))))
     group = spatiotemporal_group(lift, n)
     minimal = minimal_period(lift)

@@ -4,6 +4,8 @@ The pipeline builds the (n, m) symmetric Birkhoff reference inside the chosen
 (p, q) = (s*n, s*m) class, evaluates the closed-form existence criterion,
 perturbs the reference along the symmetric mode whose eigenvalue the margin
 controls, and runs the symmetry-constrained gradient flow until it stabilizes.
+The class is one orthonormal orbit basis (:func:`expand_constraints`): the flow
+projects onto it and the Newton polish solves in it.
 The limit is classified and every predicted property (minimal period, crossing
 count, action gain, spatiotemporal group) is re-checked; mismatches are
 recorded as anomalies instead of being silently accepted.
@@ -210,24 +212,16 @@ def _expected_group(kind: str, n: int, m: int, branch: int, s: int,
     }
 
 
-def _null_basis(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the constraint matrix kernel."""
-    _, singular, vt = np.linalg.svd(matrix)
-    cutoff = (singular[0] if singular.size else 0.0) * 1e-12
-    rank = int(np.sum(singular > cutoff))
-    return vt[rank:].T
-
-
 def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem,
                    target: float = 1e-12, max_iter: int = 30):
-    """Refine a near-stationary lift by Newton steps inside the affine class.
+    """Refine a near-stationary lift by Newton steps in the class's orbit basis.
 
     The adaptive flow stalls at its local-error noise floor; a couple of
     reduced Newton iterations push the stationarity residual to roundoff.
     Returns (refined lift, |F|_inf at it); never leaves the admissible region
     and falls back to the best iterate seen if a step misbehaves.
     """
-    basis = _null_basis(system.matrix)
+    basis = system.basis
     cur = lift.coords.copy()
     best = cur
     best_norm = float(np.max(np.abs(gradient_field(boundary, lift))))

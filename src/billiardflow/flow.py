@@ -1,12 +1,12 @@
 """Symmetry-constrained gradient flow of the periodic action.
 
 Integrates dx/dt = F(x) (F the action gradient) with an embedded
-Dormand-Prince 5(4) pair, re-projecting onto the affine symmetry class after
-every accepted step.  Along the way the run verifies the structural laws of
-the flow — the action never decreases beyond the local error, the crossing
-index against a reference lift never increases, the constraint residual stays
-at roundoff — and reports any violation distinctly instead of silently
-continuing.
+Dormand-Prince 5(4) pair, projecting every accepted step orthogonally onto the
+symmetry class through its orbit basis (see :class:`~.sequences.AffineSystem`).
+Along the way the run verifies the structural laws of the flow — the action
+never decreases beyond the local error, the crossing index against a reference
+lift never increases, the constraint residual stays at roundoff — and reports
+any violation distinctly instead of silently continuing.
 """
 
 from __future__ import annotations

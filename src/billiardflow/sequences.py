@@ -4,14 +4,15 @@ spatiotemporal classification, and orbit-file I/O.
 A (p, q)-periodic lift is a strictly increasing sequence x with
 x_{i+p} = x_i + q and increments in (0, 1); it encodes a period-p orbit that
 winds q times around the table.  Symmetries of the underlying orbit become
-affine identities between lift coordinates, which this module expands into
-explicit linear systems.
+affine identities x_j = +-x_i + c between lift coordinates; this module walks
+them into orbits of indices, which give the symmetry class an orthonormal
+basis, one column per orbit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,14 @@ SNAP_TOL = 1e-9
 #: default tolerance of the minimal-period and classification residuals
 CLASSIFY_TOL = 1e-8
 
-_FAMILIES = (
-    "rotation_preserving",
-    "rotation_reversing",
-    "reflection_preserving",
-    "reflection_reversing",
-)
+#: the four generator families: kind -> (index direction d, sign on x_i,
+#: coefficient c of i) in the identity x_{k + d i} = sign x_i + e/n + M + c i
+FAMILIES = {
+    "rotation_preserving": (+1, +1, 0),     # x_{k+i} - x_i = e/n + M
+    "rotation_reversing": (-1, +1, -1),     # x_{k-i} - x_i = e/n + M - i
+    "reflection_preserving": (+1, -1, +1),  # x_i + x_{k+i} = e/n + M + i
+    "reflection_reversing": (-1, -1, 0),    # x_i + x_{k-i} = e/n + M
+}
 
 
 @dataclass
@@ -66,10 +69,6 @@ class PeriodicLift:
         """The integer translate with coordinates x_{i+c} + d."""
         return PeriodicLift(self.p, self.q, self.value(np.arange(self.p) + c) + d)
 
-    @property
-    def rotation_number(self) -> float:
-        return self.q / self.p
-
 
 def repeat_lift(lift: PeriodicLift, times: int) -> PeriodicLift:
     """Embed a (p, q) lift into the (times*p, times*q) class."""
@@ -79,10 +78,12 @@ def repeat_lift(lift: PeriodicLift, times: int) -> PeriodicLift:
                         lift.value(np.arange(times * lift.p)))
 
 
-def has_increment_margin(lift: PeriodicLift, delta: float) -> bool:
-    """True when every increment lies in the closed interval [delta, 1-delta]."""
-    u = lift.increments()
-    return bool(np.all(u >= delta) and np.all(u <= 1.0 - delta))
+def _check_rotation(n: int, m: int, where: str = "") -> None:
+    """Reject an (n, m) that names no rotation number m/n in lowest terms."""
+    if not 0 < m < n:
+        raise ValueError(f"{where}need 0 < m < n, got m={m}, n={n}")
+    if math.gcd(m, n) != 1:
+        raise ValueError(f"{where}gcd(m, n) = {math.gcd(m, n)} != 1")
 
 
 def symmetric_birkhoff(n: int, m: int, branch: int = 1) -> PeriodicLift:
@@ -97,10 +98,7 @@ def symmetric_birkhoff(n: int, m: int, branch: int = 1) -> PeriodicLift:
     ValueError
         If gcd(m, n) != 1 or m is not in (0, n).
     """
-    if not 0 < m < n:
-        raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"gcd(m, n) = {math.gcd(m, n)} != 1")
+    _check_rotation(n, m)
     coords = branch / (2.0 * n) + (m / n) * np.arange(n)
     return PeriodicLift(n, m, coords)
 
@@ -203,13 +201,10 @@ def _is_constant_integer(d: np.ndarray, tol: float) -> bool:
 class SymmetryGenerator:
     """One spatiotemporal symmetry written as an affine identity on the lift.
 
-    kind selects the equation family (n = rotation order of the ambient group,
-    e = exponent of the isometry, k = index shift, M = integer offset):
-
-    - rotation_preserving:    x_{k+i} - x_i = e/n + M
-    - rotation_reversing:     x_{k-i} - x_i = e/n + M - i
-    - reflection_preserving:  x_i + x_{k+i} = e/n + M + i
-    - reflection_reversing:   x_i + x_{k-i} = e/n + M
+    ``kind`` names one of the four families of :data:`FAMILIES`; each reads
+    x_{k + d i} = sign x_i + e/n + M + c i, with n the rotation order of the
+    ambient group, e the exponent of the isometry, k the index shift and M an
+    integer offset.
     """
 
     kind: str
@@ -218,7 +213,7 @@ class SymmetryGenerator:
     offset: int
 
     def __post_init__(self):
-        if self.kind not in _FAMILIES:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
 
@@ -231,63 +226,98 @@ class SymmetrySpec:
         object.__setattr__(self, "generators", tuple(self.generators))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AffineSystem:
-    """The affine class {x : A x = rhs} cut out by symmetry generators."""
+    """The affine class base + span(basis) cut out by symmetry generators.
 
-    matrix: np.ndarray
-    rhs: np.ndarray
-    _pinv: np.ndarray | None = field(default=None, repr=False)
+    Each generator identity at each index is an edge
+    x_dst = sign x_src + offset.  The edges split the indices into orbits
+    whose displacements from ``base`` agree up to sign.  Each orbit is one
+    column of the orthonormal (p, d) ``basis``, with entries +-1/sqrt(|orbit|);
+    an orbit that forces a displacement to equal its own negative is fixed at
+    ``base`` and has no column.
+    """
 
-    def _pseudo_inverse(self) -> np.ndarray:
-        if self._pinv is None:
-            self._pinv = np.linalg.pinv(self.matrix)
-        return self._pinv
+    base: np.ndarray
+    basis: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    sign: np.ndarray
+    offset: np.ndarray
+
+    def _check(self, coords: np.ndarray) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape != self.base.shape:
+            raise ValueError(f"expected {self.base.size} coordinates, got {coords.shape}")
+        return coords
 
     def residual(self, coords: np.ndarray) -> float:
-        return float(np.max(np.abs(self.matrix @ coords - self.rhs)))
+        """Largest violation of a generator identity."""
+        x = self._check(coords)
+        return float(np.abs(x[self.dst] - self.sign * x[self.src] - self.offset).max())
 
     def project(self, coords: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the affine set (exact, idempotent)."""
-        return coords - self._pseudo_inverse() @ (self.matrix @ coords - self.rhs)
+        """Orthogonal projection base + B B^T (x - base) onto the class."""
+        return self.base + self.basis @ (self.basis.T @ (self._check(coords) - self.base))
 
 
 def expand_constraints(spec: SymmetrySpec, p: int, q: int,
                        tol: float = SNAP_TOL) -> AffineSystem:
-    """Expand symmetry generators into an affine system over x_0..x_{p-1}.
+    """Expand symmetry generators into the affine class over x_0..x_{p-1}.
 
     Indices outside 0..p-1 are reduced by the extension rule
-    x_{j} = x_{j mod p} + q * floor(j / p), which moves integer offsets to the
-    right-hand side.  Raises ValueError if the stacked system is infeasible.
+    x_{j} = x_{j mod p} + q * floor(j / p), which moves integer offsets into
+    the edge offsets.  Raises ValueError if the generators are infeasible:
+    some edge is violated by more than ``tol`` at every class member.
     """
-    n = spec.n
-    rows = []
-    rhs = []
+    i = np.arange(p)
+    edges = []
     for g in spec.generators:
-        for i in range(p):
-            row = np.zeros(p)
-            if g.kind == "rotation_preserving":
-                j, ci, val = g.shift + i, -1.0, g.exponent / n + g.offset
-            elif g.kind == "rotation_reversing":
-                j, ci, val = g.shift - i, -1.0, g.exponent / n + g.offset - i
-            elif g.kind == "reflection_preserving":
-                j, ci, val = g.shift + i, +1.0, g.exponent / n + g.offset + i
-            else:  # reflection_reversing
-                j, ci, val = g.shift - i, +1.0, g.exponent / n + g.offset
-            wrap, jj = divmod(j, p)
-            row[jj] += 1.0
-            row[i] += ci
-            rows.append(row)
-            rhs.append(val - q * wrap)
-    matrix = np.vstack(rows)
-    rhs = np.asarray(rhs, dtype=float)
-    sol, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-    worst = float(np.max(np.abs(matrix @ sol - rhs)))
+        d, s, c = FAMILIES[g.kind]
+        wrap, j = np.divmod(g.shift + d * i, p)
+        edges.append((i, j, np.full(p, float(s)),
+                      g.exponent / spec.n + g.offset + c * i - q * wrap))
+    src, dst, sign, offset = (np.concatenate(e) for e in zip(*edges))
+
+    # walk a spanning forest of the edges: x_i = parity_i x_{root_i} + shift_i
+    links = [[] for _ in range(p)]
+    for u, v, s, c in zip(src.tolist(), dst.tolist(), sign.tolist(), offset.tolist()):
+        links[u].append((v, s, c))            # x_v = s x_u + c
+        links[v].append((u, s, -s * c))       # x_u = s x_v - s c
+    root, parity, shift = np.full(p, -1), np.ones(p), np.zeros(p)
+    for r in range(p):
+        if root[r] >= 0:
+            continue
+        root[r], stack = r, [r]
+        while stack:
+            u = stack.pop()
+            for v, s, c in links[u]:
+                if root[v] < 0:
+                    root[v], parity[v], shift[v] = r, s * parity[u], s * shift[u] + c
+                    stack.append(v)
+
+    # an edge that flips the parity reads 2 parity_dst x_root =
+    # sign shift_src + offset - shift_dst: it fixes its orbit at that value
+    flip = parity[dst] != sign * parity[src]
+    a, b = src[flip], dst[flip]
+    root_value = np.zeros(p)
+    root_value[root[a]] = 0.5 * parity[b] * (sign[flip] * shift[a] + offset[flip] - shift[b])
+    base = parity * root_value[root] + shift
+    # one column per free orbit, numbered by its root
+    free = root == i
+    free[root[a]] = False
+    member = free[root]
+    basis = np.zeros((p, np.count_nonzero(free)))
+    basis[member, (np.cumsum(free) - 1)[root[member]]] = parity[member]
+    basis /= np.linalg.norm(basis, axis=0)
+
+    system = AffineSystem(base, basis, src, dst, sign, offset)
+    worst = system.residual(base)
     if worst > tol:
         raise ValueError(
-            f"infeasible symmetry constraints (best residual {worst:.3e}); "
+            f"infeasible symmetry constraints (worst residual {worst:.3e}); "
             "the generators are incompatible with the (p, q) class")
-    return AffineSystem(matrix, rhs)
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +357,8 @@ def spatiotemporal_group(lift: PeriodicLift, n: int,
     """Detect every dihedral element acting on the orbit, and its type label.
 
     Tests, for each of the 2n isometries and both time parities, all index
-    shifts k in 0..p-1 against the four affine families of
-    :class:`SymmetryGenerator`.  The label is one of Birkhoff-symmetric, I,
-    II, III, IV, V, or none:
+    shifts k in 0..p-1 against the four affine families of :data:`FAMILIES`.
+    The label is one of Birkhoff-symmetric, I, II, III, IV, V, or none:
 
     - Birkhoff-symmetric: well-ordered and the full group acts (all rotations
       preserving, all reflections reversing);
@@ -349,18 +378,15 @@ def spatiotemporal_group(lift: PeriodicLift, n: int,
     p = lift.p
     x = lift.coords
     idx = np.arange(p)
-    plus = lift.value(idx[:, None] + idx[None, :])   # [k, i] -> x_{k+i}
-    minus = lift.value(idx[:, None] - idx[None, :])  # [k, i] -> x_{k-i}
+    shifted = {d: lift.value(idx[:, None] + d * idx[None, :]) for d in (1, -1)}
+    # [k, i] -> x_{k + d i} - sign x_i, and the term c i, of each family
+    families = [(*kind.split("_"), shifted[d] - sign * x[None, :], c * idx[None, :])
+                for kind, (d, sign, c) in FAMILIES.items()]
     elements = []
     near_miss = {}
     for e in range(n):
-        targets = (
-            ("rotation", "preserving", plus - x[None, :] - e / n),
-            ("rotation", "reversing", minus - x[None, :] - e / n + idx[None, :]),
-            ("reflection", "preserving", x[None, :] + plus - e / n - idx[None, :]),
-            ("reflection", "reversing", x[None, :] + minus - e / n),
-        )
-        for kind, parity, table in targets:
+        for kind, parity, identity, ramp in families:
+            table = identity - e / n - ramp
             nearest = np.round(table[:, 0])
             score = np.maximum(np.max(np.abs(table - table[:, :1]), axis=1),
                                np.abs(table[:, 0] - nearest))
@@ -430,8 +456,9 @@ def load_lift(path):
     Raises
     ------
     ValueError
-        If the file is malformed or the lift leaves the admissible region
-        (some increment outside the open interval (0, 1)).
+        If the file is malformed, the header (n, m) is not a rotation number
+        m/n in lowest terms with 0 < m < n, or the lift leaves the admissible
+        region (some increment outside the open interval (0, 1)).
     """
     raw = [ln.strip() for ln in Path(path).read_text().splitlines()]
     rows = [ln for ln in raw if ln and not ln.startswith("#")]
@@ -441,6 +468,7 @@ def load_lift(path):
     if len(header) != 4:
         raise ValueError(f"orbit header must be 'p q n m', got {rows[0]!r}")
     p, q, n, m = (int(v) for v in header)
+    _check_rotation(n, m, f"orbit header {rows[0]!r}: ")
     coords = np.array([float(v) for v in rows[1:]], dtype=float)
     if coords.shape != (p,):
         raise ValueError(f"expected {p} coordinates, found {coords.size}")

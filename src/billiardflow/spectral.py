@@ -40,27 +40,6 @@ class BirkhoffCoefficients:
     curvature: float
 
 
-@dataclass(frozen=True)
-class CirculantHessian:
-    """Symmetric circulant tridiagonal matrix with corners."""
-
-    p: int
-    alpha: float
-    beta: float
-
-    def matrix(self) -> np.ndarray:
-        h = np.zeros((self.p, self.p))
-        np.fill_diagonal(h, 2.0 * self.alpha)
-        for i in range(self.p):
-            j = (i + 1) % self.p
-            h[i, j] += self.beta
-            h[j, i] += self.beta
-        return h
-
-    def eigenvalue(self, mode: int) -> float:
-        return 2.0 * self.alpha + 2.0 * self.beta * math.cos(2.0 * math.pi * mode / self.p)
-
-
 def kappa_chord(boundary: Boundary, n: int, m: int, branch: int = 1):
     """Curvature and chord length at the (n, m) symmetric Birkhoff orbit.
 
@@ -116,22 +95,6 @@ def hessian(boundary: Boundary, lift: PeriodicLift) -> np.ndarray:
     np.add.at(h, (j, jn), sp.d12)
     np.add.at(h, (jn, j), sp.d12)
     return h
-
-
-def mode_eigenpair(alpha: float, beta: float, p: int, mode: int):
-    """Eigenvalue and the sine/cosine eigenvectors of the circulant Hessian.
-
-    Returns (lam, v, w) with v_i = sin(2 pi mode i / p),
-    w_i = cos(2 pi mode i / p) and lam = 2 alpha + 2 beta cos(2 pi mode / p).
-    Requires 0 <= mode <= p/2.
-    """
-    if not 0 <= mode <= p / 2:
-        raise ValueError(f"mode {mode} outside 0..p/2 (p={p})")
-    i = np.arange(p)
-    lam = 2.0 * alpha + 2.0 * beta * math.cos(2.0 * math.pi * mode / p)
-    v = np.sin(2.0 * math.pi * mode * i / p)
-    w = np.cos(2.0 * math.pi * mode * i / p)
-    return lam, v, w
 
 
 @dataclass(frozen=True)

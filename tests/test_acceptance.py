@@ -34,7 +34,6 @@ from billiardflow.geometry import (
     make_limacon,
 )
 from billiardflow.sequences import PeriodicLift, SymmetrySpec
-from billiardflow.spectral import CirculantHessian
 
 
 def announce(num: int, name: str, t0: float, budget: float, detail: str):
@@ -106,6 +105,17 @@ def action_fd_hessian(boundary, lift, h=1e-5):
     return out
 
 
+def circulant(p, alpha, beta):
+    """Oracle: symmetric circulant tridiagonal matrix with corners, diagonal
+    2 alpha and off-diagonal beta; mode j has eigenvalue
+    2 alpha + 2 beta cos(2 pi j / p)."""
+    h = 2.0 * alpha * np.eye(p)
+    for i in range(p):
+        h[i, (i + 1) % p] += beta
+        h[(i + 1) % p, i] += beta
+    return h
+
+
 def test_criterion_2_hessian_eigenpairs():
     t0 = time.monotonic()
     boundaries = {
@@ -117,12 +127,11 @@ def test_criterion_2_hessian_eigenpairs():
     for name, boundary in boundaries.items():
         h = hessian(boundary, ref)
         co = birkhoff_coefficients(boundary, 4, 1)
-        model = CirculantHessian(12, co.alpha, co.beta)
-        dev = float(np.max(np.abs(h - model.matrix())))
+        dev = float(np.max(np.abs(h - circulant(12, co.alpha, co.beta))))
         assert dev < 1e-8, f"{name}: circulant deviation {dev:.3e}"
         worst_eig = 0.0
         for mode in range(7):
-            lam = model.eigenvalue(mode)
+            lam = 2.0 * co.alpha + 2.0 * co.beta * math.cos(2.0 * math.pi * mode / 12)
             i = np.arange(12)
             for vec in (np.sin(2 * np.pi * mode * i / 12),
                         np.cos(2 * np.pi * mode * i / 12)):

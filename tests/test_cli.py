@@ -186,6 +186,39 @@ def test_render_rejects_inadmissible_orbit_file(tmp_path, capsys):
         assert not list(tmp_path.rglob("*.svg"))
 
 
+TWOFOLD_INI = """\
+[billiard]
+family = limacon
+n = 2
+alpha = 0.1
+
+[theorem]
+kind = typeII
+n = 2
+m = 1
+s = 4
+"""
+
+
+@pytest.mark.parametrize("n, ini, message", [
+    (0, FLAGSHIP_INI, "orbit header '12 3 0 1': need 0 < m < n"),
+    (-3, FLAGSHIP_INI, "orbit header '12 3 -3 1': need 0 < m < n"),
+    (4, TWOFOLD_INI, "lacks the order-4 dihedral symmetry"),
+], ids=["n-zero", "n-negative", "symmetry-the-table-lacks"])
+def test_classify_rejects_a_header_that_does_not_fit(n, ini, message, tmp_path, capsys):
+    # an admissible lift whose header names no usable table symmetry, or one
+    # the table does not have
+    config = tmp_path / "table.ini"
+    config.write_text(ini)
+    path = tmp_path / "orbit.txt"
+    save_lift(path, billiardflow.repeat_lift(billiardflow.symmetric_birkhoff(4, 1), 3), n, 1)
+    assert main(["classify", str(path), "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("billiard, name", [
     ("family = limacon\nn = 4\nalpha = nan", "alpha"),
     ("family = limacon\nn = 4\nalpha = inf", "alpha"),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from billiardflow import (
     expand_constraints,
     geometrically_equal,
-    has_increment_margin,
     intersection_index,
     is_birkhoff,
     load_lift,
@@ -18,8 +17,8 @@ from billiardflow import (
     spatiotemporal_group,
     symmetric_birkhoff,
 )
+from billiardflow.finder import SearchRequest, _class_generators, _resolve_shifts
 from billiardflow.sequences import (
-    AffineSystem,
     PeriodicLift,
     SymmetryGenerator,
     SymmetrySpec,
@@ -69,7 +68,6 @@ def test_lift_value_is_periodic_plus_winding(p, q, k, i):
 def test_increments_wrap_to_the_winding():
     lift = PeriodicLift(4, 1, np.array([0.1, 0.3, 0.6, 0.9]))
     assert np.allclose(lift.increments(), [0.2, 0.3, 0.3, 0.2])
-    assert lift.rotation_number == pytest.approx(0.25)
     shifted = lift.translate(2, -1)
     assert shifted.value(0) == pytest.approx(lift.value(2) - 1)
 
@@ -84,12 +82,6 @@ def test_symmetric_birkhoff_is_a_shifted_lattice():
     assert tripled.p == 12 and tripled.q == 3
     assert np.allclose(tripled.coords[:4], ref.coords)
     assert np.allclose(tripled.coords[4:8], ref.coords + 1)
-
-
-def test_increment_margin_checks_the_band():
-    ref = symmetric_birkhoff(4, 1)
-    assert has_increment_margin(ref, 0.2)
-    assert not has_increment_margin(ref, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +264,102 @@ def test_projected_lifts_realize_the_boundary_symmetry(limacon4_cs):
 
 
 def test_infeasible_constraint_system_is_rejected():
-    # a preserving rotation with zero index shift forces x_i = x_i + e/n
-    gens = [SymmetryGenerator("rotation_preserving", exponent=1, shift=0, offset=0)]
-    with pytest.raises(ValueError, match="infeasible"):
-        expand_constraints(SymmetrySpec(4, gens), 12, 3)
+    cases = [
+        # a preserving rotation with zero index shift forces x_i = x_i + e/n
+        [SymmetryGenerator("rotation_preserving", exponent=1, shift=0, offset=0)],
+        # the same index shift cannot rotate by two different exponents
+        [SymmetryGenerator("rotation_preserving", exponent=3, shift=3, offset=0),
+         SymmetryGenerator("rotation_preserving", exponent=1, shift=3, offset=0)],
+        # x_{2-i} + x_i = 0/4 + 1 and = 2/4 + 1 fix x_1 at 1/2 and at 3/4
+        [SymmetryGenerator("reflection_reversing", exponent=0, shift=2, offset=1),
+         SymmetryGenerator("reflection_reversing", exponent=2, shift=2, offset=1)],
+    ]
+    for gens in cases:
+        with pytest.raises(ValueError, match="infeasible"):
+            expand_constraints(SymmetrySpec(4, gens), 12, 3)
 
 
 def test_affine_system_rejects_shape_mismatch():
-    system = AffineSystem(np.zeros((2, 5)), np.zeros(2))
-    with pytest.raises(ValueError):
-        system.residual(np.zeros(4))
+    spec, p, q = flagship_system()
+    system = expand_constraints(spec, p, q)
+    for coords in (np.zeros(p - 1), np.zeros(p + 1), np.zeros((1, p))):
+        with pytest.raises(ValueError):
+            system.residual(coords)
+        with pytest.raises(ValueError):
+            system.project(coords)
+
+
+def dense_constraints(spec, p, q):
+    """Independent oracle: the class as a dense system A x = rhs.
+
+    One row per generator and index, with each family's identity spelled out
+    and indices outside 0..p-1 reduced by x_{j} = x_{j mod p} + q floor(j/p).
+    """
+    rows, rhs = [], []
+    for g in spec.generators:
+        c = g.exponent / spec.n + g.offset
+        for i in range(p):
+            if g.kind == "rotation_preserving":      # x_{k+i} - x_i = c
+                j, ci, val = g.shift + i, -1.0, c
+            elif g.kind == "rotation_reversing":     # x_{k-i} - x_i = c - i
+                j, ci, val = g.shift - i, -1.0, c - i
+            elif g.kind == "reflection_preserving":  # x_{k+i} + x_i = c + i
+                j, ci, val = g.shift + i, 1.0, c + i
+            else:                                    # x_{k-i} + x_i = c
+                j, ci, val = g.shift - i, 1.0, c
+            wrap, jj = divmod(j, p)
+            row = np.zeros(p)
+            row[jj] += 1.0
+            row[i] += ci
+            rows.append(row)
+            rhs.append(val - q * wrap)
+    return np.array(rows), np.array(rhs)
+
+
+#: the classes the benchmark searches in, with the dimension of each
+BENCHMARK_CLASSES = [
+    (dict(kind="main", n=4, m=1, N=4, s=3), 1),
+    (dict(kind="typeI", n=2, m=1, s=7), 3),
+    (dict(kind="typeII", n=2, m=1, s=4), 2),
+    (dict(kind="typeV", n=2, m=1, s=5), 3),
+    (dict(kind="main", n=4, m=1, N=1, s=5), 10),
+    (dict(kind="main", n=4, m=1, N=1, s=12), 24),
+    (dict(kind="main", n=4, m=1, N=1, s=24), 48),
+    (dict(kind="main", n=4, m=1, N=1, s=48), 96),
+]
+
+
+@pytest.mark.parametrize("fields, dim", BENCHMARK_CLASSES,
+                         ids=[f"{f['kind']}-N{f.get('N')}-s{f['s']}"
+                              for f, _ in BENCHMARK_CLASSES])
+def test_orbit_basis_spans_the_null_space_of_the_dense_system(fields, dim):
+    kind, n, m, s = fields["kind"], fields["n"], fields["m"], fields["s"]
+    N = fields.get("N", 2 if kind == "typeI" else 1)
+    K, k = _resolve_shifts(SearchRequest(billiard={}, **fields), N)
+    spec = SymmetrySpec(n, _class_generators(kind, n, m, 1, s, K, k))
+    p, q = s * n, s * m
+    system = expand_constraints(spec, p, q)
+    matrix, rhs = dense_constraints(spec, p, q)
+
+    _, singular, vt = np.linalg.svd(matrix)
+    null = vt[int(np.sum(singular > 1e-12 * singular[0])):].T
+    basis = system.basis
+    assert basis.shape == null.shape == (p, dim)
+    assert np.allclose(basis.T @ basis, np.eye(dim), rtol=0, atol=1e-14)
+    assert not np.any(matrix @ basis)
+    assert np.max(np.abs(basis @ basis.T - null @ null.T)) < 1e-12
+
+    # the same affine set: the reference lies in it, projections agree with
+    # the pseudo-inverse projection and residuals with |A x - rhs|_inf
+    ref = repeat_lift(symmetric_birkhoff(n, m), s)
+    assert system.residual(ref.coords) < 1e-12
+    pinv = np.linalg.pinv(matrix)
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        x = ref.coords + 0.05 * rng.standard_normal(p)
+        assert np.max(np.abs(system.project(x) - (x - pinv @ (matrix @ x - rhs)))) < 1e-12
+        assert system.residual(x) == pytest.approx(np.max(np.abs(matrix @ x - rhs)),
+                                                   rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from billiardflow import (
     gradient_field,
     hessian,
     kappa_chord,
-    mode_eigenpair,
     repeat_lift,
     second_partials,
     subgroup_mode_parameters,
@@ -19,11 +18,25 @@ from billiardflow import (
 )
 from billiardflow.geometry import make_circle, scaled
 from billiardflow.sequences import PeriodicLift
-from billiardflow.spectral import CirculantHessian
 
 # frozen reference values at the order-4 boundary with bulge 0.05, branch 1
 LIMACON4_KAPPA = 0.1662049861495844
 LIMACON4_CHORD = 1.3435028842544403
+
+
+def circulant(p, alpha, beta):
+    """Oracle: symmetric circulant tridiagonal matrix with corners, diagonal
+    2 alpha and off-diagonal beta."""
+    h = 2.0 * alpha * np.eye(p)
+    for i in range(p):
+        h[i, (i + 1) % p] += beta
+        h[(i + 1) % p, i] += beta
+    return h
+
+
+def mode_eigenvalue(alpha, beta, p, mode):
+    """Oracle: eigenvalue of the circulant on the Fourier mode ``mode``."""
+    return 2.0 * alpha + 2.0 * beta * math.cos(2.0 * math.pi * mode / p)
 
 
 def fd_hessian(boundary, lift, h=1e-5):
@@ -91,7 +104,7 @@ def test_hessian_is_circulant_at_the_symmetric_orbit(limacon4_cs):
     ref = repeat_lift(symmetric_birkhoff(4, 1), 3)
     h = hessian(limacon4_cs, ref)
     co = birkhoff_coefficients(limacon4_cs, 4, 1)
-    model = CirculantHessian(12, co.alpha, co.beta).matrix()
+    model = circulant(12, co.alpha, co.beta)
     assert np.max(np.abs(h - model)) < 1e-8
     assert np.allclose(h, h.T, atol=1e-12)
 
@@ -101,9 +114,10 @@ def test_mode_vectors_are_eigenvectors(limacon4_cs):
     h = hessian(limacon4_cs, ref)
     co = birkhoff_coefficients(limacon4_cs, 4, 1)
     scale = np.max(np.abs(h))
+    i = np.arange(12)
     for mode in range(0, 7):
-        lam, v, w = mode_eigenpair(co.alpha, co.beta, 12, mode)
-        for vec in (v, w):
+        lam = mode_eigenvalue(co.alpha, co.beta, 12, mode)
+        for vec in (np.sin(2 * np.pi * mode * i / 12), np.cos(2 * np.pi * mode * i / 12)):
             if np.max(np.abs(vec)) == 0.0:
                 continue  # the sine vector vanishes for mode 0 and p/2
             assert np.max(np.abs(h @ vec - lam * vec)) <= 1e-9 * scale
@@ -141,18 +155,6 @@ def test_hessian_warns_off_a_critical_point(limacon4_cs):
     lift = PeriodicLift(4, 1, np.array([0.05, 0.3, 0.55, 0.8]))
     with pytest.warns(UserWarning, match="non-stationary"):
         hessian(limacon4_cs, lift)
-
-
-def test_mode_eigenpair_edges_and_validation():
-    lam0, v0, w0 = mode_eigenpair(1.5, -0.5, 8, 0)
-    assert lam0 == pytest.approx(2 * 1.5 + 2 * -0.5)
-    assert np.allclose(w0, 1.0)
-    assert np.allclose(v0, 0.0)
-    lam_half, _, w_half = mode_eigenpair(1.5, -0.5, 8, 4)
-    assert lam_half == pytest.approx(2 * 1.5 - 2 * -0.5)
-    assert np.allclose(w_half, [1, -1] * 4)
-    with pytest.raises(ValueError, match="mode"):
-        mode_eigenpair(1.0, 1.0, 8, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,7 @@ def test_margin_sign_matches_the_mode_eigenvalue(limacon4_cs, circle4):
         co = birkhoff_coefficients(boundary, 4, 1)
         for (N, s) in ((4, 3), (2, 3), (2, 5), (1, 2), (1, 3)):
             rep = criterion("main", 4, 1, N, s, co.curvature, co.chord)
-            lam, _, _ = mode_eigenpair(co.alpha, co.beta, rep.p, N)
+            lam = mode_eigenvalue(co.alpha, co.beta, rep.p, N)
             factor = 2.0 * co.speed ** 2 * math.sin(math.pi / 4) / co.chord
             assert lam == pytest.approx(factor * rep.margin, rel=1e-10)
             assert (rep.margin > 0) == (lam > 0)
