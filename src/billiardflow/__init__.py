@@ -52,17 +52,17 @@ from .spectral import (
     BirkhoffCoefficients,
     CriterionReport,
     birkhoff_coefficients,
+    class_shifts,
     criterion,
     hessian,
+    initial_perturbation,
     kappa_chord,
-    subgroup_mode_parameters,
 )
 from .finder import (
     CriterionInconclusive,
     OrbitReport,
     SearchRequest,
     find_orbit,
-    initial_perturbation,
     sweep,
 )
 from .render import RenderSpec, render_aubry_diagram, render_orbit_figure

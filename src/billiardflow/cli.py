@@ -1,7 +1,8 @@
 """Command-line front end: check / find / classify / render / sweep.
 
 Configuration comes from an INI file (section names and keys are
-case-sensitive); every relevant command-line flag overrides its config key.
+case-sensitive, and " ;" starts a comment); every relevant command-line flag
+overrides its config key.
 Exit codes: 0 success (and criterion holds for ``check``), 2 precondition or
 input error, 3 criterion margin <= 0, 4 flow failure.  The ``BILLIARD_LOG``
 environment variable sets the log level (debug/info/warning/error).
@@ -46,10 +47,9 @@ from pathlib import Path
 import numpy as np
 
 from .finder import (CriterionInconclusive, OrbitReport, SearchRequest,
-                     find_orbit, sweep)
+                     checked_boundary, find_orbit, sweep)
 from .flow import FlowOptions
-from .geometry import (check_equivariance, convexity_margin, make_boundary,
-                       reparametrize_constant_speed)
+from .geometry import make_boundary, reparametrize_constant_speed
 from .lagrangian import gradient_field
 from .render import RenderSpec, render_aubry_diagram, render_orbit_figure
 from .sequences import (is_birkhoff, load_lift, minimal_period, save_lift,
@@ -71,7 +71,7 @@ EXIT_FLOW = 4
 def _read_config(path: str | None) -> configparser.ConfigParser:
     if not path:
         raise ValueError("this command needs --config pointing to an INI file")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     cp.optionxform = str          # keys are case-sensitive (N vs n, A vs a)
     read = cp.read(path)
     if not read:
@@ -250,12 +250,7 @@ def _print_criterion(rep) -> None:
 def cmd_check(args) -> int:
     cp = _read_config(args.config)
     th = _theorem_params(cp)
-    boundary = make_boundary(_billiard_descriptor(cp))
-    cx = convexity_margin(boundary)
-    if cx <= 0:
-        raise ValueError(f"boundary is not strictly convex (min det = {cx:.3e})")
-    if not check_equivariance(boundary, th["n"]):
-        raise ValueError(f"boundary lacks the order-{th['n']} dihedral symmetry")
+    boundary = checked_boundary(_billiard_descriptor(cp), th["n"])
     kappa, chord = kappa_chord(boundary, th["n"], th["m"], th["branch"])
     rep = criterion(th["kind"], th["n"], th["m"], th["N"], th["s"], kappa, chord)
     _print_criterion(rep)
@@ -313,11 +308,8 @@ def cmd_find(args) -> int:
 def cmd_classify(args) -> int:
     lift, n, m = load_lift(args.orbit)
     cp = _read_config(args.config)
-    boundary = make_boundary(_billiard_descriptor(cp))
-    if not check_equivariance(boundary, n):
-        raise ValueError(f"boundary lacks the order-{n} dihedral symmetry "
-                         "named by the orbit file")
-    boundary = reparametrize_constant_speed(boundary)
+    boundary = reparametrize_constant_speed(
+        checked_boundary(_billiard_descriptor(cp), n))
     residual = float(np.max(np.abs(gradient_field(boundary, lift))))
     group = spatiotemporal_group(lift, n)
     minimal = minimal_period(lift)
@@ -357,7 +349,8 @@ def cmd_render(args) -> int:
     if mode == "orbit_figure":
         if cp is None:
             raise ValueError("orbit_figure rendering needs --config for the boundary")
-        boundary = reparametrize_constant_speed(make_boundary(_billiard_descriptor(cp)))
+        boundary = reparametrize_constant_speed(
+            checked_boundary(_billiard_descriptor(cp), n))
         svg = render_orbit_figure(boundary, lift, _render_spec(cp, mode),
                                   overlay=(n, m) if args.overlay else None)
     elif mode == "aubry_diagram":

@@ -4,11 +4,12 @@ The pipeline builds the (n, m) symmetric Birkhoff reference inside the chosen
 (p, q) = (s*n, s*m) class, evaluates the closed-form existence criterion,
 perturbs the reference along the symmetric mode whose eigenvalue the margin
 controls, and runs the symmetry-constrained gradient flow until it stabilizes.
-The class is one orthonormal orbit basis (:func:`expand_constraints`): the flow
-projects onto it and the Newton polish solves in it.
-The limit is classified and every predicted property (minimal period, crossing
-count, action gain, spatiotemporal group) is re-checked; mismatches are
-recorded as anomalies instead of being silently accepted.
+The class, its mode and its criterion come from the kind's row of
+:data:`~.spectral.KINDS`.  The class is one orthonormal orbit basis
+(:func:`expand_constraints`): the flow projects onto it and the Newton polish
+solves in it.  The limit is classified and every predicted property (minimal
+period, crossing count, action gain, the group the class generators generate)
+is re-checked; mismatches are recorded as anomalies, not silently accepted.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from .flow import FlowOptions, FlowResult, integrate
 from .geometry import (check_equivariance, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
 from .lagrangian import gradient_field, periodic_action
-from .sequences import (AffineSystem, GroupDescription, PeriodicLift,
-                        SymmetryGenerator, SymmetrySpec, expand_constraints,
-                        intersection_index, is_birkhoff, minimal_period,
-                        repeat_lift, spatiotemporal_group, symmetric_birkhoff)
-from .spectral import (KINDS, CriterionReport, criterion, hessian,
-                       kappa_chord, subgroup_mode_parameters)
+from .sequences import (ELEMENT_KEYS, AffineSystem, GroupDescription,
+                        PeriodicLift, SymmetrySpec, expand_constraints,
+                        generated_group, intersection_index, is_birkhoff,
+                        minimal_period, repeat_lift, spatiotemporal_group,
+                        symmetric_birkhoff, type_label)
+from .spectral import (CriterionReport, class_generators, class_shifts,
+                       criterion, hessian, initial_perturbation, kappa_chord)
 
 log = logging.getLogger(__name__)
 
@@ -66,9 +68,9 @@ class SearchRequest:
     """Everything needed to hunt for one non-Birkhoff orbit.
 
     billiard is a boundary descriptor accepted by
-    :func:`billiardflow.geometry.make_boundary`.  ``kind`` selects the
-    constraint class ("main", "typeI", "typeII", "typeV"); ``N`` is the
-    rotation count of the dihedral subgroup (main kind only), ``reflection``
+    :func:`billiardflow.geometry.make_boundary`.  ``kind`` names a row of
+    :data:`~.spectral.KINDS` ("main", "typeI", "typeII", "typeV"); ``N`` is
+    the rotation count of the dihedral subgroup (main kind only), ``reflection``
     the exponent of its chosen reversing reflection, and ``shift`` overrides
     the derived index shift (picking, e.g., the opposite-parity representative
     when both are geometric).  ``epsilon`` is the nudge amplitude, required to
@@ -115,101 +117,16 @@ class OrbitReport:
     flow: FlowResult
 
 
-def _mode_vector(kind: str, p: int, K: int, k: int) -> np.ndarray:
-    i = np.arange(p)
-    if kind in ("main", "typeI"):
-        return np.sin(2.0 * np.pi * i / K - np.pi * k / K)
-    if kind == "typeII":
-        return np.cos(2.0 * np.pi * i / p - np.pi * K / p)
-    return np.sin(2.0 * np.pi * i / p - np.pi * k / p)      # typeV
-
-
-def initial_perturbation(kind: str, reference: PeriodicLift, K: int, k: int,
-                         epsilon: float) -> PeriodicLift:
-    """The reference lift nudged by epsilon along the symmetric mode vector.
-
-    main/typeI: v_i = sin(2 pi i/K - pi k/K) — K-periodic in the index and
-    odd about the reflection axis, so the nudged lift satisfies the class
-    constraints exactly.  typeII: v_i = cos(2 pi i/p - pi K/p).  typeV:
-    v_i = sin(2 pi i/p - pi k/p).
-
-    Raises
-    ------
-    ValueError
-        If kind is unknown, or K < 3 for main/typeI (the mode degenerates).
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if kind in ("main", "typeI") and K < 3:
-        raise ValueError(f"degenerate symmetric mode: need K >= 3, got K={K}")
-    v = _mode_vector(kind, reference.p, K, k)
-    return reference.with_coords(reference.coords + epsilon * v)
-
-
-def _class_generators(kind: str, n: int, m: int, branch: int, s: int,
-                      K: int, k: int) -> tuple:
-    """Generators of the affine symmetry class containing the reference.
-
-    The exponent/offset pairs are read off the reference coordinates
-    x_i = branch/(2n) + (m/n) i, so the reference satisfies every generator
-    identity exactly.
-    """
-    if kind in ("main", "typeI"):
-        a = (m * K) % n
-        b = (branch + m * k) % n
-        return (
-            SymmetryGenerator("rotation_preserving", a, K, (m * K - a) // n),
-            SymmetryGenerator("reflection_reversing", b, k, (branch + m * k - b) // n),
-        )
-    if kind == "typeII":
-        a = (m * K) % n
-        b = (branch + m * s) % n
-        return (
-            SymmetryGenerator("rotation_reversing", a, K, (m * K - a) // n),
-            SymmetryGenerator("reflection_preserving", b, s, (branch + m * s - b) // n),
-        )
-    # typeV: one reflection exponent acting through two different index shifts
-    b1 = (branch + m * k) % n
-    b2 = (branch + m * s) % n
-    return (
-        SymmetryGenerator("reflection_reversing", b1, k, (branch + m * k - b1) // n),
-        SymmetryGenerator("reflection_preserving", b2, s, (branch + m * s - b2) // n),
-    )
-
-
-def _expected_group(kind: str, n: int, m: int, branch: int, s: int,
-                    n_rotations: int, K: int, k: int) -> dict:
-    """Element sets and type label the limit orbit is predicted to have."""
-    if kind in ("main", "typeI"):
-        a0 = (m * K) % n
-        rot = {(a0 * t) % n for t in range(n)}
-        bb = (branch + m * k) % n
-        return {
-            ("rotation", "preserving"): rot,
-            ("rotation", "reversing"): set(),
-            ("reflection", "preserving"): set(),
-            ("reflection", "reversing"): {(bb + e) % n for e in rot},
-            "label": "I" if n_rotations >= 2 else "III",
-        }
-    if kind == "typeII":
-        bp = (branch + m * s) % n
-        return {
-            ("rotation", "preserving"): {0},
-            ("rotation", "reversing"): {1},
-            ("reflection", "preserving"): {bp},
-            ("reflection", "reversing"): {(bp + 1) % n},
-            "label": "II",
-        }
-    # A reflection acting with both parities makes the sequence palindromic,
-    # so pure time reversal (rotation exponent 0) is forced into the group.
-    bb = (branch + m * k) % n
-    return {
-        ("rotation", "preserving"): {0},
-        ("rotation", "reversing"): {0},
-        ("reflection", "preserving"): {bb},
-        ("reflection", "reversing"): {bb},
-        "label": "V",
-    }
+def checked_boundary(descriptor: dict, n: int):
+    """The table of ``descriptor``, once it is strictly convex and has the
+    order-n dihedral symmetry; otherwise ValueError names the failed check."""
+    boundary = make_boundary(descriptor)
+    cx = convexity_margin(boundary)
+    if cx <= 0:
+        raise ValueError(f"boundary is not strictly convex (min det = {cx:.3e})")
+    if not check_equivariance(boundary, n):
+        raise ValueError(f"boundary lacks the order-{n} dihedral symmetry")
+    return boundary
 
 
 def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem,
@@ -260,35 +177,6 @@ def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem,
     return lift.with_coords(best), best_norm
 
 
-def _resolve_shifts(request: SearchRequest, n_rotations: int):
-    """Index shifts (K, k) of the constraint class, honoring any override."""
-    n, m, s = request.n, request.m, request.s
-    if request.kind in ("main", "typeI"):
-        params = subgroup_mode_parameters(n, m, n_rotations, s,
-                                          request.branch, request.reflection)
-        if params.K < 3:
-            raise ValueError(
-                f"degenerate symmetric mode: K = s*n/N = {params.K} < 3")
-        k = params.k if request.shift is None else int(request.shift)
-        if (k - params.k) % n != 0:
-            raise ValueError(
-                f"shift {k} does not match the chosen reflection "
-                f"(needs shift = {params.k} mod {n})")
-        return params.K, k
-    if request.kind == "typeII":
-        K = 1 if request.shift is None else int(request.shift)
-        if K % 2 == 0:
-            raise ValueError(
-                f"the reversing-rotation index shift must be odd, got {K}")
-        return K, 0
-    # typeV: the second reflection shift must share the parity of s
-    k = s if request.shift is None else int(request.shift)
-    if (k - s) % 2 != 0:
-        raise ValueError(
-            f"typeV reflection shifts must have equal parity: k={k}, s={s}")
-    return 0, k
-
-
 def find_orbit(request: SearchRequest) -> OrbitReport:
     """Search for a non-Birkhoff orbit in the requested symmetry class.
 
@@ -299,16 +187,8 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
     mode, flow to stationarity, classify the limit, and re-check every
     predicted property.
     """
-    if request.kind not in KINDS:
-        raise ValueError(f"unknown kind {request.kind!r}; expected one of {KINDS}")
     n, m, s, branch = request.n, request.m, request.s, request.branch
-
-    boundary = make_boundary(request.billiard)
-    cx = convexity_margin(boundary)
-    if cx <= 0:
-        raise ValueError(f"boundary is not strictly convex (min det = {cx:.3e})")
-    if not check_equivariance(boundary, n):
-        raise ValueError(f"boundary lacks the order-{n} dihedral symmetry")
+    boundary = checked_boundary(request.billiard, n)
 
     kappa, chord = kappa_chord(boundary, n, m, branch)
     report = criterion(request.kind, n, m, request.N, s, kappa, chord)
@@ -319,12 +199,12 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
                     "running anyway (force)", report.margin, report.kind,
                     report.p, report.q)
 
-    K, k = _resolve_shifts(request, report.N)
+    K, k = class_shifts(request.kind, n, m, request.N, s, branch,
+                        request.reflection, request.shift)
     p, q = report.p, report.q
     reference = repeat_lift(symmetric_birkhoff(n, m, branch), s)
-    system = expand_constraints(
-        SymmetrySpec(n, _class_generators(request.kind, n, m, branch, s, K, k)),
-        p, q)
+    spec = SymmetrySpec(n, class_generators(request.kind, n, m, branch, s, K, k))
+    system = expand_constraints(spec, p, q)
     ref_residual = system.residual(reference.coords)
     if ref_residual > 1e-9:
         raise RuntimeError("internal error: the reference violates its own "
@@ -402,17 +282,16 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
                              f"{report.predicted_crossings}")
         if not action_gain > 0:
             anomalies.append(f"action gain {action_gain:.3e} is not positive")
-        expected = _expected_group(request.kind, n, m, branch, s,
-                                   report.N, K, k)
-        for key in (("rotation", "preserving"), ("rotation", "reversing"),
-                    ("reflection", "preserving"), ("reflection", "reversing")):
+        expected = generated_group(spec)
+        for key in ELEMENT_KEYS:
             got = group.exponents(*key)
             if got != expected[key]:
                 anomalies.append(f"{key[1]} {key[0]} exponents {sorted(got)} "
                                  f"!= expected {sorted(expected[key])}")
-        if group.type_label != expected["label"]:
+        label = type_label(expected, n, birkhoff=False)
+        if group.type_label != label:
             anomalies.append(f"type label {group.type_label!r} != expected "
-                             f"{expected['label']!r}")
+                             f"{label!r}")
 
     return OrbitReport(
         outcome=outcome,

@@ -36,6 +36,8 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 GUARD_FLOOR = 1e-6
 #: consecutive stalled steps before the run is declared a plateau
 PLATEAU_STEPS = 100
+#: a step that moves the state less than this counts as stalled
+DISPLACEMENT_TOL = 1e-12
 
 
 @dataclass
@@ -46,7 +48,6 @@ class FlowOptions:
     abs_tol: float = 1e-13
     rel_tol: float = 1e-11
     stationarity_tol: float = 1e-10      # convergence: ||F||_inf below this
-    displacement_tol: float = 1e-12      # secondary check on the step displacement
     max_time: float = 1e6
     max_steps: int = 200_000
     max_step: float = 1e4
@@ -256,7 +257,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
                 last_recorded_crossing = cross
 
         if fnorm < opts.stationarity_tol and \
-                displacement < max(opts.displacement_tol, dt * opts.stationarity_tol):
+                displacement < max(DISPLACEMENT_TOL, dt * opts.stationarity_tol):
             return result(x, True, "stationary", t, fnorm, steps)
 
         # progress is judged against a benchmark frozen at the last reset, so
@@ -270,7 +271,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
             best_fnorm = fnorm
             best_x = x.copy()
             best_t = t
-        stalled = stalled + 1 if displacement < opts.displacement_tol else 0
+        stalled = stalled + 1 if displacement < DISPLACEMENT_TOL else 0
         if stalled >= PLATEAU_STEPS or since_progress >= opts.plateau_window:
             return result(best_x, False, "plateau", best_t, best_fnorm, steps,
                           failure="plateau")

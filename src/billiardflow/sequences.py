@@ -30,6 +30,9 @@ FAMILIES = {
     "reflection_preserving": (+1, -1, +1),  # x_i + x_{k+i} = e/n + M + i
     "reflection_reversing": (-1, -1, 0),    # x_i + x_{k-i} = e/n + M
 }
+#: the (isometry, time parity) pair of each family, rotations first and
+#: time-preserving before reversing
+ELEMENT_KEYS = tuple(tuple(kind.split("_")) for kind in FAMILIES)
 
 
 @dataclass
@@ -352,13 +355,10 @@ class GroupDescription:
                 if e.kind == kind and e.parity == parity}
 
 
-def spatiotemporal_group(lift: PeriodicLift, n: int,
-                         tol: float = CLASSIFY_TOL) -> GroupDescription:
-    """Detect every dihedral element acting on the orbit, and its type label.
+def type_label(exponents: dict, n: int, birkhoff: bool) -> str:
+    """The type label of a group given as (kind, parity) -> exponent set.
 
-    Tests, for each of the 2n isometries and both time parities, all index
-    shifts k in 0..p-1 against the four affine families of :data:`FAMILIES`.
-    The label is one of Birkhoff-symmetric, I, II, III, IV, V, or none:
+    One of Birkhoff-symmetric, I, II, III, IV, V, or none:
 
     - Birkhoff-symmetric: well-ordered and the full group acts (all rotations
       preserving, all reflections reversing);
@@ -370,6 +370,56 @@ def spatiotemporal_group(lift: PeriodicLift, n: int,
       reflection;
     - IV: preserving reflections only;  III: reversing reflections only;
     - none: no pattern above applies.
+    """
+    rot_pres = exponents["rotation", "preserving"]
+    twisted_rev = exponents["rotation", "reversing"] - {0}
+    ref_pres = exponents["reflection", "preserving"]
+    ref_rev = exponents["reflection", "reversing"]
+    if birkhoff and len(rot_pres) == n and len(ref_rev) == n:
+        return "Birkhoff-symmetric"
+    if len(rot_pres) >= 2 and not twisted_rev and ref_rev and not ref_pres:
+        return "I"
+    if ref_pres & ref_rev:
+        return "V"
+    if twisted_rev and ref_pres:
+        return "II"
+    if ref_pres and not ref_rev and not twisted_rev:
+        return "IV"
+    if ref_rev and not ref_pres and not twisted_rev:
+        return "III"
+    return "none"
+
+
+def generated_group(spec: SymmetrySpec) -> dict:
+    """(kind, parity) -> exponents of the subgroup of D_n x {preserving,
+    reversing} that the generators generate.
+
+    An element is (reflection?, exponent, reversing?); since
+    R^a S R^b = R^(a-b) S, a reflection subtracts the exponent it is
+    multiplied by, and the time parities multiply.
+    """
+    group, frontier = set(), [(False, 0, False)]
+    while frontier:
+        element = frontier.pop()
+        if element not in group:
+            group.add(element)
+            r, e, t = element
+            frontier += [(r != g.kind.startswith("reflection"),
+                          (e - g.exponent if r else e + g.exponent) % spec.n,
+                          t != g.kind.endswith("reversing")) for g in spec.generators]
+    exponents = {key: set() for key in ELEMENT_KEYS}
+    for r, e, t in group:
+        exponents[ELEMENT_KEYS[2 * r + t]].add(e)
+    return exponents
+
+
+def spatiotemporal_group(lift: PeriodicLift, n: int,
+                         tol: float = CLASSIFY_TOL) -> GroupDescription:
+    """Detect every dihedral element acting on the orbit, and its type label.
+
+    Tests, for each of the 2n isometries and both time parities, all index
+    shifts k in 0..p-1 against the four affine families of :data:`FAMILIES`;
+    the label follows :func:`type_label`.
 
     ``borderline_residual`` reports, when reflections are present, how close
     the opposite-parity reflection test came to passing — a III verdict with a
@@ -399,25 +449,11 @@ def spatiotemporal_group(lift: PeriodicLift, n: int,
 
     desc = GroupDescription(n=n, p=p, elements=elements, type_label="none",
                             is_birkhoff=is_birkhoff(lift))
-    rot_pres = desc.exponents("rotation", "preserving")
-    rot_rev = desc.exponents("rotation", "reversing")
-    ref_pres = desc.exponents("reflection", "preserving")
-    ref_rev = desc.exponents("reflection", "reversing")
+    exponents = {key: desc.exponents(*key) for key in ELEMENT_KEYS}
+    desc.type_label = type_label(exponents, n, desc.is_birkhoff)
 
-    twisted_rev = rot_rev - {0}
-    if desc.is_birkhoff and len(rot_pres) == n and len(ref_rev) == n:
-        desc.type_label = "Birkhoff-symmetric"
-    elif len(rot_pres) >= 2 and not twisted_rev and ref_rev and not ref_pres:
-        desc.type_label = "I"
-    elif ref_pres & ref_rev:
-        desc.type_label = "V"
-    elif twisted_rev and ref_pres:
-        desc.type_label = "II"
-    elif ref_pres and not ref_rev and not twisted_rev:
-        desc.type_label = "IV"
-    elif ref_rev and not ref_pres and not twisted_rev:
-        desc.type_label = "III"
-
+    ref_pres = exponents["reflection", "preserving"]
+    ref_rev = exponents["reflection", "reversing"]
     found_reflections = ref_pres | ref_rev
     if found_reflections:
         opposite = []

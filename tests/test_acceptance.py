@@ -25,7 +25,6 @@ from billiardflow import (
     reparametrize_constant_speed,
     symmetric_birkhoff,
 )
-from billiardflow.finder import _class_generators
 from billiardflow.geometry import (
     convexity_margin,
     limacon_convexity_threshold,
@@ -34,6 +33,7 @@ from billiardflow.geometry import (
     make_limacon,
 )
 from billiardflow.sequences import PeriodicLift, SymmetrySpec
+from billiardflow.spectral import class_generators
 
 
 def announce(num: int, name: str, t0: float, budget: float, detail: str):
@@ -275,8 +275,8 @@ def test_criterion_6_flow_laws():
         n, m, s = params["n"], params["m"], params["s"]
         reference = repeat_lift(symmetric_birkhoff(n, m), s)
         system = expand_constraints(
-            SymmetrySpec(n, _class_generators(params["kind"], n, m, 1, s,
-                                              params["K"], params["k"])),
+            SymmetrySpec(n, class_generators(params["kind"], n, m, 1, s,
+                                             params["K"], params["k"])),
             s * n, s * m)
         setups.append((boundary, reference, system, runs))
 

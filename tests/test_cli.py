@@ -219,6 +219,41 @@ def test_classify_rejects_a_header_that_does_not_fit(n, ini, message, tmp_path, 
     assert captured.out == ""
 
 
+NONCONVEX_INI = FLAGSHIP_INI.replace("alpha = 0.05", "alpha = 0.2")
+
+
+@pytest.mark.parametrize("command, ini, message", [
+    (["classify"], NONCONVEX_INI, "not strictly convex"),
+    (["render", "--overlay"], TWOFOLD_INI, "lacks the order-4 dihedral symmetry"),
+    (["render", "--overlay"], NONCONVEX_INI, "not strictly convex"),
+], ids=["classify-non-convex", "render-symmetry-the-table-lacks",
+        "render-non-convex"])
+def test_orbit_commands_reject_a_table_that_does_not_fit(command, ini, message,
+                                                         tmp_path, capsys):
+    # the flagship reference lift on a table above the convexity threshold
+    # 1/17, or on a 2-fold table
+    config = tmp_path / "table.ini"
+    config.write_text(ini)
+    path = tmp_path / "orbit.txt"
+    save_lift(path, billiardflow.repeat_lift(billiardflow.symmetric_birkhoff(4, 1), 3), 4, 1)
+    code = main([command[0], str(path), "--config", str(config), *command[1:],
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.rglob("*.svg"))
+
+
+def test_readme_configuration_runs(tmp_path, capsys):
+    # the INI block of README.md, inline comments included
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ini = tmp_path / "readme.ini"
+    ini.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    assert main(["check", "--config", str(ini)]) == 0
+    assert "margin:      0.130256512324" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("billiard, name", [
     ("family = limacon\nn = 4\nalpha = nan", "alpha"),
     ("family = limacon\nn = 4\nalpha = inf", "alpha"),

@@ -14,12 +14,11 @@ from billiardflow import (
     geometrically_equal,
     initial_perturbation,
     repeat_lift,
-    subgroup_mode_parameters,
     sweep,
     symmetric_birkhoff,
 )
-from billiardflow.finder import _class_generators
 from billiardflow.sequences import SymmetrySpec
+from billiardflow.spectral import class_generators
 
 LIMACON4 = {"family": "limacon", "n": 4, "alpha": 0.05}
 LIMACON2_10 = {"family": "limacon", "n": 2, "alpha": 0.10}
@@ -102,8 +101,6 @@ def test_type_five_search():
 
 def test_odd_order_dual_orbits_are_distinct():
     base = SearchRequest(billiard=LIMACON7, n=7, m=2, kind="main", N=1, s=2)
-    params = subgroup_mode_parameters(7, 2, N=1, s=2, branch=1, reflection=0)
-    assert (params.k, params.k_alternate) == (3, 10)
     first = find_orbit(base)
     second = find_orbit(SearchRequest(billiard=LIMACON7, n=7, m=2, kind="main",
                                       N=1, s=2, shift=10))
@@ -187,7 +184,7 @@ def test_seeded_modes_satisfy_their_class(kind, n, m, s, K, k):
     p, q = s * n, s * m
     reference = repeat_lift(symmetric_birkhoff(n, m), s)
     system = expand_constraints(
-        SymmetrySpec(n, _class_generators(kind, n, m, 1, s, K, k)), p, q)
+        SymmetrySpec(n, class_generators(kind, n, m, 1, s, K, k)), p, q)
     start = initial_perturbation(kind, reference, K, k, epsilon=0.02)
     assert system.residual(start.coords) <= 1e-12
 

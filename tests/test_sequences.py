@@ -17,13 +17,13 @@ from billiardflow import (
     spatiotemporal_group,
     symmetric_birkhoff,
 )
-from billiardflow.finder import SearchRequest, _class_generators, _resolve_shifts
 from billiardflow.sequences import (
     PeriodicLift,
     SymmetryGenerator,
     SymmetrySpec,
     aubry_vertices,
 )
+from billiardflow.spectral import class_generators, class_shifts
 
 
 def brute_force_well_ordered(lift, tol=1e-9):
@@ -334,9 +334,8 @@ BENCHMARK_CLASSES = [
                               for f, _ in BENCHMARK_CLASSES])
 def test_orbit_basis_spans_the_null_space_of_the_dense_system(fields, dim):
     kind, n, m, s = fields["kind"], fields["n"], fields["m"], fields["s"]
-    N = fields.get("N", 2 if kind == "typeI" else 1)
-    K, k = _resolve_shifts(SearchRequest(billiard={}, **fields), N)
-    spec = SymmetrySpec(n, _class_generators(kind, n, m, 1, s, K, k))
+    K, k = class_shifts(kind, n, m, fields.get("N"), s)
+    spec = SymmetrySpec(n, class_generators(kind, n, m, 1, s, K, k))
     p, q = s * n, s * m
     system = expand_constraints(spec, p, q)
     matrix, rhs = dense_constraints(spec, p, q)

@@ -7,17 +7,24 @@ import pytest
 
 from billiardflow import (
     birkhoff_coefficients,
+    class_shifts,
     criterion,
     gradient_field,
     hessian,
     kappa_chord,
     repeat_lift,
     second_partials,
-    subgroup_mode_parameters,
     symmetric_birkhoff,
 )
 from billiardflow.geometry import make_circle, scaled
-from billiardflow.sequences import PeriodicLift
+from billiardflow.sequences import (
+    PeriodicLift,
+    SymmetryGenerator,
+    SymmetrySpec,
+    generated_group,
+    type_label,
+)
+from billiardflow.spectral import class_generators
 
 # frozen reference values at the order-4 boundary with bulge 0.05, branch 1
 LIMACON4_KAPPA = 0.1662049861495844
@@ -256,23 +263,116 @@ def test_circle_margins_are_never_positive():
 
 
 def test_subgroup_mode_parameters_flagship():
-    mp = subgroup_mode_parameters(4, 1, N=4, s=3, branch=1, reflection=0)
-    assert (mp.p, mp.q) == (12, 3)
-    assert mp.K == 3
-    assert mp.k == 3
-    assert mp.k_alternate is None  # n even: one parity class only
+    assert class_shifts("main", 4, 1, N=4, s=3, branch=1, reflection=0) == (3, 3)
 
 
 def test_subgroup_mode_parameters_odd_order_dual():
-    mp = subgroup_mode_parameters(7, 2, N=1, s=2, branch=1, reflection=0)
-    assert (mp.p, mp.q) == (14, 4)
-    assert mp.K == 14
-    assert mp.k == 3
-    assert mp.k_alternate == 10  # n odd, p even: both parities are geometric
+    assert class_shifts("main", 7, 2, N=1, s=2, branch=1, reflection=0) == (14, 3)
 
 
 def test_subgroup_mode_parameters_validation():
     with pytest.raises(ValueError, match="divide"):
-        subgroup_mode_parameters(4, 1, N=3, s=3, branch=1, reflection=0)
+        class_shifts("main", 4, 1, N=3, s=3, branch=1, reflection=0)
     with pytest.raises(ValueError, match="gcd"):
-        subgroup_mode_parameters(4, 3, N=4, s=2, branch=1, reflection=0)
+        class_shifts("main", 4, 3, N=4, s=2, branch=1, reflection=0)
+
+
+# ---------------------------------------------------------------------------
+# the search table against the per-kind oracle
+
+
+def oracle_generators(kind, n, m, branch, s, K, k):
+    """Oracle: the class generators written out kind by kind."""
+    def gen(family, value, shift):
+        return SymmetryGenerator(family, value % n, shift, (value - value % n) // n)
+    if kind in ("main", "typeI"):
+        return (gen("rotation_preserving", m * K, K),
+                gen("reflection_reversing", branch + m * k, k))
+    if kind == "typeII":
+        return (gen("rotation_reversing", m * K, K),
+                gen("reflection_preserving", branch + m * s, s))
+    return (gen("reflection_reversing", branch + m * k, k),
+            gen("reflection_preserving", branch + m * s, s))
+
+
+def oracle_group(kind, n, m, branch, s, N, K, k):
+    """Oracle: the predicted exponent sets and type label, kind by kind."""
+    if kind in ("main", "typeI"):
+        rot = {(m * K * t) % n for t in range(n)}
+        bb = (branch + m * k) % n
+        return ({("rotation", "preserving"): rot, ("rotation", "reversing"): set(),
+                 ("reflection", "preserving"): set(),
+                 ("reflection", "reversing"): {(bb + e) % n for e in rot}},
+                "I" if N >= 2 else "III")
+    if kind == "typeII":
+        bp = (branch + m * s) % n
+        return ({("rotation", "preserving"): {0}, ("rotation", "reversing"): {1},
+                 ("reflection", "preserving"): {bp},
+                 ("reflection", "reversing"): {(bp + 1) % n}}, "II")
+    bb = (branch + m * k) % n
+    return ({("rotation", "preserving"): {0}, ("rotation", "reversing"): {0},
+             ("reflection", "preserving"): {bb}, ("reflection", "reversing"): {bb}},
+            "V")
+
+
+def search_grid():
+    """(kind, n, m, N, s, branch, reflection, shift) of every class checked:
+    main at n = 2..9 with every coprime m, every N | n, s = 2..8 coprime to N,
+    branches 0..3 and every reflection; typeI/II/V at s = 2..11, branches
+    0..3 and every valid shift in 0..p-1."""
+    for n in range(2, 10):
+        for m in range(1, n):
+            for N in (d for d in range(1, n + 1) if n % d == 0):
+                for s in range(2, 9):
+                    if math.gcd(m, n) != 1 or math.gcd(s, N) != 1 or s * n // N < 3:
+                        continue
+                    for branch in range(4):
+                        for reflection in range(n):
+                            yield "main", n, m, N, s, branch, reflection, None
+    for s in range(2, 12):
+        for branch in range(4):
+            for shift in range(2 * s):
+                if s % 2 and s >= 3:
+                    for reflection in (0, 1):
+                        if (shift - reflection + branch) % 2 == 0:
+                            yield "typeI", 2, 1, None, s, branch, reflection, shift
+                if shift % 2:
+                    yield "typeII", 2, 1, None, s, branch, 0, shift
+                if (shift - s) % 2 == 0:
+                    yield "typeV", 2, 1, None, s, branch, 0, shift
+
+
+def test_search_table_reproduces_the_per_kind_classes():
+    classes = 0
+    for kind, n, m, N, s, branch, reflection, shift in search_grid():
+        K, k = class_shifts(kind, n, m, N, s, branch, reflection, shift)
+        generators = class_generators(kind, n, m, branch, s, K, k)
+        assert generators == oracle_generators(kind, n, m, branch, s, K, k)
+        exponents, label = oracle_group(kind, n, m, branch, s,
+                                        {"typeI": 2}.get(kind, N), K, k)
+        group = generated_group(SymmetrySpec(n, generators))
+        assert group == exponents, (kind, n, m, N, s, branch, reflection, shift)
+        assert type_label(group, n, birkhoff=False) == label
+        classes += 1
+    assert classes > 10_000
+
+
+def test_every_kind_uses_the_main_criterion():
+    # oracle: the two-fold closed forms 2 cos^2(2 pi/p) with 4 crossings
+    # (typeI) and 2 cos^2(pi/p) with 2 crossings (typeII, typeV)
+    for s in range(2, 12):
+        p = 2 * s
+        forms = [("typeII", 2.0 * math.cos(math.pi / p) ** 2, 2),
+                 ("typeV", 2.0 * math.cos(math.pi / p) ** 2, 2)]
+        if s % 2:
+            forms.append(("typeI", 2.0 * math.cos(2.0 * math.pi / p) ** 2, 4))
+        for kind, rhs, crossings in forms:
+            for kappa, chord in ((0.1, 1.0), (0.9, 2.1), (1.7, 1.2)):
+                rep = criterion(kind, 2, 1, None, s, kappa, chord)
+                assert rep.rhs == rhs
+                assert (rep.p, rep.q, rep.N) == (p, s, crossings // 2)
+                assert rep.predicted_crossings == crossings
+                assert rep.predicted_min_period == p
+                assert rep.margin == rhs - kappa * chord
+                assert rep.verdict == ("orbit_predicted" if rep.margin > 0
+                                       else "inconclusive")
