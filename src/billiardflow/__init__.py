@@ -65,7 +65,7 @@ from .finder import (
     find_orbit,
     sweep,
 )
-from .render import RenderSpec, render_aubry_diagram, render_orbit_figure
+from .render import render_aubry_diagram, render_orbit_figure
 
 __version__ = "0.1.0"
 

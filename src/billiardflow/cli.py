@@ -51,7 +51,7 @@ from .finder import (CriterionInconclusive, OrbitReport, SearchRequest,
 from .flow import FlowOptions
 from .geometry import make_boundary, reparametrize_constant_speed
 from .lagrangian import gradient_field
-from .render import RenderSpec, render_aubry_diagram, render_orbit_figure
+from .render import render_aubry_diagram, render_orbit_figure
 from .sequences import (is_birkhoff, load_lift, minimal_period, save_lift,
                         spatiotemporal_group)
 from .spectral import criterion, kappa_chord
@@ -127,15 +127,15 @@ def _flow_options(cp: configparser.ConfigParser, args) -> FlowOptions:
         for key, (name, conv) in mapping.items():
             if key in sec:
                 kwargs[name] = conv(sec[key])
-    if getattr(args, "tol_stationary", None) is not None:
+    if args.tol_stationary is not None:
         kwargs["stationarity_tol"] = args.tol_stationary
-    if getattr(args, "max_time", None) is not None:
+    if args.max_time is not None:
         kwargs["max_time"] = args.max_time
     return FlowOptions(**kwargs)
 
 
 def _epsilon(cp: configparser.ConfigParser, args) -> float | None:
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         return args.epsilon
     if cp.has_section("flow") and "epsilon" in cp["flow"]:
         return float(cp["flow"]["epsilon"])
@@ -149,14 +149,13 @@ def _build_request(cp: configparser.ConfigParser, args) -> SearchRequest:
         n=th["n"], m=th["m"], kind=th["kind"], s=th["s"],
         branch=th["branch"], N=th["N"], reflection=th["reflection"],
         shift=th["shift"], epsilon=_epsilon(cp, args),
-        force=bool(getattr(args, "force", False)),
+        force=args.force,
         options=_flow_options(cp, args),
     )
 
 
 def _output_paths(cp: configparser.ConfigParser | None, args):
-    out = getattr(args, "out", None)
-    prefix = getattr(args, "prefix", None)
+    out, prefix = args.out, args.prefix
     if cp is not None and cp.has_section("output"):
         out = out or cp["output"].get("out")
         prefix = prefix or cp["output"].get("prefix")
@@ -165,15 +164,13 @@ def _output_paths(cp: configparser.ConfigParser | None, args):
     return out_dir, (prefix or "orbit")
 
 
-def _render_spec(cp: configparser.ConfigParser, mode: str) -> RenderSpec:
-    kwargs = {"mode": mode}
-    if cp is not None and cp.has_section("render"):
-        sec = cp["render"]
-        for key, conv in (("width", int), ("height", int), ("margin", float),
-                          ("boundary_samples", int)):
-            if key in sec:
-                kwargs[key] = conv(sec[key])
-    return RenderSpec(**kwargs)
+def _write_json(cp: configparser.ConfigParser, args, name: str, payload) -> None:
+    """With ``--out``, write ``payload`` to ``<out>/<prefix>.<name>.json``."""
+    if args.out:
+        out_dir, prefix = _output_paths(cp, args)
+        path = out_dir / f"{prefix}.{name}.json"
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +252,7 @@ def cmd_check(args) -> int:
     rep = criterion(th["kind"], th["n"], th["m"], th["N"], th["s"], kappa, chord)
     _print_criterion(rep)
     print(json.dumps(rep.as_dict(), indent=2))
-    if getattr(args, "out", None):
-        out_dir, prefix = _output_paths(cp, args)
-        path = out_dir / f"{prefix}.criterion.json"
-        path.write_text(json.dumps(rep.as_dict(), indent=2) + "\n")
-        print(f"wrote {path}")
+    _write_json(cp, args, "criterion", rep.as_dict())
     return EXIT_OK if rep.margin > 0 else EXIT_CRITERION
 
 
@@ -275,11 +268,9 @@ def cmd_find(args) -> int:
     report_path.write_text(json.dumps(_report_payload(rep, req.n, req.m),
                                       indent=2) + "\n")
     written = [str(orbit_path), str(report_path)]
-    if getattr(args, "render", False):
+    if args.render:
         boundary = reparametrize_constant_speed(make_boundary(req.billiard))
-        svg = render_orbit_figure(boundary, rep.final_lift,
-                                  _render_spec(cp, "orbit_figure"),
-                                  overlay=(req.n, req.m))
+        svg = render_orbit_figure(boundary, rep.final_lift, overlay=(req.n, req.m))
         svg_path = out_dir / f"{prefix}.svg"
         svg_path.write_text(svg)
         written.append(str(svg_path))
@@ -336,33 +327,24 @@ def cmd_classify(args) -> int:
     print(f"group:       {', '.join(f'{e.name}[{e.parity}]' for e in group.elements)}")
     print(f"|F|_inf:     {residual:.3e}")
     print(json.dumps(payload, indent=2))
+    _write_json(cp, args, "classify", payload)
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
     lift, n, m = load_lift(args.orbit)
     cp = _read_config(args.config) if args.config else None
-    mode = args.mode
-    if mode is None and cp is not None and cp.has_section("render"):
-        mode = cp["render"].get("mode")
-    mode = mode or "orbit_figure"
-    if mode == "orbit_figure":
+    if args.mode == "orbit_figure":
         if cp is None:
             raise ValueError("orbit_figure rendering needs --config for the boundary")
         boundary = reparametrize_constant_speed(
             checked_boundary(_billiard_descriptor(cp), n))
-        svg = render_orbit_figure(boundary, lift, _render_spec(cp, mode),
+        svg = render_orbit_figure(boundary, lift,
                                   overlay=(n, m) if args.overlay else None)
-    elif mode == "aubry_diagram":
-        translates = args.translates
-        if translates is None and cp is not None and cp.has_section("render"):
-            translates = int(cp["render"].get("translates", 0))
-        svg = render_aubry_diagram(lift, _render_spec(cp, mode) if cp else None,
-                                   translates=translates or 0)
     else:
-        raise ValueError(f"unknown render mode {mode!r}")
+        svg = render_aubry_diagram(lift, translates=args.translates)
     out_dir, prefix = _output_paths(cp, args)
-    path = out_dir / f"{prefix}.{mode}.svg"
+    path = out_dir / f"{prefix}.{args.mode}.svg"
     path.write_text(svg)
     print(f"wrote {path}")
     return EXIT_OK
@@ -384,12 +366,8 @@ def cmd_sweep(args) -> int:
             values.append(int(t))
         except ValueError:
             values.append(float(t))
-    workers = getattr(args, "workers", None)
-    if workers is None and "workers" in sec:
-        workers = int(sec["workers"])
-
     base = _build_request(cp, args)
-    entries = sweep(base, param, values, workers=workers)
+    entries = sweep(base, param, values, workers=args.workers)
 
     rows = []
     print(f"{'value':>10}  {'margin':>12}  {'verdict':>15}  {'outcome':>22}  detail")
@@ -440,6 +418,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--prefix", metavar="NAME",
                         help="artifact name prefix (overrides [output] prefix)")
 
+    def flow_flags(sp):
+        sp.add_argument("--force", action="store_true",
+                        help="run the flow even when the margin is <= 0")
+        sp.add_argument("--epsilon", type=float, help="perturbation amplitude")
+        sp.add_argument("--tol-stationary", type=float, dest="tol_stationary",
+                        help="stationarity tolerance on |F|_inf")
+        sp.add_argument("--max-time", type=float, dest="max_time",
+                        help="flow-time budget")
+
     sp = sub.add_parser("check", help="evaluate the closed-form existence criterion")
     common(sp)
     sp.set_defaults(func=cmd_check)
@@ -448,13 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--render", action="store_true",
                     help="also write an SVG figure of the found orbit")
-    sp.add_argument("--force", action="store_true",
-                    help="run the flow even when the margin is <= 0")
-    sp.add_argument("--epsilon", type=float, help="perturbation amplitude")
-    sp.add_argument("--tol-stationary", type=float, dest="tol_stationary",
-                    help="stationarity tolerance on |F|_inf")
-    sp.add_argument("--max-time", type=float, dest="max_time",
-                    help="flow-time budget")
+    flow_flags(sp)
     sp.set_defaults(func=cmd_find)
 
     sp = sub.add_parser("classify", help="classify an orbit file")
@@ -466,8 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("orbit", help="orbit file written by find")
     common(sp, needs_config=False)
     sp.add_argument("--mode", choices=("orbit_figure", "aubry_diagram"),
-                    help="figure type (default orbit_figure)")
-    sp.add_argument("--translates", type=int, metavar="N",
+                    default="orbit_figure", help="figure type (default orbit_figure)")
+    sp.add_argument("--translates", type=int, default=0, metavar="N",
                     help="integer translates overlaid on the Aubry diagram")
     sp.add_argument("--overlay", action="store_true",
                     help="overlay the two symmetric Birkhoff branches")
@@ -475,15 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="batch of searches over a parameter list")
     common(sp)
-    sp.add_argument("--force", action="store_true",
-                    help="run flows even when margins are <= 0")
+    flow_flags(sp)
     sp.add_argument("--workers", type=int,
                     help="thread count for parallel entries (default: auto)")
-    sp.add_argument("--epsilon", type=float, help="perturbation amplitude")
-    sp.add_argument("--tol-stationary", type=float, dest="tol_stationary",
-                    help="stationarity tolerance on |F|_inf")
-    sp.add_argument("--max-time", type=float, dest="max_time",
-                    help="flow-time budget")
     sp.set_defaults(func=cmd_sweep)
     return parser
 

@@ -45,6 +45,10 @@ SETTLED_RESIDUAL_TOL = 1e-10
 #: scale), and may move the state by at most this much; otherwise the flow's
 #: own iterate is reported unchanged
 POLISH_BASIN_TOL = 1e-4
+#: the polish stops once |F|_inf is at most POLISH_TARGET, or after
+#: POLISH_MAX_ITER Newton steps
+POLISH_TARGET = 1e-12
+POLISH_MAX_ITER = 30
 
 
 class CriterionInconclusive(RuntimeError):
@@ -129,8 +133,7 @@ def checked_boundary(descriptor: dict, n: int):
     return boundary
 
 
-def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem,
-                   target: float = 1e-12, max_iter: int = 30):
+def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
     """Refine a near-stationary lift by Newton steps in the class's orbit basis.
 
     The adaptive flow stalls at its local-error noise floor; a couple of
@@ -144,12 +147,12 @@ def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem,
     best_norm = float(np.max(np.abs(gradient_field(boundary, lift))))
     if basis.shape[1] == 0:
         return lift, best_norm
-    for _ in range(max_iter):
+    for _ in range(POLISH_MAX_ITER):
         grad = gradient_field(boundary, lift.with_coords(cur))
         norm = float(np.max(np.abs(grad)))
         if norm < best_norm:
             best, best_norm = cur, norm
-        if norm <= target:
+        if norm <= POLISH_TARGET:
             break
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # near-stationary by design
@@ -253,6 +256,7 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
         if moved < POLISH_BASIN_TOL:
             final, residual = polished, polished_residual
     settled = flow.converged or residual < SETTLED_RESIDUAL_TOL
+    birkhoff = is_birkhoff(final)
 
     third = np.full(p, 1.0 / (2 * n))
     near_plus = float(np.max(np.abs(final.coords - (reference.coords + third))))
@@ -261,7 +265,7 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
         outcome = "hit_boundary_orbit"
     elif not settled:
         outcome = "non_converged"
-    elif is_birkhoff(final):
+    elif birkhoff:
         outcome = "collapsed_to_birkhoff"
     else:
         outcome = "non_birkhoff_found"
@@ -296,7 +300,7 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
     return OrbitReport(
         outcome=outcome,
         final_lift=final,
-        is_birkhoff=is_birkhoff(final),
+        is_birkhoff=birkhoff,
         minimal_period=minimal,
         winding=winding,
         group=group,

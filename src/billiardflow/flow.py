@@ -34,6 +34,13 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 #: hard floor of the admissible-increment guard (applies even with margin 0)
 GUARD_FLOOR = 1e-6
+#: first trial step and largest step of the integrator
+INITIAL_STEP = 1e-2
+MAX_STEP = 1e4
+#: accepted steps without ||F|| progress before the run is declared a plateau
+PLATEAU_WINDOW = 400
+#: "progress" = beating the benchmark residual by this factor
+PLATEAU_FACTOR = 0.9
 #: consecutive stalled steps before the run is declared a plateau
 PLATEAU_STEPS = 100
 #: a step that moves the state less than this counts as stalled
@@ -42,18 +49,17 @@ DISPLACEMENT_TOL = 1e-12
 
 @dataclass
 class FlowOptions:
-    """Tolerances and limits for :func:`integrate`."""
+    """Tolerances and limits for :func:`integrate`.
 
-    initial_step: float = 1e-2
+    The first and largest step and the plateau rule are module constants.
+    """
+
     abs_tol: float = 1e-13
     rel_tol: float = 1e-11
     stationarity_tol: float = 1e-10      # convergence: ||F||_inf below this
     max_time: float = 1e6
     max_steps: int = 200_000
-    max_step: float = 1e4
     guard_margin: float = 0.0            # increments must stay in [margin, 1-margin]
-    plateau_window: int = 400            # accepted steps without ||F|| progress
-    plateau_factor: float = 0.9          # "progress" = beating the best by this factor
     record_every: int = 1                # record every k-th accepted step
     record_lifts: bool = False           # keep coordinate snapshots (comparison runs)
 
@@ -66,13 +72,8 @@ class FlowOptions:
         if not (self.abs_tol >= 0 and self.rel_tol >= 0) or self.abs_tol == self.rel_tol == 0:
             raise ValueError(f"abs_tol and rel_tol must be >= 0 and not both 0, "
                              f"got {self.abs_tol} and {self.rel_tol}")
-        if not (self.initial_step > 0 and self.max_step > 0):
-            raise ValueError(f"initial_step and max_step must be positive, "
-                             f"got {self.initial_step} and {self.max_step}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.plateau_window < 1 or not 0.0 < self.plateau_factor < 1.0:
-            raise ValueError("plateau_window must be >= 1 and plateau_factor in (0, 1)")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -127,7 +128,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
     at ``max_time``, on a guard violation, on a detected law violation (action
     decrease beyond 10x the local error, crossing increase), or on a plateau.
     A plateau is declared when the best ``||F||_inf`` seen has not improved by
-    ``plateau_factor`` within the last ``plateau_window`` accepted steps (the
+    ``PLATEAU_FACTOR`` within the last ``PLATEAU_WINDOW`` accepted steps (the
     integrator's local-error noise can floor the residual above the
     stationarity tolerance); the result then carries the best iterate, not the
     last one, and ``converged=False`` with reason ``"plateau"``.
@@ -186,7 +187,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         return result(x, True, "stationary", 0.0, fnorm, 0)
 
     t = 0.0
-    dt = min(opts.initial_step, opts.max_time)
+    dt = min(INITIAL_STEP, opts.max_time)
     steps = 0
     stalled = 0
     best_x = x.copy()
@@ -264,7 +265,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         # a slow steady decay (a few per mille per step) keeps resetting and
         # is never mistaken for a plateau
         since_progress += 1
-        if fnorm < opts.plateau_factor * bench_fnorm:
+        if fnorm < PLATEAU_FACTOR * bench_fnorm:
             since_progress = 0
             bench_fnorm = fnorm
         if fnorm < best_fnorm:
@@ -272,7 +273,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
             best_x = x.copy()
             best_t = t
         stalled = stalled + 1 if displacement < DISPLACEMENT_TOL else 0
-        if stalled >= PLATEAU_STEPS or since_progress >= opts.plateau_window:
+        if stalled >= PLATEAU_STEPS or since_progress >= PLATEAU_WINDOW:
             return result(best_x, False, "plateau", best_t, best_fnorm, steps,
                           failure="plateau")
 
@@ -291,7 +292,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
             return result(x, False, reason, t, fnorm, steps, failure=failure)
 
         dt = float(np.clip(dt * np.clip(0.9 * err_ratio ** -0.2, 0.2, 5.0),
-                           1e-14, opts.max_step))
+                           1e-14, MAX_STEP))
         dt = min(dt, opts.max_time - t)
 
     return result(x, False, "max_steps", t, fnorm, steps, failure="max_steps")

@@ -227,8 +227,7 @@ def make_boundary(descriptor: dict) -> Boundary:
     if family == "ellipse":
         return make_ellipse(float(descriptor["a"]), float(descriptor["b"]))
     if family == "circle":
-        order = int(descriptor.get("n", descriptor.get("symmetry_order", 2)))
-        return make_circle(float(descriptor.get("radius", 1.0)), order)
+        return make_circle(float(descriptor.get("radius", 1.0)), int(descriptor.get("n", 2)))
     raise ValueError(f"unknown boundary family {family!r}")
 
 
@@ -265,28 +264,18 @@ def curvature_at(boundary: Boundary, x) -> np.ndarray:
     return curvature(d1, d2)
 
 
-def convexity_margin(boundary: Boundary, samples: int | None = None) -> float:
+def convexity_margin(boundary: Boundary) -> float:
     """Minimum of det(gamma', gamma'') over the curve.
 
     Positive iff the curve is strictly convex.  Samples the determinant on a
-    uniform grid, then shrinks a bracket around the best sample: each pass
-    evaluates the determinant on ``MARGIN_GRID`` points across the bracket and
-    keeps the two cells beside the smallest value, until the bracket is
-    narrower than ``MARGIN_XTOL``.  A flat determinant (a circle) needs no
+    uniform grid of max(1024, 24 n) points for symmetry order n, enough to
+    resolve its symmetric oscillation, then shrinks a bracket around the best
+    sample: each pass evaluates the determinant on ``MARGIN_GRID`` points
+    across the bracket and keeps the two cells beside the smallest value,
+    until the bracket is narrower than ``MARGIN_XTOL``.  A flat determinant (a circle) needs no
     strict bracket: the passes still shrink and every value is the minimum.
-
-    Parameters
-    ----------
-    samples : int, optional
-        Grid size; must be at least ``12 * symmetry_order`` so the grid
-        resolves the symmetric oscillation of the determinant.
     """
-    n = max(1, boundary.symmetry_order)
-    if samples is None:
-        samples = max(1024, 24 * n)
-    samples = int(samples)
-    if samples < 12 * n:
-        raise ValueError(f"samples={samples} must be >= {12 * n} (12 per symmetry sector)")
+    samples = max(1024, 24 * boundary.symmetry_order)
     xs = np.arange(samples) / samples
     det = orientation_det(boundary, xs)
     j = int(np.argmin(det))
@@ -302,16 +291,15 @@ def convexity_margin(boundary: Boundary, samples: int | None = None) -> float:
     return best
 
 
-def check_equivariance(boundary: Boundary, n: int, samples: int = 128,
-                       tol: float = GEOMETRIC_TOL) -> bool:
-    """Verify the two dihedral identities at sampled parameters.
+def check_equivariance(boundary: Boundary, n: int, tol: float = GEOMETRIC_TOL) -> bool:
+    """Verify the two dihedral identities at 128 sampled parameters.
 
     Checks ``R @ gamma(x) == gamma(x + 1/n)`` (R = rotation by 2*pi/n) and
     ``S @ gamma(x) == gamma(-x)`` (S = diag(1, -1)) within ``tol``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    xs = (np.arange(samples) + 0.382) / samples
+    xs = (np.arange(128) + 0.382) / 128
     pts = boundary.gamma(xs)
     ang = 2.0 * math.pi / n
     rot = np.array([[math.cos(ang), -math.sin(ang)],

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-#: tolerance used to snap near-integer coordinate differences in ordering tests
+#: snapping tolerance of the ordering and crossing tests and of class membership
 SNAP_TOL = 1e-9
-#: default tolerance of the minimal-period and classification residuals
+#: tolerance of the minimal-period, geometric-equality and classification residuals
 CLASSIFY_TOL = 1e-8
 
 #: the four generator families: kind -> (index direction d, sign on x_i,
@@ -110,19 +110,19 @@ def symmetric_birkhoff(n: int, m: int, branch: int = 1) -> PeriodicLift:
 # ordering
 
 
-def is_birkhoff(lift: PeriodicLift, tol: float = SNAP_TOL) -> bool:
+def is_birkhoff(lift: PeriodicLift) -> bool:
     """Whether the lift is well-ordered (Birkhoff).
 
     Uses the ordering integers l(i, j) = ceil(x_i - x_j) (the unique l with
     x_i <= x_j + l < x_i + 1), with near-integer differences snapped at
-    ``tol``; the lift is Birkhoff iff l is invariant under simultaneous index
-    shifts.
+    ``SNAP_TOL``; the lift is Birkhoff iff l is invariant under simultaneous
+    index shifts.
     """
     p = lift.p
     xe = lift.value(np.arange(2 * p))
     r = xe[:, None] - xe[None, :]
     nearest = np.round(r)
-    snap = np.abs(r - nearest) < tol
+    snap = np.abs(r - nearest) < SNAP_TOL
     l = np.ceil(r)
     l[snap] = nearest[snap]
     l = l.astype(np.int64)
@@ -133,19 +133,19 @@ def is_birkhoff(lift: PeriodicLift, tol: float = SNAP_TOL) -> bool:
     return True
 
 
-def intersection_index(xl: PeriodicLift, yl: PeriodicLift, tol: float = SNAP_TOL):
+def intersection_index(xl: PeriodicLift, yl: PeriodicLift):
     """Number of sign changes of x - y over one period, or "tangent".
 
-    Coordinates with |x_i - y_i| <= tol are treated as zeros; each zero must
-    be a transversal crossing (neighbors of strictly opposite signs), else the
-    configuration is reported as "tangent".  The count is even for distinct
+    Coordinates with |x_i - y_i| <= SNAP_TOL are treated as zeros; each zero
+    must be a transversal crossing (neighbors of strictly opposite signs), else
+    the configuration is reported as "tangent".  The count is even for distinct
     transversal lifts.
     """
     if (xl.p, xl.q) != (yl.p, yl.q):
         raise ValueError("intersection index requires lifts in the same (p, q) class")
     d = xl.coords - yl.coords
     p = xl.p
-    zero = np.abs(d) <= tol
+    zero = np.abs(d) <= SNAP_TOL
     if np.all(zero):
         return "tangent"
     for i in np.nonzero(zero)[0]:
@@ -155,19 +155,19 @@ def intersection_index(xl: PeriodicLift, yl: PeriodicLift, tol: float = SNAP_TOL
     return int(np.count_nonzero(signs != np.roll(signs, 1)))
 
 
-def minimal_period(lift: PeriodicLift, tol: float = CLASSIFY_TOL) -> int:
-    """Smallest divisor d of p with x_{d+i} - x_i a constant integer."""
+def minimal_period(lift: PeriodicLift) -> int:
+    """Smallest divisor d of p with x_{d+i} - x_i a constant integer, to CLASSIFY_TOL."""
     p = lift.p
     idx = np.arange(p)
     for d in sorted(k for k in range(1, p + 1) if p % k == 0):
         shift = lift.value(idx + d) - lift.coords
         r = round(float(shift[0]))
-        if np.max(np.abs(shift - r)) <= tol:
+        if np.max(np.abs(shift - r)) <= CLASSIFY_TOL:
             return d
     return p
 
 
-def geometrically_equal(a: PeriodicLift, b: PeriodicLift, tol: float = CLASSIFY_TOL) -> bool:
+def geometrically_equal(a: PeriodicLift, b: PeriodicLift) -> bool:
     """Whether two lifts describe the same orbit up to time shift or reversal.
 
     Forward match (needs equal windings): x^b_i - x^a_{r+i} is a constant
@@ -182,18 +182,18 @@ def geometrically_equal(a: PeriodicLift, b: PeriodicLift, tol: float = CLASSIFY_
     i = np.arange(p)
     if b.q == a.q:
         for r in range(p):
-            if _is_constant_integer(b.coords - a.value(r + i), tol):
+            if _is_constant_integer(b.coords - a.value(r + i)):
                 return True
     if b.q == p - a.q:
         for r in range(p):
-            if _is_constant_integer(b.coords - a.value(r - i) - i, tol):
+            if _is_constant_integer(b.coords - a.value(r - i) - i):
                 return True
     return False
 
 
-def _is_constant_integer(d: np.ndarray, tol: float) -> bool:
+def _is_constant_integer(d: np.ndarray) -> bool:
     r = round(float(d[0]))
-    return bool(np.max(np.abs(d - r)) <= tol)
+    return bool(np.max(np.abs(d - r)) <= CLASSIFY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +264,13 @@ class AffineSystem:
         return self.base + self.basis @ (self.basis.T @ (self._check(coords) - self.base))
 
 
-def expand_constraints(spec: SymmetrySpec, p: int, q: int,
-                       tol: float = SNAP_TOL) -> AffineSystem:
+def expand_constraints(spec: SymmetrySpec, p: int, q: int) -> AffineSystem:
     """Expand symmetry generators into the affine class over x_0..x_{p-1}.
 
     Indices outside 0..p-1 are reduced by the extension rule
     x_{j} = x_{j mod p} + q * floor(j / p), which moves integer offsets into
     the edge offsets.  Raises ValueError if the generators are infeasible:
-    some edge is violated by more than ``tol`` at every class member.
+    some edge is violated by more than ``SNAP_TOL`` at every class member.
     """
     i = np.arange(p)
     edges = []
@@ -316,7 +315,7 @@ def expand_constraints(spec: SymmetrySpec, p: int, q: int,
 
     system = AffineSystem(base, basis, src, dst, sign, offset)
     worst = system.residual(base)
-    if worst > tol:
+    if worst > SNAP_TOL:
         raise ValueError(
             f"infeasible symmetry constraints (worst residual {worst:.3e}); "
             "the generators are incompatible with the (p, q) class")
@@ -413,8 +412,7 @@ def generated_group(spec: SymmetrySpec) -> dict:
     return exponents
 
 
-def spatiotemporal_group(lift: PeriodicLift, n: int,
-                         tol: float = CLASSIFY_TOL) -> GroupDescription:
+def spatiotemporal_group(lift: PeriodicLift, n: int) -> GroupDescription:
     """Detect every dihedral element acting on the orbit, and its type label.
 
     Tests, for each of the 2n isometries and both time parities, all index
@@ -440,7 +438,7 @@ def spatiotemporal_group(lift: PeriodicLift, n: int,
             nearest = np.round(table[:, 0])
             score = np.maximum(np.max(np.abs(table - table[:, :1]), axis=1),
                                np.abs(table[:, 0] - nearest))
-            hits = np.nonzero(score <= tol)[0]
+            hits = np.nonzero(score <= CLASSIFY_TOL)[0]
             if hits.size:
                 k = int(hits[0])
                 elements.append(GroupElement(kind, e, parity, k, int(nearest[k])))

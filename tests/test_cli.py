@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import billiardflow
-from billiardflow import save_lift
+from billiardflow import repeat_lift, save_lift, symmetric_birkhoff
 from billiardflow.cli import main
 from billiardflow.sequences import PeriodicLift
 
@@ -159,6 +159,19 @@ def test_classify_found_orbit(flagship_ini, tmp_path, capsys):
     assert payload["minimal_period"] == 12
     assert payload["stationarity_residual"] < 1e-8
 
+
+def test_classify_writes_the_report_it_prints(flagship_ini, tmp_path, capsys):
+    orbit = tmp_path / "ref.orbit.txt"
+    save_lift(orbit, repeat_lift(symmetric_birkhoff(4, 1), 3), 4, 1)
+    out_dir = tmp_path / "artifacts"
+    code = main(["classify", str(orbit), "--config", str(flagship_ini),
+                 "--out", str(out_dir), "--prefix", "cls"])
+    assert code == 0
+    out = capsys.readouterr().out
+    printed = json.loads(out[out.index("{"):out.rindex("}") + 1])
+    written = json.loads((out_dir / "cls.classify.json").read_text())
+    assert written == printed
+    assert written["is_birkhoff"] is True
 
 #: orbit files outside the admissible region: two with a decreasing step, and
 #: one with a NaN coordinate, which no comparison flags as out of range

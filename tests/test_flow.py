@@ -106,9 +106,10 @@ def test_max_steps_stops_the_run(limacon4_cs):
     assert run.n_steps == 3
 
 
-def test_plateau_returns_best_iterate(limacon4_cs):
+def test_plateau_returns_best_iterate(limacon4_cs, monkeypatch):
+    monkeypatch.setattr(flow_module, "PLATEAU_WINDOW", 60)
     ref, system, start = flagship_setup(limacon4_cs)
-    opts = FlowOptions(stationarity_tol=1e-15, plateau_window=60)
+    opts = FlowOptions(stationarity_tol=1e-15)
     run = integrate(limacon4_cs, start, system=system, options=opts)
     assert not run.converged
     assert run.reason == "plateau"
@@ -147,10 +148,6 @@ def test_guard_margin_violation_stops_the_run(limacon4_cs):
 
 def test_flow_options_are_validated():
     with pytest.raises(ValueError):
-        FlowOptions(plateau_window=0)
-    with pytest.raises(ValueError):
-        FlowOptions(plateau_factor=1.5)
-    with pytest.raises(ValueError):
         FlowOptions(stationarity_tol=-1.0)
 
 
@@ -158,12 +155,12 @@ def test_flow_options_are_validated():
     (dict(abs_tol=-1.0), "abs_tol"),
     (dict(rel_tol=-1e-11), "rel_tol"),
     (dict(abs_tol=0.0, rel_tol=0.0), "abs_tol"),
-    (dict(initial_step=0.0), "initial_step"),
-    (dict(initial_step=-1e-2), "initial_step"),
-    (dict(max_step=0.0), "max_step"),
+    (dict(guard_margin=0.5), "guard_margin"),
+    (dict(guard_margin=-1e-3), "guard_margin"),
+    (dict(max_time=0.0), "max_time"),
     (dict(max_steps=0), "max_steps"),
     (dict(abs_tol=float("nan")), "abs_tol"),
-    (dict(max_step=float("nan")), "max_step"),
+    (dict(record_every=0), "record_every"),
     (dict(stationarity_tol=float("nan")), "tolerances"),
 ])
 def test_flow_options_reject_unusable_values(bad, name):
@@ -188,9 +185,9 @@ def test_inadmissible_stage_shrinks_the_step(limacon4_cs, monkeypatch):
         return out
 
     monkeypatch.setattr(flow_module, "_gradient_coords", spy)
+    monkeypatch.setattr(flow_module, "INITIAL_STEP", 1e3)
     ref, system, start = flagship_setup(limacon4_cs)
-    run = integrate(limacon4_cs, start, system=system,
-                    options=FlowOptions(initial_step=1e3))
+    run = integrate(limacon4_cs, start, system=system)
     assert returned[1]
     assert run.converged
 

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from billiardflow import (
-    RenderSpec,
     render_aubry_diagram,
     render_orbit_figure,
     repeat_lift,
     symmetric_birkhoff,
 )
-from billiardflow.render import SVG_NS
+from billiardflow.render import GRID_STROKE, SVG_NS
 from billiardflow.sequences import PeriodicLift
 
 SVG = f"{{{SVG_NS}}}"
@@ -65,16 +64,13 @@ def test_orbit_figure_overlay_adds_two_dashed_branches(limacon4_cs):
 
 def test_aubry_diagram_draws_base_and_translates():
     lift = repeat_lift(symmetric_birkhoff(4, 1), 3)
-    spec = RenderSpec(mode="aubry_diagram", grid_stroke="#dddddd",
-                      chord_stroke="#1f77b4")
 
     def count_non_grid(doc):
         root = parse(doc)
-        return sum(1 for p in tags(root, "path")
-                   if p.get("stroke") != spec.grid_stroke)
+        return sum(1 for p in tags(root, "path") if p.get("stroke") != GRID_STROKE)
 
-    bare = render_aubry_diagram(lift, spec=spec)
-    with_copies = render_aubry_diagram(lift, spec=spec, translates=3)
+    bare = render_aubry_diagram(lift)
+    with_copies = render_aubry_diagram(lift, translates=3)
     # each translate adds exactly one non-grid polyline on top of the base
     assert count_non_grid(bare) == 1
     assert count_non_grid(with_copies) == 4
@@ -98,20 +94,6 @@ def test_render_output_is_deterministic(limacon4_cs):
     assert c == d
 
 
-def test_background_and_strokes_are_configurable(limacon4_cs):
-    lift = repeat_lift(symmetric_birkhoff(4, 1), 3)
-    spec = RenderSpec(background="#101010", chord_stroke="#00ff00")
-    root = parse(render_orbit_figure(limacon4_cs, lift, spec=spec))
-    rects = tags(root, "rect")
-    assert rects and rects[0].get("fill") == "#101010"
-    strokes = {p.get("stroke") for p in tags(root, "path")}
-    assert "#00ff00" in strokes
-
-
-def test_render_spec_validation():
-    with pytest.raises(ValueError, match="mode"):
-        RenderSpec(mode="pie_chart")
-    with pytest.raises(ValueError, match="margin"):
-        RenderSpec(width=64, height=64, margin=48.0)
+def test_aubry_diagram_rejects_negative_translates():
     with pytest.raises(ValueError, match="translates"):
         render_aubry_diagram(symmetric_birkhoff(4, 1), translates=-1)
