@@ -5,7 +5,13 @@ case-sensitive, and " ;" starts a comment); every relevant command-line flag
 overrides its config key.
 Exit codes: 0 success (and criterion holds for ``check``), 2 precondition or
 input error, 3 criterion margin <= 0, 4 flow failure.  The ``BILLIARD_LOG``
-environment variable sets the log level (debug/info/warning/error).
+environment variable sets the log level (debug/info/warning/error); a failed
+``sweep`` entry logs one warning line, and its traceback only at debug.
+
+In ``[theorem]``, ``A`` is the branch of the star-polygon reference (default
+1), ``b`` the exponent of the reversing reflection (default 0) and ``k`` an
+override of the index shift the kind derives.  ``[sweep]`` names one
+``param`` and its ``values`` for the ``sweep`` command.
 
 Example configuration::
 
@@ -31,6 +37,10 @@ Example configuration::
     [output]
     out = runs
     prefix = limacon4
+
+    [sweep]
+    param = alpha
+    values = 0.048, 0.055
 """
 
 from __future__ import annotations
@@ -52,8 +62,7 @@ from .flow import FlowOptions
 from .geometry import make_boundary, reparametrize_constant_speed
 from .lagrangian import gradient_field
 from .render import render_aubry_diagram, render_orbit_figure
-from .sequences import (is_birkhoff, load_lift, minimal_period, save_lift,
-                        spatiotemporal_group)
+from .sequences import load_lift, minimal_period, save_lift, spatiotemporal_group
 from .spectral import criterion, kappa_chord
 
 log = logging.getLogger(__name__)
@@ -203,19 +212,25 @@ def _flow_summary(flow) -> dict:
     }
 
 
-def _report_payload(rep: OrbitReport, n: int, m: int) -> dict:
-    group = rep.group
-    return _jsonable({
-        "outcome": rep.outcome,
-        "is_birkhoff": rep.is_birkhoff,
-        "minimal_period": rep.minimal_period,
-        "winding": rep.winding,
+def _group_payload(group) -> dict:
+    """The type label and elements of a spatiotemporal group, as JSON."""
+    return {
         "type_label": group.type_label,
         "group_elements": [
             {"name": e.name, "kind": e.kind, "exponent": e.exponent,
              "parity": e.parity, "shift": e.shift, "offset": e.offset}
             for e in group.elements
         ],
+    }
+
+
+def _report_payload(rep: OrbitReport, n: int, m: int) -> dict:
+    return _jsonable({
+        "outcome": rep.outcome,
+        "is_birkhoff": rep.is_birkhoff,
+        "minimal_period": rep.minimal_period,
+        "winding": rep.winding,
+        **_group_payload(rep.group),
         "crossings_vs_reference": rep.crossings_vs_reference,
         "action_gain": rep.action_gain,
         "residual": rep.residual,
@@ -308,15 +323,10 @@ def cmd_classify(args) -> int:
     payload = _jsonable({
         "orbit_file": str(args.orbit),
         "p": lift.p, "q": lift.q, "n": n, "m": m,
-        "is_birkhoff": is_birkhoff(lift),
+        "is_birkhoff": group.is_birkhoff,
         "minimal_period": minimal,
         "winding": winding,
-        "type_label": group.type_label,
-        "group_elements": [
-            {"name": e.name, "kind": e.kind, "exponent": e.exponent,
-             "parity": e.parity, "shift": e.shift, "offset": e.offset}
-            for e in group.elements
-        ],
+        **_group_payload(group),
         "borderline_residual": group.borderline_residual,
         "stationarity_residual": residual,
     })

@@ -276,7 +276,7 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
     crossings = intersection_index(final, reference)
     action_gain = periodic_action(cs, final) - action_ref
 
-    anomalies = list(flow.anomalies)
+    anomalies = []
     if outcome == "non_birkhoff_found":
         if minimal != report.predicted_min_period:
             anomalies.append(f"minimal period {minimal} != predicted "
@@ -331,8 +331,10 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
     integer request fields ("s", "N", "m", "n", "branch", "reflection",
     "shift") or "epsilon".  Failures — inconclusive criteria, invalid
     parameter combinations, flow breakdowns — are recorded on their entry and
-    the sweep continues.  Entries run in parallel threads (each individual
-    search is single-threaded); pass workers=1 to force serial execution.
+    the sweep continues; each failure other than an inconclusive criterion
+    also logs one warning line, with its traceback only at DEBUG level.
+    Entries run in parallel threads (each individual search is
+    single-threaded); pass workers=1 to force serial execution.
     """
     requests = []
     for v in values:
@@ -356,8 +358,10 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
             return SweepEntry(value=value, criterion=exc.report,
                               error="inconclusive: margin <= 0")
         except Exception as exc:       # noqa: BLE001 - recorded per entry
-            log.exception("sweep entry %r failed", value)
-            return SweepEntry(value=value, error=f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
+            log.warning("sweep entry %r failed: %s", value, error,
+                        exc_info=log.isEnabledFor(logging.DEBUG))
+            return SweepEntry(value=value, error=error)
 
     pairs = list(zip(values, requests))
     if workers == 1 or len(pairs) <= 1:

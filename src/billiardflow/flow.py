@@ -11,7 +11,7 @@ any violation distinctly instead of silently continuing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class FlowResult:
     lifts: list | None = None           # coordinate snapshots when recorded
     failure: str | None = None
     domain_violation: str | None = None
-    anomalies: list = field(default_factory=list)
 
 
 def _guard_violation(coords: np.ndarray, q: int, lo: float):

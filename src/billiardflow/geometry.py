@@ -4,9 +4,9 @@ A boundary is a closed strictly convex C^2 curve traced counterclockwise by a
 1-periodic map ``gamma : R -> R^2``.  Each curve is one vectorized map, its
 jet: ``jet(x, order)`` gives ``[gamma(x), gamma'(x), ...]`` up to
 ``order <= 2`` as complex numbers x + iy of the parameters' shape, from one
-evaluation of the curve, so derivatives are exact.  ``Boundary.gamma``,
-``dgamma`` and ``ddgamma`` view one entry as points, an array whose last axis
-has length 2.
+evaluation of the curve, so derivatives are exact.  A boundary is that jet,
+its symmetry order and its speed: the constant |gamma'|, equal to the
+circumference, when the parametrization has constant speed, else None.
 
 The dihedral symmetry convention: a curve has n-fold symmetry when rotating by
 2*pi/n advances the parameter by 1/n and reflecting across the horizontal axis
@@ -16,30 +16,24 @@ reverses it, i.e. ``R @ gamma(x) == gamma(x + 1/n)`` and
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-log = logging.getLogger(__name__)
-
 #: default residual tolerance for geometric identities (periodicity, symmetry)
 GEOMETRIC_TOL = 1e-10
-#: periodic trapezoid rule for the circumference: first node count, the node
-#: count past which it stops doubling, and the relative agreement it stops at
-ARC_NODES_START = 64
-ARC_NODES_CAP = 1 << 16
-ARC_RTOL = 1e-14
 #: grid points per bracket when refining the convexity minimum; each pass keeps
 #: two of the 64 cells, and passes stop once the bracket is narrower than XTOL
 MARGIN_GRID = 65
 MARGIN_XTOL = 1e-12
-#: the constant-speed series: first node count, doubled while the top quarter
-#: of the modes of the speed or of the curve is above SERIES_TOL relative to
-#: the largest; modes below SERIES_TRIM relative to the largest are left out
+#: the constant-speed series: first node count, doubled up to ARC_NODES_CAP
+#: while the top quarter of the modes of the speed or of the curve is above
+#: SERIES_TOL relative to the largest; modes below SERIES_TRIM relative to the
+#: largest are left out
 SERIES_NODES_START = 256
+ARC_NODES_CAP = 1 << 16
 SERIES_TOL = 1e-15
 SERIES_TRIM = 1e-16
 #: Newton inversion of the arc length: step limit, and the step size after
@@ -54,9 +48,6 @@ JetMap = Callable[[np.ndarray, int], Sequence[np.ndarray]]
 class Boundary:
     """A closed convex curve with exact first and second derivatives.
 
-    ``gamma(x)``, ``dgamma(x)`` and ``ddgamma(x)`` give one entry of the jet
-    as points, an array whose last axis has length 2.
-
     Attributes
     ----------
     jet : callable
@@ -65,30 +56,14 @@ class Boundary:
         1-periodic: ``gamma(x + 1) == gamma(x)``.
     symmetry_order : int
         The n of the dihedral symmetry the curve is built with (1 if none).
-    constant_speed : bool
-        True when ``|gamma'|`` is constant (equal to ``total_length``).
-    total_length : float
-        Circumference of the curve.
+    speed : float or None
+        The constant ``|gamma'|``, which equals the circumference, when the
+        parametrization has constant speed; None otherwise.
     """
 
     jet: JetMap
     symmetry_order: int
-    constant_speed: bool
-    total_length: float
-
-    def gamma(self, x) -> np.ndarray:
-        return _points(self.jet(x, 0)[0])
-
-    def dgamma(self, x) -> np.ndarray:
-        return _points(self.jet(x, 1)[1])
-
-    def ddgamma(self, x) -> np.ndarray:
-        return _points(self.jet(x, 2)[2])
-
-
-def _points(z) -> np.ndarray:
-    """Complex numbers x + iy as points (x, y) on the last axis."""
-    return np.stack((z.real, z.imag), axis=-1)
+    speed: float | None
 
 
 def _complex(re, im) -> np.ndarray:
@@ -108,27 +83,6 @@ def _positive(name: str, value) -> float:
 def _speed(jet: JetMap, x: np.ndarray) -> np.ndarray:
     d = jet(x, 1)[1]
     return np.sqrt(d.real * d.real + d.imag * d.imag)
-
-
-def _arc_length(jet: JetMap) -> float:
-    """Circumference by the periodic trapezoid rule.
-
-    The speed is periodic and analytic, so the rule converges exponentially
-    (Trefethen & Weideman, SIAM Review 56(3), 2014).  The node count doubles,
-    reusing the previous nodes, until two estimates agree to ``ARC_RTOL``.
-    """
-    nodes = ARC_NODES_START
-    total = float(_speed(jet, np.arange(nodes) / nodes).sum())
-    estimate = total / nodes
-    while nodes < ARC_NODES_CAP:
-        total += float(_speed(jet, (np.arange(nodes) + 0.5) / nodes).sum())
-        nodes *= 2
-        previous, estimate = estimate, total / nodes
-        change = abs(estimate - previous)
-        if change <= ARC_RTOL * estimate:
-            return estimate
-    log.warning("arc-length quadrature error estimate %.3e", change)
-    return estimate
 
 
 def make_limacon(n: int, alpha: float) -> Boundary:
@@ -171,10 +125,7 @@ def make_limacon(n: int, alpha: float) -> Boundary:
             out.append(_complex(u_coef * c - v_coef * s, u_coef * s + v_coef * c))
         return out
 
-    if a == 0.0:
-        return Boundary(jet, symmetry_order=n, constant_speed=True, total_length=tau)
-    return Boundary(jet, symmetry_order=n, constant_speed=False,
-                    total_length=_arc_length(jet))
+    return Boundary(jet, symmetry_order=n, speed=tau if a == 0.0 else None)
 
 
 def limacon_convexity_threshold(n: int) -> float:
@@ -196,10 +147,7 @@ def make_ellipse(a: float, b: float) -> Boundary:
                _complex(-tau * tau * a * c, -tau * tau * b * s)]
         return out[:order + 1]
 
-    if a == b:
-        return Boundary(jet, symmetry_order=2, constant_speed=True, total_length=tau * a)
-    return Boundary(jet, symmetry_order=2, constant_speed=False,
-                    total_length=_arc_length(jet))
+    return Boundary(jet, symmetry_order=2, speed=tau * a if a == b else None)
 
 
 def make_circle(radius: float = 1.0, symmetry_order: int = 2) -> Boundary:
@@ -233,9 +181,9 @@ def make_boundary(descriptor: dict) -> Boundary:
 
 def scaled(boundary: Boundary, factor: float) -> Boundary:
     """The same curve magnified by ``factor`` (used for scale-invariance checks)."""
-    f, jet = _positive("scale factor", factor), boundary.jet
+    f, jet, speed = _positive("scale factor", factor), boundary.jet, boundary.speed
     return replace(boundary, jet=lambda x, order: [f * z for z in jet(x, order)],
-                   total_length=f * boundary.total_length)
+                   speed=None if speed is None else f * speed)
 
 
 def orientation_det(boundary: Boundary, x) -> np.ndarray:
@@ -294,23 +242,21 @@ def convexity_margin(boundary: Boundary) -> float:
 def check_equivariance(boundary: Boundary, n: int, tol: float = GEOMETRIC_TOL) -> bool:
     """Verify the two dihedral identities at 128 sampled parameters.
 
-    Checks ``R @ gamma(x) == gamma(x + 1/n)`` (R = rotation by 2*pi/n) and
-    ``S @ gamma(x) == gamma(-x)`` (S = diag(1, -1)) within ``tol``.
+    Checks ``R @ gamma(x) == gamma(x + 1/n)`` (R = rotation by 2*pi/n, on
+    jet values multiplication by e^{2 pi i/n}) and ``S @ gamma(x) == gamma(-x)``
+    (S = diag(1, -1), conjugation): the largest real or imaginary difference
+    must be within ``tol``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = (np.arange(128) + 0.382) / 128
-    pts = boundary.gamma(xs)
-    ang = 2.0 * math.pi / n
-    rot = np.array([[math.cos(ang), -math.sin(ang)],
-                    [math.sin(ang), math.cos(ang)]])
-    rotated = pts @ rot.T
-    shifted = boundary.gamma(xs + 1.0 / n)
-    if np.max(np.abs(rotated - shifted)) > tol:
-        return False
-    mirrored = pts * np.array([1.0, -1.0])
-    reversed_ = boundary.gamma(-xs)
-    return bool(np.max(np.abs(mirrored - reversed_)) <= tol)
+    z = boundary.jet(xs, 0)[0]
+    rotated = np.exp(2j * math.pi / n) * z
+    for image, target in ((rotated, xs + 1.0 / n), (z.conj(), -xs)):
+        diff = image - boundary.jet(target, 0)[0]
+        if not np.max(np.abs([diff.real, diff.imag])) <= tol:
+            return False
+    return True
 
 
 def _series_sums(coef: np.ndarray, n: int, y) -> np.ndarray:
@@ -346,24 +292,24 @@ def _resolved(coef: np.ndarray) -> bool:
     return bool(np.max(np.abs(top)) <= SERIES_TOL * np.max(np.abs(coef)))
 
 
-def _arc_inverse(boundary: Boundary, speed: np.ndarray) -> np.ndarray:
+def _arc_inverse(boundary: Boundary, speed: np.ndarray, total: float) -> np.ndarray:
     """The parameters x_j whose normalized arc length is j / nodes.
 
-    ``speed`` is the FFT of the speed at the nodes.  Integrated term by term it
-    gives sigma(x) = x + 2 Re sum_{k>0} a_k (e^{2 pi i k x} - 1), with
-    a_k = speed_k / (2 pi i k L) and L the circumference.  Newton's method
+    ``speed`` is the FFT of the speed at the nodes and ``total`` the
+    circumference L.  Integrated term by term the speed gives
+    sigma(x) = x + 2 Re sum_{k>0} a_k (e^{2 pi i k x} - 1), with
+    a_k = speed_k / (2 pi i k L).  Newton's method
     starts from the piecewise-linear inverse of sigma's node values (one
     inverse FFT) and evaluates sigma by Horner's rule in e^{2 pi i x}, in
     O(nodes) memory whatever the mode count.
     """
     nodes = speed.size
     y = np.arange(nodes) / nodes
-    total = boundary.total_length
     k = np.arange(1, nodes // 2)
     a = speed[k] / (2j * math.pi * k * total)
     wiggle = np.fft.irfft(np.r_[0.0, a], nodes) * nodes
     x = np.interp(y, np.append(y + wiggle - wiggle[0], 1.0), np.append(y, 1.0))
-    above = np.nonzero(np.abs(speed[k]) > SERIES_TRIM * speed[0].real)[0]
+    above = np.nonzero(np.abs(speed[k]) > SERIES_TRIM * total)[0]
     a = a[:above.max(initial=-1) + 1]
     offset = a.real.sum()
     for _ in range(NEWTON_MAX_STEPS):
@@ -390,8 +336,9 @@ def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
     series with ``R @ gamma(y) == gamma(y + 1/n)`` and
     ``S @ gamma(y) == gamma(-y)``, so dihedral equivariance holds by
     construction.  The returned jet is that series and its exact derivatives;
-    the speed is ``boundary.total_length``, the circumference computed at
-    construction.
+    its speed is the circumference, the mean of the speed's series: the
+    periodic trapezoid rule, exact to roundoff once the series is resolved
+    (Trefethen & Weideman, SIAM Review 56(3), 2014).
 
     Raises
     ------
@@ -402,14 +349,16 @@ def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
         the reflection alone); or if the series needs more than
         ``ARC_NODES_CAP`` nodes.
     """
-    if boundary.constant_speed:
+    if boundary.speed is not None:
         return boundary
     n = max(1, boundary.symmetry_order)
     nodes = SERIES_NODES_START
     while True:
         speed = np.fft.fft(_speed(boundary.jet, np.arange(nodes) / nodes)) / nodes
+        total = float(speed[0].real)
         if _resolved(speed):
-            coef = np.fft.fft(boundary.jet(_arc_inverse(boundary, speed), 0)[0]) / nodes
+            x = _arc_inverse(boundary, speed, total)
+            coef = np.fft.fft(boundary.jet(x, 0)[0]) / nodes
             if _resolved(coef):
                 break
         if nodes >= ARC_NODES_CAP:
@@ -437,5 +386,4 @@ def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
     def jet(y, order):
         return _series_sums(rows[:2 * order + 2], n, y).reshape((order + 1,) + np.shape(y))
 
-    return Boundary(jet, symmetry_order=boundary.symmetry_order,
-                    constant_speed=True, total_length=boundary.total_length)
+    return Boundary(jet, symmetry_order=boundary.symmetry_order, speed=total)

@@ -51,11 +51,11 @@ def second_partials(boundary: Boundary, x, X) -> SecondPartials:
         d12 = c^2 sin theta sin phi / L            (always positive)
         d22 = c^2 (sin^2 phi / L - kappa(X) sin phi)
     """
-    if not boundary.constant_speed:
+    c = boundary.speed
+    if c is None:
         raise ValueError("second partials require a constant-speed boundary; "
                          "reparametrize first")
     _check_not_coincident(x, X)
-    c = boundary.total_length
     zx, tx, ddx = boundary.jet(x, 2)
     zX, tX, ddX = boundary.jet(X, 2)
     d = zX - zx
@@ -126,7 +126,7 @@ def _increments(x: np.ndarray, q: int) -> np.ndarray:
 
 
 def _inadmissible(inc: np.ndarray) -> np.ndarray:
-    return np.nonzero((inc <= 0.0) | (inc >= 1.0))[0]
+    return np.nonzero(~((inc > 0.0) & (inc < 1.0)))[0]      # NaN fails too
 
 
 def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> np.ndarray | None:

@@ -118,8 +118,11 @@ def render_orbit_figure(boundary: Boundary, lift: PeriodicLift,
     additionally draws the two symmetric Birkhoff branches dashed, even
     branch red and odd branch cyan.  The canvas is WIDTH x HEIGHT pixels.
     """
-    xs = np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
-    outline = boundary.gamma(xs)
+    def points(x):
+        z = boundary.jet(x, 0)[0]
+        return np.stack((z.real, z.imag), axis=-1)
+
+    outline = points(np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES)
     to_px = _fit(outline)
     root = _svg_root()
     _polyline(root, to_px(outline), BOUNDARY_STROKE, 1.5, closed=True)
@@ -128,10 +131,10 @@ def render_orbit_figure(boundary: Boundary, lift: PeriodicLift,
         n, m = overlay
         for branch, color in zip((0, 1), BRANCH_COLORS):
             ref = symmetric_birkhoff(n, m, branch)
-            _polyline(root, to_px(boundary.gamma(ref.coords)), color, 1.0,
+            _polyline(root, to_px(points(ref.coords)), color, 1.0,
                       closed=True, dashed=True)
 
-    verts = to_px(boundary.gamma(lift.coords))
+    verts = to_px(points(lift.coords))
     _polyline(root, verts, CHORD_STROKE, 1.2, closed=True)
     centroid = verts.mean(axis=0)
     for i, v in enumerate(verts):

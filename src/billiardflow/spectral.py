@@ -23,7 +23,8 @@ import numpy as np
 
 from .geometry import Boundary, curvature_at
 from .lagrangian import chord_length, gradient_field, second_partials
-from .sequences import FAMILIES, PeriodicLift, SymmetryGenerator, symmetric_birkhoff
+from .sequences import (FAMILIES, PeriodicLift, SymmetryGenerator, _check_rotation,
+                        symmetric_birkhoff)
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,10 @@ def birkhoff_coefficients(boundary: Boundary, n: int, m: int,
         alpha = c^2 sin(m pi/n) (sin(m pi/n)/L - kappa)
         beta  = c^2 sin^2(m pi/n) / L
     """
-    if not boundary.constant_speed:
+    c = boundary.speed
+    if c is None:
         raise ValueError("birkhoff_coefficients requires a constant-speed boundary")
     kappa, chord = kappa_chord(boundary, n, m, branch)
-    c = boundary.total_length
     s = math.sin(m * math.pi / n)
     alpha = c * c * s * (s / chord - kappa)
     beta = c * c * s * s / chord
@@ -234,10 +235,7 @@ def _validated(kind: str, n: int, m: int, N: int | None, s: int):
     N = N if row.N is None else row.N
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
-    if not 0 < m < n:
-        raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"gcd(m, n) = {math.gcd(m, n)} != 1")
+    _check_rotation(n, m)
     if not 1 <= N <= n or n % N != 0:
         raise ValueError(f"N={N} must divide n={n}")
     if s < 2:

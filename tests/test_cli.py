@@ -372,6 +372,24 @@ def test_sweep_writes_table_and_json(tmp_path, capsys):
     assert "convex" in by_value[0.25]["error"]
 
 
+def test_sweep_logs_a_failed_entry_in_one_line(tmp_path):
+    # a non-convex table fails its entry; the traceback shows only at debug
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(SWEEP_INI.replace("values = 0.19, 0.25", "values = 0.25"))
+    for level, traceback in (("warning", False), ("debug", True)):
+        out_dir = tmp_path / level
+        run = subprocess.run(
+            [sys.executable, "-m", "billiardflow.cli", "sweep", "--config", str(ini),
+             "--out", str(out_dir), "--prefix", "sw"],
+            capture_output=True, text=True,
+            env=dict(os.environ, BILLIARD_LOG=level), timeout=120)
+        assert run.returncode == 0
+        [row] = json.loads((out_dir / "sw.sweep.json").read_text())
+        assert "convex" in row["error"]
+        assert run.stderr.count("sweep entry 0.25 failed") == 1
+        assert ("Traceback" in run.stderr) == traceback
+
+
 def test_log_level_environment_variable(flagship_ini, tmp_path):
     env = dict(os.environ, BILLIARD_LOG="INFO")
     run = subprocess.run(

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,20 +27,29 @@ from billiardflow import (
 from billiardflow.geometry import orientation_det, scaled
 
 
+def curve(boundary, x, order=0):
+    """gamma^(order)(x) from the boundary's jet."""
+    return boundary.jet(x, order)[order]
+
+
+def xy(z):
+    """Jet values as points (x, y), the components a tolerance applies to."""
+    return np.stack((z.real, z.imag), axis=-1)
+
+
 def fd_curvature(boundary, x, h=1e-4):
     """Independent curvature oracle: central differences of gamma."""
-    g = boundary.gamma
+    g = partial(curve, boundary)
     d1 = (g(x + h) - g(x - h)) / (2 * h)
     d2 = (g(x + h) - 2 * g(x) + g(x - h)) / (h * h)
-    cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    return cross / np.sum(d1 * d1, axis=-1) ** 1.5
+    cross = d1.real * d2.imag - d1.imag * d2.real
+    return cross / (d1.real * d1.real + d1.imag * d1.imag) ** 1.5
 
 
 def quad_length(boundary, samples=200_000):
     """Independent arc-length oracle: trapezoid rule on the speed."""
     x = np.linspace(0.0, 1.0, samples + 1)
-    speed = np.sqrt(np.sum(boundary.dgamma(x) ** 2, axis=-1))
-    return float(np.trapezoid(speed, x))
+    return float(np.trapezoid(np.abs(curve(boundary, x, 1)), x))
 
 
 def test_convexity_threshold_closed_form():
@@ -93,8 +103,8 @@ def test_curvature_matches_finite_differences(limacon4, ellipse21):
 
 def test_boundary_closes_up(limacon4, ellipse21):
     for b in (limacon4, ellipse21):
-        assert np.allclose(b.gamma(0.0), b.gamma(1.0), atol=1e-12)
-        assert np.allclose(b.dgamma(0.25), b.dgamma(1.25), atol=1e-12)
+        assert np.allclose(xy(curve(b, 0.0)), xy(curve(b, 1.0)), atol=1e-12)
+        assert np.allclose(xy(curve(b, 0.25, 1)), xy(curve(b, 1.25, 1)), atol=1e-12)
 
 
 def test_equivariance_of_builtin_families(limacon4, ellipse21, circle4):
@@ -117,27 +127,27 @@ def test_make_boundary_descriptor_round_trip():
     b = make_boundary({"family": "limacon", "n": 4, "alpha": 0.05})
     ref = make_limacon(4, 0.05)
     x = np.linspace(0, 1, 11)
-    assert np.allclose(b.gamma(x), ref.gamma(x))
+    assert np.allclose(xy(curve(b, x)), xy(curve(ref, x)))
     e = make_boundary({"family": "ellipse", "a": 2.0, "b": 1.0})
-    assert np.allclose(e.gamma(0.25), make_ellipse(2, 1).gamma(0.25))
+    assert np.allclose(xy(curve(e, 0.25)), xy(curve(make_ellipse(2, 1), 0.25)))
     c = make_boundary({"family": "circle", "radius": 2.0})
-    assert np.allclose(np.hypot(*c.gamma(0.37)), 2.0)
+    assert np.allclose(abs(curve(c, 0.37)), 2.0)
     with pytest.raises(ValueError):
         make_boundary({"family": "hyperbola"})
 
 
-def test_scaled_boundary_scales_geometry(limacon4):
+def test_scaled_boundary_scales_geometry(limacon4, circle4):
     big = scaled(limacon4, 3.0)
     x = np.linspace(0.05, 0.95, 7)
-    assert np.allclose(big.gamma(x), 3.0 * limacon4.gamma(x))
     for mine, theirs in zip(big.jet(x, 2), limacon4.jet(x, 2), strict=True):
         assert np.allclose(mine, 3.0 * theirs)
     assert np.allclose(curvature_at(big, x), curvature_at(limacon4, x) / 3.0)
+    assert big.speed is None and scaled(circle4, 3.0).speed == 3.0 * circle4.speed
 
 
 def test_total_length_matches_quadrature_oracle(limacon4):
     cs = reparametrize_constant_speed(limacon4)
-    assert cs.total_length == pytest.approx(quad_length(limacon4), rel=1e-10)
+    assert cs.speed == pytest.approx(quad_length(limacon4), rel=1e-10)
 
 
 # frozen: quadrature of the boundary speed, cross-checked against the
@@ -146,32 +156,33 @@ LIMACON4_LENGTH = 6.345591781726427
 
 
 def test_limacon4_total_length_frozen_value(limacon4_cs):
-    assert limacon4_cs.total_length == pytest.approx(LIMACON4_LENGTH, abs=1e-12)
+    assert limacon4_cs.speed == pytest.approx(LIMACON4_LENGTH, abs=1e-12)
 
 
-def test_raw_table_lengths_match_frozen_values(limacon4, ellipse21):
-    # raw tables, before reparametrization: the circumference comes from
-    # construction alone; the ellipse value is the complete elliptic integral
-    # 8 E(3/4) for semi-axes (2, 1)
-    assert limacon4.total_length == pytest.approx(LIMACON4_LENGTH, abs=1e-12)
-    assert ellipse21.total_length == pytest.approx(9.688448220547675, abs=1e-12)
+def test_raw_table_lengths_match_frozen_values(limacon4, ellipse21, limacon4_cs,
+                                               ellipse21_cs):
+    # raw tables have no constant speed; their constant-speed tables take the
+    # circumference from the speed's series; the ellipse value is the complete
+    # elliptic integral 8 E(3/4) for semi-axes (2, 1)
+    assert limacon4.speed is None and ellipse21.speed is None
+    assert limacon4_cs.speed == pytest.approx(LIMACON4_LENGTH, abs=1e-12)
+    assert ellipse21_cs.speed == pytest.approx(9.688448220547675, abs=1e-12)
 
 
 def test_reparametrization_has_constant_speed(limacon4_cs, limacon2_19_cs):
     t = np.linspace(0.0, 1.0, 257)
     for cs in (limacon4_cs, limacon2_19_cs):
-        speed = np.sqrt(np.sum(cs.dgamma(t) ** 2, axis=-1))
-        assert np.max(np.abs(speed - cs.total_length)) < 1e-8 * cs.total_length
-        assert cs.constant_speed
+        speed = np.abs(curve(cs, t, 1))
+        assert np.max(np.abs(speed - cs.speed)) < 1e-8 * cs.speed
 
 
 def test_reparametrization_traces_the_same_curve(limacon4, limacon4_cs):
     # same point set: every reparametrized point lies on the original curve
     t = np.linspace(0.0, 1.0, 64, endpoint=False)
-    pts = limacon4_cs.gamma(t)
+    z = curve(limacon4_cs, t)
     # invert through polar angle: the limacon is radial, r(theta) known
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    r = np.hypot(pts[:, 0], pts[:, 1])
+    theta = np.angle(z)
+    r = np.abs(z)
     expected = 1.0 + 0.05 * np.cos(4 * theta)
     assert np.allclose(r, expected, atol=1e-9)
 
@@ -179,7 +190,7 @@ def test_reparametrization_traces_the_same_curve(limacon4, limacon4_cs):
 def test_reparametrization_fixes_symmetry_points(limacon4, limacon4_cs):
     # the 2n special points are fixed, so both parametrizations agree there
     j = np.arange(8)
-    assert np.allclose(limacon4_cs.gamma(j / 8.0), limacon4.gamma(j / 8.0),
+    assert np.allclose(xy(curve(limacon4_cs, j / 8.0)), xy(curve(limacon4, j / 8.0)),
                        atol=1e-12)
 
 
@@ -187,11 +198,11 @@ def test_reparametrized_derivatives_chain_rule(limacon4_cs):
     # tangent from finite differences of the reparametrized curve itself
     h = 1e-6
     t = np.linspace(0.07, 0.93, 13)
-    fd1 = (limacon4_cs.gamma(t + h) - limacon4_cs.gamma(t - h)) / (2 * h)
-    assert np.allclose(limacon4_cs.dgamma(t), fd1, rtol=1e-7, atol=1e-6)
-    fd2 = (limacon4_cs.gamma(t + h) - 2 * limacon4_cs.gamma(t)
-           + limacon4_cs.gamma(t - h)) / (h * h)
-    assert np.allclose(limacon4_cs.ddgamma(t), fd2, rtol=1e-4, atol=1e-2)
+    g = partial(curve, limacon4_cs)
+    fd1 = (g(t + h) - g(t - h)) / (2 * h)
+    assert np.allclose(xy(curve(limacon4_cs, t, 1)), xy(fd1), rtol=1e-7, atol=1e-6)
+    fd2 = (g(t + h) - 2 * g(t) + g(t - h)) / (h * h)
+    assert np.allclose(xy(curve(limacon4_cs, t, 2)), xy(fd2), rtol=1e-4, atol=1e-2)
 
 
 def test_reparametrization_preserves_equivariance(limacon4_cs):
@@ -228,29 +239,28 @@ def test_series_is_equivariant_to_roundoff(series_tables):
 def test_series_speed_is_constant_to_roundoff(series_tables):
     t = np.linspace(0.0, 1.0, 1001)
     for _, cs in series_tables:
-        speed = np.sqrt(np.sum(cs.dgamma(t) ** 2, axis=-1))
-        assert np.max(np.abs(speed - cs.total_length)) <= 1e-12 * cs.total_length
+        speed = np.abs(curve(cs, t, 1))
+        assert np.max(np.abs(speed - cs.speed)) <= 1e-12 * cs.speed
 
 
 def test_series_jet_is_the_curve_and_its_tangent(raw_tables, series_tables):
-    # a jet of order m gives gamma, ..., gamma^(m) as complex numbers; every
-    # order agrees with the point views, on the analytic families and on the
-    # series, also on lifts far from [0, 1)
+    # a jet of order m gives gamma, ..., gamma^(m) as complex numbers; each
+    # entry agrees with the last entry of the jet of its own order, on the
+    # analytic families and on the series, also on lifts far from [0, 1)
     x = np.r_[np.linspace(-3.0, 50.0, 1001), 49.75, 50.0]
     for b in raw_tables + [cs for _, cs in series_tables]:
-        views = (b.gamma(x), b.dgamma(x), b.ddgamma(x))
+        views = [curve(b, x, i) for i in range(3)]
         for order in range(3):
             jet = b.jet(x, order)
             assert len(jet) == order + 1
             for z, ref in zip(jet, views):
                 assert z.shape == x.shape
-                tol = 1e-15 * np.max(np.abs(ref))
-                assert np.max(np.abs(z - (ref[:, 0] + 1j * ref[:, 1]))) <= tol
+                tol = 1e-15 * np.max(np.abs(xy(ref)))
+                assert np.max(np.abs(z - ref)) <= tol
         point = b.jet(0.3, 2)
-        for z, ref in zip(point, (b.gamma(0.3), b.dgamma(0.3), b.ddgamma(0.3)),
-                          strict=True):
+        for z, ref in zip(point, [curve(b, 0.3, i) for i in range(3)], strict=True):
             assert np.shape(z) == ()
-            assert abs(z - complex(*ref)) <= 1e-15 * np.max(np.abs(ref))
+            assert abs(z - ref) <= 1e-15 * np.max(np.abs(xy(ref)))
 
 
 def test_each_query_evaluates_the_jet_once_per_endpoint(limacon4_cs):
@@ -282,10 +292,10 @@ def test_series_second_derivative_matches_finite_differences(ellipse21_cs):
     h = 1e-4
     t = np.linspace(0.013, 0.987, 31)
     for cs in (ellipse21_cs, reparametrize_constant_speed(make_limacon(2, 0.195))):
-        d1 = cs.dgamma
+        d1 = partial(curve, cs, order=1)
         fd = (8 * (d1(t + h) - d1(t - h)) - (d1(t + 2 * h) - d1(t - 2 * h))) / (12 * h)
-        dd = cs.ddgamma(t)
-        assert np.max(np.abs(dd - fd)) <= 1e-9 * np.max(np.abs(dd))
+        dd = curve(cs, t, 2)
+        assert np.max(np.abs(xy(dd - fd))) <= 1e-9 * np.max(np.abs(xy(dd)))
 
 
 def test_reparametrization_rejects_a_claimed_symmetry_the_table_lacks():
@@ -304,7 +314,7 @@ def test_convexity_margin_positive_cases(limacon4, ellipse21, circle4):
 def test_reparametrize_is_idempotent_on_circles(circle4):
     again = reparametrize_constant_speed(circle4)
     t = np.linspace(0, 1, 33)
-    assert np.allclose(again.gamma(t), circle4.gamma(t), atol=1e-12)
+    assert np.allclose(xy(curve(again, t)), xy(curve(circle4, t)), atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -8,6 +8,7 @@ from billiardflow import (
     force_minus,
     force_plus,
     gradient_field,
+    hessian,
     periodic_action,
     repeat_lift,
     second_partials,
@@ -18,12 +19,13 @@ from billiardflow.sequences import PeriodicLift
 
 def chord_angles(boundary, x, X):
     """Angles (theta, phi) of the chord with the tangents at x and at X."""
-    tx, tX = boundary.dgamma(x), boundary.dgamma(X)
-    d = boundary.gamma(X) - boundary.gamma(x)
-    theta = np.arctan2(tx[..., 0] * d[..., 1] - tx[..., 1] * d[..., 0],
-                       np.sum(tx * d, axis=-1))
-    phi = np.arctan2(d[..., 0] * tX[..., 1] - d[..., 1] * tX[..., 0],
-                     np.sum(d * tX, axis=-1))
+    zx, tx = boundary.jet(x, 1)
+    zX, tX = boundary.jet(X, 1)
+    d = zX - zx
+    theta = np.arctan2(tx.real * d.imag - tx.imag * d.real,
+                       tx.real * d.real + tx.imag * d.imag)
+    phi = np.arctan2(d.real * tX.imag - d.imag * tX.real,
+                     d.real * tX.real + d.imag * tX.imag)
     return theta, phi
 
 
@@ -37,7 +39,8 @@ def random_admissible_lift(rng, p, q, margin=0.1):
 
 def test_chord_length_is_the_euclidean_distance(limacon4):
     x, X = 0.1, 0.35
-    expected = float(np.linalg.norm(limacon4.gamma(X) - limacon4.gamma(x)))
+    d = limacon4.jet(X, 0)[0] - limacon4.jet(x, 0)[0]
+    expected = float(np.linalg.norm([d.real, d.imag]))
     assert chord_length(limacon4, x, X) == pytest.approx(expected, abs=1e-14)
     # vectorized call agrees with scalars
     xs = np.array([0.1, 0.2]); Xs = np.array([0.35, 0.8])
@@ -62,7 +65,7 @@ def test_chord_partials_match_finite_differences(limacon4_cs):
 def test_chord_partials_in_terms_of_angles(limacon4_cs):
     # the first partials are (-cos incoming, +cos outgoing) scaled by speed;
     # cross-check through the chord angles
-    c = limacon4_cs.total_length
+    c = limacon4_cs.speed
     x, X = 0.12, 0.55
     theta, phi = chord_angles(limacon4_cs, x, X)
     assert force_plus(limacon4_cs, x, X) == pytest.approx(-c * np.cos(theta),
@@ -104,8 +107,9 @@ def test_mixed_partial_is_positive(limacon4_cs):
 def test_periodic_action_is_the_polygon_perimeter(limacon4_cs):
     rng = np.random.default_rng(7)
     lift = random_admissible_lift(rng, 12, 3)
-    pts = limacon4_cs.gamma(np.r_[lift.coords, lift.coords[0] + lift.q])
-    expected = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+    z = limacon4_cs.jet(np.r_[lift.coords, lift.coords[0] + lift.q], 0)[0]
+    chords = np.diff(z)
+    expected = float(np.sum(np.linalg.norm([chords.real, chords.imag], axis=0)))
     assert periodic_action(limacon4_cs, lift) == pytest.approx(expected, abs=1e-12)
 
 
@@ -161,6 +165,12 @@ def test_gradient_rejects_inadmissible_lifts(limacon4_cs):
     too_wide = PeriodicLift(3, 2, np.array([0.0, 1.05, 1.5]))  # increment > 1
     with pytest.raises(ValueError, match="admissible"):
         gradient_field(limacon4_cs, too_wide)
+    # a NaN increment is outside (0, 1) too, also for the Hessian's own check
+    lost = PeriodicLift(3, 1, np.array([0.0, np.nan, 0.6]))
+    with pytest.raises(ValueError, match="admissible region at increment 0"):
+        gradient_field(limacon4_cs, lost)
+    with pytest.raises(ValueError, match="admissible"):
+        hessian(limacon4_cs, lost)
 
 
 def test_inadmissible_lift_message_names_the_increment(limacon4_cs):

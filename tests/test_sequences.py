@@ -255,11 +255,8 @@ def test_projected_lifts_realize_the_boundary_symmetry(limacon4_cs):
     rng = np.random.default_rng(23)
     member = PeriodicLift(p, q, system.project(ref.coords
                                                + 0.02 * rng.standard_normal(p)))
-    c, s = np.cos(2 * np.pi * 3 / 4), np.sin(2 * np.pi * 3 / 4)
-    rot = np.array([[c, -s], [s, c]])
-    pts = limacon4_cs.gamma(member.coords)
-    rotated = pts @ rot.T
-    target = limacon4_cs.gamma(member.value(np.arange(p) + 3))  # shift K = 3
+    rotated = np.exp(2j * np.pi * 3 / 4) * limacon4_cs.jet(member.coords, 0)[0]
+    target = limacon4_cs.jet(member.value(np.arange(p) + 3), 0)[0]  # shift K = 3
     assert np.allclose(rotated, target, atol=1e-9)
 
 
