@@ -213,15 +213,21 @@ def _flow_summary(flow) -> dict:
 
 
 def _group_payload(group) -> dict:
-    """The type label and elements of a spatiotemporal group, as JSON."""
-    return {
-        "type_label": group.type_label,
-        "group_elements": [
-            {"name": e.name, "kind": e.kind, "exponent": e.exponent,
-             "parity": e.parity, "shift": e.shift, "offset": e.offset}
-            for e in group.elements
-        ],
-    }
+    """The type label and elements of a spatiotemporal group, as JSON; each
+    element's name, isometry kind and time parity are read off its family."""
+    elements = []
+    for g in group.elements:
+        kind, parity = g.kind.split("_")
+        elements.append({"name": f"R^{g.exponent}" + ("S" if kind == "reflection" else ""),
+                         "kind": kind, "exponent": g.exponent, "parity": parity,
+                         "shift": g.shift, "offset": g.offset})
+    return {"type_label": group.type_label, "group_elements": elements}
+
+
+def _print_group(group) -> None:
+    names = (f"{e['name']}[{e['parity']}]" for e in _group_payload(group)["group_elements"])
+    print(f"type label:  {group.type_label}")
+    print(f"group:       {', '.join(names)}")
 
 
 def _report_payload(rep: OrbitReport, n: int, m: int) -> dict:
@@ -293,8 +299,7 @@ def cmd_find(args) -> int:
     print(f"outcome:     {rep.outcome}")
     print(f"lift:        (p, q) = ({rep.final_lift.p}, {rep.final_lift.q}), "
           f"minimal period {rep.minimal_period}, winding {rep.winding}")
-    print(f"type label:  {rep.group.type_label}")
-    print(f"group:       {', '.join(f'{e.name}[{e.parity}]' for e in rep.group.elements)}")
+    _print_group(rep.group)
     print(f"crossings:   {rep.crossings_vs_reference}")
     print(f"action gain: {rep.action_gain:.6g}")
     print(f"|F|_inf:     {rep.residual:.3e}")
@@ -333,8 +338,7 @@ def cmd_classify(args) -> int:
     print(f"orbit:       (p, q) = ({lift.p}, {lift.q}) with (n, m) = ({n}, {m})")
     print(f"birkhoff:    {payload['is_birkhoff']}")
     print(f"min period:  {minimal} (winding {winding})")
-    print(f"type label:  {group.type_label}")
-    print(f"group:       {', '.join(f'{e.name}[{e.parity}]' for e in group.elements)}")
+    _print_group(group)
     print(f"|F|_inf:     {residual:.3e}")
     print(json.dumps(payload, indent=2))
     _write_json(cp, args, "classify", payload)

@@ -25,7 +25,7 @@ from .flow import FlowOptions, FlowResult, integrate
 from .geometry import (check_equivariance, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
 from .lagrangian import gradient_field, periodic_action
-from .sequences import (ELEMENT_KEYS, AffineSystem, GroupDescription,
+from .sequences import (AffineSystem, GroupDescription,
                         PeriodicLift, SymmetrySpec, expand_constraints,
                         generated_group, intersection_index, is_birkhoff,
                         minimal_period, repeat_lift, spatiotemporal_group,
@@ -287,11 +287,12 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
         if not action_gain > 0:
             anomalies.append(f"action gain {action_gain:.3e} is not positive")
         expected = generated_group(spec)
-        for key in ELEMENT_KEYS:
-            got = group.exponents(*key)
-            if got != expected[key]:
-                anomalies.append(f"{key[1]} {key[0]} exponents {sorted(got)} "
-                                 f"!= expected {sorted(expected[key])}")
+        for family, want in expected.items():
+            got = group.exponents(family)
+            if got != want:
+                kind, parity = family.split("_")
+                anomalies.append(f"{parity} {kind} exponents {sorted(got)} "
+                                 f"!= expected {sorted(want)}")
         label = type_label(expected, n, birkhoff=False)
         if group.type_label != label:
             anomalies.append(f"type label {group.type_label!r} != expected "

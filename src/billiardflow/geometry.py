@@ -170,6 +170,9 @@ def make_boundary(descriptor: dict) -> Boundary:
         {"family": "circle", "radius": 1.0, "n": 4}
     """
     family = str(descriptor.get("family", "")).lower()
+    for key in {"limacon": ("n", "alpha"), "ellipse": ("a", "b")}.get(family, ()):
+        if key not in descriptor:
+            raise ValueError(f"{family} table lacks the key {key!r}")
     if family == "limacon":
         return make_limacon(int(descriptor["n"]), float(descriptor["alpha"]))
     if family == "ellipse":

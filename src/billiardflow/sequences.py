@@ -30,9 +30,6 @@ FAMILIES = {
     "reflection_preserving": (+1, -1, +1),  # x_i + x_{k+i} = e/n + M + i
     "reflection_reversing": (-1, -1, 0),    # x_i + x_{k-i} = e/n + M
 }
-#: the (isometry, time parity) pair of each family, rotations first and
-#: time-preserving before reversing
-ELEMENT_KEYS = tuple(tuple(kind.split("_")) for kind in FAMILIES)
 
 
 @dataclass
@@ -106,6 +103,31 @@ def symmetric_birkhoff(n: int, m: int, branch: int = 1) -> PeriodicLift:
     return PeriodicLift(n, m, coords)
 
 
+def _identity_table(a: PeriodicLift, b: PeriodicLift, family: str) -> np.ndarray:
+    """[k, i] -> a_{k + d i} - sign b_i - c i for k, i = 0..p-1, with (d, sign, c)
+    the row of ``family`` in :data:`FAMILIES`.
+
+    Row k is constant, e/n + an integer, exactly when the family's identity
+    holds with exponent e and index shift k.
+    """
+    d, sign, c = FAMILIES[family]
+    i = np.arange(a.p)
+    return a.value(i[:, None] + d * i) - sign * b.coords - c * i
+
+
+def _row_scores(table: np.ndarray, targets) -> tuple:
+    """How far each row of an identity table is from one constant t + M.
+
+    Returns [t, k] -> max(spread of row k, |first entry - t - M|) for each t
+    in ``targets``, with M the integer nearest the first entry less t, and
+    those M.
+    """
+    first = table[:, 0] - np.asarray(targets, dtype=float)[:, None]
+    nearest = np.round(first)
+    spread = np.max(np.abs(table - table[:, :1]), axis=1)
+    return np.maximum(spread, np.abs(first - nearest)), nearest
+
+
 # ---------------------------------------------------------------------------
 # ordering
 
@@ -116,21 +138,15 @@ def is_birkhoff(lift: PeriodicLift) -> bool:
     Uses the ordering integers l(i, j) = ceil(x_i - x_j) (the unique l with
     x_i <= x_j + l < x_i + 1), with near-integer differences snapped at
     ``SNAP_TOL``; the lift is Birkhoff iff l is invariant under simultaneous
-    index shifts.
+    index shifts.  Both l(j + k, j) = ceil(x_{j+k} - x_j) and, with i = j + k,
+    l(j, j + k) = ceil(x_{i+p-k} - x_i) - q read the rotation-preserving
+    identity table [k, i] -> x_{k+i} - x_i, so that holds iff each row of the
+    table has one ceiling: O(p^2) work.
     """
-    p = lift.p
-    xe = lift.value(np.arange(2 * p))
-    r = xe[:, None] - xe[None, :]
-    nearest = np.round(r)
-    snap = np.abs(r - nearest) < SNAP_TOL
-    l = np.ceil(r)
-    l[snap] = nearest[snap]
-    l = l.astype(np.int64)
-    base = l[:p, :p]
-    for m in range(1, p):
-        if not np.array_equal(l[m:m + p, m:m + p], base):
-            return False
-    return True
+    table = _identity_table(lift, lift, "rotation_preserving")
+    nearest = np.round(table)
+    l = np.where(np.abs(table - nearest) < SNAP_TOL, nearest, np.ceil(table))
+    return bool(np.all(l == l[:, :1]))
 
 
 def intersection_index(xl: PeriodicLift, yl: PeriodicLift):
@@ -157,43 +173,27 @@ def intersection_index(xl: PeriodicLift, yl: PeriodicLift):
 
 def minimal_period(lift: PeriodicLift) -> int:
     """Smallest divisor d of p with x_{d+i} - x_i a constant integer, to CLASSIFY_TOL."""
-    p = lift.p
-    idx = np.arange(p)
-    for d in sorted(k for k in range(1, p + 1) if p % k == 0):
-        shift = lift.value(idx + d) - lift.coords
-        r = round(float(shift[0]))
-        if np.max(np.abs(shift - r)) <= CLASSIFY_TOL:
-            return d
-    return p
+    score = _row_scores(_identity_table(lift, lift, "rotation_preserving"), [0.0])[0][0]
+    return next((d for d in range(1, lift.p) if lift.p % d == 0 and score[d] <= CLASSIFY_TOL),
+                lift.p)
 
 
 def geometrically_equal(a: PeriodicLift, b: PeriodicLift) -> bool:
     """Whether two lifts describe the same orbit up to time shift or reversal.
 
-    Forward match (needs equal windings): x^b_i - x^a_{r+i} is a constant
-    integer for some shift r.  Reversed match: traversing a (p, q) orbit
-    backwards yields a (p, p-q) orbit, so it needs q_b = p - q_a and reads
-    x^b_i - x^a_{r-i} - i constant integer (the reversed traversal re-lifted
-    to increasing order).  Both branches apply only when p = 2q.
+    Forward match (needs equal windings): x^a_{r+i} - x^b_i is a constant
+    integer for some shift r, a row of the rotation-preserving table of
+    (a, b).  Reversed match: traversing a (p, q) orbit backwards yields a
+    (p, p-q) orbit, so it needs q_b = p - q_a and reads x^a_{r-i} - x^b_i + i
+    constant integer (the reversed traversal re-lifted to increasing order), a
+    row of the rotation-reversing table.  Both apply only when p = 2q.
     """
     if a.p != b.p:
         return False
-    p = a.p
-    i = np.arange(p)
-    if b.q == a.q:
-        for r in range(p):
-            if _is_constant_integer(b.coords - a.value(r + i)):
-                return True
-    if b.q == p - a.q:
-        for r in range(p):
-            if _is_constant_integer(b.coords - a.value(r - i) - i):
-                return True
-    return False
-
-
-def _is_constant_integer(d: np.ndarray) -> bool:
-    r = round(float(d[0]))
-    return bool(np.max(np.abs(d - r)) <= CLASSIFY_TOL)
+    families = [f for f, q in (("rotation_preserving", a.q), ("rotation_reversing", a.p - a.q))
+                if b.q == q]
+    return any(_row_scores(_identity_table(a, b, f), [0.0])[0].min() <= CLASSIFY_TOL
+               for f in families)
 
 
 # ---------------------------------------------------------------------------
@@ -326,36 +326,19 @@ def expand_constraints(spec: SymmetrySpec, p: int, q: int) -> AffineSystem:
 # spatiotemporal classification
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    kind: str        # "rotation" | "reflection"
-    exponent: int    # power of the basic rotation; reflections are R^e S
-    parity: str      # "preserving" | "reversing"
-    shift: int       # smallest index shift realizing the identity
-    offset: int      # the integer M of the matched family
-
-    @property
-    def name(self) -> str:
-        base = f"R^{self.exponent}"
-        return base + ("S" if self.kind == "reflection" else "")
-
-
 @dataclass
 class GroupDescription:
-    n: int
-    p: int
-    elements: list
+    elements: list      # the detected SymmetryGenerators
     type_label: str
     is_birkhoff: bool
     borderline_residual: float | None = None
 
-    def exponents(self, kind: str, parity: str) -> set:
-        return {e.exponent for e in self.elements
-                if e.kind == kind and e.parity == parity}
+    def exponents(self, family: str) -> set:
+        return {g.exponent for g in self.elements if g.kind == family}
 
 
 def type_label(exponents: dict, n: int, birkhoff: bool) -> str:
-    """The type label of a group given as (kind, parity) -> exponent set.
+    """The type label of a group given as family -> exponent set.
 
     One of Birkhoff-symmetric, I, II, III, IV, V, or none:
 
@@ -370,10 +353,10 @@ def type_label(exponents: dict, n: int, birkhoff: bool) -> str:
     - IV: preserving reflections only;  III: reversing reflections only;
     - none: no pattern above applies.
     """
-    rot_pres = exponents["rotation", "preserving"]
-    twisted_rev = exponents["rotation", "reversing"] - {0}
-    ref_pres = exponents["reflection", "preserving"]
-    ref_rev = exponents["reflection", "reversing"]
+    rot_pres = exponents["rotation_preserving"]
+    twisted_rev = exponents["rotation_reversing"] - {0}
+    ref_pres = exponents["reflection_preserving"]
+    ref_rev = exponents["reflection_reversing"]
     if birkhoff and len(rot_pres) == n and len(ref_rev) == n:
         return "Birkhoff-symmetric"
     if len(rot_pres) >= 2 and not twisted_rev and ref_rev and not ref_pres:
@@ -390,8 +373,8 @@ def type_label(exponents: dict, n: int, birkhoff: bool) -> str:
 
 
 def generated_group(spec: SymmetrySpec) -> dict:
-    """(kind, parity) -> exponents of the subgroup of D_n x {preserving,
-    reversing} that the generators generate.
+    """family -> exponents of the subgroup of D_n x {preserving, reversing}
+    that the generators generate.
 
     An element is (reflection?, exponent, reversing?); since
     R^a S R^b = R^(a-b) S, a reflection subtracts the exponent it is
@@ -406,61 +389,46 @@ def generated_group(spec: SymmetrySpec) -> dict:
             frontier += [(r != g.kind.startswith("reflection"),
                           (e - g.exponent if r else e + g.exponent) % spec.n,
                           t != g.kind.endswith("reversing")) for g in spec.generators]
-    exponents = {key: set() for key in ELEMENT_KEYS}
+    families = list(FAMILIES)     # rotations first, preserving before reversing
+    exponents = {family: set() for family in families}
     for r, e, t in group:
-        exponents[ELEMENT_KEYS[2 * r + t]].add(e)
+        exponents[families[2 * r + t]].add(e)
     return exponents
 
 
 def spatiotemporal_group(lift: PeriodicLift, n: int) -> GroupDescription:
     """Detect every dihedral element acting on the orbit, and its type label.
 
-    Tests, for each of the 2n isometries and both time parities, all index
-    shifts k in 0..p-1 against the four affine families of :data:`FAMILIES`;
-    the label follows :func:`type_label`.
+    Builds the identity table of each family of :data:`FAMILIES` once and
+    scores each exponent e = 0..n-1 against its rows: row k, less e/n, must
+    be one integer M to ``CLASSIFY_TOL``.  Each hit is the
+    :class:`SymmetryGenerator` (family, e, smallest such k, M), the element
+    type symmetry classes are built from; the label follows
+    :func:`type_label`.
 
     ``borderline_residual`` reports, when reflections are present, how close
     the opposite-parity reflection test came to passing — a III verdict with a
     tiny value is a near-V case.
     """
-    p = lift.p
-    x = lift.coords
-    idx = np.arange(p)
-    shifted = {d: lift.value(idx[:, None] + d * idx[None, :]) for d in (1, -1)}
-    # [k, i] -> x_{k + d i} - sign x_i, and the term c i, of each family
-    families = [(*kind.split("_"), shifted[d] - sign * x[None, :], c * idx[None, :])
-                for kind, (d, sign, c) in FAMILIES.items()]
+    scores = {family: _row_scores(_identity_table(lift, lift, family), np.arange(n) / n)
+              for family in FAMILIES}
     elements = []
-    near_miss = {}
     for e in range(n):
-        for kind, parity, identity, ramp in families:
-            table = identity - e / n - ramp
-            nearest = np.round(table[:, 0])
-            score = np.maximum(np.max(np.abs(table - table[:, :1]), axis=1),
-                               np.abs(table[:, 0] - nearest))
-            hits = np.nonzero(score <= CLASSIFY_TOL)[0]
+        for family, (score, nearest) in scores.items():
+            hits = np.flatnonzero(score[e] <= CLASSIFY_TOL)
             if hits.size:
                 k = int(hits[0])
-                elements.append(GroupElement(kind, e, parity, k, int(nearest[k])))
-            if kind == "reflection":
-                near_miss[(e, parity)] = float(np.min(score))
-
-    desc = GroupDescription(n=n, p=p, elements=elements, type_label="none",
-                            is_birkhoff=is_birkhoff(lift))
-    exponents = {key: desc.exponents(*key) for key in ELEMENT_KEYS}
+                elements.append(SymmetryGenerator(family, e, k, int(nearest[e, k])))
+    desc = GroupDescription(elements, type_label="none", is_birkhoff=is_birkhoff(lift))
+    exponents = {family: desc.exponents(family) for family in FAMILIES}
     desc.type_label = type_label(exponents, n, desc.is_birkhoff)
 
-    ref_pres = exponents["reflection", "preserving"]
-    ref_rev = exponents["reflection", "reversing"]
-    found_reflections = ref_pres | ref_rev
-    if found_reflections:
-        opposite = []
-        for e in found_reflections:
-            if e in ref_pres and e not in ref_rev:
-                opposite.append(near_miss[(e, "reversing")])
-            if e in ref_rev and e not in ref_pres:
-                opposite.append(near_miss[(e, "preserving")])
-        desc.borderline_residual = min(opposite) if opposite else 0.0
+    ref_pres = exponents["reflection_preserving"]
+    ref_rev = exponents["reflection_reversing"]
+    if ref_pres | ref_rev:
+        opposite = [scores["reflection_reversing"][0][e].min() for e in ref_pres - ref_rev]
+        opposite += [scores["reflection_preserving"][0][e].min() for e in ref_rev - ref_pres]
+        desc.borderline_residual = float(min(opposite, default=0.0))
     return desc
 
 

@@ -200,10 +200,10 @@ def test_criterion_4_main_orbit_reproduction():
     assert rep.action_gain > 0
     assert rep.residual < 1e-10
     g = rep.group
-    assert g.exponents("rotation", "preserving") == {0, 1, 2, 3}
-    assert g.exponents("reflection", "reversing") == {0, 1, 2, 3}
-    assert g.exponents("rotation", "reversing") == set()
-    assert g.exponents("reflection", "preserving") == set()
+    assert g.exponents("rotation_preserving") == {0, 1, 2, 3}
+    assert g.exponents("reflection_reversing") == {0, 1, 2, 3}
+    assert g.exponents("rotation_reversing") == set()
+    assert g.exponents("reflection_preserving") == set()
     assert rep.anomalies == []
     announce(4, "main orbit reproduction", t0, 30.0,
              f"(12,3) orbit, full order-4 dihedral group, 8 crossings, "
@@ -223,8 +223,7 @@ def test_criterion_5_twofold_types():
     assert (two.final_lift.p, two.final_lift.q) == (8, 4)
     assert two.group.type_label == "II"
     assert two.residual < 1e-8
-    rev_rot = [e for e in two.group.elements
-               if e.kind == "rotation" and e.parity == "reversing"]
+    rev_rot = [e for e in two.group.elements if e.kind == "rotation_reversing"]
     assert rev_rot and all(e.shift % 2 == 1 for e in rev_rot)
 
     five = find_orbit(SearchRequest(
@@ -234,8 +233,8 @@ def test_criterion_5_twofold_types():
     assert (five.final_lift.p, five.final_lift.q) == (10, 5)
     assert five.group.type_label == "V"
     assert five.residual < 1e-8
-    both_ways = five.group.exponents("reflection", "preserving") & \
-        five.group.exponents("reflection", "reversing")
+    both_ways = five.group.exponents("reflection_preserving") & \
+        five.group.exponents("reflection_reversing")
     assert both_ways, "expected a reflection acting with both parities"
 
     announce(5, "twofold orbit types", t0, 60.0,

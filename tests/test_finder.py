@@ -49,10 +49,10 @@ def test_flagship_finds_the_predicted_orbit(flagship_report):
 
 def test_flagship_group_is_the_full_dihedral_group(flagship_report):
     g = flagship_report.group
-    assert g.exponents("rotation", "preserving") == {0, 1, 2, 3}
-    assert g.exponents("reflection", "reversing") == {0, 1, 2, 3}
-    assert g.exponents("rotation", "reversing") == set()
-    assert g.exponents("reflection", "preserving") == set()
+    assert g.exponents("rotation_preserving") == {0, 1, 2, 3}
+    assert g.exponents("reflection_reversing") == {0, 1, 2, 3}
+    assert g.exponents("rotation_reversing") == set()
+    assert g.exponents("reflection_preserving") == set()
     assert g.type_label == "I"
 
 
@@ -76,10 +76,10 @@ def test_type_two_search():
     assert rep.crossings_vs_reference == 2
     g = rep.group
     assert g.type_label == "II"
-    assert g.exponents("rotation", "preserving") == {0}
-    assert g.exponents("rotation", "reversing") == {1}
-    assert g.exponents("reflection", "preserving") == {1}
-    assert g.exponents("reflection", "reversing") == {0}
+    assert g.exponents("rotation_preserving") == {0}
+    assert g.exponents("rotation_reversing") == {1}
+    assert g.exponents("reflection_preserving") == {1}
+    assert g.exponents("reflection_reversing") == {0}
     assert rep.anomalies == []
     assert rep.residual < 1e-8
 
@@ -92,9 +92,9 @@ def test_type_five_search():
     assert rep.crossings_vs_reference == 2
     g = rep.group
     assert g.type_label == "V"
-    assert g.exponents("reflection", "preserving") \
-        == g.exponents("reflection", "reversing") == {0}
-    assert 0 in g.exponents("rotation", "reversing")
+    assert g.exponents("reflection_preserving") \
+        == g.exponents("reflection_reversing") == {0}
+    assert 0 in g.exponents("rotation_reversing")
     assert rep.anomalies == []
     assert rep.residual < 1e-8
 

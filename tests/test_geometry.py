@@ -145,17 +145,17 @@ def test_scaled_boundary_scales_geometry(limacon4, circle4):
     assert big.speed is None and scaled(circle4, 3.0).speed == 3.0 * circle4.speed
 
 
-def test_total_length_matches_quadrature_oracle(limacon4):
+def test_speed_matches_quadrature_oracle(limacon4):
     cs = reparametrize_constant_speed(limacon4)
     assert cs.speed == pytest.approx(quad_length(limacon4), rel=1e-10)
 
 
-# frozen: quadrature of the boundary speed, cross-checked against the
-# trapezoid oracle above at build time
+# frozen: the constant speed (= circumference) of the constant-speed limacon,
+# cross-checked against the trapezoid oracle above at build time
 LIMACON4_LENGTH = 6.345591781726427
 
 
-def test_limacon4_total_length_frozen_value(limacon4_cs):
+def test_limacon4_speed_frozen_value(limacon4_cs):
     assert limacon4_cs.speed == pytest.approx(LIMACON4_LENGTH, abs=1e-12)
 
 
@@ -329,4 +329,4 @@ def test_constructors_reject_non_finite_parameters(bad, caplog):
     for name, build in builds.items():
         with pytest.raises(ValueError, match=name):
             build()
-    assert not caplog.records      # no quadrature ran on a non-finite table
+    assert not caplog.records      # each constructor rejects without logging

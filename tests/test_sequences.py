@@ -18,6 +18,8 @@ from billiardflow import (
     symmetric_birkhoff,
 )
 from billiardflow.sequences import (
+    CLASSIFY_TOL,
+    SNAP_TOL,
     PeriodicLift,
     SymmetryGenerator,
     SymmetrySpec,
@@ -215,6 +217,119 @@ def test_reflection_of_parameters_is_not_the_same_orbit():
 
 
 # ---------------------------------------------------------------------------
+# the identity-table rules against the loops they replaced
+
+
+def cubic_is_birkhoff(lift):
+    """Oracle: the O(p^3) rule, the p x p block of snapped ordering integers
+    l(i, j) = ceil(x_i - x_j) compared at every simultaneous index shift."""
+    p = lift.p
+    xe = lift.value(np.arange(2 * p))
+    r = xe[:, None] - xe[None, :]
+    nearest = np.round(r)
+    l = np.where(np.abs(r - nearest) < SNAP_TOL, nearest, np.ceil(r))
+    return all(np.array_equal(l[m:m + p, m:m + p], l[:p, :p]) for m in range(1, p))
+
+
+def loop_score(d):
+    """Oracle: max_i |d_i - M|, with M the integer nearest d_0."""
+    return float(np.max(np.abs(d - round(float(d[0])))))
+
+
+def loop_period_scores(lift):
+    """Oracle: divisor d of p -> the score of x_{d+i} - x_i."""
+    i = np.arange(lift.p)
+    return {d: loop_score(lift.value(i + d) - lift.coords)
+            for d in range(1, lift.p + 1) if lift.p % d == 0}
+
+
+def loop_equality_scores(a, b):
+    """Oracle: the score of every forward and every reversed match of b to a."""
+    i = np.arange(a.p)
+    scores = []
+    if b.q == a.q:
+        scores += [loop_score(b.coords - a.value(r + i)) for r in range(a.p)]
+    if b.q == a.p - a.q:
+        scores += [loop_score(b.coords - a.value(r - i) - i) for r in range(a.p)]
+    return scores
+
+
+def in_band(score):
+    """Loop scores at which the two rules may disagree: the loop's score and
+    the table's row score are within a factor 2 of each other."""
+    return CLASSIFY_TOL / 2 < score <= 2 * CLASSIFY_TOL
+
+
+def tie_lift(rng, p, q, D):
+    """A lift with increments in (1/D)Z: many x_{j+k} - x_j are integers."""
+    extra = rng.choice(p * (D - 2), q * D - p, replace=False) // (D - 2)
+    units = 1 + np.bincount(extra, minlength=p)
+    return PeriodicLift(p, q, rng.uniform(0, 1) + np.r_[0, np.cumsum(units[:-1])] / D)
+
+
+def oracle_lifts(rng, noise):
+    """Random lifts, exact-tie lifts (rational increments, repeated lifts) and
+    the tie lifts with noise of amplitude drawn log-uniformly from ``noise``."""
+    lifts = []
+    for _ in range(150):
+        p = int(rng.integers(2, 17))
+        lifts.append(random_lift(rng, p, int(rng.integers(1, p)), margin=0.02))
+        D = int(rng.integers(3, 7))
+        ties = [tie_lift(rng, p, int(rng.integers(-(-p // D), p + (-p // D) + 1)), D)]
+        times = int(rng.choice([t for t in (2, 3, 4) if p % t == 0] or [1]))
+        if p // times >= 2:
+            base = random_lift(rng, p // times, int(rng.integers(1, p // times)))
+            ties.append(repeat_lift(base, times))
+        for tie in ties:
+            amplitude = 10 ** rng.uniform(*np.log10(noise))
+            lifts += [tie, tie.with_coords(tie.coords + amplitude
+                                           * rng.uniform(-1, 1, tie.p))]
+    return lifts
+
+
+def test_is_birkhoff_agrees_with_the_block_comparison():
+    rng = np.random.default_rng(51)
+    verdicts = [(is_birkhoff(lift), cubic_is_birkhoff(lift))
+                for lift in oracle_lifts(rng, (1e-11, 3e-10))]
+    assert all(new == old for new, old in verdicts)
+    assert {new for new, _ in verdicts} == {True, False}
+
+
+@pytest.mark.parametrize("noise", [(1e-11, 3e-10), (1e-9, 1e-7)])
+def test_minimal_period_agrees_outside_the_band(noise):
+    rng = np.random.default_rng(52)
+    compared, periods = 0, set()
+    for lift in oracle_lifts(rng, noise):
+        scores = loop_period_scores(lift)
+        if any(map(in_band, scores.values())):
+            continue
+        expected = min(d for d, score in scores.items() if score <= CLASSIFY_TOL)
+        assert minimal_period(lift) == expected
+        compared += 1
+        periods.add(expected < lift.p)
+    assert compared > 300 and periods == {True, False}
+
+
+@pytest.mark.parametrize("noise", [(1e-11, 3e-10), (1e-9, 1e-7)])
+def test_geometric_equality_agrees_outside_the_band(noise):
+    rng = np.random.default_rng(53)
+    compared, verdicts = 0, set()
+    for a in oracle_lifts(rng, (1e-16, 1e-15)):
+        r, M = int(rng.integers(0, a.p)), int(rng.integers(-2, 3))
+        amplitude = 10 ** rng.uniform(*np.log10(noise))
+        for b in (a.translate(r, M), reversed_lift(a, r), random_lift(rng, a.p, a.q)):
+            b = b.with_coords(b.coords + amplitude * rng.uniform(-1, 1, a.p))
+            scores = loop_equality_scores(a, b)
+            if any(map(in_band, scores)):
+                continue
+            expected = any(score <= CLASSIFY_TOL for score in scores)
+            assert geometrically_equal(a, b) == expected
+            compared += 1
+            verdicts.add(expected)
+    assert compared > 600 and verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
 # affine symmetry systems
 
 
@@ -367,8 +482,8 @@ def test_full_group_of_the_symmetric_birkhoff_orbit():
     desc = spatiotemporal_group(ref, 4)
     assert desc.type_label == "Birkhoff-symmetric"
     assert desc.is_birkhoff
-    assert desc.exponents("rotation", "preserving") == {0, 1, 2, 3}
-    assert desc.exponents("reflection", "reversing") == {0, 1, 2, 3}
+    assert desc.exponents("rotation_preserving") == {0, 1, 2, 3}
+    assert desc.exponents("reflection_reversing") == {0, 1, 2, 3}
 
 
 def test_group_of_a_constructed_class_member():
@@ -379,8 +494,8 @@ def test_group_of_a_constructed_class_member():
     member = PeriodicLift(p, q, system.project(ref.coords
                                                + 0.05 * rng.standard_normal(p)))
     desc = spatiotemporal_group(member, 4)
-    assert desc.exponents("rotation", "preserving") >= {0, 1, 2, 3}
-    assert desc.exponents("reflection", "reversing") >= {0}
+    assert desc.exponents("rotation_preserving") >= {0, 1, 2, 3}
+    assert desc.exponents("reflection_reversing") >= {0}
 
 
 def test_palindromic_reflection_membership_labels_type_v():
@@ -395,17 +510,17 @@ def test_palindromic_reflection_membership_labels_type_v():
     coords = system.project(ref.coords + 0.05 * rng.standard_normal(10))
     desc = spatiotemporal_group(PeriodicLift(10, 5, coords), 2)
     assert desc.type_label == "V"
-    assert desc.exponents("reflection", "preserving") \
-        == desc.exponents("reflection", "reversing") == {0}
+    assert desc.exponents("reflection_preserving") \
+        == desc.exponents("reflection_reversing") == {0}
     # palindromic: pure time reversal is in the group
-    assert 0 in desc.exponents("rotation", "reversing")
+    assert 0 in desc.exponents("rotation_reversing")
 
 
 def test_asymmetric_lift_has_trivial_group():
     lift = random_lift(np.random.default_rng(37), 10, 3, margin=0.02)
     desc = spatiotemporal_group(lift, 2)
     assert desc.type_label == "none"
-    assert desc.exponents("rotation", "preserving") == {0}
+    assert desc.exponents("rotation_preserving") == {0}
 
 
 def test_borderline_residual_reports_the_near_miss():

@@ -300,18 +300,18 @@ def oracle_group(kind, n, m, branch, s, N, K, k):
     if kind in ("main", "typeI"):
         rot = {(m * K * t) % n for t in range(n)}
         bb = (branch + m * k) % n
-        return ({("rotation", "preserving"): rot, ("rotation", "reversing"): set(),
-                 ("reflection", "preserving"): set(),
-                 ("reflection", "reversing"): {(bb + e) % n for e in rot}},
+        return ({"rotation_preserving": rot, "rotation_reversing": set(),
+                 "reflection_preserving": set(),
+                 "reflection_reversing": {(bb + e) % n for e in rot}},
                 "I" if N >= 2 else "III")
     if kind == "typeII":
         bp = (branch + m * s) % n
-        return ({("rotation", "preserving"): {0}, ("rotation", "reversing"): {1},
-                 ("reflection", "preserving"): {bp},
-                 ("reflection", "reversing"): {(bp + 1) % n}}, "II")
+        return ({"rotation_preserving": {0}, "rotation_reversing": {1},
+                 "reflection_preserving": {bp},
+                 "reflection_reversing": {(bp + 1) % n}}, "II")
     bb = (branch + m * k) % n
-    return ({("rotation", "preserving"): {0}, ("rotation", "reversing"): {0},
-             ("reflection", "preserving"): {bb}, ("reflection", "reversing"): {bb}},
+    return ({"rotation_preserving": {0}, "rotation_reversing": {0},
+             "reflection_preserving": {bb}, "reflection_reversing": {bb}},
             "V")
 
 
