@@ -1,69 +1,40 @@
 """Command-line front end: check / find / classify / render / sweep.
 
 Configuration comes from an INI file (section names and keys are
-case-sensitive, and " ;" starts a comment); every relevant command-line flag
-overrides its config key.
+case-sensitive, and " ;" starts a comment).  Every key is one row of
+:data:`KEYS`, which gives its type, where its value goes and the flag that
+overrides it; README's INI block lists them all.  An unknown section or key
+(``[DEFAULT]`` included), a missing required key, or a value that does not
+parse as its type exits 2 with one line naming it.
 Exit codes: 0 success (and criterion holds for ``check``), 2 precondition or
-input error, 3 criterion margin <= 0, 4 flow failure.  The ``BILLIARD_LOG``
+input error, 3 criterion inconclusive, 4 flow failure.  The ``BILLIARD_LOG``
 environment variable sets the log level (debug/info/warning/error); a failed
 ``sweep`` entry logs one warning line, and its traceback only at debug.
-
-In ``[theorem]``, ``A`` is the branch of the star-polygon reference (default
-1), ``b`` the exponent of the reversing reflection (default 0) and ``k`` an
-override of the index shift the kind derives.  ``[sweep]`` names one
-``param`` and its ``values`` for the ``sweep`` command.
-
-Example configuration::
-
-    [billiard]
-    family = limacon
-    n = 4
-    alpha = 0.05
-
-    [theorem]
-    kind = main
-    n = 4
-    m = 1
-    A = 1
-    N = 4
-    b = 0
-    s = 3
-
-    [flow]
-    epsilon = 0.01
-    tol_stationary = 1e-10
-    max_time = 1e6
-
-    [output]
-    out = runs
-    prefix = limacon4
-
-    [sweep]
-    param = alpha
-    values = 0.048, 0.055
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import difflib
 import json
 import logging
 import os
 import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .finder import (CriterionInconclusive, OrbitReport, SearchRequest,
-                     checked_boundary, find_orbit, sweep)
+                     checked_boundary, checked_criterion, find_orbit, sweep)
 from .flow import FlowOptions
 from .geometry import make_boundary, reparametrize_constant_speed
 from .lagrangian import gradient_field
 from .render import render_aubry_diagram, render_orbit_figure
 from .sequences import load_lift, minimal_period, save_lift, spatiotemporal_group
-from .spectral import criterion, kappa_chord
 
 log = logging.getLogger(__name__)
 
@@ -77,106 +48,132 @@ EXIT_FLOW = 4
 # configuration
 
 
-def _read_config(path: str | None) -> configparser.ConfigParser:
-    if not path:
-        raise ValueError("this command needs --config pointing to an INI file")
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+def _numbers(text: str) -> list:
+    """A comma- or space-separated list of numbers, each an int where it is one."""
+    tokens = re.findall(r"[^,\s]+", text)
+    if not tokens:
+        raise ValueError("expected a list of numbers")
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            values.append(float(token))
+    return values
+
+
+class Key(NamedTuple):
+    """One INI key, ``[section] key``: the type its value parses as, and the
+    ``name`` it takes in its ``group`` ("billiard": the table descriptor,
+    "request": a :class:`SearchRequest` field, "options": a
+    :class:`FlowOptions` field, "output" and "sweep": read by the commands).
+    A command that reads the group needs a ``required`` key; ``flag`` is the
+    command-line option that overrides the key."""
+
+    section: str
+    key: str
+    type: Callable
+    group: str
+    name: str
+    required: bool = False
+    flag: str | None = None
+
+
+#: every key a config may hold.  In [theorem], A is the branch of the
+#: star-polygon reference, b the exponent of the reversing reflection and k
+#: an override of the index shift the kind derives
+KEYS = (
+    Key("billiard", "family", str, "billiard", "family", required=True),
+    Key("billiard", "n", int, "billiard", "n"),
+    Key("billiard", "alpha", float, "billiard", "alpha"),
+    Key("billiard", "a", float, "billiard", "a"),
+    Key("billiard", "b", float, "billiard", "b"),
+    Key("billiard", "radius", float, "billiard", "radius"),
+    Key("theorem", "kind", str, "request", "kind"),
+    Key("theorem", "n", int, "request", "n", required=True),
+    Key("theorem", "m", int, "request", "m", required=True),
+    Key("theorem", "N", int, "request", "N"),
+    Key("theorem", "s", int, "request", "s", required=True),
+    Key("theorem", "A", int, "request", "branch"),
+    Key("theorem", "b", int, "request", "reflection"),
+    Key("theorem", "k", int, "request", "shift"),
+    Key("flow", "epsilon", float, "request", "epsilon", flag="--epsilon"),
+    Key("flow", "tol_stationary", float, "options", "stationarity_tol",
+        flag="--tol-stationary"),
+    Key("flow", "max_time", float, "options", "max_time", flag="--max-time"),
+    Key("flow", "max_steps", int, "options", "max_steps"),
+    Key("flow", "guard_margin", float, "options", "guard_margin"),
+    Key("flow", "abs_tol", float, "options", "abs_tol"),
+    Key("flow", "rel_tol", float, "options", "rel_tol"),
+    Key("flow", "record_every", int, "options", "record_every"),
+    Key("output", "out", str, "output", "out", flag="--out"),
+    Key("output", "prefix", str, "output", "prefix", flag="--prefix"),
+    Key("sweep", "param", str, "sweep", "param", required=True),
+    Key("sweep", "values", _numbers, "sweep", "values", required=True),
+)
+
+
+def _check_known(what: str, name: str, known) -> None:
+    """ValueError naming an unknown ``name`` and the nearest known one."""
+    if name not in known:
+        [near] = difflib.get_close_matches(name, known, n=1, cutoff=0)
+        raise ValueError(f"unknown config {what} {name}; did you mean {near}?")
+
+
+def _read_config(args) -> dict:
+    """The ``--config`` file (none for ``render`` without one) read through
+    :data:`KEYS`, with each flag given laid over its key, as
+    {group: {name: value}}."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",), default_section="")
     cp.optionxform = str          # keys are case-sensitive (N vs n, A vs a)
-    read = cp.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file: {path}")
-    return cp
+    if args.config is not None and not cp.read(args.config):
+        raise ValueError(f"cannot read config file: {args.config}")
+    rows = {f"[{row.section}] {row.key}": row for row in KEYS}
+    config = {row.group: {} for row in KEYS}
+    for section in cp.sections():
+        _check_known("section", f"[{section}]", {f"[{row.section}]" for row in KEYS})
+        for key, raw in cp.items(section):
+            name = f"[{section}] {key}"
+            _check_known("key", name, rows)
+            row = rows[name]
+            try:
+                config[row.group][row.name] = row.type(raw)
+            except ValueError as exc:
+                raise ValueError(f"config value {name} = {raw!r}: {exc}") from None
+    for row in KEYS:
+        if row.flag and getattr(args, row.key, None) is not None:
+            config[row.group][row.name] = getattr(args, row.key)
+    return config
 
 
-def _billiard_descriptor(cp: configparser.ConfigParser) -> dict:
-    if not cp.has_section("billiard"):
-        raise ValueError("config needs a [billiard] section")
-    sec = cp["billiard"]
-    descriptor = {"family": sec.get("family", "").strip().lower()}
-    for key, conv in (("n", int), ("alpha", float), ("a", float),
-                      ("b", float), ("radius", float)):
-        if key in sec:
-            descriptor[key] = conv(sec[key])
-    return descriptor
+def _fields(config: dict, group: str) -> dict:
+    """The values ``config`` holds for ``group``, by name, once it holds every
+    required key of the group; otherwise ValueError names the missing key."""
+    for row in KEYS:
+        if row.group == group and row.required and row.name not in config[group]:
+            raise ValueError(f"config needs the key [{row.section}] {row.key}")
+    return config[group]
 
 
-def _theorem_params(cp: configparser.ConfigParser) -> dict:
-    if not cp.has_section("theorem"):
-        raise ValueError("config needs a [theorem] section")
-    sec = cp["theorem"]
-    try:
-        params = {
-            "kind": sec.get("kind", "main").strip(),
-            "n": int(sec["n"]),
-            "m": int(sec["m"]),
-            "s": int(sec["s"]),
-        }
-    except KeyError as exc:
-        raise ValueError(f"[theorem] section is missing required key {exc}") from None
-    params["branch"] = int(sec.get("A", 1))
-    params["N"] = int(sec["N"]) if "N" in sec else None
-    params["reflection"] = int(sec.get("b", 0))
-    params["shift"] = int(sec["k"]) if "k" in sec else None
-    return params
+def _request(config: dict, args) -> SearchRequest:
+    """The search the [billiard], [theorem] and [flow] keys ask for."""
+    return SearchRequest(billiard=_fields(config, "billiard"),
+                         **_fields(config, "request"),
+                         force=getattr(args, "force", False),
+                         options=FlowOptions(**_fields(config, "options")))
 
 
-def _flow_options(cp: configparser.ConfigParser, args) -> FlowOptions:
-    kwargs = {}
-    if cp.has_section("flow"):
-        sec = cp["flow"]
-        mapping = {
-            "tol_stationary": ("stationarity_tol", float),
-            "max_time": ("max_time", float),
-            "max_steps": ("max_steps", int),
-            "guard_margin": ("guard_margin", float),
-            "abs_tol": ("abs_tol", float),
-            "rel_tol": ("rel_tol", float),
-            "record_every": ("record_every", int),
-        }
-        for key, (name, conv) in mapping.items():
-            if key in sec:
-                kwargs[name] = conv(sec[key])
-    if args.tol_stationary is not None:
-        kwargs["stationarity_tol"] = args.tol_stationary
-    if args.max_time is not None:
-        kwargs["max_time"] = args.max_time
-    return FlowOptions(**kwargs)
-
-
-def _epsilon(cp: configparser.ConfigParser, args) -> float | None:
-    if args.epsilon is not None:
-        return args.epsilon
-    if cp.has_section("flow") and "epsilon" in cp["flow"]:
-        return float(cp["flow"]["epsilon"])
-    return None
-
-
-def _build_request(cp: configparser.ConfigParser, args) -> SearchRequest:
-    th = _theorem_params(cp)
-    return SearchRequest(
-        billiard=_billiard_descriptor(cp),
-        n=th["n"], m=th["m"], kind=th["kind"], s=th["s"],
-        branch=th["branch"], N=th["N"], reflection=th["reflection"],
-        shift=th["shift"], epsilon=_epsilon(cp, args),
-        force=args.force,
-        options=_flow_options(cp, args),
-    )
-
-
-def _output_paths(cp: configparser.ConfigParser | None, args):
-    out, prefix = args.out, args.prefix
-    if cp is not None and cp.has_section("output"):
-        out = out or cp["output"].get("out")
-        prefix = prefix or cp["output"].get("prefix")
-    out_dir = Path(out or ".")
+def _output_paths(config: dict):
+    output = config["output"]
+    out_dir = Path(output.get("out") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, (prefix or "orbit")
+    return out_dir, (output.get("prefix") or "orbit")
 
 
-def _write_json(cp: configparser.ConfigParser, args, name: str, payload) -> None:
+def _write_json(config: dict, args, name: str, payload) -> None:
     """With ``--out``, write ``payload`` to ``<out>/<prefix>.<name>.json``."""
     if args.out:
-        out_dir, prefix = _output_paths(cp, args)
+        out_dir, prefix = _output_paths(config)
         path = out_dir / f"{prefix}.{name}.json"
         path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {path}")
@@ -265,22 +262,17 @@ def _print_criterion(rep) -> None:
 # commands
 
 
-def cmd_check(args) -> int:
-    cp = _read_config(args.config)
-    th = _theorem_params(cp)
-    boundary = checked_boundary(_billiard_descriptor(cp), th["n"])
-    kappa, chord = kappa_chord(boundary, th["n"], th["m"], th["branch"])
-    rep = criterion(th["kind"], th["n"], th["m"], th["N"], th["s"], kappa, chord)
+def cmd_check(args, config) -> int:
+    _, rep = checked_criterion(_request(config, args))
     _print_criterion(rep)
     print(json.dumps(rep.as_dict(), indent=2))
-    _write_json(cp, args, "criterion", rep.as_dict())
-    return EXIT_OK if rep.margin > 0 else EXIT_CRITERION
+    _write_json(config, args, "criterion", rep.as_dict())
+    return EXIT_OK if rep.verdict == "orbit_predicted" else EXIT_CRITERION
 
 
-def cmd_find(args) -> int:
-    cp = _read_config(args.config)
-    req = _build_request(cp, args)
-    out_dir, prefix = _output_paths(cp, args)
+def cmd_find(args, config) -> int:
+    req = _request(config, args)
+    out_dir, prefix = _output_paths(config)
     rep = find_orbit(req)
 
     orbit_path = out_dir / f"{prefix}.orbit.txt"
@@ -316,11 +308,10 @@ def cmd_find(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, config) -> int:
     lift, n, m = load_lift(args.orbit)
-    cp = _read_config(args.config)
     boundary = reparametrize_constant_speed(
-        checked_boundary(_billiard_descriptor(cp), n))
+        checked_boundary(_fields(config, "billiard"), n))
     residual = float(np.max(np.abs(gradient_field(boundary, lift))))
     group = spatiotemporal_group(lift, n)
     minimal = minimal_period(lift)
@@ -341,47 +332,32 @@ def cmd_classify(args) -> int:
     _print_group(group)
     print(f"|F|_inf:     {residual:.3e}")
     print(json.dumps(payload, indent=2))
-    _write_json(cp, args, "classify", payload)
+    _write_json(config, args, "classify", payload)
     return EXIT_OK
 
 
-def cmd_render(args) -> int:
+def cmd_render(args, config) -> int:
     lift, n, m = load_lift(args.orbit)
-    cp = _read_config(args.config) if args.config else None
     if args.mode == "orbit_figure":
-        if cp is None:
+        if args.config is None:
             raise ValueError("orbit_figure rendering needs --config for the boundary")
         boundary = reparametrize_constant_speed(
-            checked_boundary(_billiard_descriptor(cp), n))
+            checked_boundary(_fields(config, "billiard"), n))
         svg = render_orbit_figure(boundary, lift,
                                   overlay=(n, m) if args.overlay else None)
     else:
         svg = render_aubry_diagram(lift, translates=args.translates)
-    out_dir, prefix = _output_paths(cp, args)
+    out_dir, prefix = _output_paths(config)
     path = out_dir / f"{prefix}.{args.mode}.svg"
     path.write_text(svg)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cp = _read_config(args.config)
-    if not cp.has_section("sweep"):
-        raise ValueError("config needs a [sweep] section with param and values")
-    sec = cp["sweep"]
-    param = sec.get("param", "").strip()
-    raw = sec.get("values", "").strip()
-    if not param or not raw:
-        raise ValueError("[sweep] needs both 'param' and 'values'")
-    tokens = [t for t in re.split(r"[,\s]+", raw) if t]
-    values = []
-    for t in tokens:
-        try:
-            values.append(int(t))
-        except ValueError:
-            values.append(float(t))
-    base = _build_request(cp, args)
-    entries = sweep(base, param, values, workers=args.workers)
+def cmd_sweep(args, config) -> int:
+    batch = _fields(config, "sweep")
+    base = _request(config, args)
+    entries = sweep(base, batch["param"], batch["values"], workers=args.workers)
 
     rows = []
     print(f"{'value':>10}  {'margin':>12}  {'verdict':>15}  {'outcome':>22}  detail")
@@ -406,7 +382,7 @@ def cmd_sweep(args) -> int:
             if e.report else None,
             "error": e.error,
         })
-    out_dir, prefix = _output_paths(cp, args)
+    out_dir, prefix = _output_paths(config)
     path = out_dir / f"{prefix}.sweep.json"
     path.write_text(json.dumps(_jsonable(rows), indent=2) + "\n")
     print(f"wrote {path}")
@@ -424,22 +400,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "orbits in convex tables with dihedral symmetry.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def flags(sp, section):
+        for row in KEYS:
+            if row.section == section and row.flag:
+                sp.add_argument(row.flag, dest=row.key, type=row.type,
+                                help=f"overrides [{section}] {row.key}")
+
     def common(sp, needs_config=True):
         sp.add_argument("--config", required=needs_config, metavar="PATH",
                         help="INI configuration file")
-        sp.add_argument("--out", metavar="DIR",
-                        help="output directory (overrides [output] out)")
-        sp.add_argument("--prefix", metavar="NAME",
-                        help="artifact name prefix (overrides [output] prefix)")
+        flags(sp, "output")
 
     def flow_flags(sp):
         sp.add_argument("--force", action="store_true",
-                        help="run the flow even when the margin is <= 0")
-        sp.add_argument("--epsilon", type=float, help="perturbation amplitude")
-        sp.add_argument("--tol-stationary", type=float, dest="tol_stationary",
-                        help="stationarity tolerance on |F|_inf")
-        sp.add_argument("--max-time", type=float, dest="max_time",
-                        help="flow-time budget")
+                        help="run the flow even when the criterion is inconclusive")
+        flags(sp, "flow")
 
     sp = sub.add_parser("check", help="evaluate the closed-form existence criterion")
     common(sp)
@@ -490,7 +465,7 @@ def main(argv=None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _read_config(args))
     except CriterionInconclusive as exc:
         print(f"criterion: {exc}", file=sys.stderr)
         return EXIT_CRITERION

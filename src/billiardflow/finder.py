@@ -52,18 +52,18 @@ POLISH_MAX_ITER = 30
 
 
 class CriterionInconclusive(RuntimeError):
-    """The closed-form margin is non-positive, so no orbit is predicted.
+    """The closed-form verdict is "inconclusive", so no orbit is predicted.
 
-    A non-positive margin never proves absence; pass ``force=True`` on the
-    request to run the flow anyway.
+    A margin that is not positive beyond roundoff never proves absence; pass
+    ``force=True`` on the request to run the flow anyway.
     """
 
     def __init__(self, report: CriterionReport):
         super().__init__(
-            f"margin = {report.margin:.6g} <= 0: no orbit of kind "
-            f"{report.kind!r} is predicted in the ({report.p}, {report.q}) "
-            "class.  This is inconclusive, not a proof of absence; pass "
-            "force=True to run the flow anyway.")
+            f"margin = {report.margin:.6g} is not positive beyond roundoff: "
+            f"no orbit of kind {report.kind!r} is predicted in the "
+            f"({report.p}, {report.q}) class.  This is inconclusive, not a "
+            "proof of absence; pass force=True to run the flow anyway.")
         self.report = report
 
 
@@ -133,6 +133,15 @@ def checked_boundary(descriptor: dict, n: int):
     return boundary
 
 
+def checked_criterion(request: SearchRequest):
+    """The checked table of ``request`` (:func:`checked_boundary`) and the
+    closed-form criterion of its class."""
+    n, m = request.n, request.m
+    boundary = checked_boundary(request.billiard, n)
+    kappa, chord = kappa_chord(boundary, n, m, request.branch)
+    return boundary, criterion(request.kind, n, m, request.N, request.s, kappa, chord)
+
+
 def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
     """Refine a near-stationary lift by Newton steps in the class's orbit basis.
 
@@ -191,15 +200,13 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
     predicted property.
     """
     n, m, s, branch = request.n, request.m, request.s, request.branch
-    boundary = checked_boundary(request.billiard, n)
-
-    kappa, chord = kappa_chord(boundary, n, m, branch)
-    report = criterion(request.kind, n, m, request.N, s, kappa, chord)
-    if report.margin <= 0:
+    boundary, report = checked_criterion(request)
+    predicted = report.verdict == "orbit_predicted"
+    if not predicted:
         if not request.force:
             raise CriterionInconclusive(report)
-        log.warning("margin %.6g <= 0 for kind %s at (p, q) = (%d, %d); "
-                    "running anyway (force)", report.margin, report.kind,
+        log.warning("margin %.6g is inconclusive for kind %s at (p, q) = "
+                    "(%d, %d); running anyway (force)", report.margin, report.kind,
                     report.p, report.q)
 
     K, k = class_shifts(request.kind, n, m, request.N, s, branch,
@@ -221,7 +228,7 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
     cs = reparametrize_constant_speed(boundary)
     action_ref = periodic_action(cs, reference)
     start = initial_perturbation(request.kind, reference, K, k, eps)
-    if report.margin > 0:
+    if predicted:
         # the certified mode must gain action; shrink the nudge if the gain
         # is swamped at the default amplitude
         for _ in range(6):
@@ -330,10 +337,11 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
 
     ``param`` is "alpha" (varies the boundary descriptor) or one of the
     integer request fields ("s", "N", "m", "n", "branch", "reflection",
-    "shift") or "epsilon".  Failures — inconclusive criteria, invalid
-    parameter combinations, flow breakdowns — are recorded on their entry and
-    the sweep continues; each failure other than an inconclusive criterion
-    also logs one warning line, with its traceback only at DEBUG level.
+    "shift"), whose values must be integral, or "epsilon".  Failures —
+    inconclusive criteria, invalid parameter combinations, flow breakdowns —
+    are recorded on their entry and the sweep continues; each failure other
+    than an inconclusive criterion also logs one warning line, with its
+    traceback only at DEBUG level.
     Entries run in parallel threads (each individual search is
     single-threaded); pass workers=1 to force serial execution.
     """
@@ -344,6 +352,8 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
             descriptor["alpha"] = float(v)
             requests.append(replace(base, billiard=descriptor))
         elif param in ("s", "N", "n", "m", "branch", "reflection", "shift"):
+            if not float(v).is_integer():
+                raise ValueError(f"sweep parameter {param!r} takes integers, got {v!r}")
             requests.append(replace(base, **{param: int(v)}))
         elif param == "epsilon":
             requests.append(replace(base, epsilon=float(v)))

@@ -100,13 +100,20 @@ def hessian(boundary: Boundary, lift: PeriodicLift) -> np.ndarray:
     return h
 
 
+#: a margin within this many units in the last place of |lhs| + |rhs| is
+#: roundoff, not a sign, and gets the verdict "inconclusive"
+DEGENERATE_ULPS = 4
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     """Result of one closed-form existence check.
 
     margin = rhs - kappa*L; a positive margin predicts a non-Birkhoff orbit
-    of the stated kind, a non-positive one is inconclusive (it never proves
-    absence).
+    of the stated kind (verdict "orbit_predicted"), a non-positive one is
+    "inconclusive" (it never proves absence), and so is a positive margin
+    within :data:`DEGENERATE_ULPS` ulps of |lhs| + |rhs|, whose sign roundoff
+    decides.
     """
 
     kind: str
@@ -312,9 +319,10 @@ def criterion(kind: str, n: int, m: int, N: int | None, s: int,
     rhs = 2.0 * math.sin(m * math.pi / n) * math.cos(N * math.pi / p) ** 2
     lhs = kappa * chord
     margin = rhs - lhs
+    resolved = margin > DEGENERATE_ULPS * math.ulp(abs(lhs) + abs(rhs))
     return CriterionReport(
         kind=kind, n=n, m=m, N=N, s=s, p=p, q=q,
         kappa=kappa, chord=chord, lhs=lhs, rhs=rhs, margin=margin,
         predicted_crossings=2 * N, predicted_min_period=p,
-        verdict="orbit_predicted" if margin > 0 else "inconclusive",
+        verdict="orbit_predicted" if resolved else "inconclusive",
     )

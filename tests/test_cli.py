@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import billiardflow
 from billiardflow import repeat_lift, save_lift, symmetric_birkhoff
-from billiardflow.cli import main
+from billiardflow.cli import KEYS, main
 from billiardflow.sequences import PeriodicLift
 
 FLAGSHIP_INI = """\
@@ -258,13 +259,96 @@ def test_orbit_commands_reject_a_table_that_does_not_fit(command, ini, message,
     assert not list(tmp_path.rglob("*.svg"))
 
 
-def test_readme_configuration_runs(tmp_path, capsys):
-    # the INI block of README.md, inline comments included
+def readme_ini() -> str:
+    """The INI block of README.md, inline comments included."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_configuration_runs(tmp_path, capsys):
     ini = tmp_path / "readme.ini"
-    ini.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    ini.write_text(readme_ini())
     assert main(["check", "--config", str(ini)]) == 0
     assert "margin:      0.130256512324" in capsys.readouterr().out
+
+
+def test_readme_ini_block_lists_every_key():
+    # live lines and commented-out "; key = value" lines alike
+    listed, section = [], None
+    for line in readme_ini().splitlines():
+        text = line.lstrip("; ").split(" ;")[0].strip()
+        if re.fullmatch(r"\[\w+\]", text):
+            section = text[1:-1]
+        elif re.match(r"\w+ = ", text):
+            listed.append((section, text.split(" = ")[0]))
+    assert sorted(listed) == sorted((row.section, row.key) for row in KEYS)
+
+
+MISSPELLED = "shift = 7\n\n[flow]\ntol_stationry = 1e-3\nmax_tme = 1\n\n[ouput]\nout = runs\n"
+
+
+@pytest.mark.parametrize("ini, message", [
+    (FLAGSHIP_INI.replace("alpha =", "aplha ="),
+     "unknown config key [billiard] aplha; did you mean [billiard] alpha?"),
+    (FLAGSHIP_INI + "shift = 7\n",
+     "unknown config key [theorem] shift; did you mean [theorem] s?"),
+    (FLAGSHIP_INI + "\n[flow]\ntol_stationry = 1e-3\n",
+     "unknown config key [flow] tol_stationry; did you mean [flow] tol_stationary?"),
+    (FLAGSHIP_INI + "\n[flow]\nmax_tme = 1\n",
+     "unknown config key [flow] max_tme; did you mean [flow] max_time?"),
+    (FLAGSHIP_INI + "\n[ouput]\n", "unknown config section [ouput]; did you mean [output]?"),
+    ("[DEFAULT]\nn = 4\n\n" + FLAGSHIP_INI, "unknown config section [DEFAULT]"),
+    (FLAGSHIP_INI + MISSPELLED,
+     "unknown config key [theorem] shift; did you mean [theorem] s?"),
+    (FLAGSHIP_INI.replace("s = 3", "s = three"), "config value [theorem] s = 'three'"),
+], ids=["aplha", "shift", "tol_stationry", "max_tme", "ouput", "DEFAULT", "all", "s-three"])
+def test_find_rejects_a_name_or_value_the_table_lacks(ini, message, tmp_path, capsys):
+    # each typo would otherwise drop its setting and run the default flagship
+    config = tmp_path / "typo.ini"
+    config.write_text(ini)
+    out_dir = tmp_path / "out"
+    assert main(["find", "--config", str(config), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert message in lines[0]
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["find"], ["sweep"], ["classify", "orbit.txt"], ["render", "orbit.txt"],
+], ids=["check", "find", "sweep", "classify", "render"])
+def test_every_command_reads_the_config_through_the_table(command, tmp_path, capsys):
+    config = tmp_path / "typo.ini"
+    config.write_text(FLAGSHIP_INI + MISSPELLED)
+    assert main([*command, "--config", str(config)]) == 2
+    assert "[theorem] shift" in capsys.readouterr().err
+
+
+ELLIPSE_TYPE_ONE_INI = """\
+[billiard]
+family = ellipse
+a = 2
+b = 1
+
+[theorem]
+kind = typeI
+n = 2
+m = 1
+s = 3
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "find"])
+def test_a_roundoff_margin_is_inconclusive(command, tmp_path, capsys):
+    # kappa*L = rhs = 1/2 exactly on the 2:1 ellipse; the computed margin is
+    # one ulp, whose sign roundoff decides
+    config = tmp_path / "ellipse.ini"
+    config.write_text(ELLIPSE_TYPE_ONE_INI)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert "inconclusive" in captured.out + captured.err
 
 
 @pytest.mark.parametrize("billiard, name", [
@@ -273,7 +357,9 @@ def test_readme_configuration_runs(tmp_path, capsys):
     ("family = ellipse\na = nan\nb = 1.0", "semi-axis a"),
     ("family = ellipse\nb = 1.0", "ellipse table lacks the key 'a'"),
     ("family = limacon\nn = 4", "limacon table lacks the key 'alpha'"),
-], ids=["limacon-nan", "limacon-inf", "ellipse-nan", "ellipse-no-a", "limacon-no-alpha"])
+    ("family = limacon\nn = 4\nalpha = abc", "[billiard] alpha = 'abc'"),
+], ids=["limacon-nan", "limacon-inf", "ellipse-nan", "ellipse-no-a", "limacon-no-alpha",
+        "limacon-abc"])
 def test_check_rejects_non_finite_table_parameters(billiard, name, tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[billiard]\n{billiard}\n\n" + FLAGSHIP_INI.split("\n\n", 1)[1])
@@ -340,6 +426,7 @@ def test_record_every_below_one_exits_2(tmp_path, capsys):
     ("max_steps = 0", "max_steps"),
     ("max_steps = -5", "max_steps"),
     ("rel_tol = nan", "rel_tol"),
+    ("max_steps = many", "[flow] max_steps = 'many'"),
 ])
 def test_unusable_step_control_exits_2(flow, name, tmp_path, capsys):
     ini = tmp_path / "flow.ini"

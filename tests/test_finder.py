@@ -17,6 +17,7 @@ from billiardflow import (
     sweep,
     symmetric_birkhoff,
 )
+from billiardflow import finder
 from billiardflow.sequences import SymmetrySpec
 from billiardflow.spectral import class_generators
 
@@ -222,10 +223,16 @@ def test_sweep_serial_matches_parallel():
                            b.report.final_lift.coords, atol=1e-12)
 
 
-def test_sweep_parameter_validation():
+def test_sweep_parameter_validation(monkeypatch):
+    # both are rejected before any entry runs
+    calls = []
+    monkeypatch.setattr(finder, "find_orbit", calls.append)
     base = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
     with pytest.raises(ValueError, match="sweep parameter"):
         sweep(base, "bogus", [1, 2])
+    with pytest.raises(ValueError, match="'s' takes integers, got 3.5"):
+        sweep(base, "s", [3, 3.5])
+    assert calls == []
 
 
 def test_unknown_kind_is_rejected():
