@@ -13,7 +13,6 @@ from .geometry import (
     check_equivariance,
     convexity_margin,
     curvature_at,
-    limacon_convexity_threshold,
     make_boundary,
     make_circle,
     make_ellipse,
@@ -23,8 +22,6 @@ from .geometry import (
 from .lagrangian import (
     SecondPartials,
     chord_length,
-    force_minus,
-    force_plus,
     gradient_field,
     periodic_action,
     second_partials,
@@ -37,7 +34,6 @@ from .sequences import (
     SymmetrySpec,
     aubry_vertices,
     expand_constraints,
-    geometrically_equal,
     intersection_index,
     is_birkhoff,
     load_lift,
@@ -47,11 +43,9 @@ from .sequences import (
     spatiotemporal_group,
     symmetric_birkhoff,
 )
-from .flow import FlowOptions, FlowResult, comparison_check, integrate
+from .flow import FlowOptions, FlowResult, integrate
 from .spectral import (
-    BirkhoffCoefficients,
     CriterionReport,
-    birkhoff_coefficients,
     class_shifts,
     criterion,
     hessian,

@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from collections.abc import Callable
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -170,9 +171,10 @@ def _output_paths(config: dict):
     return out_dir, (output.get("prefix") or "orbit")
 
 
-def _write_json(config: dict, args, name: str, payload) -> None:
-    """With ``--out``, write ``payload`` to ``<out>/<prefix>.<name>.json``."""
-    if args.out:
+def _write_json(config: dict, name: str, payload) -> None:
+    """With an output directory, from ``[output] out`` or ``--out``, write
+    ``payload`` to ``<out>/<prefix>.<name>.json``."""
+    if config["output"].get("out"):
         out_dir, prefix = _output_paths(config)
         path = out_dir / f"{prefix}.{name}.json"
         path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -239,7 +241,7 @@ def _report_payload(rep: OrbitReport, n: int, m: int) -> dict:
         "residual": rep.residual,
         "anomalies": list(rep.anomalies),
         "epsilon": rep.epsilon,
-        "criterion": rep.criterion.as_dict(),
+        "criterion": asdict(rep.criterion),
         "flow": _flow_summary(rep.flow),
         "lift": {"p": rep.final_lift.p, "q": rep.final_lift.q, "n": n, "m": m,
                  "coords": rep.final_lift.coords.tolist()},
@@ -265,8 +267,8 @@ def _print_criterion(rep) -> None:
 def cmd_check(args, config) -> int:
     _, rep = checked_criterion(_request(config, args))
     _print_criterion(rep)
-    print(json.dumps(rep.as_dict(), indent=2))
-    _write_json(config, args, "criterion", rep.as_dict())
+    print(json.dumps(asdict(rep), indent=2))
+    _write_json(config, "criterion", asdict(rep))
     return EXIT_OK if rep.verdict == "orbit_predicted" else EXIT_CRITERION
 
 
@@ -332,7 +334,7 @@ def cmd_classify(args, config) -> int:
     _print_group(group)
     print(f"|F|_inf:     {residual:.3e}")
     print(json.dumps(payload, indent=2))
-    _write_json(config, args, "classify", payload)
+    _write_json(config, "classify", payload)
     return EXIT_OK
 
 
@@ -377,7 +379,7 @@ def cmd_sweep(args, config) -> int:
         print(f"{e.value!s:>10}  {margin:>12}  {verdict:>15}  {outcome:>22}  {detail}")
         rows.append({
             "value": e.value,
-            "criterion": e.criterion.as_dict() if e.criterion else None,
+            "criterion": asdict(e.criterion) if e.criterion else None,
             "report": _report_payload(e.report, base.n, base.m)
             if e.report else None,
             "error": e.error,

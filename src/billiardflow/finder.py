@@ -27,7 +27,8 @@ from .geometry import (check_equivariance, convexity_margin,
 from .lagrangian import gradient_field, periodic_action
 from .sequences import (AffineSystem, GroupDescription,
                         PeriodicLift, SymmetrySpec, expand_constraints,
-                        generated_group, intersection_index, is_birkhoff,
+                        first_inadmissible, generated_group,
+                        intersection_index, is_birkhoff,
                         minimal_period, repeat_lift, spatiotemporal_group,
                         symmetric_birkhoff, type_label)
 from .spectral import (CriterionReport, class_generators, class_shifts,
@@ -49,13 +50,17 @@ POLISH_BASIN_TOL = 1e-4
 #: POLISH_MAX_ITER Newton steps
 POLISH_TARGET = 1e-12
 POLISH_MAX_ITER = 30
+#: a Newton step is halved until every increment lies in
+#: (POLISH_GUARD, 1 - POLISH_GUARD)
+POLISH_GUARD = 1e-9
 
 
 class CriterionInconclusive(RuntimeError):
     """The closed-form verdict is "inconclusive", so no orbit is predicted.
 
     A margin that is not positive beyond roundoff never proves absence; pass
-    ``force=True`` on the request to run the flow anyway.
+    ``force=True`` on the request (``--force`` on the command line) to run
+    the flow anyway.
     """
 
     def __init__(self, report: CriterionReport):
@@ -63,7 +68,8 @@ class CriterionInconclusive(RuntimeError):
             f"margin = {report.margin:.6g} is not positive beyond roundoff: "
             f"no orbit of kind {report.kind!r} is predicted in the "
             f"({report.p}, {report.q}) class.  This is inconclusive, not a "
-            "proof of absence; pass force=True to run the flow anyway.")
+            "proof of absence; pass force=True (--force on the command line) "
+            "to run the flow anyway.")
         self.report = report
 
 
@@ -175,8 +181,7 @@ def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
         scale = 1.0
         for _ in range(6):
             cand = cur + scale * step
-            inc = np.diff(cand, append=cand[0] + lift.q)
-            if inc.min() > 1e-9 and inc.max() < 1.0 - 1e-9:
+            if first_inadmissible(cand, lift.q, POLISH_GUARD) is None:
                 break
             scale *= 0.5
         else:
@@ -367,7 +372,8 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
             return SweepEntry(value=value, criterion=rep.criterion, report=rep)
         except CriterionInconclusive as exc:
             return SweepEntry(value=value, criterion=exc.report,
-                              error="inconclusive: margin <= 0")
+                              error=f"inconclusive: margin = {exc.report.margin:.6g} "
+                                    "is not positive beyond roundoff")
         except Exception as exc:       # noqa: BLE001 - recorded per entry
             error = f"{type(exc).__name__}: {exc}"
             log.warning("sweep entry %r failed: %s", value, error,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lagrangian import _gradient_coords, periodic_action
-from .sequences import AffineSystem, PeriodicLift, intersection_index
+from .sequences import AffineSystem, PeriodicLift, first_inadmissible, intersection_index
 
 # Dormand-Prince 5(4) tableau
 _A = np.array([
@@ -59,9 +59,9 @@ class FlowOptions:
     stationarity_tol: float = 1e-10      # convergence: ||F||_inf below this
     max_time: float = 1e6
     max_steps: int = 200_000
-    guard_margin: float = 0.0            # increments must stay in [margin, 1-margin]
+    guard_margin: float = 0.0            # increments must stay in (margin, 1-margin)
     record_every: int = 1                # record every k-th accepted step
-    record_lifts: bool = False           # keep coordinate snapshots (comparison runs)
+    record_lifts: bool = False           # keep coordinate snapshots
 
     def __post_init__(self):
         if not 0.0 <= self.guard_margin < 0.5:
@@ -100,11 +100,9 @@ class FlowResult:
 
 
 def _guard_violation(coords: np.ndarray, q: int, lo: float):
-    inc = np.diff(coords, append=coords[0] + q)
-    bad = np.nonzero((inc < lo) | (inc > 1.0 - lo))[0]
-    if bad.size:
-        i = int(bad[0])
-        return f"increment {i} = {inc[i]:.6g} left [{lo:.3g}, {1 - lo:.3g}]"
+    bad = first_inadmissible(coords, q, lo)
+    if bad is not None:
+        return f"increment {bad[0]} = {bad[1]:.6g} left ({lo:.3g}, {1 - lo:.3g})"
     return None
 
 
@@ -295,34 +293,3 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         dt = min(dt, opts.max_time - t)
 
     return result(x, False, "max_steps", t, fnorm, steps, failure="max_steps")
-
-
-def comparison_check(run_x: FlowResult, run_y: FlowResult) -> bool:
-    """Whether run_x stays strictly below run_y at every recorded time > 0.
-
-    Both runs must have been recorded with ``record_lifts=True`` and start
-    from ordered, distinct states x(0) <= y(0).  Samples of the two runs are
-    aligned by per-coordinate linear interpolation on the union of their time
-    grids, truncated to the shorter run.
-    """
-    if run_x.lifts is None or run_y.lifts is None:
-        raise ValueError("comparison_check needs runs recorded with record_lifts=True")
-    x0 = run_x.lifts[0]
-    y0 = run_y.lifts[0]
-    if np.any(x0 > y0):
-        raise ValueError("requires x(0) <= y(0) componentwise")
-    if np.array_equal(x0, y0):
-        raise ValueError("requires x(0) != y(0)")
-    t_max = min(run_x.times[-1], run_y.times[-1])
-    ts = np.union1d(run_x.times, run_y.times)
-    ts = ts[(ts > 0.0) & (ts <= t_max)]
-    if ts.size == 0:
-        raise ValueError("runs share no positive recorded time")
-    xs = np.vstack(run_x.lifts)
-    ys = np.vstack(run_y.lifts)
-    for j in range(xs.shape[1]):
-        xj = np.interp(ts, run_x.times, xs[:, j])
-        yj = np.interp(ts, run_y.times, ys[:, j])
-        if not np.all(xj < yj):
-            return False
-    return True

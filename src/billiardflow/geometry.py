@@ -89,8 +89,8 @@ def make_limacon(n: int, alpha: float) -> Boundary:
     """Polar-graph curve r(x) = 1 + alpha*cos(2*pi*n*x) over the unit circle.
 
     Has exact n-fold dihedral symmetry.  Strictly convex iff
-    ``|alpha| <= limacon_convexity_threshold(n)`` (the constructor does not
-    enforce convexity; use :func:`convexity_margin`).
+    ``|alpha| < 1/(1 + n^2)`` (the constructor does not enforce convexity;
+    use :func:`convexity_margin`).
 
     Raises
     ------
@@ -126,13 +126,6 @@ def make_limacon(n: int, alpha: float) -> Boundary:
         return out
 
     return Boundary(jet, symmetry_order=n, speed=tau if a == 0.0 else None)
-
-
-def limacon_convexity_threshold(n: int) -> float:
-    """Largest |alpha| for which ``make_limacon(n, alpha)`` stays convex."""
-    if n < 2:
-        raise ValueError(f"symmetry order n={n} must be >= 2")
-    return 1.0 / (1.0 + n * n)
 
 
 def make_ellipse(a: float, b: float) -> Boundary:
@@ -180,13 +173,6 @@ def make_boundary(descriptor: dict) -> Boundary:
     if family == "circle":
         return make_circle(float(descriptor.get("radius", 1.0)), int(descriptor.get("n", 2)))
     raise ValueError(f"unknown boundary family {family!r}")
-
-
-def scaled(boundary: Boundary, factor: float) -> Boundary:
-    """The same curve magnified by ``factor`` (used for scale-invariance checks)."""
-    f, jet, speed = _positive("scale factor", factor), boundary.jet, boundary.speed
-    return replace(boundary, jet=lambda x, order: [f * z for z in jet(x, order)],
-                   speed=None if speed is None else f * speed)
 
 
 def orientation_det(boundary: Boundary, x) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Chord-length generating function on a boundary: partials, forces, gradient.
+"""Chord-length generating function on a boundary: partials and gradient.
 
 For boundary points gamma(x), gamma(X) the generating function is the chord
 length l(x, X) = |gamma(X) - gamma(x)|, smooth away from x - X in Z.  Its
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Boundary, curvature
+from .sequences import first_inadmissible
 
-#: within this distance of the diagonal, first partials switch to their
-#: continuous boundary extension (the raw quotient loses precision there)
-DIAG_GUARD = 1e-9
 #: closer than this to the diagonal counts as coincident points
 COINCIDENT_TOL = 1e-12
 
@@ -73,73 +71,16 @@ def second_partials(boundary: Boundary, x, X) -> SecondPartials:
     )
 
 
-def _force_domain_check(x, X):
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if np.any(X < x - 1e-12) or np.any(X > x + 1.0 + 1e-12):
-        raise ValueError("forces are defined for x <= X <= x + 1")
-    return x, X
-
-
-def _force(zx, zX, tangent, t):
-    """The component of the tangent along the unit chord from zx to zX.
-
-    Continued by +|tangent| at t = 0 and by -|tangent| at t = 1, where the
-    chord vanishes.
-    """
-    d = zX - zx
-    speed = np.sqrt(tangent.real * tangent.real + tangent.imag * tangent.imag)
-    length = np.sqrt(d.real * d.real + d.imag * d.imag)
-    raw = (tangent.real * d.real + tangent.imag * d.imag) / np.where(length > 0, length, 1.0)
-    return np.where(t <= DIAG_GUARD, speed,
-                    np.where(t >= 1.0 - DIAG_GUARD, -speed, raw))
-
-
-def force_minus(boundary: Boundary, x, X):
-    """d/dX of the chord length, |gamma'(X)| cos(phi), on x <= X <= x + 1.
-
-    Equals +|gamma'(x)| at X = x and -|gamma'(x)| at X = x + 1; strictly
-    increasing in x for fixed X on a strictly convex table.
-    """
-    x, X = _force_domain_check(x, X)
-    zX, tX = boundary.jet(X, 1)
-    return _force(boundary.jet(x, 0)[0], zX, tX, X - x)
-
-
-def force_plus(boundary: Boundary, x, X):
-    """d/dx of the chord length, -|gamma'(x)| cos(theta), on x <= X <= x + 1.
-
-    Equals -|gamma'(x)| at X = x and +|gamma'(x)| at X = x + 1; strictly
-    increasing in X for fixed x on a strictly convex table.
-    """
-    x, X = _force_domain_check(x, X)
-    zx, tx = boundary.jet(x, 1)
-    return -_force(zx, boundary.jet(X, 0)[0], tx, X - x)
-
-
-def _increments(x: np.ndarray, q: int) -> np.ndarray:
-    """x_{i+1} - x_i with the wraparound x_p = x_0 + q."""
-    inc = np.empty(x.shape[0])
-    inc[:-1] = x[1:] - x[:-1]
-    inc[-1] = x[0] + q - x[-1]
-    return inc
-
-
-def _inadmissible(inc: np.ndarray) -> np.ndarray:
-    return np.nonzero(~((inc > 0.0) & (inc < 1.0)))[0]      # NaN fails too
-
-
 def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> np.ndarray | None:
     """Gradient of the periodic action in plain-array form (hot path).
 
     Evaluates the curve once, as complex positions z_i and tangents z'_i, and
     assembles F_i = Re(conj(z'_i) (u_{i-1} - u_i)) with u_i the unit chord
     from z_i to z_{i+1}; by 1-periodicity of the curve the wrapped chord ends
-    at z_0.  Equal to force_minus(x_{i-1}, x_i) + force_plus(x_i, x_{i+1}) on
-    admissible lifts.  Returns None when an increment leaves (0, 1), where
-    the action is not smooth.
+    at z_0.  Returns None when an increment leaves (0, 1), where the action
+    is not smooth.
     """
-    if _inadmissible(_increments(coords, q)).size:
+    if first_inadmissible(coords, q) is not None:
         return None
     z, dz = boundary.jet(coords, 1)
     # ring = (z_0, ..., z_{p-1}, z_0), whose differences are the chords; the
@@ -162,7 +103,7 @@ def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> np.ndarr
 
 
 def gradient_field(boundary: Boundary, lift) -> np.ndarray:
-    """Action gradient F_i = force_minus(x_{i-1}, x_i) + force_plus(x_i, x_{i+1}).
+    """Action gradient F_i = d/dx_i of the total chord length.
 
     Uses the wraparound x_{-1} = x_{p-1} - q and x_p = x_0 + q.  Zero exactly
     at billiard configurations.  Raises ValueError (naming the first violating
@@ -171,11 +112,10 @@ def gradient_field(boundary: Boundary, lift) -> np.ndarray:
     x = np.asarray(lift.coords, dtype=float)
     grad = _gradient_coords(boundary, x, lift.q)
     if grad is None:
-        inc = _increments(x, lift.q)
-        i = int(_inadmissible(inc)[0])
+        i, inc = first_inadmissible(x, lift.q)
         raise ValueError(
             f"lift leaves the admissible region at increment {i}: "
-            f"x[{(i + 1) % x.shape[0]}] - x[{i}] = {inc[i]:.6g}")
+            f"x[{(i + 1) % x.shape[0]}] - x[{i}] = {inc:.6g}")
     return grad
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 #: snapping tolerance of the ordering and crossing tests and of class membership
 SNAP_TOL = 1e-9
-#: tolerance of the minimal-period, geometric-equality and classification residuals
+#: tolerance of the minimal-period and classification residuals
 CLASSIFY_TOL = 1e-8
 
 #: the four generator families: kind -> (index direction d, sign on x_i,
@@ -58,16 +58,27 @@ class PeriodicLift:
         i = np.asarray(i)
         return self.coords[np.mod(i, self.p)] + self.q * np.floor_divide(i, self.p)
 
-    def increments(self) -> np.ndarray:
-        """u_i = x_{i+1} - x_i for i = 0..p-1 (the last one wraps)."""
-        return np.diff(self.coords, append=self.coords[0] + self.q)
-
     def with_coords(self, coords) -> "PeriodicLift":
         return PeriodicLift(self.p, self.q, coords)
 
     def translate(self, c: int, d: int) -> "PeriodicLift":
         """The integer translate with coordinates x_{i+c} + d."""
         return PeriodicLift(self.p, self.q, self.value(np.arange(self.p) + c) + d)
+
+
+def first_inadmissible(coords: np.ndarray, q: int, lo: float = 0.0):
+    """The first increment u_i = x_{i+1} - x_i (the last one wraps to x_0 + q)
+    outside the open interval (lo, 1 - lo), as (i, u_i); None when there is
+    none.  A NaN increment is outside.
+    """
+    inc = np.empty(coords.shape[0])
+    inc[:-1] = coords[1:] - coords[:-1]
+    inc[-1] = coords[0] + q - coords[-1]
+    inside = (inc > lo) & (inc < 1.0 - lo)
+    if inside.all():
+        return None
+    i = int(np.argmin(inside))
+    return i, float(inc[i])
 
 
 def repeat_lift(lift: PeriodicLift, times: int) -> PeriodicLift:
@@ -176,24 +187,6 @@ def minimal_period(lift: PeriodicLift) -> int:
     score = _row_scores(_identity_table(lift, lift, "rotation_preserving"), [0.0])[0][0]
     return next((d for d in range(1, lift.p) if lift.p % d == 0 and score[d] <= CLASSIFY_TOL),
                 lift.p)
-
-
-def geometrically_equal(a: PeriodicLift, b: PeriodicLift) -> bool:
-    """Whether two lifts describe the same orbit up to time shift or reversal.
-
-    Forward match (needs equal windings): x^a_{r+i} - x^b_i is a constant
-    integer for some shift r, a row of the rotation-preserving table of
-    (a, b).  Reversed match: traversing a (p, q) orbit backwards yields a
-    (p, p-q) orbit, so it needs q_b = p - q_a and reads x^a_{r-i} - x^b_i + i
-    constant integer (the reversed traversal re-lifted to increasing order), a
-    row of the rotation-reversing table.  Both apply only when p = 2q.
-    """
-    if a.p != b.p:
-        return False
-    families = [f for f, q in (("rotation_preserving", a.q), ("rotation_reversing", a.p - a.q))
-                if b.q == q]
-    return any(_row_scores(_identity_table(a, b, f), [0.0])[0].min() <= CLASSIFY_TOL
-               for f in families)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +468,8 @@ def load_lift(path):
     if coords.shape != (p,):
         raise ValueError(f"expected {p} coordinates, found {coords.size}")
     lift = PeriodicLift(p, q, coords)
-    inc = lift.increments()
-    if not np.all((inc > 0.0) & (inc < 1.0)):      # NaN fails too
-        raise ValueError(
-            f"lift leaves the admissible region: increments span "
-            f"[{inc.min():.6g}, {inc.max():.6g}], need (0, 1)")
+    bad = first_inadmissible(lift.coords, q)
+    if bad is not None:
+        raise ValueError(f"lift leaves the admissible region: increment {bad[0]} "
+                         f"= {bad[1]:.6g} is outside (0, 1)")
     return lift, n, m

@@ -27,22 +27,6 @@ from .sequences import (FAMILIES, PeriodicLift, SymmetryGenerator, _check_rotati
                         symmetric_birkhoff)
 
 
-@dataclass(frozen=True)
-class BirkhoffCoefficients:
-    """Circulant Hessian data at a symmetric Birkhoff orbit.
-
-    alpha is half the diagonal entry, beta the off-diagonal entry; speed,
-    chord and curvature are the constant speed c, the chord length L and the
-    curvature kappa at the impact points.
-    """
-
-    alpha: float
-    beta: float
-    speed: float
-    chord: float
-    curvature: float
-
-
 def kappa_chord(boundary: Boundary, n: int, m: int, branch: int = 1):
     """Curvature and chord length at the (n, m) symmetric Birkhoff orbit.
 
@@ -53,26 +37,6 @@ def kappa_chord(boundary: Boundary, n: int, m: int, branch: int = 1):
     kappa = float(curvature_at(boundary, ref.coords[0]))
     chord = float(chord_length(boundary, ref.coords[0], ref.value(1)))
     return kappa, chord
-
-
-def birkhoff_coefficients(boundary: Boundary, n: int, m: int,
-                          branch: int = 1) -> BirkhoffCoefficients:
-    """The (alpha, beta) of the circulant Hessian at a symmetric Birkhoff orbit.
-
-    Requires a constant-speed parametrization (the closed forms assume it):
-
-        alpha = c^2 sin(m pi/n) (sin(m pi/n)/L - kappa)
-        beta  = c^2 sin^2(m pi/n) / L
-    """
-    c = boundary.speed
-    if c is None:
-        raise ValueError("birkhoff_coefficients requires a constant-speed boundary")
-    kappa, chord = kappa_chord(boundary, n, m, branch)
-    s = math.sin(m * math.pi / n)
-    alpha = c * c * s * (s / chord - kappa)
-    beta = c * c * s * s / chord
-    return BirkhoffCoefficients(alpha=alpha, beta=beta, speed=c,
-                                chord=chord, curvature=kappa)
 
 
 def hessian(boundary: Boundary, lift: PeriodicLift) -> np.ndarray:
@@ -131,17 +95,6 @@ class CriterionReport:
     predicted_crossings: int
     predicted_min_period: int
     verdict: str
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind, "n": self.n, "m": self.m, "N": self.N,
-            "s": self.s, "p": self.p, "q": self.q, "kappa": self.kappa,
-            "chord": self.chord, "lhs": self.lhs, "rhs": self.rhs,
-            "margin": self.margin,
-            "predicted_crossings": self.predicted_crossings,
-            "predicted_min_period": self.predicted_min_period,
-            "verdict": self.verdict,
-        }
 
 
 def _given_N(kind: str, n: int, m: int, N: int | None, s: int) -> None:

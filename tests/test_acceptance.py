@@ -11,11 +11,9 @@ import pytest
 from billiardflow import (
     FlowOptions,
     SearchRequest,
-    birkhoff_coefficients,
     criterion,
     expand_constraints,
     find_orbit,
-    geometrically_equal,
     hessian,
     integrate,
     is_birkhoff,
@@ -27,13 +25,13 @@ from billiardflow import (
 )
 from billiardflow.geometry import (
     convexity_margin,
-    limacon_convexity_threshold,
     make_circle,
     make_ellipse,
     make_limacon,
 )
 from billiardflow.sequences import PeriodicLift, SymmetrySpec
 from billiardflow.spectral import class_generators
+from oracles import birkhoff_coefficients, circulant, increments, same_orbit
 
 
 def announce(num: int, name: str, t0: float, budget: float, detail: str):
@@ -66,8 +64,6 @@ def test_criterion_1_convexity_threshold():
         found = bisect_threshold(n)
         expected = 1.0 / (1.0 + n * n)
         assert found == pytest.approx(expected, abs=1e-6), f"n={n}"
-        assert limacon_convexity_threshold(n) == pytest.approx(expected,
-                                                               abs=1e-15)
         worst = max(worst, abs(found - expected))
     # the four tabulated bulge limits
     for n, table in ((2, 0.2), (3, 0.1), (4, 0.0588), (5, 0.0385)):
@@ -103,17 +99,6 @@ def action_fd_hessian(boundary, lift, h=1e-5):
             wmp = w(d)
             out[i, j] = out[j, i] = (wpp - wpm - wmp + wmm) / (4.0 * h * h)
     return out
-
-
-def circulant(p, alpha, beta):
-    """Oracle: symmetric circulant tridiagonal matrix with corners, diagonal
-    2 alpha and off-diagonal beta; mode j has eigenvalue
-    2 alpha + 2 beta cos(2 pi j / p)."""
-    h = 2.0 * alpha * np.eye(p)
-    for i in range(p):
-        h[i, (i + 1) % p] += beta
-        h[(i + 1) % p, i] += beta
-    return h
 
 
 def test_criterion_2_hessian_eigenpairs():
@@ -317,7 +302,7 @@ def test_criterion_7_circle_collapse():
             n=4, m=1, kind="main", N=4, s=3, epsilon=eps, force=True))
         assert rep.outcome == "collapsed_to_birkhoff"
         assert rep.is_birkhoff
-        dev = float(np.max(np.abs(rep.final_lift.increments() - 0.25)))
+        dev = float(np.max(np.abs(increments(rep.final_lift) - 0.25)))
         assert dev < 1e-8
         devs.append(dev)
     announce(7, "circle null result", t0, 10.0,
@@ -340,7 +325,7 @@ def test_criterion_8_dual_pair_distinct():
         assert (rep.final_lift.p, rep.final_lift.q) == (14, 4)
         assert not rep.is_birkhoff
         assert rep.anomalies == []
-    assert not geometrically_equal(odd.final_lift, even.final_lift)
+    assert not same_orbit(odd.final_lift, even.final_lift)
     announce(8, "dual pair distinctness", t0, 60.0,
              "shift 3 and shift 10 both give (14,4) non-Birkhoff orbits, "
              "geometrically distinct")

@@ -94,6 +94,20 @@ def test_check_writes_criterion_file(flagship_ini, tmp_path, capsys):
     assert payload["kind"] == "main"
 
 
+def test_output_key_sets_where_check_and_classify_write(tmp_path, capsys):
+    # [output] out works like --out: no flag is needed for the JSON files
+    out_dir = tmp_path / "cfgout"
+    config = tmp_path / "out.ini"
+    config.write_text(FLAGSHIP_INI + f"\n[output]\nout = {out_dir}\nprefix = fla\n")
+    assert main(["check", "--config", str(config)]) == 0
+    assert json.loads((out_dir / "fla.criterion.json").read_text())["kind"] == "main"
+    orbit = tmp_path / "ref.orbit.txt"
+    save_lift(orbit, repeat_lift(symmetric_birkhoff(4, 1), 3), 4, 1)
+    assert main(["classify", str(orbit), "--config", str(config)]) == 0
+    assert json.loads((out_dir / "fla.classify.json").read_text())["p"] == 12
+    assert capsys.readouterr().out.count(f"wrote {out_dir}") == 2
+
+
 def test_check_inconclusive_circle_exits_3(circle_ini, capsys):
     assert main(["check", "--config", str(circle_ini)]) == 3
     out = capsys.readouterr().out
@@ -349,6 +363,8 @@ def test_a_roundoff_margin_is_inconclusive(command, tmp_path, capsys):
     assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 3
     captured = capsys.readouterr()
     assert "inconclusive" in captured.out + captured.err
+    if command == "find":
+        assert "--force" in captured.err
 
 
 @pytest.mark.parametrize("billiard, name", [

@@ -11,7 +11,6 @@ from billiardflow import (
     SearchRequest,
     expand_constraints,
     find_orbit,
-    geometrically_equal,
     initial_perturbation,
     repeat_lift,
     sweep,
@@ -20,6 +19,7 @@ from billiardflow import (
 from billiardflow import finder
 from billiardflow.sequences import SymmetrySpec
 from billiardflow.spectral import class_generators
+from oracles import increments, same_orbit
 
 LIMACON4 = {"family": "limacon", "n": 4, "alpha": 0.05}
 LIMACON2_10 = {"family": "limacon", "n": 2, "alpha": 0.10}
@@ -112,7 +112,7 @@ def test_odd_order_dual_orbits_are_distinct():
         assert rep.crossings_vs_reference == 2
         assert rep.group.type_label == "III"
         assert rep.anomalies == []
-    assert not geometrically_equal(first.final_lift, second.final_lift)
+    assert not same_orbit(first.final_lift, second.final_lift)
 
 
 def test_circle_margin_gates_the_run():
@@ -124,7 +124,7 @@ def test_circle_margin_gates_the_run():
                                       N=4, s=3, force=True))
     assert forced.outcome == "collapsed_to_birkhoff"
     assert forced.is_birkhoff
-    assert np.allclose(forced.final_lift.increments(), 0.25, atol=1e-8)
+    assert np.allclose(increments(forced.final_lift), 0.25, atol=1e-8)
 
 
 def test_step_capped_run_reports_non_converged():
@@ -209,6 +209,19 @@ def test_sweep_records_success_failure_and_inconclusive():
     assert circle_limit.report is None
     assert "inconclusive" in circle_limit.error
     assert circle_limit.criterion.margin <= 0
+
+
+def test_sweep_states_a_roundoff_margin():
+    # kappa*L = rhs = 1/2 exactly for typeI s = 3 on the 2:1 ellipse; the
+    # computed margin is +1 ulp, which is not a positive margin
+    base = SearchRequest(billiard={"family": "ellipse", "a": 2.0, "b": 1.0},
+                         n=2, m=1, kind="typeI", s=3)
+    [entry] = sweep(base, "s", [3])
+    assert entry.report is None
+    assert entry.criterion.verdict == "inconclusive"
+    assert entry.criterion.margin == 2.0 ** -52
+    assert entry.error == ("inconclusive: margin = 2.22045e-16 is not positive "
+                           "beyond roundoff")
 
 
 def test_sweep_serial_matches_parallel():

@@ -14,9 +14,6 @@ from billiardflow import (
     chord_length,
     convexity_margin,
     curvature_at,
-    force_minus,
-    force_plus,
-    limacon_convexity_threshold,
     make_boundary,
     make_circle,
     make_ellipse,
@@ -24,7 +21,7 @@ from billiardflow import (
     reparametrize_constant_speed,
     second_partials,
 )
-from billiardflow.geometry import orientation_det, scaled
+from billiardflow.geometry import orientation_det
 
 
 def curve(boundary, x, order=0):
@@ -53,14 +50,15 @@ def quad_length(boundary, samples=200_000):
 
 
 def test_convexity_threshold_closed_form():
+    # at |alpha| = 1/(1+n^2) the minimum of det(gamma', gamma'') is zero
     for n in range(2, 10):
-        assert limacon_convexity_threshold(n) == pytest.approx(1.0 / (1 + n * n),
-                                                               abs=1e-15)
+        for a in (1.0 / (1 + n * n), -1.0 / (1 + n * n)):
+            assert abs(convexity_margin(make_limacon(n, a))) <= 1e-12 * (2 * np.pi) ** 3
 
 
 def test_limacon_convex_below_threshold_concave_above():
     for n in (2, 3, 4, 5):
-        star = limacon_convexity_threshold(n)
+        star = 1.0 / (1 + n * n)
         assert convexity_margin(make_limacon(n, 0.8 * star)) > 0
         assert convexity_margin(make_limacon(n, 1.2 * star)) < 0
 
@@ -70,7 +68,7 @@ def test_limacon_margin_matches_closed_form():
     # r = 1 - a, r' = 0 and r'' = tau^2 n^2 a
     tau = 2 * np.pi
     for n in range(2, 10):
-        star = limacon_convexity_threshold(n)
+        star = 1.0 / (1 + n * n)
         for frac in (0.1, 0.5, 0.9, 0.99, 1.2):
             a = frac * star
             exact = tau ** 3 * (1 - a) * (1 - a * (1 + n * n))
@@ -119,7 +117,7 @@ def test_equivariance_of_builtin_families(limacon4, ellipse21, circle4):
 @given(n=st.integers(min_value=2, max_value=8),
        frac=st.floats(min_value=0.05, max_value=0.95))
 def test_limacon_equivariance_property(n, frac):
-    b = make_limacon(n, frac * limacon_convexity_threshold(n))
+    b = make_limacon(n, frac / (1 + n * n))
     assert check_equivariance(b, n)
 
 
@@ -134,15 +132,6 @@ def test_make_boundary_descriptor_round_trip():
     assert np.allclose(abs(curve(c, 0.37)), 2.0)
     with pytest.raises(ValueError):
         make_boundary({"family": "hyperbola"})
-
-
-def test_scaled_boundary_scales_geometry(limacon4, circle4):
-    big = scaled(limacon4, 3.0)
-    x = np.linspace(0.05, 0.95, 7)
-    for mine, theirs in zip(big.jet(x, 2), limacon4.jet(x, 2), strict=True):
-        assert np.allclose(mine, 3.0 * theirs)
-    assert np.allclose(curvature_at(big, x), curvature_at(limacon4, x) / 3.0)
-    assert big.speed is None and scaled(circle4, 3.0).speed == 3.0 * circle4.speed
 
 
 def test_speed_matches_quadrature_oracle(limacon4):
@@ -221,7 +210,7 @@ def test_reparametrization_preserves_curvature_function(limacon4, limacon4_cs):
 def raw_tables():
     """Limacons n = 2..9 at 0.9x their convexity threshold and the 2:1 and
     5:1 ellipses, as constructed."""
-    raw = [make_limacon(n, 0.9 * limacon_convexity_threshold(n)) for n in range(2, 10)]
+    raw = [make_limacon(n, 0.9 / (1 + n * n)) for n in range(2, 10)]
     return raw + [make_ellipse(2.0, 1.0), make_ellipse(5.0, 1.0)]
 
 
@@ -278,8 +267,6 @@ def test_each_query_evaluates_the_jet_once_per_endpoint(limacon4_cs):
         "curvature_at": (lambda: curvature_at(b, x), [2]),
         "second_partials": (lambda: second_partials(b, x, X), [2, 2]),
         "chord_length": (lambda: chord_length(b, x, X), [0, 0]),
-        "force_minus": (lambda: force_minus(b, x, X), [1, 0]),
-        "force_plus": (lambda: force_plus(b, x, X), [1, 0]),
     }
     for name, (query, orders) in queries.items():
         calls.clear()
@@ -324,7 +311,6 @@ def test_constructors_reject_non_finite_parameters(bad, caplog):
         "semi-axis a": lambda: make_ellipse(bad, 1.0),
         "semi-axis b": lambda: make_ellipse(2.0, bad),
         "radius": lambda: make_circle(bad, 4),
-        "scale factor": lambda: scaled(make_limacon(4, 0.05), bad),
     }
     for name, build in builds.items():
         with pytest.raises(ValueError, match=name):

@@ -5,8 +5,6 @@ import pytest
 
 from billiardflow import (
     chord_length,
-    force_minus,
-    force_plus,
     gradient_field,
     hessian,
     periodic_action,
@@ -15,6 +13,7 @@ from billiardflow import (
     symmetric_birkhoff,
 )
 from billiardflow.sequences import PeriodicLift
+from oracles import force_minus, force_plus
 
 
 def chord_angles(boundary, x, X):

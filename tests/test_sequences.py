@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from billiardflow import (
     expand_constraints,
-    geometrically_equal,
     intersection_index,
     is_birkhoff,
     load_lift,
@@ -24,8 +23,10 @@ from billiardflow.sequences import (
     SymmetryGenerator,
     SymmetrySpec,
     aubry_vertices,
+    first_inadmissible,
 )
 from billiardflow.spectral import class_generators, class_shifts
+from oracles import loop_score, same_orbit
 
 
 def brute_force_well_ordered(lift, tol=1e-9):
@@ -68,8 +69,16 @@ def test_lift_value_is_periodic_plus_winding(p, q, k, i):
 
 
 def test_increments_wrap_to_the_winding():
+    # increments 0.2, 0.3, 0.3 and the wrapped x_0 + q - x_3 = 0.2
     lift = PeriodicLift(4, 1, np.array([0.1, 0.3, 0.6, 0.9]))
-    assert np.allclose(lift.increments(), [0.2, 0.3, 0.3, 0.2])
+    assert first_inadmissible(lift.coords, 1) is None
+    assert first_inadmissible(lift.coords, 1, 0.25) == (0, pytest.approx(0.2))
+    i, inc = first_inadmissible(np.array([0.1, 0.3, 0.6, 1.2]), 1)
+    assert i == 3 and inc == pytest.approx(-0.1)
+    assert first_inadmissible(lift.coords, 2) == (3, pytest.approx(1.2))
+    # the interval is open: an increment equal to lo is outside, and so is NaN
+    assert first_inadmissible(np.arange(4) / 4, 1, 0.25) == (0, 0.25)
+    assert first_inadmissible(np.array([0.1, np.nan, 0.6, 0.9]), 1)[0] == 0
     shifted = lift.translate(2, -1)
     assert shifted.value(0) == pytest.approx(lift.value(2) - 1)
 
@@ -193,12 +202,12 @@ def test_geometric_equality_up_to_shift_and_reversal():
     rng = np.random.default_rng(21)
     a = random_lift(rng, 9, 2)
     shifted = a.translate(4, -1)
-    assert geometrically_equal(a, shifted)
+    assert same_orbit(a, shifted)
     backwards = reversed_lift(a, r=5)  # a (9, 7) lift of the same points
-    assert geometrically_equal(a, backwards)
-    assert geometrically_equal(backwards, a)
+    assert same_orbit(a, backwards)
+    assert same_orbit(backwards, a)
     other = random_lift(rng, 9, 2)
-    assert not geometrically_equal(a, other)
+    assert not same_orbit(a, other)
 
 
 def test_geometric_equality_reversal_within_one_class():
@@ -206,14 +215,14 @@ def test_geometric_equality_reversal_within_one_class():
     a = random_lift(np.random.default_rng(22), 10, 5)
     back = reversed_lift(a, r=3)
     assert back.q == 5
-    assert geometrically_equal(a, back)
+    assert same_orbit(a, back)
 
 
 def test_reflection_of_parameters_is_not_the_same_orbit():
     # negating boundary parameters reflects the points: a different orbit
     a = random_lift(np.random.default_rng(24), 9, 2)
     mirrored = PeriodicLift(9, 2, -a.coords[::-1])
-    assert not geometrically_equal(a, mirrored)
+    assert not same_orbit(a, mirrored)
 
 
 # ---------------------------------------------------------------------------
@@ -231,27 +240,11 @@ def cubic_is_birkhoff(lift):
     return all(np.array_equal(l[m:m + p, m:m + p], l[:p, :p]) for m in range(1, p))
 
 
-def loop_score(d):
-    """Oracle: max_i |d_i - M|, with M the integer nearest d_0."""
-    return float(np.max(np.abs(d - round(float(d[0])))))
-
-
 def loop_period_scores(lift):
     """Oracle: divisor d of p -> the score of x_{d+i} - x_i."""
     i = np.arange(lift.p)
     return {d: loop_score(lift.value(i + d) - lift.coords)
             for d in range(1, lift.p + 1) if lift.p % d == 0}
-
-
-def loop_equality_scores(a, b):
-    """Oracle: the score of every forward and every reversed match of b to a."""
-    i = np.arange(a.p)
-    scores = []
-    if b.q == a.q:
-        scores += [loop_score(b.coords - a.value(r + i)) for r in range(a.p)]
-    if b.q == a.p - a.q:
-        scores += [loop_score(b.coords - a.value(r - i) - i) for r in range(a.p)]
-    return scores
 
 
 def in_band(score):
@@ -308,25 +301,6 @@ def test_minimal_period_agrees_outside_the_band(noise):
         compared += 1
         periods.add(expected < lift.p)
     assert compared > 300 and periods == {True, False}
-
-
-@pytest.mark.parametrize("noise", [(1e-11, 3e-10), (1e-9, 1e-7)])
-def test_geometric_equality_agrees_outside_the_band(noise):
-    rng = np.random.default_rng(53)
-    compared, verdicts = 0, set()
-    for a in oracle_lifts(rng, (1e-16, 1e-15)):
-        r, M = int(rng.integers(0, a.p)), int(rng.integers(-2, 3))
-        amplitude = 10 ** rng.uniform(*np.log10(noise))
-        for b in (a.translate(r, M), reversed_lift(a, r), random_lift(rng, a.p, a.q)):
-            b = b.with_coords(b.coords + amplitude * rng.uniform(-1, 1, a.p))
-            scores = loop_equality_scores(a, b)
-            if any(map(in_band, scores)):
-                continue
-            expected = any(score <= CLASSIFY_TOL for score in scores)
-            assert geometrically_equal(a, b) == expected
-            compared += 1
-            verdicts.add(expected)
-    assert compared > 600 and verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

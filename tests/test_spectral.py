@@ -1,12 +1,12 @@
 """Stability coefficients, circulant Hessian, closed-form existence criteria."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from billiardflow import (
-    birkhoff_coefficients,
     class_shifts,
     criterion,
     gradient_field,
@@ -16,7 +16,7 @@ from billiardflow import (
     second_partials,
     symmetric_birkhoff,
 )
-from billiardflow.geometry import make_circle, scaled
+from billiardflow.geometry import make_circle
 from billiardflow.sequences import (
     PeriodicLift,
     SymmetryGenerator,
@@ -25,20 +25,11 @@ from billiardflow.sequences import (
     type_label,
 )
 from billiardflow.spectral import class_generators
+from oracles import birkhoff_coefficients, circulant
 
 # frozen reference values at the order-4 boundary with bulge 0.05, branch 1
 LIMACON4_KAPPA = 0.1662049861495844
 LIMACON4_CHORD = 1.3435028842544403
-
-
-def circulant(p, alpha, beta):
-    """Oracle: symmetric circulant tridiagonal matrix with corners, diagonal
-    2 alpha and off-diagonal beta."""
-    h = 2.0 * alpha * np.eye(p)
-    for i in range(p):
-        h[i, (i + 1) % p] += beta
-        h[(i + 1) % p, i] += beta
-    return h
 
 
 def mode_eigenvalue(alpha, beta, p, mode):
@@ -231,7 +222,7 @@ def test_margin_sign_matches_the_mode_eigenvalue(limacon4_cs, circle4):
 
 
 def test_margin_is_scale_invariant(limacon4):
-    big = scaled(limacon4, 3.0)
+    big = replace(limacon4, jet=lambda x, order: [3.0 * z for z in limacon4.jet(x, order)])
     for (N, s) in ((4, 3), (2, 3), (1, 2)):
         small_rep = criterion("main", 4, 1, N, s, *kappa_chord(limacon4, 4, 1))
         big_rep = criterion("main", 4, 1, N, s, *kappa_chord(big, 4, 1))
