@@ -46,11 +46,11 @@ from .sequences import (
 from .flow import FlowOptions, FlowResult, integrate
 from .spectral import (
     CriterionReport,
-    class_shifts,
+    SearchClass,
     criterion,
     hessian,
-    initial_perturbation,
     kappa_chord,
+    search_class,
 )
 from .finder import (
     CriterionInconclusive,

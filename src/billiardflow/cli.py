@@ -106,7 +106,6 @@ KEYS = (
     Key("flow", "guard_margin", float, "options", "guard_margin"),
     Key("flow", "abs_tol", float, "options", "abs_tol"),
     Key("flow", "rel_tol", float, "options", "rel_tol"),
-    Key("flow", "record_every", int, "options", "record_every"),
     Key("output", "out", str, "output", "out", flag="--out"),
     Key("output", "prefix", str, "output", "prefix", flag="--prefix"),
     Key("sweep", "param", str, "sweep", "param", required=True),
@@ -265,7 +264,7 @@ def _print_criterion(rep) -> None:
 
 
 def cmd_check(args, config) -> int:
-    _, rep = checked_criterion(_request(config, args))
+    _, _, rep = checked_criterion(_request(config, args))
     _print_criterion(rep)
     print(json.dumps(asdict(rep), indent=2))
     _write_json(config, "criterion", asdict(rep))

@@ -4,8 +4,8 @@ The pipeline builds the (n, m) symmetric Birkhoff reference inside the chosen
 (p, q) = (s*n, s*m) class, evaluates the closed-form existence criterion,
 perturbs the reference along the symmetric mode whose eigenvalue the margin
 controls, and runs the symmetry-constrained gradient flow until it stabilizes.
-The class, its mode and its criterion come from the kind's row of
-:data:`~.spectral.KINDS`.  The class is one orthonormal orbit basis
+The class, its mode and its criterion come from one validated
+:func:`~.spectral.search_class`.  The class is one orthonormal orbit basis
 (:func:`expand_constraints`): the flow projects onto it and the Newton polish
 solves in it.  The limit is classified and every predicted property (minimal
 period, crossing count, action gain, the group the class generators generate)
@@ -29,10 +29,8 @@ from .sequences import (AffineSystem, GroupDescription,
                         PeriodicLift, SymmetrySpec, expand_constraints,
                         first_inadmissible, generated_group,
                         intersection_index, is_birkhoff,
-                        minimal_period, repeat_lift, spatiotemporal_group,
-                        symmetric_birkhoff, type_label)
-from .spectral import (CriterionReport, class_generators, class_shifts,
-                       criterion, hessian, initial_perturbation, kappa_chord)
+                        minimal_period, spatiotemporal_group, type_label)
+from .spectral import CriterionReport, criterion, hessian, kappa_chord, search_class
 
 log = logging.getLogger(__name__)
 
@@ -80,11 +78,11 @@ class SearchRequest:
     billiard is a boundary descriptor accepted by
     :func:`billiardflow.geometry.make_boundary`.  ``kind`` names a row of
     :data:`~.spectral.KINDS` ("main", "typeI", "typeII", "typeV"); ``N`` is
-    the rotation count of the dihedral subgroup (main kind only), ``reflection``
-    the exponent of its chosen reversing reflection, and ``shift`` overrides
-    the derived index shift (picking, e.g., the opposite-parity representative
-    when both are geometric).  ``epsilon`` is the nudge amplitude, required to
-    lie in (0, 1/(2n)).
+    the rotation count of the dihedral subgroup (each kind but main fixes
+    it), ``reflection`` the exponent of its chosen reversing reflection, and
+    ``shift`` overrides the derived index shift (picking, e.g., the
+    opposite-parity representative when both are geometric).  ``epsilon`` is
+    the nudge amplitude, required to lie in (0, 1/(2n)).
     """
 
     billiard: dict
@@ -140,12 +138,16 @@ def checked_boundary(descriptor: dict, n: int):
 
 
 def checked_criterion(request: SearchRequest):
-    """The checked table of ``request`` (:func:`checked_boundary`) and the
-    closed-form criterion of its class."""
+    """The checked table of ``request`` (:func:`checked_boundary`), its
+    validated class (:func:`~.spectral.search_class`) and the closed-form
+    criterion of that class."""
     n, m = request.n, request.m
     boundary = checked_boundary(request.billiard, n)
     kappa, chord = kappa_chord(boundary, n, m, request.branch)
-    return boundary, criterion(request.kind, n, m, request.N, request.s, kappa, chord)
+    search = search_class(request.kind, n, m, request.N, request.s, request.branch,
+                          request.reflection, request.shift)
+    return boundary, search, criterion(request.kind, n, m, request.N, request.s,
+                                       kappa, chord)
 
 
 def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
@@ -204,8 +206,7 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
     mode, flow to stationarity, classify the limit, and re-check every
     predicted property.
     """
-    n, m, s, branch = request.n, request.m, request.s, request.branch
-    boundary, report = checked_criterion(request)
+    boundary, search, report = checked_criterion(request)
     predicted = report.verdict == "orbit_predicted"
     if not predicted:
         if not request.force:
@@ -214,11 +215,9 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
                     "(%d, %d); running anyway (force)", report.margin, report.kind,
                     report.p, report.q)
 
-    K, k = class_shifts(request.kind, n, m, request.N, s, branch,
-                        request.reflection, request.shift)
-    p, q = report.p, report.q
-    reference = repeat_lift(symmetric_birkhoff(n, m, branch), s)
-    spec = SymmetrySpec(n, class_generators(request.kind, n, m, branch, s, K, k))
+    n, p, q = search.n, search.p, search.q
+    reference = search.reference
+    spec = SymmetrySpec(n, search.generators)
     system = expand_constraints(spec, p, q)
     ref_residual = system.residual(reference.coords)
     if ref_residual > 1e-9:
@@ -232,7 +231,7 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
 
     cs = reparametrize_constant_speed(boundary)
     action_ref = periodic_action(cs, reference)
-    start = initial_perturbation(request.kind, reference, K, k, eps)
+    start = search.start(eps)
     if predicted:
         # the certified mode must gain action; shrink the nudge if the gain
         # is swamped at the default amplitude
@@ -243,7 +242,7 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
             log.info("halving epsilon %.3g -> %.3g: action gap %.3e <= 0",
                      eps, 0.5 * eps, gap)
             eps *= 0.5
-            start = initial_perturbation(request.kind, reference, K, k, eps)
+            start = search.start(eps)
         else:
             raise RuntimeError(
                 f"no action gain along the certified mode down to epsilon = "
@@ -251,7 +250,7 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
                 "resolve numerically")
 
     log.info("flowing kind=%s (p, q)=(%d, %d) K=%d k=%d epsilon=%.3g "
-             "margin=%.6g", request.kind, p, q, K, k, eps, report.margin)
+             "margin=%.6g", search.kind, p, q, search.K, search.k, eps, report.margin)
     flow = integrate(cs, start, system=system, options=request.options,
                      reference=reference)
     final = flow.final_lift

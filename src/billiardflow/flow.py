@@ -60,7 +60,6 @@ class FlowOptions:
     max_time: float = 1e6
     max_steps: int = 200_000
     guard_margin: float = 0.0            # increments must stay in (margin, 1-margin)
-    record_every: int = 1                # record every k-th accepted step
     record_lifts: bool = False           # keep coordinate snapshots
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class FlowOptions:
                              f"got {self.abs_tol} and {self.rel_tol}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
 @dataclass
@@ -192,8 +189,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
     best_t = 0.0
     bench_fnorm = fnorm      # benchmark at the last progress reset
     since_progress = 0
-    last_recorded_action = actions[0]
-    last_recorded_crossing = crossings[0] if isinstance(crossings[0], int) else None
+    last_crossing = crossings[0] if isinstance(crossings[0], int) else None
     stages = np.empty((7, x.size))
 
     while steps < opts.max_steps:
@@ -239,20 +235,17 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         f_cur = rhs(x)
         fnorm = float(np.max(np.abs(f_cur)))
 
-        if steps % opts.record_every == 0 or fnorm < opts.stationarity_tol or t >= opts.max_time:
-            record(t, x, f_cur, err_abs)
-            action = actions[-1]
-            budget = 10.0 * (err_abs * (1.0 + float(np.sum(np.abs(f_cur)))) + 1e-15)
-            if action < last_recorded_action - budget:
-                return result(x, False, "action_decrease", t, fnorm, steps,
-                              failure="action_decrease")
-            last_recorded_action = action
-            cross = crossings[-1]
-            if isinstance(cross, int):
-                if last_recorded_crossing is not None and cross > last_recorded_crossing:
-                    return result(x, False, "crossing_increase", t, fnorm, steps,
-                                  failure="crossing_increase")
-                last_recorded_crossing = cross
+        record(t, x, f_cur, err_abs)
+        budget = 10.0 * (err_abs * (1.0 + float(np.sum(np.abs(f_cur)))) + 1e-15)
+        if actions[-1] < actions[-2] - budget:
+            return result(x, False, "action_decrease", t, fnorm, steps,
+                          failure="action_decrease")
+        cross = crossings[-1]
+        if isinstance(cross, int):
+            if last_crossing is not None and cross > last_crossing:
+                return result(x, False, "crossing_increase", t, fnorm, steps,
+                              failure="crossing_increase")
+            last_crossing = cross
 
         if fnorm < opts.stationarity_tol and \
                 displacement < max(DISPLACEMENT_TOL, dt * opts.stationarity_tol):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-#: default residual tolerance for geometric identities (periodicity, symmetry)
+#: residual tolerance of geometric identities (periodicity, symmetry)
 GEOMETRIC_TOL = 1e-10
 #: grid points per bracket when refining the convexity minimum; each pass keeps
 #: two of the 64 cells, and passes stop once the bracket is narrower than XTOL
@@ -228,13 +228,13 @@ def convexity_margin(boundary: Boundary) -> float:
     return best
 
 
-def check_equivariance(boundary: Boundary, n: int, tol: float = GEOMETRIC_TOL) -> bool:
+def check_equivariance(boundary: Boundary, n: int) -> bool:
     """Verify the two dihedral identities at 128 sampled parameters.
 
     Checks ``R @ gamma(x) == gamma(x + 1/n)`` (R = rotation by 2*pi/n, on
     jet values multiplication by e^{2 pi i/n}) and ``S @ gamma(x) == gamma(-x)``
     (S = diag(1, -1), conjugation): the largest real or imaginary difference
-    must be within ``tol``.
+    must be within :data:`GEOMETRIC_TOL`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -243,7 +243,7 @@ def check_equivariance(boundary: Boundary, n: int, tol: float = GEOMETRIC_TOL) -
     rotated = np.exp(2j * math.pi / n) * z
     for image, target in ((rotated, xs + 1.0 / n), (z.conj(), -xs)):
         diff = image - boundary.jet(target, 0)[0]
-        if not np.max(np.abs([diff.real, diff.imag])) <= tol:
+        if not np.max(np.abs([diff.real, diff.imag])) <= GEOMETRIC_TOL:
             return False
     return True
 

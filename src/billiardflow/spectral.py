@@ -8,23 +8,25 @@ is available in closed form.  A positive margin certifies that the flow
 started along the corresponding symmetric mode gains action, which is the
 engine behind the non-Birkhoff orbit searches in :mod:`billiardflow.finder`.
 
-The search kinds are one table, :data:`KINDS`; each kind's class generators,
-mode and criterion are derived from its row.
+The search kinds are one table, :data:`KINDS`, whose rows state each kind's
+rules as data; :func:`search_class` validates a request against its row once
+and derives the class (shifts, generators, start) the criterion and the
+search read.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Boundary, curvature_at
 from .lagrangian import chord_length, gradient_field, second_partials
 from .sequences import (FAMILIES, PeriodicLift, SymmetryGenerator, _check_rotation,
-                        symmetric_birkhoff)
+                        repeat_lift, symmetric_birkhoff)
 
 
 def kappa_chord(boundary: Boundary, n: int, m: int, branch: int = 1):
@@ -97,70 +99,26 @@ class CriterionReport:
     verdict: str
 
 
-def _given_N(kind: str, n: int, m: int, N: int | None, s: int) -> None:
-    if N is None:
-        raise ValueError(f"kind {kind!r} needs the subgroup rotation count N")
-
-
-def _two_fold(kind: str, n: int, m: int, N: int | None, s: int) -> None:
-    if (n, m) != (2, 1):
-        raise ValueError(f"kind {kind!r} is a 2-fold-symmetry statement; "
-                         f"needs (n, m) = (2, 1), got ({n}, {m})")
-
-
-def _two_fold_odd(kind: str, n: int, m: int, N: int | None, s: int) -> None:
-    _two_fold(kind, n, m, N, s)
-    if s < 3 or s % 2 == 0:
-        raise ValueError(f"kind {kind!r} needs odd s >= 3, got s={s}")
-
-
-def _subgroup_shifts(n, m, N, s, branch, reflection, shift):
-    """K = s n/N; k solves the reflection identity at the reference,
-    k = m^{-1} (reflection - branch) mod n, and an override keeps that
-    residue (for odd n and even p, k + n is a geometrically distinct orbit)."""
-    k0 = (pow(m, -1, n) * (reflection - branch)) % n
-    k = k0 if shift is None else int(shift)
-    if (k - k0) % n != 0:
-        raise ValueError(f"shift {k} does not match the chosen reflection "
-                         f"(needs shift = {k0} mod {n})")
-    return s * n // N, k
-
-
-def _rotation_shifts(n, m, N, s, branch, reflection, shift):
-    """The reversing rotation's shift K is odd (default 1); k is unused."""
-    K = 1 if shift is None else int(shift)
-    if K % 2 == 0:
-        raise ValueError(f"the reversing-rotation index shift must be odd, got {K}")
-    return K, 0
-
-
-def _reflection_shifts(n, m, N, s, branch, reflection, shift):
-    """The reversing reflection's shift k has the parity of s (default s)."""
-    k = s if shift is None else int(shift)
-    if (k - s) % 2 != 0:
-        raise ValueError(
-            f"typeV reflection shifts must have equal parity: k={k}, s={s}")
-    return 0, k
-
-
 @dataclass(frozen=True)
 class SearchKind:
-    """One row of :data:`KINDS`.
+    """One row of :data:`KINDS`: a kind's rules, as data.
 
     ``N``: rotation count of the kind's order-2N subgroup (None: the request
-    sets it).  ``generators``: two (family of :data:`~.sequences.FAMILIES`,
-    name of its index shift "K", "k" or "s") pairs.  ``mode``: (wave,
-    period, phase) of the nudge v_i = wave(2 pi i/T - pi phi/T), T and phi
-    the shifts (or "p") they name.  ``check`` (kind, n, m, N, s) and
-    ``shifts`` (n, m, N, s, branch, reflection, shift) -> (K, k) raise
-    ValueError with the kind's own messages.
+    sets it).  ``two_fold``: it needs (n, m) = (2, 1); ``odd_s``: odd s >= 3.
+    ``generators``: two (family of :data:`~.sequences.FAMILIES`, name of its
+    index shift "K", "k" or "s") pairs.  ``mode``: (wave, period, phase) of
+    the nudge v_i = wave(2 pi i/T - pi phi/T), T and phi the shifts (or "p")
+    they name.  ``shift``: (name, default, modulus) of the index shift a
+    request may override; a default or modulus that is a name ("n", "s",
+    "reflection") is that quantity of :func:`search_class`.
     """
 
     N: int | None
+    two_fold: bool
+    odd_s: bool
     generators: tuple
     mode: tuple
-    check: Callable
-    shifts: Callable
+    shift: tuple
 
 
 _SUBGROUP = (("rotation_preserving", "K"), ("reflection_reversing", "k"))
@@ -169,30 +127,102 @@ _SUBGROUP = (("rotation_preserving", "K"), ("reflection_reversing", "k"))
 #: of D_n; typeI is main at n = 2 with N = 2; typeII and typeV, the D_2
 #: generalization of the ellipse result, are main's criterion with N = 1
 KINDS = {
-    "main": SearchKind(None, _SUBGROUP, (np.sin, "K", "k"),
-                       _given_N, _subgroup_shifts),
-    "typeI": SearchKind(2, _SUBGROUP, (np.sin, "K", "k"),
-                        _two_fold_odd, _subgroup_shifts),
-    "typeII": SearchKind(1, (("rotation_reversing", "K"), ("reflection_preserving", "s")),
-                         (np.cos, "p", "K"), _two_fold, _rotation_shifts),
+    # k keeps the residue that solves the reflection identity at the
+    # reference (for odd n and even p, k + n is a geometrically distinct orbit)
+    "main": SearchKind(None, False, False, _SUBGROUP, (np.sin, "K", "k"),
+                       ("k", "reflection", "n")),
+    "typeI": SearchKind(2, True, True, _SUBGROUP, (np.sin, "K", "k"),
+                        ("k", "reflection", "n")),
+    # the reversing rotation's shift is odd
+    "typeII": SearchKind(1, True, False,
+                         (("rotation_reversing", "K"), ("reflection_preserving", "s")),
+                         (np.cos, "p", "K"), ("K", 1, 2)),
     # one reflection acting through two index shifts of equal parity
-    "typeV": SearchKind(1, (("reflection_reversing", "k"), ("reflection_preserving", "s")),
-                        (np.sin, "p", "k"), _two_fold, _reflection_shifts),
+    "typeV": SearchKind(1, True, False,
+                        (("reflection_reversing", "k"), ("reflection_preserving", "s")),
+                        (np.sin, "p", "k"), ("k", "s", 2)),
 }
 
 
-def _search_kind(kind: str) -> SearchKind:
-    """The :data:`KINDS` row of ``kind``; an unknown kind raises ValueError."""
+class SearchClass(NamedTuple):
+    """The symmetry class one search runs in (see :func:`search_class`).
+
+    The (n, m, branch) symmetric Birkhoff reference repeated s times lies in
+    the (p, q) = (s n, s m) class; K and k are the index shifts and
+    ``generators`` the two :class:`~.sequences.SymmetryGenerator` of the class.
+    """
+
+    kind: str
+    n: int
+    m: int
+    N: int
+    s: int
+    branch: int
+    K: int
+    k: int
+    generators: tuple
+
+    @property
+    def p(self) -> int:
+        return self.s * self.n
+
+    @property
+    def q(self) -> int:
+        return self.s * self.m
+
+    @property
+    def reference(self) -> PeriodicLift:
+        """The symmetric Birkhoff reference, as a (p, q) lift."""
+        return repeat_lift(symmetric_birkhoff(self.n, self.m, self.branch), self.s)
+
+    def start(self, epsilon: float) -> PeriodicLift:
+        """The reference nudged by epsilon along the kind's symmetric mode.
+
+        The mode is v_i = wave(2 pi i/T - pi phi/T): main/typeI sin with
+        T = K, phi = k (K-periodic in the index and odd about the reflection
+        axis); typeII cos with T = p, phi = K; typeV sin with T = p, phi = k.
+        It satisfies the class constraints, so the nudged lift stays in the
+        class.  T < 3 (a degenerate mode) raises ValueError.
+        """
+        wave, period, phase = KINDS[self.kind].mode
+        sizes = {"p": self.p, "K": self.K, "k": self.k}
+        T = sizes[period]
+        if T < 3:
+            raise ValueError(f"degenerate symmetric mode: need {period} >= 3, "
+                             f"got {period}={T}")
+        reference = self.reference
+        v = wave(2.0 * np.pi * np.arange(self.p) / T - np.pi * sizes[phase] / T)
+        return reference.with_coords(reference.coords + epsilon * v)
+
+
+def search_class(kind: str, n: int, m: int, N: int | None = None, s: int = 2,
+                 branch: int = 1, reflection: int = 0,
+                 shift: int | None = None) -> SearchClass:
+    """The class a search of ``kind`` runs in, once every rule of its row holds.
+
+    N is the row's, or the request's for main; s >= 2 and gcd(s, N) = 1.
+    K = s n/N in the subgroup kinds (main, typeI) and 0 otherwise, k = 0,
+    except for the shift the row lets ``shift`` override: its default is 1
+    (typeII's odd K), s (typeV's k, of the parity of s) or the reflection
+    residue m^{-1} (reflection - branch) mod n (main, typeI), and an
+    override must be congruent to it.  A generator of a family with sign
+    sigma on x_i and shift t has exponent e = (branch (1 - sigma)/2 + m t)
+    mod n and offset M = (that - e)/n, so the reference satisfies its
+    identity exactly.  A broken rule raises ValueError naming it.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {tuple(KINDS)}")
-    return KINDS[kind]
-
-
-def _validated(kind: str, n: int, m: int, N: int | None, s: int):
-    """The row of ``kind`` and its rotation count N, once every condition holds."""
-    row = _search_kind(kind)
-    row.check(kind, n, m, N, s)
-    N = N if row.N is None else row.N
+    row = KINDS[kind]
+    if row.N is not None and N not in (None, row.N):
+        raise ValueError(f"kind {kind!r} fixes N = {row.N}, got N = {N}")
+    N = row.N if N is None else N
+    if N is None:
+        raise ValueError(f"kind {kind!r} needs the subgroup rotation count N")
+    if row.two_fold and (n, m) != (2, 1):
+        raise ValueError(f"kind {kind!r} is a 2-fold-symmetry statement; "
+                         f"needs (n, m) = (2, 1), got ({n}, {m})")
+    if row.odd_s and (s < 3 or s % 2 == 0):
+        raise ValueError(f"kind {kind!r} needs odd s >= 3, got s={s}")
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
     _check_rotation(n, m)
@@ -202,53 +232,22 @@ def _validated(kind: str, n: int, m: int, N: int | None, s: int):
         raise ValueError(f"s={s} must be >= 2")
     if math.gcd(s, N) != 1:
         raise ValueError(f"gcd(s, N) = {math.gcd(s, N)} != 1")
-    return row, N
 
-
-def class_shifts(kind: str, n: int, m: int, N: int | None, s: int,
-                 branch: int = 1, reflection: int = 0,
-                 shift: int | None = None) -> tuple:
-    """Index shifts (K, k) of the class a search of ``kind`` runs in;
-    ``shift`` overrides the default of the one the kind leaves free."""
-    row, N = _validated(kind, n, m, N, s)
-    return row.shifts(n, m, N, s, branch, reflection, shift)
-
-
-def class_generators(kind: str, n: int, m: int, branch: int, s: int,
-                     K: int, k: int) -> tuple:
-    """The two generators of the class containing the (n, m, branch) reference.
-
-    A generator of a family with sign sigma on x_i and shift t has exponent
-    e = (branch (1 - sigma)/2 + m t) mod n and offset M = (that - e)/n, so the
-    reference x_i = branch/(2n) + (m/n) i satisfies its identity exactly.
-    """
-    shifts = {"K": K, "k": k, "s": s}
+    named = {"n": n, "s": s, "reflection": (pow(m, -1, n) * (reflection - branch)) % n}
+    name, default, modulus = row.shift
+    default, modulus = named.get(default, default), named.get(modulus, modulus)
+    value = default if shift is None else int(shift)
+    if (value - default) % modulus != 0:
+        raise ValueError(f"shift {value} does not match the {kind} class "
+                         f"(needs shift = {default % modulus} mod {modulus})")
+    K = s * n // N if row.generators == _SUBGROUP else 0
+    shifts = {"K": K, "k": 0, "s": s, name: value}
     generators = []
-    for family, name in _search_kind(kind).generators:
-        t = shifts[name]
-        value = branch * (1 - FAMILIES[family][1]) // 2 + m * t
-        generators.append(SymmetryGenerator(family, value % n, t, value // n))
-    return tuple(generators)
-
-
-def initial_perturbation(kind: str, reference: PeriodicLift, K: int, k: int,
-                         epsilon: float) -> PeriodicLift:
-    """The reference lift nudged by epsilon along the kind's symmetric mode.
-
-    The mode is v_i = wave(2 pi i/T - pi phi/T): main/typeI sin with T = K,
-    phi = k (K-periodic in the index and odd about the reflection axis);
-    typeII cos with T = p, phi = K; typeV sin with T = p, phi = k.  It
-    satisfies the class constraints, so the nudged lift stays in the class.
-    An unknown kind, or T < 3 (a degenerate mode), raises ValueError.
-    """
-    wave, period, phase = _search_kind(kind).mode
-    sizes = {"p": reference.p, "K": K, "k": k}
-    T = sizes[period]
-    if T < 3:
-        raise ValueError(f"degenerate symmetric mode: need {period} >= 3, "
-                         f"got {period}={T}")
-    v = wave(2.0 * np.pi * np.arange(reference.p) / T - np.pi * sizes[phase] / T)
-    return reference.with_coords(reference.coords + epsilon * v)
+    for family, t in row.generators:
+        e = branch * (1 - FAMILIES[family][1]) // 2 + m * shifts[t]
+        generators.append(SymmetryGenerator(family, e % n, shifts[t], e // n))
+    return SearchClass(kind, n, m, N, s, branch, shifts["K"], shifts["k"],
+                       tuple(generators))
 
 
 def criterion(kind: str, n: int, m: int, N: int | None, s: int,
@@ -258,23 +257,21 @@ def criterion(kind: str, n: int, m: int, N: int | None, s: int,
     Every kind is the theorem for the order-2N subgroup of the order-n
     dihedral group: it predicts 2N crossings at period p = s n when
     rhs = 2 sin(m pi/n) cos^2(N pi/p) exceeds kappa*L.  Main takes N from the
-    request and needs gcd(m, n) = 1, N | n, s >= 2 and gcd(s, N) = 1.
-    typeI is main at (n, m) = (2, 1) with N = 2 and odd s >= 3; typeII and
-    typeV are (n, m) = (2, 1) with N = 1: typeII limits have a reversing
-    rotation and a preserving reflection, typeV limits a single reflection
-    acting both ways.
+    request; the class is :func:`search_class`'s, at the default branch,
+    reflection and shift.  typeII limits have a reversing rotation and a
+    preserving reflection, typeV limits a single reflection acting both ways.
 
     kappa and chord are the curvature and chord length at the reference
     symmetric Birkhoff orbit; the product kappa*chord is scale-invariant.
     """
-    _, N = _validated(kind, n, m, N, s)
-    p, q = s * n, s * m
+    search = search_class(kind, n, m, N, s)
+    N, p = search.N, search.p
     rhs = 2.0 * math.sin(m * math.pi / n) * math.cos(N * math.pi / p) ** 2
     lhs = kappa * chord
     margin = rhs - lhs
     resolved = margin > DEGENERATE_ULPS * math.ulp(abs(lhs) + abs(rhs))
     return CriterionReport(
-        kind=kind, n=n, m=m, N=N, s=s, p=p, q=q,
+        kind=kind, n=n, m=m, N=N, s=s, p=p, q=search.q,
         kappa=kappa, chord=chord, lhs=lhs, rhs=rhs, margin=margin,
         predicted_crossings=2 * N, predicted_min_period=p,
         verdict="orbit_predicted" if resolved else "inconclusive",

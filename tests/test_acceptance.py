@@ -30,7 +30,7 @@ from billiardflow.geometry import (
     make_limacon,
 )
 from billiardflow.sequences import PeriodicLift, SymmetrySpec
-from billiardflow.spectral import class_generators
+from billiardflow.spectral import search_class
 from oracles import birkhoff_coefficients, circulant, increments, same_orbit
 
 
@@ -248,21 +248,17 @@ def test_criterion_6_flow_laws():
     t0 = time.monotonic()
     setups = []
     cases = [
-        ({"kind": "main", "n": 4, "m": 1, "s": 3, "K": 3, "k": 3},
+        (search_class("main", 4, 1, N=4, s=3),
          reparametrize_constant_speed(make_limacon(4, 0.05)), 7),
-        ({"kind": "typeII", "n": 2, "m": 1, "s": 4, "K": 1, "k": 0},
+        (search_class("typeII", 2, 1, s=4),
          reparametrize_constant_speed(make_limacon(2, 0.19)), 7),
-        ({"kind": "typeII", "n": 2, "m": 1, "s": 3, "K": 1, "k": 0},
+        (search_class("typeII", 2, 1, s=3),
          reparametrize_constant_speed(make_ellipse(2.0, 1.0)), 6),
     ]
-    for params, boundary, runs in cases:
-        n, m, s = params["n"], params["m"], params["s"]
-        reference = repeat_lift(symmetric_birkhoff(n, m), s)
-        system = expand_constraints(
-            SymmetrySpec(n, class_generators(params["kind"], n, m, 1, s,
-                                             params["K"], params["k"])),
-            s * n, s * m)
-        setups.append((boundary, reference, system, runs))
+    for search, boundary, runs in cases:
+        system = expand_constraints(SymmetrySpec(search.n, search.generators),
+                                    search.p, search.q)
+        setups.append((boundary, search.reference, system, runs))
 
     rng = np.random.default_rng(77)
     total = 0

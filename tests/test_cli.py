@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import billiardflow
-from billiardflow import repeat_lift, save_lift, symmetric_birkhoff
+from billiardflow import finder, repeat_lift, save_lift, symmetric_birkhoff
 from billiardflow.cli import KEYS, main
 from billiardflow.sequences import PeriodicLift
 
@@ -298,6 +298,75 @@ def test_readme_ini_block_lists_every_key():
     assert sorted(listed) == sorted((row.section, row.key) for row in KEYS)
 
 
+TYPE_V_INI = """\
+[billiard]
+family = limacon
+n = 2
+alpha = 0.10
+
+[theorem]
+kind = typeV
+n = 2
+m = 1
+s = 5
+k = 2
+"""
+
+
+@pytest.mark.parametrize("ini, message", [
+    (readme_ini().replace("; k = 3 ", "k = 2 "),
+     "shift 2 does not match the main class (needs shift = 3 mod 4)"),
+    (TYPE_V_INI, "shift 2 does not match the typeV class (needs shift = 1 mod 2)"),
+], ids=["readme-k2", "typeV-k2"])
+@pytest.mark.parametrize("command", ["check", "find"])
+def test_check_and_find_reject_the_same_shift_override(command, ini, message,
+                                                       tmp_path, capsys):
+    assert "\nk = 2" in ini
+    config = tmp_path / "shift.ini"
+    config.write_text(ini)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+TYPE_ONE_INI = """\
+[billiard]
+family = limacon
+n = 2
+alpha = 0.15
+
+[theorem]
+kind = typeI
+n = 2
+m = 1
+s = 7
+"""
+
+
+@pytest.mark.parametrize("line, code", [("", 0), ("N = 2\n", 0), ("N = 1\n", 2)],
+                         ids=["no-N", "N-2", "N-1"])
+def test_a_kind_that_fixes_N_rejects_another(line, code, tmp_path, capsys):
+    config = tmp_path / "typeI.ini"
+    config.write_text(TYPE_ONE_INI + line)
+    assert main(["check", "--config", str(config)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == "error: kind 'typeI' fixes N = 2, got N = 1\n"
+    else:
+        assert "N = 2, s = 7 -> (p, q) = (14, 7)" in captured.out
+
+
+def test_no_action_gain_along_the_mode_exits_4(flagship_ini, tmp_path, capsys, monkeypatch):
+    # a constant action gains nothing at any nudge amplitude
+    monkeypatch.setattr(finder, "periodic_action", lambda boundary, lift: 1.0)
+    code = main(["find", "--config", str(flagship_ini), "--out", str(tmp_path / "x")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("flow failure: no action gain along the certified mode")
+    assert "Traceback" not in err
+
+
 MISSPELLED = "shift = 7\n\n[flow]\ntol_stationry = 1e-3\nmax_tme = 1\n\n[ouput]\nout = runs\n"
 
 
@@ -424,15 +493,6 @@ def test_render_orbit_figure_needs_config(flagship_ini, tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["find", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "cannot read" in capsys.readouterr().err
-
-
-def test_record_every_below_one_exits_2(tmp_path, capsys):
-    ini = tmp_path / "record.ini"
-    ini.write_text(FLAGSHIP_INI + "\n[flow]\nrecord_every = 0\n")
-    assert main(["find", "--config", str(ini), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "record_every" in err
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flow, name", [

@@ -11,14 +11,11 @@ from billiardflow import (
     SearchRequest,
     expand_constraints,
     find_orbit,
-    initial_perturbation,
-    repeat_lift,
+    search_class,
     sweep,
-    symmetric_birkhoff,
 )
 from billiardflow import finder
 from billiardflow.sequences import SymmetrySpec
-from billiardflow.spectral import class_generators
 from oracles import increments, same_orbit
 
 LIMACON4 = {"family": "limacon", "n": 4, "alpha": 0.05}
@@ -156,21 +153,25 @@ def test_epsilon_halving_is_logged(caplog):
 
 
 def test_degenerate_mode_is_rejected():
-    ref = symmetric_birkhoff(4, 1)
+    # s = 2, N = n gives K = 2
     with pytest.raises(ValueError, match="K >= 3"):
-        initial_perturbation("main", ref, K=2, k=1, epsilon=0.01)
+        search_class("main", 3, 1, N=3, s=2).start(0.01)
     with pytest.raises(ValueError, match="unknown kind"):
-        initial_perturbation("bogus", ref, K=3, k=1, epsilon=0.01)
+        search_class("bogus", 4, 1, N=4, s=3)
 
 
 def test_shift_override_validation():
-    with pytest.raises(ValueError, match="odd"):
+    # one rule: an override keeps the residue of the kind's default
+    with pytest.raises(ValueError, match=r"shift 2 does not match the typeII class "
+                                         r"\(needs shift = 1 mod 2\)"):
         find_orbit(SearchRequest(billiard=LIMACON2_19, n=2, m=1,
                                  kind="typeII", s=4, shift=2))
-    with pytest.raises(ValueError, match="parity"):
+    with pytest.raises(ValueError, match=r"shift 4 does not match the typeV class "
+                                         r"\(needs shift = 1 mod 2\)"):
         find_orbit(SearchRequest(billiard=LIMACON2_10, n=2, m=1,
                                  kind="typeV", s=5, shift=4))
-    with pytest.raises(ValueError, match="mod"):
+    with pytest.raises(ValueError, match=r"shift 4 does not match the main class "
+                                         r"\(needs shift = 3 mod 4\)"):
         find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main",
                                  N=4, s=3, shift=4))
 
@@ -182,11 +183,11 @@ def test_shift_override_validation():
     ("typeV", 2, 1, 5, 0, 5),
 ])
 def test_seeded_modes_satisfy_their_class(kind, n, m, s, K, k):
-    p, q = s * n, s * m
-    reference = repeat_lift(symmetric_birkhoff(n, m), s)
-    system = expand_constraints(
-        SymmetrySpec(n, class_generators(kind, n, m, 1, s, K, k)), p, q)
-    start = initial_perturbation(kind, reference, K, k, epsilon=0.02)
+    # main at N = n; the other kinds fix N
+    search = search_class(kind, n, m, n if kind == "main" else None, s)
+    assert (search.K, search.k) == (K, k)
+    system = expand_constraints(SymmetrySpec(n, search.generators), search.p, search.q)
+    start = search.start(0.02)
     assert system.residual(start.coords) <= 1e-12
 
 

@@ -7,25 +7,22 @@ from billiardflow import (
     FlowOptions,
     expand_constraints,
     gradient_field,
-    initial_perturbation,
     integrate,
     periodic_action,
     repeat_lift,
+    search_class,
     symmetric_birkhoff,
 )
 from billiardflow import flow as flow_module
-from billiardflow.sequences import PeriodicLift, SymmetryGenerator, SymmetrySpec
+from billiardflow.sequences import PeriodicLift, SymmetrySpec
 from oracles import comparison_check, increments
 
 
 def flagship_setup(boundary):
     """The (12, 3) symmetric search class on an order-4 boundary."""
-    ref = repeat_lift(symmetric_birkhoff(4, 1), 3)
-    gens = [SymmetryGenerator("rotation_preserving", exponent=3, shift=3, offset=0),
-            SymmetryGenerator("reflection_reversing", exponent=0, shift=3, offset=1)]
-    system = expand_constraints(SymmetrySpec(4, gens), 12, 3)
-    start = initial_perturbation("main", ref, K=3, k=3, epsilon=0.05)
-    return ref, system, start
+    search = search_class("main", 4, 1, N=4, s=3)
+    system = expand_constraints(SymmetrySpec(4, search.generators), 12, 3)
+    return search.reference, system, search.start(0.05)
 
 
 def test_stationary_start_returns_immediately(circle4):
@@ -137,7 +134,7 @@ def test_guard_margin_violation_stops_the_run(limacon4_cs):
     # demand a margin the start satisfies but the target orbit does not
     # (its smallest increment is about 0.218)
     ref, system, _ = flagship_setup(limacon4_cs)
-    start = initial_perturbation("main", ref, K=3, k=3, epsilon=0.01)
+    start = search_class("main", 4, 1, N=4, s=3).start(0.01)
     assert np.min(increments(start)) > 0.23
     run = integrate(limacon4_cs, start, system=system,
                     options=FlowOptions(guard_margin=0.23))
@@ -160,7 +157,7 @@ def test_flow_options_are_validated():
     (dict(max_time=0.0), "max_time"),
     (dict(max_steps=0), "max_steps"),
     (dict(abs_tol=float("nan")), "abs_tol"),
-    (dict(record_every=0), "record_every"),
+    (dict(guard_margin=float("nan")), "guard_margin"),
     (dict(stationarity_tol=float("nan")), "tolerances"),
 ])
 def test_flow_options_reject_unusable_values(bad, name):
@@ -210,6 +207,52 @@ def test_a_value_error_inside_the_rhs_propagates(limacon4_cs, monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_stage_that_stays_inadmissible_underflows_the_step(limacon4_cs, monkeypatch):
+    # every stage after the start is inadmissible: the step shrinks below
+    # its floor and the run stops where it began
+    kernel = flow_module._gradient_coords
+    calls = []
+
+    def first_call_only(*args):
+        calls.append(1)
+        return kernel(*args) if len(calls) == 1 else None
+
+    monkeypatch.setattr(flow_module, "_gradient_coords", first_call_only)
+    ref, system, start = flagship_setup(limacon4_cs)
+    run = integrate(limacon4_cs, start, system=system)
+    assert run.reason == run.failure == "step_underflow" and not run.converged
+    assert run.n_steps == 0 and run.t_final == 0.0
+    assert np.allclose(run.final_lift.coords, start.coords, rtol=0, atol=1e-12)
+
+
+def test_a_descending_flow_stops_on_the_action_law(limacon4_cs, monkeypatch):
+    # the negated gradient lowers the action by far more than the local error
+    kernel = flow_module._gradient_coords
+    monkeypatch.setattr(flow_module, "_gradient_coords", lambda *args: -kernel(*args))
+    ref, system, start = flagship_setup(limacon4_cs)
+    run = integrate(limacon4_cs, start, system=system)
+    assert run.reason == run.failure == "action_decrease" and not run.converged
+    assert run.n_steps == 1
+    assert run.actions[-1] < run.actions[0]
+
+
+def test_a_rising_crossing_count_stops_the_run(limacon4_cs, monkeypatch):
+    # a crossing index that counts up breaks the flow's crossing law at the
+    # first accepted step
+    calls = []
+
+    def counting_up(xl, yl):
+        calls.append(1)
+        return len(calls)
+
+    monkeypatch.setattr(flow_module, "intersection_index", counting_up)
+    ref, system, start = flagship_setup(limacon4_cs)
+    run = integrate(limacon4_cs, start, system=system, reference=ref)
+    assert run.reason == run.failure == "crossing_increase" and not run.converged
+    assert run.n_steps == 1
+    assert run.crossings == [1, 2]
+
+
 def test_comparison_runs_stay_strictly_ordered(limacon2_10_cs):
     x0 = PeriodicLift(4, 1, np.array([0.10, 0.30, 0.62, 0.85]))
     y0 = x0.with_coords(x0.coords + 0.01)
@@ -243,15 +286,3 @@ def test_comparison_preconditions(limacon2_10_cs):
     bare = integrate(limacon2_10_cs, x0, options=FlowOptions(max_time=0.5))
     with pytest.raises(ValueError, match="record_lifts"):
         comparison_check(bare, bare)
-
-
-def test_record_every_thins_the_samples(limacon4_cs):
-    ref, system, start = flagship_setup(limacon4_cs)
-    dense = integrate(limacon4_cs, start, system=system,
-                      options=FlowOptions(record_every=1))
-    thin = integrate(limacon4_cs, start, system=system,
-                     options=FlowOptions(record_every=10))
-    assert len(thin.times) < len(dense.times)
-    assert thin.converged and dense.converged
-    assert thin.final_lift.coords == pytest.approx(dense.final_lift.coords,
-                                                   abs=1e-9)

@@ -21,6 +21,7 @@ from billiardflow import (
     reparametrize_constant_speed,
     second_partials,
 )
+from billiardflow import geometry
 from billiardflow.geometry import orientation_det
 
 
@@ -220,9 +221,11 @@ def series_tables(raw_tables):
     return [(b.symmetry_order, reparametrize_constant_speed(b)) for b in raw_tables]
 
 
-def test_series_is_equivariant_to_roundoff(series_tables):
+def test_series_is_equivariant_to_roundoff(series_tables, monkeypatch):
+    # to 1e-13, a thousand times inside the tolerance the check uses
+    monkeypatch.setattr(geometry, "GEOMETRIC_TOL", 1e-13)
     for n, cs in series_tables:
-        assert check_equivariance(cs, n, tol=1e-13)
+        assert check_equivariance(cs, n)
 
 
 def test_series_speed_is_constant_to_roundoff(series_tables):

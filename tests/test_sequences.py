@@ -25,7 +25,7 @@ from billiardflow.sequences import (
     aubry_vertices,
     first_inadmissible,
 )
-from billiardflow.spectral import class_generators, class_shifts
+from billiardflow.spectral import search_class
 from oracles import loop_score, same_orbit
 
 
@@ -420,8 +420,7 @@ BENCHMARK_CLASSES = [
                               for f, _ in BENCHMARK_CLASSES])
 def test_orbit_basis_spans_the_null_space_of_the_dense_system(fields, dim):
     kind, n, m, s = fields["kind"], fields["n"], fields["m"], fields["s"]
-    K, k = class_shifts(kind, n, m, fields.get("N"), s)
-    spec = SymmetrySpec(n, class_generators(kind, n, m, 1, s, K, k))
+    spec = SymmetrySpec(n, search_class(kind, n, m, fields.get("N"), s).generators)
     p, q = s * n, s * m
     system = expand_constraints(spec, p, q)
     matrix, rhs = dense_constraints(spec, p, q)

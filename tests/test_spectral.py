@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from billiardflow import (
-    class_shifts,
     criterion,
     gradient_field,
     hessian,
     kappa_chord,
     repeat_lift,
+    search_class,
     second_partials,
     symmetric_birkhoff,
 )
@@ -24,7 +24,6 @@ from billiardflow.sequences import (
     generated_group,
     type_label,
 )
-from billiardflow.spectral import class_generators
 from oracles import birkhoff_coefficients, circulant
 
 # frozen reference values at the order-4 boundary with bulge 0.05, branch 1
@@ -206,6 +205,10 @@ def test_criterion_preconditions():
         criterion("bogus", 4, 1, 4, 3, 0.1, 1.0)
     with pytest.raises(ValueError, match="N"):
         criterion("main", 4, 1, None, 3, 0.1, 1.0)
+    with pytest.raises(ValueError, match="typeII' fixes N = 1, got N = 2"):
+        criterion("typeII", 2, 1, 2, 4, 0.1, 1.0)
+    assert criterion("typeII", 2, 1, 1, 4, 0.1, 1.0) == \
+        criterion("typeII", 2, 1, None, 4, 0.1, 1.0)
 
 
 def test_margin_sign_matches_the_mode_eigenvalue(limacon4_cs, circle4):
@@ -254,18 +257,20 @@ def test_circle_margins_are_never_positive():
 
 
 def test_subgroup_mode_parameters_flagship():
-    assert class_shifts("main", 4, 1, N=4, s=3, branch=1, reflection=0) == (3, 3)
+    c = search_class("main", 4, 1, N=4, s=3, branch=1, reflection=0)
+    assert (c.K, c.k) == (3, 3)
 
 
 def test_subgroup_mode_parameters_odd_order_dual():
-    assert class_shifts("main", 7, 2, N=1, s=2, branch=1, reflection=0) == (14, 3)
+    c = search_class("main", 7, 2, N=1, s=2, branch=1, reflection=0)
+    assert (c.K, c.k) == (14, 3)
 
 
 def test_subgroup_mode_parameters_validation():
     with pytest.raises(ValueError, match="divide"):
-        class_shifts("main", 4, 1, N=3, s=3, branch=1, reflection=0)
+        search_class("main", 4, 1, N=3, s=3, branch=1, reflection=0)
     with pytest.raises(ValueError, match="gcd"):
-        class_shifts("main", 4, 3, N=4, s=2, branch=1, reflection=0)
+        search_class("main", 4, 3, N=4, s=2, branch=1, reflection=0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +341,8 @@ def search_grid():
 def test_search_table_reproduces_the_per_kind_classes():
     classes = 0
     for kind, n, m, N, s, branch, reflection, shift in search_grid():
-        K, k = class_shifts(kind, n, m, N, s, branch, reflection, shift)
-        generators = class_generators(kind, n, m, branch, s, K, k)
+        c = search_class(kind, n, m, N, s, branch, reflection, shift)
+        K, k, generators = c.K, c.k, c.generators
         assert generators == oracle_generators(kind, n, m, branch, s, K, k)
         exponents, label = oracle_group(kind, n, m, branch, s,
                                         {"typeI": 2}.get(kind, N), K, k)
