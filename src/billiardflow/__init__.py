@@ -31,7 +31,6 @@ from .sequences import (
     GroupDescription,
     PeriodicLift,
     SymmetryGenerator,
-    SymmetrySpec,
     aubry_vertices,
     expand_constraints,
     intersection_index,

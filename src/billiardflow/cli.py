@@ -184,18 +184,6 @@ def _write_json(config: dict, name: str, payload) -> None:
 # reporting helpers
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _flow_summary(flow) -> dict:
     return {
         "converged": flow.converged,
@@ -228,8 +216,9 @@ def _print_group(group) -> None:
     print(f"group:       {', '.join(names)}")
 
 
-def _report_payload(rep: OrbitReport, n: int, m: int) -> dict:
-    return _jsonable({
+def _report_payload(rep: OrbitReport) -> dict:
+    """The JSON of one find; the lift's (n, m) is the class its criterion read."""
+    return {
         "outcome": rep.outcome,
         "is_birkhoff": rep.is_birkhoff,
         "minimal_period": rep.minimal_period,
@@ -242,9 +231,10 @@ def _report_payload(rep: OrbitReport, n: int, m: int) -> dict:
         "epsilon": rep.epsilon,
         "criterion": asdict(rep.criterion),
         "flow": _flow_summary(rep.flow),
-        "lift": {"p": rep.final_lift.p, "q": rep.final_lift.q, "n": n, "m": m,
+        "lift": {"p": rep.final_lift.p, "q": rep.final_lift.q,
+                 "n": rep.criterion.n, "m": rep.criterion.m,
                  "coords": rep.final_lift.coords.tolist()},
-    })
+    }
 
 
 def _print_criterion(rep) -> None:
@@ -277,10 +267,9 @@ def cmd_find(args, config) -> int:
     rep = find_orbit(req)
 
     orbit_path = out_dir / f"{prefix}.orbit.txt"
-    save_lift(orbit_path, rep.final_lift, req.n, req.m)
+    save_lift(orbit_path, rep.final_lift, rep.criterion.n, rep.criterion.m)
     report_path = out_dir / f"{prefix}.report.json"
-    report_path.write_text(json.dumps(_report_payload(rep, req.n, req.m),
-                                      indent=2) + "\n")
+    report_path.write_text(json.dumps(_report_payload(rep), indent=2) + "\n")
     written = [str(orbit_path), str(report_path)]
     if args.render:
         boundary = reparametrize_constant_speed(make_boundary(req.billiard))
@@ -317,7 +306,7 @@ def cmd_classify(args, config) -> int:
     group = spatiotemporal_group(lift, n)
     minimal = minimal_period(lift)
     winding = int(round(float(lift.value(minimal) - lift.coords[0])))
-    payload = _jsonable({
+    payload = {
         "orbit_file": str(args.orbit),
         "p": lift.p, "q": lift.q, "n": n, "m": m,
         "is_birkhoff": group.is_birkhoff,
@@ -326,7 +315,7 @@ def cmd_classify(args, config) -> int:
         **_group_payload(group),
         "borderline_residual": group.borderline_residual,
         "stationarity_residual": residual,
-    })
+    }
     print(f"orbit:       (p, q) = ({lift.p}, {lift.q}) with (n, m) = ({n}, {m})")
     print(f"birkhoff:    {payload['is_birkhoff']}")
     print(f"min period:  {minimal} (winding {winding})")
@@ -379,13 +368,12 @@ def cmd_sweep(args, config) -> int:
         rows.append({
             "value": e.value,
             "criterion": asdict(e.criterion) if e.criterion else None,
-            "report": _report_payload(e.report, base.n, base.m)
-            if e.report else None,
+            "report": _report_payload(e.report) if e.report else None,
             "error": e.error,
         })
     out_dir, prefix = _output_paths(config)
     path = out_dir / f"{prefix}.sweep.json"
-    path.write_text(json.dumps(_jsonable(rows), indent=2) + "\n")
+    path.write_text(json.dumps(rows, indent=2) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 

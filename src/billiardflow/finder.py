@@ -26,7 +26,7 @@ from .geometry import (check_equivariance, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
 from .lagrangian import gradient_field, periodic_action
 from .sequences import (AffineSystem, GroupDescription,
-                        PeriodicLift, SymmetrySpec, expand_constraints,
+                        PeriodicLift, expand_constraints,
                         first_inadmissible, generated_group,
                         intersection_index, is_birkhoff,
                         minimal_period, spatiotemporal_group, type_label)
@@ -140,14 +140,18 @@ def checked_boundary(descriptor: dict, n: int):
 def checked_criterion(request: SearchRequest):
     """The checked table of ``request`` (:func:`checked_boundary`), its
     validated class (:func:`~.spectral.search_class`) and the closed-form
-    criterion of that class."""
+    criterion of that class, once a given ``epsilon`` lies in (0, 1/(2n))."""
     n, m = request.n, request.m
     boundary = checked_boundary(request.billiard, n)
     kappa, chord = kappa_chord(boundary, n, m, request.branch)
     search = search_class(request.kind, n, m, request.N, request.s, request.branch,
                           request.reflection, request.shift)
-    return boundary, search, criterion(request.kind, n, m, request.N, request.s,
-                                       kappa, chord)
+    report = criterion(request.kind, n, m, request.N, request.s, kappa, chord)
+    if request.epsilon is not None:
+        eps, cap = float(request.epsilon), 1.0 / (2 * n)
+        if not 0.0 < eps < cap:
+            raise ValueError(f"epsilon must lie in (0, {cap:.6g}), got {eps}")
+    return boundary, search, report
 
 
 def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
@@ -217,18 +221,13 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
 
     n, p, q = search.n, search.p, search.q
     reference = search.reference
-    spec = SymmetrySpec(n, search.generators)
-    system = expand_constraints(spec, p, q)
+    system = expand_constraints(n, search.generators, p, q)
     ref_residual = system.residual(reference.coords)
     if ref_residual > 1e-9:
         raise RuntimeError("internal error: the reference violates its own "
                            f"symmetry class (residual {ref_residual:.3e})")
 
-    eps_cap = 1.0 / (2 * n)
     eps = min(1.0 / (4 * n), 1e-2) if request.epsilon is None else float(request.epsilon)
-    if not 0.0 < eps < eps_cap:
-        raise ValueError(f"epsilon must lie in (0, {eps_cap:.6g}), got {eps}")
-
     cs = reparametrize_constant_speed(boundary)
     action_ref = periodic_action(cs, reference)
     start = search.start(eps)
@@ -255,7 +254,8 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
                      reference=reference)
     final = flow.final_lift
     residual = flow.grad_norm
-    if flow.failure in (None, "plateau", "max_steps") and residual < POLISH_BASIN_TOL:
+    if flow.reason in ("stationary", "max_time", "plateau", "max_steps") and \
+            residual < POLISH_BASIN_TOL:
         # the explicit flow stalls at its noise floor; finish with Newton.
         # Plateau/step-capped runs still hold a good iterate, so polish those
         # too and judge by the achieved residual rather than the flow's own
@@ -297,7 +297,7 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
                              f"{report.predicted_crossings}")
         if not action_gain > 0:
             anomalies.append(f"action gain {action_gain:.3e} is not positive")
-        expected = generated_group(spec)
+        expected = generated_group(n, search.generators)
         for family, want in expected.items():
             got = group.exponents(family)
             if got != want:

@@ -77,11 +77,15 @@ class FlowOptions:
 
 @dataclass
 class FlowResult:
-    """Outcome of one flow run, with per-sample histories for the law checks."""
+    """Outcome of one flow run, with per-sample histories for the law checks.
+
+    ``reason`` is the one stop reason: "stationary", "max_time", or a failure
+    ("step_underflow", "guard_violation", "action_decrease",
+    "crossing_increase", "plateau", "persistent_tangency", "max_steps").
+    """
 
     final_lift: PeriodicLift
-    converged: bool
-    reason: str                         # "stationary" | "max_time" | failure code
+    reason: str
     t_final: float
     grad_norm: float
     n_steps: int
@@ -92,8 +96,16 @@ class FlowResult:
     constraint_residuals: np.ndarray
     crossings: list                     # per sample: int, "tangent", or None
     lifts: list | None = None           # coordinate snapshots when recorded
-    failure: str | None = None
-    domain_violation: str | None = None
+    domain_violation: str | None = None  # the guard's message on "guard_violation"
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "stationary"
+
+    @property
+    def failure(self) -> str | None:
+        """The stop reason, unless the run converged or reached max_time."""
+        return None if self.reason in ("stationary", "max_time") else self.reason
 
 
 def _guard_violation(coords: np.ndarray, q: int, lo: float):
@@ -125,7 +137,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
     ``PLATEAU_FACTOR`` within the last ``PLATEAU_WINDOW`` accepted steps (the
     integrator's local-error noise can floor the residual above the
     stationarity tolerance); the result then carries the best iterate, not the
-    last one, and ``converged=False`` with reason ``"plateau"``.
+    last one, with reason ``"plateau"``.
     """
     opts = options or FlowOptions()
     q = start.q
@@ -164,21 +176,11 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         if lift_snaps is not None:
             lift_snaps.append(coords.copy())
 
-    def result(coords, converged, reason, t, fnorm, steps, failure=None, violation=None):
-        return FlowResult(
-            final_lift=make_lift(coords), converged=converged, reason=reason,
-            t_final=t, grad_norm=fnorm, n_steps=steps,
-            times=np.asarray(times), actions=np.asarray(actions),
-            grad_sq=np.asarray(grad_sq), local_errors=np.asarray(local_errors),
-            constraint_residuals=np.asarray(residuals), crossings=crossings,
-            lifts=lift_snaps, failure=failure, domain_violation=violation,
-        )
-
     f_cur = rhs(x)
     fnorm = float(np.max(np.abs(f_cur)))
     record(0.0, x, f_cur, 0.0)
-    if fnorm < opts.stationarity_tol:
-        return result(x, True, "stationary", 0.0, fnorm, 0)
+    reason = "stationary" if fnorm < opts.stationarity_tol else None
+    violation = None
 
     t = 0.0
     dt = min(INITIAL_STEP, opts.max_time)
@@ -192,43 +194,35 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
     last_crossing = crossings[0] if isinstance(crossings[0], int) else None
     stages = np.empty((7, x.size))
 
-    while steps < opts.max_steps:
+    while reason is None and steps < opts.max_steps:
         stages[0] = f_cur
         for s in range(1, 7):
             xs = x + dt * (stages[:s].T @ _A[s, :s])
             f = rhs(xs)
             if f is None:
+                err_ratio = np.inf
                 break
             stages[s] = f
-        if f is not None:
-            x5 = xs
-            x4 = x + dt * (stages.T @ _B4)
-            err_vec = x5 - x4
-            scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x5))
+        else:       # the last stage point xs is the fifth-order solution
+            err_vec = xs - (x + dt * (stages.T @ _B4))
+            scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(xs))
             err_ratio = max(float(np.max(np.abs(err_vec) / scale)), 1e-16)
-        # a stage left the admissible region, or the error is not finite:
-        # retry with a smaller step
-        if f is None or not np.isfinite(err_ratio):
-            dt *= 0.2
+        # a stage left the admissible region, or the error is not finite or
+        # too large: retry with a smaller step
+        if not err_ratio <= 1.0:
+            dt *= max(0.2, 0.9 * err_ratio ** -0.2) if np.isfinite(err_ratio) else 0.2
             if dt < 1e-14:
-                return result(x, False, "step_underflow", t, fnorm, steps,
-                              failure="step_underflow")
-            continue
-        if err_ratio > 1.0:
-            dt *= max(0.2, 0.9 * err_ratio ** -0.2)
-            if dt < 1e-14:
-                return result(x, False, "step_underflow", t, fnorm, steps,
-                              failure="step_underflow")
+                reason = "step_underflow"
             continue
 
         # accepted
         steps += 1
-        x_new = x5 if system is None else system.project(x5)
+        x_new = xs if system is None else system.project(xs)
         err_abs = float(np.max(np.abs(err_vec)))
-        msg = _guard_violation(x_new, q, lo)
-        if msg is not None:
-            return result(x, False, "guard_violation", t, fnorm, steps,
-                          failure="guard_violation", violation=msg)
+        violation = _guard_violation(x_new, q, lo)
+        if violation is not None:
+            reason = "guard_violation"
+            break
         displacement = float(np.max(np.abs(x_new - x)))
         t += dt
         x = x_new
@@ -238,18 +232,19 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         record(t, x, f_cur, err_abs)
         budget = 10.0 * (err_abs * (1.0 + float(np.sum(np.abs(f_cur)))) + 1e-15)
         if actions[-1] < actions[-2] - budget:
-            return result(x, False, "action_decrease", t, fnorm, steps,
-                          failure="action_decrease")
+            reason = "action_decrease"
+            break
         cross = crossings[-1]
         if isinstance(cross, int):
             if last_crossing is not None and cross > last_crossing:
-                return result(x, False, "crossing_increase", t, fnorm, steps,
-                              failure="crossing_increase")
+                reason = "crossing_increase"
+                break
             last_crossing = cross
 
         if fnorm < opts.stationarity_tol and \
                 displacement < max(DISPLACEMENT_TOL, dt * opts.stationarity_tol):
-            return result(x, True, "stationary", t, fnorm, steps)
+            reason = "stationary"
+            break
 
         # progress is judged against a benchmark frozen at the last reset, so
         # a slow steady decay (a few per mille per step) keeps resetting and
@@ -264,25 +259,25 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
             best_t = t
         stalled = stalled + 1 if displacement < DISPLACEMENT_TOL else 0
         if stalled >= PLATEAU_STEPS or since_progress >= PLATEAU_WINDOW:
-            return result(best_x, False, "plateau", best_t, best_fnorm, steps,
-                          failure="plateau")
+            reason = "plateau"
+            x, t, fnorm = best_x, best_t, best_fnorm
+            break
 
         if t >= opts.max_time:
-            reason = "max_time"
-            failure = None
-            if reference is not None and crossings and crossings[-1] == "tangent":
-                trailing = 0
-                for c in reversed(crossings):
-                    if c == "tangent":
-                        trailing += 1
-                    else:
-                        break
-                if trailing >= PLATEAU_STEPS:
-                    reason = failure = "persistent_tangency"
-            return result(x, False, reason, t, fnorm, steps, failure=failure)
+            # a crossing index tangent at the last PLATEAU_STEPS samples
+            # names the stop instead
+            tangent = crossings[-PLATEAU_STEPS:].count("tangent") == PLATEAU_STEPS
+            reason = "persistent_tangency" if tangent else "max_time"
+            break
 
         dt = float(np.clip(dt * np.clip(0.9 * err_ratio ** -0.2, 0.2, 5.0),
                            1e-14, MAX_STEP))
         dt = min(dt, opts.max_time - t)
 
-    return result(x, False, "max_steps", t, fnorm, steps, failure="max_steps")
+    return FlowResult(
+        final_lift=make_lift(x), reason=reason or "max_steps", t_final=t,
+        grad_norm=fnorm, n_steps=steps, times=np.asarray(times),
+        actions=np.asarray(actions), grad_sq=np.asarray(grad_sq),
+        local_errors=np.asarray(local_errors), constraint_residuals=np.asarray(residuals),
+        crossings=crossings, lifts=lift_snaps, domain_violation=violation,
+    )

@@ -61,10 +61,6 @@ class PeriodicLift:
     def with_coords(self, coords) -> "PeriodicLift":
         return PeriodicLift(self.p, self.q, coords)
 
-    def translate(self, c: int, d: int) -> "PeriodicLift":
-        """The integer translate with coordinates x_{i+c} + d."""
-        return PeriodicLift(self.p, self.q, self.value(np.arange(self.p) + c) + d)
-
 
 def first_inadmissible(coords: np.ndarray, q: int, lo: float = 0.0):
     """The first increment u_i = x_{i+1} - x_i (the last one wraps to x_0 + q)
@@ -214,15 +210,6 @@ class SymmetryGenerator:
 
 
 @dataclass(frozen=True)
-class SymmetrySpec:
-    n: int
-    generators: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-
-
-@dataclass(frozen=True)
 class AffineSystem:
     """The affine class base + span(basis) cut out by symmetry generators.
 
@@ -257,8 +244,8 @@ class AffineSystem:
         return self.base + self.basis @ (self.basis.T @ (self._check(coords) - self.base))
 
 
-def expand_constraints(spec: SymmetrySpec, p: int, q: int) -> AffineSystem:
-    """Expand symmetry generators into the affine class over x_0..x_{p-1}.
+def expand_constraints(n: int, generators, p: int, q: int) -> AffineSystem:
+    """Expand symmetry generators of D_n into the affine class over x_0..x_{p-1}.
 
     Indices outside 0..p-1 are reduced by the extension rule
     x_{j} = x_{j mod p} + q * floor(j / p), which moves integer offsets into
@@ -267,11 +254,11 @@ def expand_constraints(spec: SymmetrySpec, p: int, q: int) -> AffineSystem:
     """
     i = np.arange(p)
     edges = []
-    for g in spec.generators:
+    for g in generators:
         d, s, c = FAMILIES[g.kind]
         wrap, j = np.divmod(g.shift + d * i, p)
         edges.append((i, j, np.full(p, float(s)),
-                      g.exponent / spec.n + g.offset + c * i - q * wrap))
+                      g.exponent / n + g.offset + c * i - q * wrap))
     src, dst, sign, offset = (np.concatenate(e) for e in zip(*edges))
 
     # walk a spanning forest of the edges: x_i = parity_i x_{root_i} + shift_i
@@ -365,7 +352,7 @@ def type_label(exponents: dict, n: int, birkhoff: bool) -> str:
     return "none"
 
 
-def generated_group(spec: SymmetrySpec) -> dict:
+def generated_group(n: int, generators) -> dict:
     """family -> exponents of the subgroup of D_n x {preserving, reversing}
     that the generators generate.
 
@@ -380,8 +367,8 @@ def generated_group(spec: SymmetrySpec) -> dict:
             group.add(element)
             r, e, t = element
             frontier += [(r != g.kind.startswith("reflection"),
-                          (e - g.exponent if r else e + g.exponent) % spec.n,
-                          t != g.kind.endswith("reversing")) for g in spec.generators]
+                          (e - g.exponent if r else e + g.exponent) % n,
+                          t != g.kind.endswith("reversing")) for g in generators]
     families = list(FAMILIES)     # rotations first, preserving before reversing
     exponents = {family: set() for family in families}
     for r, e, t in group:

@@ -3,8 +3,9 @@
 Each computes, by a second route, something the package computes another way:
 the chord partials one endpoint at a time (the package assembles the gradient
 in one kernel), the paper's closed form of the circulant Hessian at a
-symmetric Birkhoff orbit, the comparison principle of two flow runs, and
-orbit equality by a loop over time shifts and reversals.
+symmetric Birkhoff orbit, the comparison principle of two flow runs, integer
+translates of a lift, and orbit equality by a loop over time shifts and
+reversals.
 """
 
 import math
@@ -103,6 +104,11 @@ def comparison_check(run_x, run_y) -> bool:
         if not np.all(xj < yj):
             return False
     return True
+
+
+def translate(lift, c, d):
+    """The integer translate of ``lift`` with coordinates x_{i+c} + d."""
+    return lift.with_coords(lift.value(np.arange(lift.p) + c) + d)
 
 
 def increments(lift):

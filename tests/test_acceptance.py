@@ -29,7 +29,7 @@ from billiardflow.geometry import (
     make_ellipse,
     make_limacon,
 )
-from billiardflow.sequences import PeriodicLift, SymmetrySpec
+from billiardflow.sequences import PeriodicLift
 from billiardflow.spectral import search_class
 from oracles import birkhoff_coefficients, circulant, increments, same_orbit
 
@@ -256,8 +256,7 @@ def test_criterion_6_flow_laws():
          reparametrize_constant_speed(make_ellipse(2.0, 1.0)), 6),
     ]
     for search, boundary, runs in cases:
-        system = expand_constraints(SymmetrySpec(search.n, search.generators),
-                                    search.p, search.q)
+        system = expand_constraints(search.n, search.generators, search.p, search.q)
         setups.append((boundary, search.reference, system, runs))
 
     rng = np.random.default_rng(77)

@@ -537,6 +537,33 @@ def test_sweep_writes_table_and_json(tmp_path, capsys):
     assert "convex" in by_value[0.25]["error"]
 
 
+def test_sweep_over_m_writes_the_class_of_each_entry(tmp_path, capsys):
+    # the lift header of each entry names its own (n, m), not the base request's
+    ini = tmp_path / "m.ini"
+    ini.write_text(FLAGSHIP_INI + "\n[sweep]\nparam = m\nvalues = 1, 3\n")
+    assert main(["sweep", "--config", str(ini), "--out", str(tmp_path), "--prefix", "m"]) == 0
+    rows = json.loads((tmp_path / "m.sweep.json").read_text())
+    assert [row["value"] for row in rows] == [1, 3]
+    for row in rows:
+        lift = row["report"]["lift"]
+        assert (lift["n"], lift["m"]) == (4, row["value"]) == \
+            (row["criterion"]["n"], row["criterion"]["m"])
+        assert (lift["p"], lift["q"]) == (12, 3 * row["value"])
+
+
+@pytest.mark.parametrize("command", ["check", "find"])
+@pytest.mark.parametrize("ini", [FLAGSHIP_INI, CIRCLE_INI], ids=["flagship", "circle"])
+def test_check_and_find_reject_the_same_epsilon(command, ini, tmp_path, capsys):
+    # both share the criterion step, which checks the nudge range before any
+    # verdict is read, so an inconclusive class exits 2 as well
+    config = tmp_path / "eps.ini"
+    config.write_text(ini + "\n[flow]\nepsilon = 0.5\n")
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: epsilon must lie in (0, 0.125), got 0.5\n"
+    assert captured.out == ""
+
+
 def test_sweep_logs_a_failed_entry_in_one_line(tmp_path):
     # a non-convex table fails its entry; the traceback shows only at debug
     ini = tmp_path / "sweep.ini"

@@ -15,7 +15,6 @@ from billiardflow import (
     sweep,
 )
 from billiardflow import finder
-from billiardflow.sequences import SymmetrySpec
 from oracles import increments, same_orbit
 
 LIMACON4 = {"family": "limacon", "n": 4, "alpha": 0.05}
@@ -186,7 +185,7 @@ def test_seeded_modes_satisfy_their_class(kind, n, m, s, K, k):
     # main at N = n; the other kinds fix N
     search = search_class(kind, n, m, n if kind == "main" else None, s)
     assert (search.K, search.k) == (K, k)
-    system = expand_constraints(SymmetrySpec(n, search.generators), search.p, search.q)
+    system = expand_constraints(n, search.generators, search.p, search.q)
     start = search.start(0.02)
     assert system.residual(start.coords) <= 1e-12
 
@@ -210,6 +209,13 @@ def test_sweep_records_success_failure_and_inconclusive():
     assert circle_limit.report is None
     assert "inconclusive" in circle_limit.error
     assert circle_limit.criterion.margin <= 0
+
+
+def test_sweep_records_a_bad_epsilon_on_its_entry():
+    base = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
+    [entry] = sweep(base, "epsilon", [0.5])
+    assert entry.report is None and entry.criterion is None
+    assert entry.error == "ValueError: epsilon must lie in (0, 0.125), got 0.5"
 
 
 def test_sweep_states_a_roundoff_margin():

@@ -14,14 +14,14 @@ from billiardflow import (
     symmetric_birkhoff,
 )
 from billiardflow import flow as flow_module
-from billiardflow.sequences import PeriodicLift, SymmetrySpec
+from billiardflow.sequences import PeriodicLift
 from oracles import comparison_check, increments
 
 
 def flagship_setup(boundary):
     """The (12, 3) symmetric search class on an order-4 boundary."""
     search = search_class("main", 4, 1, N=4, s=3)
-    system = expand_constraints(SymmetrySpec(4, search.generators), 12, 3)
+    system = expand_constraints(4, search.generators, 12, 3)
     return search.reference, system, search.start(0.05)
 
 
@@ -223,6 +223,32 @@ def test_a_stage_that_stays_inadmissible_underflows_the_step(limacon4_cs, monkey
     assert run.reason == run.failure == "step_underflow" and not run.converged
     assert run.n_steps == 0 and run.t_final == 0.0
     assert np.allclose(run.final_lift.coords, start.coords, rtol=0, atol=1e-12)
+
+
+def test_an_error_that_stays_too_large_underflows_the_step(limacon4_cs, monkeypatch):
+    # a fourth-order solution off by a whole step makes every error estimate
+    # exceed the (tiny) tolerance, so the step shrinks below its floor
+    monkeypatch.setattr(flow_module, "_B4", 2 * flow_module._B4)
+    ref, system, start = flagship_setup(limacon4_cs)
+    run = integrate(limacon4_cs, start, system=system,
+                    options=FlowOptions(abs_tol=1e-300, rel_tol=1e-300))
+    assert run.reason == run.failure == "step_underflow" and not run.converged
+    assert run.n_steps == 0 and run.t_final == 0.0
+    assert np.array_equal(run.final_lift.coords, system.project(start.coords))
+
+
+def test_a_tangency_that_persists_to_max_time_is_reported(limacon4_cs, monkeypatch):
+    # a crossing index that is tangent at every sample outlasts the plateau
+    # count, so the run that reaches max_time names the tangency instead
+    monkeypatch.setattr(flow_module, "intersection_index", lambda xl, yl: "tangent")
+    monkeypatch.setattr(flow_module, "PLATEAU_STEPS", 5)
+    ref, system, start = flagship_setup(limacon4_cs)
+    run = integrate(limacon4_cs, start, system=system, reference=ref,
+                    options=FlowOptions(max_time=0.5))
+    assert run.reason == run.failure == "persistent_tangency" and not run.converged
+    assert run.n_steps == 83
+    assert run.t_final == pytest.approx(0.5)
+    assert set(run.crossings) == {"tangent"}
 
 
 def test_a_descending_flow_stops_on_the_action_law(limacon4_cs, monkeypatch):

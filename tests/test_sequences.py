@@ -21,12 +21,11 @@ from billiardflow.sequences import (
     SNAP_TOL,
     PeriodicLift,
     SymmetryGenerator,
-    SymmetrySpec,
     aubry_vertices,
     first_inadmissible,
 )
 from billiardflow.spectral import search_class
-from oracles import loop_score, same_orbit
+from oracles import loop_score, same_orbit, translate
 
 
 def brute_force_well_ordered(lift, tol=1e-9):
@@ -79,7 +78,7 @@ def test_increments_wrap_to_the_winding():
     # the interval is open: an increment equal to lo is outside, and so is NaN
     assert first_inadmissible(np.arange(4) / 4, 1, 0.25) == (0, 0.25)
     assert first_inadmissible(np.array([0.1, np.nan, 0.6, 0.9]), 1)[0] == 0
-    shifted = lift.translate(2, -1)
+    shifted = translate(lift, 2, -1)
     assert shifted.value(0) == pytest.approx(lift.value(2) - 1)
 
 
@@ -201,7 +200,7 @@ def reversed_lift(a, r=0):
 def test_geometric_equality_up_to_shift_and_reversal():
     rng = np.random.default_rng(21)
     a = random_lift(rng, 9, 2)
-    shifted = a.translate(4, -1)
+    shifted = translate(a, 4, -1)
     assert same_orbit(a, shifted)
     backwards = reversed_lift(a, r=5)  # a (9, 7) lift of the same points
     assert same_orbit(a, backwards)
@@ -313,19 +312,17 @@ def flagship_system():
     # x_{3+i} - x_i = 3/4 and x_{3-i} + x_i = 0/4 + 1
     gens = [SymmetryGenerator("rotation_preserving", exponent=3, shift=3, offset=0),
             SymmetryGenerator("reflection_reversing", exponent=0, shift=3, offset=1)]
-    return SymmetrySpec(4, gens), 12, 3
+    return expand_constraints(4, gens, 12, 3), 12, 3
 
 
 def test_reference_satisfies_its_own_class():
-    spec, p, q = flagship_system()
-    system = expand_constraints(spec, p, q)
+    system, p, q = flagship_system()
     ref = repeat_lift(symmetric_birkhoff(4, 1), 3)
     assert system.residual(ref.coords) < 1e-12
 
 
 def test_projection_is_idempotent_and_affine():
-    spec, p, q = flagship_system()
-    system = expand_constraints(spec, p, q)
+    system, p, q = flagship_system()
     rng = np.random.default_rng(17)
     ref = repeat_lift(symmetric_birkhoff(4, 1), 3)
     noisy = ref.coords + 0.01 * rng.standard_normal(p)
@@ -338,8 +335,7 @@ def test_projection_is_idempotent_and_affine():
 
 def test_projected_lifts_realize_the_boundary_symmetry(limacon4_cs):
     # points of a class member map onto each other under the actual isometry
-    spec, p, q = flagship_system()
-    system = expand_constraints(spec, p, q)
+    system, p, q = flagship_system()
     ref = repeat_lift(symmetric_birkhoff(4, 1), 3)
     rng = np.random.default_rng(23)
     member = PeriodicLift(p, q, system.project(ref.coords
@@ -362,12 +358,11 @@ def test_infeasible_constraint_system_is_rejected():
     ]
     for gens in cases:
         with pytest.raises(ValueError, match="infeasible"):
-            expand_constraints(SymmetrySpec(4, gens), 12, 3)
+            expand_constraints(4, gens, 12, 3)
 
 
 def test_affine_system_rejects_shape_mismatch():
-    spec, p, q = flagship_system()
-    system = expand_constraints(spec, p, q)
+    system, p, q = flagship_system()
     for coords in (np.zeros(p - 1), np.zeros(p + 1), np.zeros((1, p))):
         with pytest.raises(ValueError):
             system.residual(coords)
@@ -375,15 +370,15 @@ def test_affine_system_rejects_shape_mismatch():
             system.project(coords)
 
 
-def dense_constraints(spec, p, q):
+def dense_constraints(n, generators, p, q):
     """Independent oracle: the class as a dense system A x = rhs.
 
     One row per generator and index, with each family's identity spelled out
     and indices outside 0..p-1 reduced by x_{j} = x_{j mod p} + q floor(j/p).
     """
     rows, rhs = [], []
-    for g in spec.generators:
-        c = g.exponent / spec.n + g.offset
+    for g in generators:
+        c = g.exponent / n + g.offset
         for i in range(p):
             if g.kind == "rotation_preserving":      # x_{k+i} - x_i = c
                 j, ci, val = g.shift + i, -1.0, c
@@ -420,10 +415,10 @@ BENCHMARK_CLASSES = [
                               for f, _ in BENCHMARK_CLASSES])
 def test_orbit_basis_spans_the_null_space_of_the_dense_system(fields, dim):
     kind, n, m, s = fields["kind"], fields["n"], fields["m"], fields["s"]
-    spec = SymmetrySpec(n, search_class(kind, n, m, fields.get("N"), s).generators)
+    generators = search_class(kind, n, m, fields.get("N"), s).generators
     p, q = s * n, s * m
-    system = expand_constraints(spec, p, q)
-    matrix, rhs = dense_constraints(spec, p, q)
+    system = expand_constraints(n, generators, p, q)
+    matrix, rhs = dense_constraints(n, generators, p, q)
 
     _, singular, vt = np.linalg.svd(matrix)
     null = vt[int(np.sum(singular > 1e-12 * singular[0])):].T
@@ -460,8 +455,7 @@ def test_full_group_of_the_symmetric_birkhoff_orbit():
 
 
 def test_group_of_a_constructed_class_member():
-    spec, p, q = flagship_system()
-    system = expand_constraints(spec, p, q)
+    system, p, q = flagship_system()
     ref = repeat_lift(symmetric_birkhoff(4, 1), 3)
     rng = np.random.default_rng(29)
     member = PeriodicLift(p, q, system.project(ref.coords
@@ -477,7 +471,7 @@ def test_palindromic_reflection_membership_labels_type_v():
     # x_i + x_{5+i} = 3 + i
     gens = [SymmetryGenerator("reflection_reversing", exponent=0, shift=5, offset=3),
             SymmetryGenerator("reflection_preserving", exponent=0, shift=5, offset=3)]
-    system = expand_constraints(SymmetrySpec(2, gens), 10, 5)
+    system = expand_constraints(2, gens, 10, 5)
     ref = repeat_lift(symmetric_birkhoff(2, 1), 5)
     rng = np.random.default_rng(31)
     coords = system.project(ref.coords + 0.05 * rng.standard_normal(10))
@@ -500,13 +494,12 @@ def test_borderline_residual_reports_the_near_miss():
     # start from an exactly type-V sequence and break the preserving relation
     gens = [SymmetryGenerator("reflection_reversing", exponent=0, shift=5, offset=3),
             SymmetryGenerator("reflection_preserving", exponent=0, shift=5, offset=3)]
-    system = expand_constraints(SymmetrySpec(2, gens), 10, 5)
+    system = expand_constraints(2, gens, 10, 5)
     ref = repeat_lift(symmetric_birkhoff(2, 1), 5)
     rng = np.random.default_rng(41)
     coords = system.project(ref.coords + 0.05 * rng.standard_normal(10))
     bump = 1e-5
-    only_rev = expand_constraints(
-        SymmetrySpec(2, [gens[0]]), 10, 5)
+    only_rev = expand_constraints(2, [gens[0]], 10, 5)
     broken = only_rev.project(coords + bump * rng.standard_normal(10))
     desc = spatiotemporal_group(PeriodicLift(10, 5, broken), 2)
     assert desc.type_label == "III"

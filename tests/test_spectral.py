@@ -20,7 +20,6 @@ from billiardflow.geometry import make_circle
 from billiardflow.sequences import (
     PeriodicLift,
     SymmetryGenerator,
-    SymmetrySpec,
     generated_group,
     type_label,
 )
@@ -346,7 +345,7 @@ def test_search_table_reproduces_the_per_kind_classes():
         assert generators == oracle_generators(kind, n, m, branch, s, K, k)
         exponents, label = oracle_group(kind, n, m, branch, s,
                                         {"typeI": 2}.get(kind, N), K, k)
-        group = generated_group(SymmetrySpec(n, generators))
+        group = generated_group(n, generators)
         assert group == exponents, (kind, n, m, N, s, branch, reflection, shift)
         assert type_label(group, n, birkhoff=False) == label
         classes += 1
