@@ -32,10 +32,10 @@ import numpy as np
 from .finder import (CriterionInconclusive, OrbitReport, SearchRequest,
                      checked_boundary, checked_criterion, find_orbit, sweep)
 from .flow import FlowOptions
-from .geometry import make_boundary, reparametrize_constant_speed
+from .geometry import reparametrize_constant_speed
 from .lagrangian import gradient_field
 from .render import render_aubry_diagram, render_orbit_figure
-from .sequences import load_lift, minimal_period, save_lift, spatiotemporal_group
+from .sequences import lift_text, load_lift, minimal_period, spatiotemporal_group
 
 log = logging.getLogger(__name__)
 
@@ -163,21 +163,29 @@ def _request(config: dict, args) -> SearchRequest:
                          options=FlowOptions(**_fields(config, "options")))
 
 
-def _output_paths(config: dict):
+def _write(config: dict, name: str, text: str) -> None:
+    """Write ``text`` to ``<out>/<prefix>.<name>`` (out default ".", prefix
+    default "orbit"), creating the directory, and print ``wrote <path>``."""
     output = config["output"]
-    out_dir = Path(output.get("out") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, (output.get("prefix") or "orbit")
+    path = Path(output.get("out") or ".") / f"{output.get('prefix') or 'orbit'}.{name}"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    print(f"wrote {path}")
 
 
-def _write_json(config: dict, name: str, payload) -> None:
-    """With an output directory, from ``[output] out`` or ``--out``, write
-    ``payload`` to ``<out>/<prefix>.<name>.json``."""
+def _table(config: dict, n: int):
+    """The constant-speed [billiard] table, once it is strictly convex and
+    has the order-n dihedral symmetry (:func:`~.finder.checked_boundary`)."""
+    return reparametrize_constant_speed(checked_boundary(_fields(config, "billiard"), n))
+
+
+def _print_json(config: dict, name: str, payload) -> None:
+    """Print ``payload`` as JSON and, with an output directory set, write the
+    same text to ``<out>/<prefix>.<name>.json``."""
+    text = json.dumps(payload, indent=2) + "\n"
+    print(text, end="")
     if config["output"].get("out"):
-        out_dir, prefix = _output_paths(config)
-        path = out_dir / f"{prefix}.{name}.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {path}")
+        _write(config, f"{name}.json", text)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +202,7 @@ def _flow_summary(flow) -> dict:
         "grad_norm": flow.grad_norm,
         "n_steps": flow.n_steps,
         "samples": int(len(flow.times)),
-        "final_action": float(flow.actions[-1]) if len(flow.actions) else None,
+        "final_action": flow.final_action,
     }
 
 
@@ -256,30 +264,17 @@ def _print_criterion(rep) -> None:
 def cmd_check(args, config) -> int:
     _, _, rep = checked_criterion(_request(config, args))
     _print_criterion(rep)
-    print(json.dumps(asdict(rep), indent=2))
-    _write_json(config, "criterion", asdict(rep))
+    _print_json(config, "criterion", asdict(rep))
     return EXIT_OK if rep.verdict == "orbit_predicted" else EXIT_CRITERION
 
 
 def cmd_find(args, config) -> int:
-    req = _request(config, args)
-    out_dir, prefix = _output_paths(config)
-    rep = find_orbit(req)
-
-    orbit_path = out_dir / f"{prefix}.orbit.txt"
-    save_lift(orbit_path, rep.final_lift, rep.criterion.n, rep.criterion.m)
-    report_path = out_dir / f"{prefix}.report.json"
-    report_path.write_text(json.dumps(_report_payload(rep), indent=2) + "\n")
-    written = [str(orbit_path), str(report_path)]
+    rep = find_orbit(_request(config, args))
+    lift, n, m = rep.final_lift, rep.criterion.n, rep.criterion.m
     if args.render:
-        boundary = reparametrize_constant_speed(make_boundary(req.billiard))
-        svg = render_orbit_figure(boundary, rep.final_lift, overlay=(req.n, req.m))
-        svg_path = out_dir / f"{prefix}.svg"
-        svg_path.write_text(svg)
-        written.append(str(svg_path))
-
+        svg = render_orbit_figure(_table(config, n), lift, overlay=(n, m))
     print(f"outcome:     {rep.outcome}")
-    print(f"lift:        (p, q) = ({rep.final_lift.p}, {rep.final_lift.q}), "
+    print(f"lift:        (p, q) = ({lift.p}, {lift.q}), "
           f"minimal period {rep.minimal_period}, winding {rep.winding}")
     _print_group(rep.group)
     print(f"crossings:   {rep.crossings_vs_reference}")
@@ -289,8 +284,10 @@ def cmd_find(args, config) -> int:
     print(f"flow:        {rep.flow.reason} after {rep.flow.n_steps} steps, "
           f"t = {rep.flow.t_final:.6g}, |F|_inf = {rep.flow.grad_norm:.3e}")
     print("anomalies:   " + ("none" if not rep.anomalies else "; ".join(rep.anomalies)))
-    for path in written:
-        print(f"wrote {path}")
+    _write(config, "orbit.txt", lift_text(lift, n, m))
+    _write(config, "report.json", json.dumps(_report_payload(rep), indent=2) + "\n")
+    if args.render:
+        _write(config, "svg", svg)
     if rep.outcome == "non_converged":
         print("flow did not converge; artifacts retained for diagnosis",
               file=sys.stderr)
@@ -300,8 +297,7 @@ def cmd_find(args, config) -> int:
 
 def cmd_classify(args, config) -> int:
     lift, n, m = load_lift(args.orbit)
-    boundary = reparametrize_constant_speed(
-        checked_boundary(_fields(config, "billiard"), n))
+    boundary = _table(config, n)
     residual = float(np.max(np.abs(gradient_field(boundary, lift))))
     group = spatiotemporal_group(lift, n)
     minimal = minimal_period(lift)
@@ -321,8 +317,7 @@ def cmd_classify(args, config) -> int:
     print(f"min period:  {minimal} (winding {winding})")
     _print_group(group)
     print(f"|F|_inf:     {residual:.3e}")
-    print(json.dumps(payload, indent=2))
-    _write_json(config, "classify", payload)
+    _print_json(config, "classify", payload)
     return EXIT_OK
 
 
@@ -331,16 +326,11 @@ def cmd_render(args, config) -> int:
     if args.mode == "orbit_figure":
         if args.config is None:
             raise ValueError("orbit_figure rendering needs --config for the boundary")
-        boundary = reparametrize_constant_speed(
-            checked_boundary(_fields(config, "billiard"), n))
-        svg = render_orbit_figure(boundary, lift,
+        svg = render_orbit_figure(_table(config, n), lift,
                                   overlay=(n, m) if args.overlay else None)
     else:
         svg = render_aubry_diagram(lift, translates=args.translates)
-    out_dir, prefix = _output_paths(config)
-    path = out_dir / f"{prefix}.{args.mode}.svg"
-    path.write_text(svg)
-    print(f"wrote {path}")
+    _write(config, f"{args.mode}.svg", svg)
     return EXIT_OK
 
 
@@ -371,10 +361,7 @@ def cmd_sweep(args, config) -> int:
             "report": _report_payload(e.report) if e.report else None,
             "error": e.error,
         })
-    out_dir, prefix = _output_paths(config)
-    path = out_dir / f"{prefix}.sweep.json"
-    path.write_text(json.dumps(rows, indent=2) + "\n")
-    print(f"wrote {path}")
+    _write(config, "sweep.json", json.dumps(rows, indent=2) + "\n")
     return EXIT_OK
 
 

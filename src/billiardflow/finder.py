@@ -15,6 +15,7 @@ is re-checked; mismatches are recorded as anomalies, not silently accepted.
 from __future__ import annotations
 
 import logging
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -51,6 +52,9 @@ POLISH_MAX_ITER = 30
 #: a Newton step is halved until every increment lies in
 #: (POLISH_GUARD, 1 - POLISH_GUARD)
 POLISH_GUARD = 1e-9
+#: catch_warnings swaps the process-wide filter list; sweep threads taking
+#: turns keeps one thread's restore from leaving another's "ignore" behind
+_WARNINGS_LOCK = threading.Lock()
 
 
 class CriterionInconclusive(RuntimeError):
@@ -175,7 +179,7 @@ def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
             best, best_norm = cur, norm
         if norm <= POLISH_TARGET:
             break
-        with warnings.catch_warnings():
+        with _WARNINGS_LOCK, warnings.catch_warnings():
             warnings.simplefilter("ignore")     # near-stationary by design
             hess = hessian(boundary, lift.with_coords(cur))
         reduced = basis.T @ hess @ basis

@@ -3,10 +3,10 @@
 Integrates dx/dt = F(x) (F the action gradient) with an embedded
 Dormand-Prince 5(4) pair, projecting every accepted step orthogonally onto the
 symmetry class through its orbit basis (see :class:`~.sequences.AffineSystem`).
-Along the way the run verifies the structural laws of the flow — the action
-never decreases beyond the local error, the crossing index against a reference
-lift never increases, the constraint residual stays at roundoff — and reports
-any violation distinctly instead of silently continuing.
+The run stops on a violated law of the flow (the action decreasing beyond the
+local error, the crossing index against a reference lift increasing) and names
+it; it only records the constraint residual, which the projection keeps at
+roundoff.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ class FlowResult:
     """
 
     final_lift: PeriodicLift
+    final_action: float                 # the action at final_lift
     reason: str
     t_final: float
     grad_norm: float
@@ -188,7 +189,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
     stalled = 0
     best_x = x.copy()
     best_fnorm = fnorm
-    best_t = 0.0
+    best = 0                 # the sample index of the best iterate
     bench_fnorm = fnorm      # benchmark at the last progress reset
     since_progress = 0
     last_crossing = crossings[0] if isinstance(crossings[0], int) else None
@@ -256,11 +257,11 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         if fnorm < best_fnorm:
             best_fnorm = fnorm
             best_x = x.copy()
-            best_t = t
+            best = len(times) - 1
         stalled = stalled + 1 if displacement < DISPLACEMENT_TOL else 0
         if stalled >= PLATEAU_STEPS or since_progress >= PLATEAU_WINDOW:
             reason = "plateau"
-            x, t, fnorm = best_x, best_t, best_fnorm
+            x, t, fnorm = best_x, times[best], best_fnorm
             break
 
         if t >= opts.max_time:
@@ -274,8 +275,10 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
                            1e-14, MAX_STEP))
         dt = min(dt, opts.max_time - t)
 
+    final = best if reason == "plateau" else -1
     return FlowResult(
-        final_lift=make_lift(x), reason=reason or "max_steps", t_final=t,
+        final_lift=make_lift(x), final_action=actions[final],
+        reason=reason or "max_steps", t_final=t,
         grad_norm=fnorm, n_steps=steps, times=np.asarray(times),
         actions=np.asarray(actions), grad_sq=np.asarray(grad_sq),
         local_errors=np.asarray(local_errors), constraint_residuals=np.asarray(residuals),

@@ -422,14 +422,17 @@ def aubry_vertices(lift: PeriodicLift, c: int = 0, d: int = 0) -> np.ndarray:
     return np.stack((i.astype(float), lift.value(i + c) + d), axis=1)
 
 
-def save_lift(path, lift: PeriodicLift, n: int, m: int) -> None:
-    """Write an orbit file: header "p q n m", then one coordinate per line.
-
-    Coordinates use 17 significant digits, enough to round-trip doubles.
-    """
+def lift_text(lift: PeriodicLift, n: int, m: int) -> str:
+    """The text of an orbit file: header "p q n m", then one coordinate per
+    line, in 17 significant digits, enough to round-trip doubles."""
     lines = [f"{lift.p} {lift.q} {n} {m}"]
     lines += [f"{c:.17g}" for c in lift.coords]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def save_lift(path, lift: PeriodicLift, n: int, m: int) -> None:
+    """Write the orbit file :func:`lift_text` gives."""
+    Path(path).write_text(lift_text(lift, n, m))
 
 
 def load_lift(path):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import billiardflow
-from billiardflow import finder, repeat_lift, save_lift, symmetric_birkhoff
+from billiardflow import (finder, flow, periodic_action, repeat_lift, save_lift,
+                          symmetric_birkhoff)
 from billiardflow.cli import KEYS, main
 from billiardflow.sequences import PeriodicLift
 
@@ -140,6 +141,7 @@ def test_find_inconclusive_exits_3(circle_ini, tmp_path, capsys):
                  "--out", str(tmp_path / "a")])
     assert code == 3
     assert "inconclusive" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_find_force_runs_anyway(circle_ini, tmp_path):
@@ -157,6 +159,24 @@ def test_find_non_converged_exits_4(tmp_path, capsys):
     code = main(["find", "--config", str(ini), "--out", str(tmp_path / "x")])
     assert code == 4
     assert "did not converge" in capsys.readouterr().err
+    # the artifacts of a run that returned are kept for diagnosis
+    assert (tmp_path / "x" / "orbit.orbit.txt").exists()
+    report = json.loads((tmp_path / "x" / "orbit.report.json").read_text())
+    assert report["outcome"] == "non_converged"
+
+
+def test_a_plateau_reports_the_action_of_the_lift_it_returns(flagship_ini, limacon4_cs,
+                                                            tmp_path, capsys, monkeypatch):
+    # a plateau stops the flow on its best iterate, here the start, and not
+    # on its last sample
+    monkeypatch.setattr(flow, "PLATEAU_WINDOW", 5)
+    monkeypatch.setattr(flow, "PLATEAU_FACTOR", 1e-9)
+    assert main(["find", "--config", str(flagship_ini), "--out", str(tmp_path)]) == 4
+    report = json.loads((tmp_path / "orbit.report.json").read_text())
+    assert (report["flow"]["reason"], report["flow"]["t_final"]) == ("plateau", 0.0)
+    lift = PeriodicLift(12, 3, np.array(report["lift"]["coords"]))
+    assert report["flow"]["final_action"] == pytest.approx(
+        periodic_action(limacon4_cs, lift), abs=1e-12)
 
 
 def test_classify_found_orbit(flagship_ini, tmp_path, capsys):
@@ -251,26 +271,29 @@ NONCONVEX_INI = FLAGSHIP_INI.replace("alpha = 0.05", "alpha = 0.2")
 
 
 @pytest.mark.parametrize("command, ini, message", [
-    (["classify"], NONCONVEX_INI, "not strictly convex"),
-    (["render", "--overlay"], TWOFOLD_INI, "lacks the order-4 dihedral symmetry"),
-    (["render", "--overlay"], NONCONVEX_INI, "not strictly convex"),
+    (["classify", "ORBIT"], NONCONVEX_INI, "not strictly convex"),
+    (["render", "ORBIT", "--overlay"], TWOFOLD_INI, "lacks the order-4 dihedral symmetry"),
+    (["render", "ORBIT", "--overlay"], NONCONVEX_INI, "not strictly convex"),
+    (["find"], NONCONVEX_INI, "not strictly convex"),
 ], ids=["classify-non-convex", "render-symmetry-the-table-lacks",
-        "render-non-convex"])
+        "render-non-convex", "find-non-convex"])
 def test_orbit_commands_reject_a_table_that_does_not_fit(command, ini, message,
                                                          tmp_path, capsys):
     # the flagship reference lift on a table above the convexity threshold
-    # 1/17, or on a 2-fold table
+    # 1/17, or on a 2-fold table; find checks its own table the same way
     config = tmp_path / "table.ini"
     config.write_text(ini)
     path = tmp_path / "orbit.txt"
     save_lift(path, billiardflow.repeat_lift(billiardflow.symmetric_birkhoff(4, 1), 3), 4, 1)
-    code = main([command[0], str(path), "--config", str(config), *command[1:],
-                 "--out", str(tmp_path / "out")])
+    out_dir = tmp_path / "out"
+    code = main([str(path) if arg == "ORBIT" else arg for arg in command] +
+                ["--config", str(config), "--out", str(out_dir)])
     assert code == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert not list(tmp_path.rglob("*.svg"))
+    assert not out_dir.exists()
 
 
 def readme_ini() -> str:
@@ -365,6 +388,7 @@ def test_no_action_gain_along_the_mode_exits_4(flagship_ini, tmp_path, capsys, m
     err = capsys.readouterr().err
     assert err.startswith("flow failure: no action gain along the certified mode")
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 MISSPELLED = "shift = 7\n\n[flow]\ntol_stationry = 1e-3\nmax_tme = 1\n\n[ouput]\nout = runs\n"
@@ -562,6 +586,7 @@ def test_check_and_find_reject_the_same_epsilon(command, ini, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: epsilon must lie in (0, 0.125), got 0.5\n"
     assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_logs_a_failed_entry_in_one_line(tmp_path):

@@ -1,6 +1,8 @@
 """End-to-end orbit searches: postdiction checks, shift handling, sweeps."""
 
 import logging
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -258,3 +260,22 @@ def test_sweep_parameter_validation(monkeypatch):
 def test_unknown_kind_is_rejected():
     with pytest.raises(ValueError, match="unknown kind"):
         find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="spiral"))
+
+
+def test_a_parallel_sweep_leaves_the_warning_filters_as_they_were(monkeypatch):
+    # the Newton polish silences the Hessian's warning inside catch_warnings,
+    # which saves and restores the process-wide filter list; two sweep threads
+    # interleaving it would leave one thread's "ignore" filter behind.  A slow
+    # Hessian keeps each polish inside that block long enough to overlap
+    hessian = finder.hessian
+
+    def slow_hessian(boundary, lift):
+        time.sleep(0.02)
+        return hessian(boundary, lift)
+
+    monkeypatch.setattr(finder, "hessian", slow_hessian)
+    base = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
+    before = list(warnings.filters)
+    entries = sweep(base, "alpha", [0.048, 0.05, 0.052, 0.055], workers=2)
+    assert [e.error for e in entries] == [None] * 4
+    assert warnings.filters == before
