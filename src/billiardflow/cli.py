@@ -236,7 +236,10 @@ def _report_payload(rep: OrbitReport) -> dict:
         "action_gain": rep.action_gain,
         "residual": rep.residual,
         "anomalies": list(rep.anomalies),
+        "start": rep.start,
         "epsilon": rep.epsilon,
+        "corrector_iterations": rep.corrector_iterations,
+        "corrector_ratio": rep.corrector_ratio,
         "criterion": asdict(rep.criterion),
         "flow": _flow_summary(rep.flow),
         "lift": {"p": rep.final_lift.p, "q": rep.final_lift.q,
@@ -340,21 +343,27 @@ def cmd_sweep(args, config) -> int:
     entries = sweep(base, batch["param"], batch["values"], workers=args.workers)
 
     rows = []
-    print(f"{'value':>10}  {'margin':>12}  {'verdict':>15}  {'outcome':>22}  detail")
+    print(f"{'value':>10}  {'margin':>12}  {'verdict':>15}  {'outcome':>22}  "
+          f"{'start':>9}  detail")
     for e in entries:
         margin = f"{e.criterion.margin:+.6f}" if e.criterion else "-"
         verdict = e.criterion.verdict if e.criterion else "-"
+        start = e.report.start if e.report else "-"
         if e.report is not None:
             outcome = e.report.outcome
             detail = (f"p={e.report.minimal_period} "
                       f"label={e.report.group.type_label} "
                       f"crossings={e.report.crossings_vs_reference}")
+            if e.report.start == "continued":
+                detail += (f" newton={e.report.corrector_iterations} "
+                           f"ratio={e.report.corrector_ratio:.2g}")
             if e.report.anomalies:
                 detail += f" anomalies={len(e.report.anomalies)}"
         else:
             outcome = "-"
             detail = e.error or ""
-        print(f"{e.value!s:>10}  {margin:>12}  {verdict:>15}  {outcome:>22}  {detail}")
+        print(f"{e.value!s:>10}  {margin:>12}  {verdict:>15}  {outcome:>22}  "
+              f"{start:>9}  {detail}")
         rows.append({
             "value": e.value,
             "criterion": asdict(e.criterion) if e.criterion else None,
@@ -423,7 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     flow_flags(sp)
     sp.add_argument("--workers", type=int,
-                    help="thread count for parallel entries (default: auto)")
+                    help="thread count for parallel entries of a sweep other than "
+                         "alpha, whose entries run in order (default: auto)")
     sp.set_defaults(func=cmd_sweep)
     return parser
 

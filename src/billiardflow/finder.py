@@ -10,6 +10,9 @@ The class, its mode and its criterion come from one validated
 solves in it.  The limit is classified and every predicted property (minimal
 period, crossing count, action gain, the group the class generators generate)
 is re-checked; mismatches are recorded as anomalies, not silently accepted.
+Along an alpha sweep, Newton's method from the orbits of the previous entries
+(natural-parameter continuation) replaces the nudge and the flow whenever it
+passes Deuflhard's monotonicity test and reaches a local maximum of the action.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import FlowOptions, FlowResult, integrate
-from .geometry import (check_equivariance, convexity_margin,
+from .flow import GUARD_FLOOR, FlowOptions, FlowResult, integrate
+from .geometry import (check_equivariance, check_table_keys, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
 from .lagrangian import gradient_field, periodic_action
 from .sequences import (AffineSystem, GroupDescription,
@@ -52,6 +55,9 @@ POLISH_MAX_ITER = 30
 #: a Newton step is halved until every increment lies in
 #: (POLISH_GUARD, 1 - POLISH_GUARD)
 POLISH_GUARD = 1e-9
+#: a continued lift is accepted only while every Newton step passes the
+#: simplified-Newton monotonicity test ||dx_bar_{k+1}|| < THETA_MAX ||dx_k||
+THETA_MAX = 0.5
 #: catch_warnings swaps the process-wide filter list; sweep threads taking
 #: turns keeps one thread's restore from leaving another's "ignore" behind
 _WARNINGS_LOCK = threading.Lock()
@@ -111,7 +117,10 @@ class OrbitReport:
     "hit_boundary_orbit", "non_converged".  ``winding`` is the integer shift
     of the minimal-period block (equals q when the minimal period is p).
     ``anomalies`` lists every postdiction that failed; it is empty on a clean
-    find.
+    find.  ``start`` is "nudged" (the reference nudged by ``epsilon``) or
+    "continued" (a warm lift corrected by Newton's method, see
+    :func:`find_orbit`; ``epsilon`` is then None), and a continued start
+    records the corrector's Newton steps and its largest monotonicity ratio.
     """
 
     outcome: str
@@ -124,9 +133,12 @@ class OrbitReport:
     action_gain: float
     residual: float                     # |F|_inf at the reported lift
     anomalies: list
-    epsilon: float
+    epsilon: float | None
     criterion: CriterionReport
     flow: FlowResult
+    start: str = "nudged"
+    corrector_iterations: int | None = None
+    corrector_ratio: float | None = None
 
 
 def checked_boundary(descriptor: dict, n: int):
@@ -158,6 +170,21 @@ def checked_criterion(request: SearchRequest):
     return boundary, search, report
 
 
+def _reduced_newton(boundary, lift: PeriodicLift, basis: np.ndarray, grad: np.ndarray):
+    """The reduced Hessian B^T H B at ``lift`` and the Newton step
+    -(B^T H B)^{-1} B^T grad in the orbit basis B.
+
+    The exact Hessian warns off stationarity, which Newton iterates are by
+    design, so its warning is silenced.  Raises LinAlgError on a singular
+    reduced Hessian.
+    """
+    with _WARNINGS_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hess = hessian(boundary, lift)
+    reduced = basis.T @ hess @ basis
+    return reduced, np.linalg.solve(reduced, -(basis.T @ grad))
+
+
 def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
     """Refine a near-stationary lift by Newton steps in the class's orbit basis.
 
@@ -179,12 +206,8 @@ def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
             best, best_norm = cur, norm
         if norm <= POLISH_TARGET:
             break
-        with _WARNINGS_LOCK, warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # near-stationary by design
-            hess = hessian(boundary, lift.with_coords(cur))
-        reduced = basis.T @ hess @ basis
         try:
-            delta = np.linalg.solve(reduced, -(basis.T @ grad))
+            _, delta = _reduced_newton(boundary, lift.with_coords(cur), basis, grad)
         except np.linalg.LinAlgError:
             break
         step = basis @ delta
@@ -204,7 +227,51 @@ def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
     return lift.with_coords(best), best_norm
 
 
-def find_orbit(request: SearchRequest) -> OrbitReport:
+def _correct(boundary, guess: PeriodicLift, system: AffineSystem, guard: float):
+    """Newton's method in the class's orbit basis from a predicted lift.
+
+    The guess is projected onto the class and corrected by full Newton steps
+    (exact Hessian).  Each step dx_k must pass Deuflhard's simplified-Newton
+    monotonicity test ||dx_bar_{k+1}|| < THETA_MAX ||dx_k||, with dx_bar_{k+1}
+    solved from the same reduced Hessian and the gradient at the new iterate,
+    which the next step reuses.  Returns (lift, Newton steps, largest ratio,
+    None), or lift None and the reason as the last entry when an iterate
+    leaves (guard, 1 - guard), a step fails the test or meets a singular
+    Hessian, |F|_inf stays above POLISH_TARGET after POLISH_MAX_ITER steps,
+    or the reduced Hessian at the limit is not negative definite (the limit
+    is no strict local maximum of the action in the class).
+    """
+    basis = system.basis
+    x = system.project(guess.coords)
+    steps, ratio = 0, 0.0
+    if basis.shape[1] == 0 or first_inadmissible(x, guess.q, guard) is not None:
+        return None, steps, ratio, "the projected guess is not admissible"
+    grad = gradient_field(boundary, guess.with_coords(x))
+    try:
+        while float(np.max(np.abs(grad))) > POLISH_TARGET:
+            if steps == POLISH_MAX_ITER:
+                return None, steps, ratio, f"|F|_inf > {POLISH_TARGET:g} after {steps} steps"
+            steps += 1
+            reduced, delta = _reduced_newton(boundary, guess.with_coords(x), basis, grad)
+            x = system.project(x + basis @ delta)
+            if first_inadmissible(x, guess.q, guard) is not None:
+                return None, steps, ratio, f"step {steps} left the admissible region"
+            grad = gradient_field(boundary, guess.with_coords(x))
+            size = float(np.linalg.norm(delta))
+            simplified = float(np.linalg.norm(np.linalg.solve(reduced, basis.T @ grad)))
+            if not simplified < THETA_MAX * size:
+                return None, steps, ratio, f"step {steps} failed the monotonicity test"
+            ratio = max(ratio, simplified / size)
+        reduced, _ = _reduced_newton(boundary, guess.with_coords(x), basis, grad)
+    except np.linalg.LinAlgError:
+        return None, steps, ratio, f"singular reduced Hessian after {steps} steps"
+    top = float(np.linalg.eigvalsh(reduced)[-1])
+    if not top < 0:
+        return None, steps, ratio, f"largest reduced Hessian eigenvalue {top:.3g} >= 0"
+    return guess.with_coords(x), steps, ratio, None
+
+
+def find_orbit(request: SearchRequest, *, warm: PeriodicLift | None = None) -> OrbitReport:
     """Search for a non-Birkhoff orbit in the requested symmetry class.
 
     Pipeline: validate the boundary (strict convexity, dihedral
@@ -213,6 +280,12 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
     constant speed, nudge the symmetric Birkhoff reference along the class
     mode, flow to stationarity, classify the limit, and re-check every
     predicted property.
+
+    ``warm`` is a predicted lift of the class, e.g. the orbit found at a
+    nearby table.  When the criterion predicts an orbit, it is corrected by
+    Newton's method in the class basis, and a corrected lift the corrector
+    accepts replaces the nudged start ("continued"; the flow then stops at
+    once).  Otherwise the search runs exactly as without ``warm``.
     """
     boundary, search, report = checked_criterion(request)
     predicted = report.verdict == "orbit_predicted"
@@ -231,29 +304,41 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
         raise RuntimeError("internal error: the reference violates its own "
                            f"symmetry class (residual {ref_residual:.3e})")
 
-    eps = min(1.0 / (4 * n), 1e-2) if request.epsilon is None else float(request.epsilon)
     cs = reparametrize_constant_speed(boundary)
     action_ref = periodic_action(cs, reference)
-    start = search.start(eps)
-    if predicted:
-        # the certified mode must gain action; shrink the nudge if the gain
-        # is swamped at the default amplitude
-        for _ in range(6):
-            gap = periodic_action(cs, start) - action_ref
-            if gap > 0:
-                break
-            log.info("halving epsilon %.3g -> %.3g: action gap %.3e <= 0",
-                     eps, 0.5 * eps, gap)
-            eps *= 0.5
-            start = search.start(eps)
+    start = steps = ratio = eps = None
+    if warm is not None and predicted:
+        guard = max((request.options or FlowOptions()).guard_margin, GUARD_FLOOR)
+        start, steps, ratio, why = _correct(cs, warm, system, guard)
+        if start is None:
+            log.info("continuation fell back to the nudged start: %s", why)
         else:
-            raise RuntimeError(
-                f"no action gain along the certified mode down to epsilon = "
-                f"{eps:.3g}; the margin {report.margin:.3g} is too small to "
-                "resolve numerically")
+            log.info("continued from the warm lift: %d Newton steps, largest "
+                     "monotonicity ratio %.3g", steps, ratio)
+    if start is None:
+        steps = ratio = None
+        eps = min(1.0 / (4 * n), 1e-2) if request.epsilon is None else float(request.epsilon)
+        start = search.start(eps)
+        if predicted:
+            # the certified mode must gain action; shrink the nudge if the gain
+            # is swamped at the default amplitude
+            for _ in range(6):
+                gap = periodic_action(cs, start) - action_ref
+                if gap > 0:
+                    break
+                log.info("halving epsilon %.3g -> %.3g: action gap %.3e <= 0",
+                         eps, 0.5 * eps, gap)
+                eps *= 0.5
+                start = search.start(eps)
+            else:
+                raise RuntimeError(
+                    f"no action gain along the certified mode down to epsilon = "
+                    f"{eps:.3g}; the margin {report.margin:.3g} is too small to "
+                    "resolve numerically")
 
-    log.info("flowing kind=%s (p, q)=(%d, %d) K=%d k=%d epsilon=%.3g "
-             "margin=%.6g", search.kind, p, q, search.K, search.k, eps, report.margin)
+    log.info("flowing kind=%s (p, q)=(%d, %d) K=%d k=%d epsilon=%s "
+             "margin=%.6g", search.kind, p, q, search.K, search.k,
+             "-" if eps is None else f"{eps:.3g}", report.margin)
     flow = integrate(cs, start, system=system, options=request.options,
                      reference=reference)
     final = flow.final_lift
@@ -327,6 +412,9 @@ def find_orbit(request: SearchRequest) -> OrbitReport:
         epsilon=eps,
         criterion=report,
         flow=flow,
+        start="nudged" if eps is not None else "continued",
+        corrector_iterations=steps,
+        corrector_ratio=ratio,
     )
 
 
@@ -340,8 +428,21 @@ class SweepEntry:
     error: str | None = None
 
 
+def _predict(chain: list, alpha: float) -> PeriodicLift | None:
+    """The predicted lift at ``alpha`` from the (alpha, lift) pairs of up to
+    two previous entries: the last lift, or the secant through both when
+    their alphas differ."""
+    if not chain:
+        return None
+    a1, x1 = chain[-1]
+    if len(chain) == 1 or chain[0][0] == a1:
+        return x1
+    a0, x0 = chain[0]
+    return x1.with_coords(x1.coords + (alpha - a1) / (a1 - a0) * (x1.coords - x0.coords))
+
+
 def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
-    """Independent find_orbit runs over a list of parameter values.
+    """find_orbit runs over a list of parameter values.
 
     ``param`` is "alpha" (varies the boundary descriptor) or one of the
     integer request fields ("s", "N", "m", "n", "branch", "reflection",
@@ -350,14 +451,23 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
     are recorded on their entry and the sweep continues; each failure other
     than an inconclusive criterion also logs one warning line, with its
     traceback only at DEBUG level.
-    Entries run in parallel threads (each individual search is
-    single-threaded); pass workers=1 to force serial execution.
+
+    An alpha sweep follows the orbit branch: its entries run in the given
+    order, and each passes find_orbit a ``warm`` lift predicted from the
+    last one or two entries of the chain (the last lift, or the secant in
+    alpha).  The chain holds entries that found a non-Birkhoff orbit with no
+    anomalies, and any other entry empties it.  An entry whose continuation
+    falls back to the nudged start is the independent find of its request.
+    The entries of other sweeps are independent and run in parallel threads
+    (each individual search is single-threaded); pass workers=1 to force
+    serial execution.
     """
     requests = []
     for v in values:
         if param == "alpha":
             descriptor = dict(base.billiard)
             descriptor["alpha"] = float(v)
+            check_table_keys(descriptor)
             requests.append(replace(base, billiard=descriptor))
         elif param in ("s", "N", "n", "m", "branch", "reflection", "shift"):
             if not float(v).is_integer():
@@ -368,10 +478,9 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
         else:
             raise ValueError(f"unknown sweep parameter {param!r}")
 
-    def run(pair) -> SweepEntry:
-        value, req = pair
+    def run(value, req, warm=None) -> SweepEntry:
         try:
-            rep = find_orbit(req)
+            rep = find_orbit(req, warm=warm)
             return SweepEntry(value=value, criterion=rep.criterion, report=rep)
         except CriterionInconclusive as exc:
             return SweepEntry(value=value, criterion=exc.report,
@@ -383,8 +492,16 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
                         exc_info=log.isEnabledFor(logging.DEBUG))
             return SweepEntry(value=value, error=error)
 
-    pairs = list(zip(values, requests))
-    if workers == 1 or len(pairs) <= 1:
-        return [run(t) for t in pairs]
+    if param == "alpha":
+        entries, chain = [], []
+        for value, req in zip(values, requests):
+            entry = run(value, req, _predict(chain, float(value)))
+            rep = entry.report
+            clean = rep is not None and rep.outcome == "non_birkhoff_found" and not rep.anomalies
+            chain = [*chain[-1:], (float(value), rep.final_lift)] if clean else []
+            entries.append(entry)
+        return entries
+    if workers == 1 or len(requests) <= 1:
+        return list(map(run, values, requests))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, pairs))
+        return list(pool.map(run, values, requests))

@@ -153,6 +153,28 @@ def make_circle(radius: float = 1.0, symmetry_order: int = 2) -> Boundary:
     return replace(make_ellipse(radius, radius), symmetry_order=int(symmetry_order))
 
 
+#: per family, the descriptor keys it requires and the keys it also reads
+FAMILY_KEYS = {"limacon": (("n", "alpha"), ()), "ellipse": (("a", "b"), ()),
+               "circle": ((), ("radius", "n"))}
+
+
+def check_table_keys(descriptor: dict) -> str:
+    """The family of ``descriptor``, once the family is known, every key it
+    requires is present and no other key is one the family does not read;
+    otherwise ValueError names the family or the key."""
+    family = str(descriptor.get("family", "")).lower()
+    if family not in FAMILY_KEYS:
+        raise ValueError(f"unknown boundary family {family!r}")
+    required, optional = FAMILY_KEYS[family]
+    for key in required:
+        if key not in descriptor:
+            raise ValueError(f"{family} table lacks the key {key!r}")
+    for key in descriptor:
+        if key != "family" and key not in required + optional:
+            raise ValueError(f"{family} table does not read the key {key!r}")
+    return family
+
+
 def make_boundary(descriptor: dict) -> Boundary:
     """Build a boundary from a plain descriptor, e.g. from a config file.
 
@@ -161,18 +183,15 @@ def make_boundary(descriptor: dict) -> Boundary:
         {"family": "limacon", "n": 4, "alpha": 0.05}
         {"family": "ellipse", "a": 2.0, "b": 1.0}
         {"family": "circle", "radius": 1.0, "n": 4}
+
+    A key the family does not read is rejected (:func:`check_table_keys`).
     """
-    family = str(descriptor.get("family", "")).lower()
-    for key in {"limacon": ("n", "alpha"), "ellipse": ("a", "b")}.get(family, ()):
-        if key not in descriptor:
-            raise ValueError(f"{family} table lacks the key {key!r}")
+    family = check_table_keys(descriptor)
     if family == "limacon":
         return make_limacon(int(descriptor["n"]), float(descriptor["alpha"]))
     if family == "ellipse":
         return make_ellipse(float(descriptor["a"]), float(descriptor["b"]))
-    if family == "circle":
-        return make_circle(float(descriptor.get("radius", 1.0)), int(descriptor.get("n", 2)))
-    raise ValueError(f"unknown boundary family {family!r}")
+    return make_circle(float(descriptor.get("radius", 1.0)), int(descriptor.get("n", 2)))
 
 
 def orientation_det(boundary: Boundary, x) -> np.ndarray:

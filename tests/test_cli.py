@@ -561,6 +561,40 @@ def test_sweep_writes_table_and_json(tmp_path, capsys):
     assert "convex" in by_value[0.25]["error"]
 
 
+def test_an_alpha_sweep_over_an_ellipse_exits_2(tmp_path, capsys):
+    # an ellipse reads only a and b, so the sweep would repeat one find
+    ini = tmp_path / "ellipse.ini"
+    ini.write_text(ELLIPSE_TYPE_ONE_INI + "\n[sweep]\nparam = alpha\nvalues = 0.01, 0.2, 0.5\n")
+    assert main(["sweep", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: ellipse table does not read the key 'alpha'\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_alpha_sweep_reports_how_each_entry_started(tmp_path, capsys, caplog):
+    # README's sweep: the second entry falls back to the nudge, the third
+    # continues along the secant through the first two
+    ini = tmp_path / "readme.ini"
+    ini.write_text(FLAGSHIP_INI + "\n[sweep]\nparam = alpha\nvalues = 0.048, 0.0515, 0.055\n")
+    caplog.set_level("INFO", logger="billiardflow.finder")
+    assert main(["sweep", "--config", str(ini), "--out", str(tmp_path), "--prefix", "sw"]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split()[4] == "start"
+    assert [line.split()[4] for line in table[1:4]] == ["nudged", "nudged", "continued"]
+    rows = json.loads((tmp_path / "sw.sweep.json").read_text())
+    reports = [row["report"] for row in rows]
+    assert [r["start"] for r in reports] == ["nudged", "nudged", "continued"]
+    assert [r["epsilon"] for r in reports] == [0.01, 0.01, None]
+    assert reports[1]["corrector_iterations"] is reports[1]["corrector_ratio"] is None
+    assert reports[2]["corrector_iterations"] > 0
+    assert 0 < reports[2]["corrector_ratio"] < 0.5
+    assert reports[2]["flow"]["n_steps"] == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum(m.startswith("continuation fell back") for m in messages) == 1
+    assert sum(m.startswith("continued from the warm lift") for m in messages) == 1
+
+
 def test_sweep_over_m_writes_the_class_of_each_entry(tmp_path, capsys):
     # the lift header of each entry names its own (n, m), not the base request's
     ini = tmp_path / "m.ini"

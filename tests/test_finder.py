@@ -3,6 +3,7 @@
 import logging
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from billiardflow import (
     SearchRequest,
     expand_constraints,
     find_orbit,
+    make_boundary,
+    reparametrize_constant_speed,
     search_class,
     sweep,
 )
@@ -234,9 +237,10 @@ def test_sweep_states_a_roundoff_margin():
 
 
 def test_sweep_serial_matches_parallel():
+    # an alpha sweep runs in order, so the pool is driven through epsilon
     base = SearchRequest(billiard=LIMACON2_19, n=2, m=1, kind="typeII", s=4)
-    serial = sweep(base, "alpha", [0.15, 0.19], workers=1)
-    parallel = sweep(base, "alpha", [0.15, 0.19], workers=2)
+    serial = sweep(base, "epsilon", [0.01, 0.02], workers=1)
+    parallel = sweep(base, "epsilon", [0.01, 0.02], workers=2)
     for a, b in zip(serial, parallel):
         assert a.value == b.value
         assert a.error == b.error
@@ -246,7 +250,7 @@ def test_sweep_serial_matches_parallel():
 
 
 def test_sweep_parameter_validation(monkeypatch):
-    # both are rejected before any entry runs
+    # all are rejected before any entry runs
     calls = []
     monkeypatch.setattr(finder, "find_orbit", calls.append)
     base = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
@@ -254,6 +258,11 @@ def test_sweep_parameter_validation(monkeypatch):
         sweep(base, "bogus", [1, 2])
     with pytest.raises(ValueError, match="'s' takes integers, got 3.5"):
         sweep(base, "s", [3, 3.5])
+    # an ellipse reads only a and b: every entry would repeat one find
+    ellipse = SearchRequest(billiard={"family": "ellipse", "a": 1.3, "b": 1.0},
+                            n=2, m=1, kind="typeI", s=3)
+    with pytest.raises(ValueError, match="ellipse table does not read the key 'alpha'"):
+        sweep(ellipse, "alpha", [0.01, 0.2, 0.5])
     assert calls == []
 
 
@@ -276,6 +285,110 @@ def test_a_parallel_sweep_leaves_the_warning_filters_as_they_were(monkeypatch):
     monkeypatch.setattr(finder, "hessian", slow_hessian)
     base = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
     before = list(warnings.filters)
-    entries = sweep(base, "alpha", [0.048, 0.05, 0.052, 0.055], workers=2)
+    entries = sweep(base, "epsilon", [0.01, 0.008, 0.006, 0.005], workers=2)
     assert [e.error for e in entries] == [None] * 4
     assert warnings.filters == before
+
+
+FLAGSHIP = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
+
+
+def recorded_sweep(monkeypatch, base, values):
+    """The entries of an alpha sweep, and per entry whether find_orbit got a
+    warm lift."""
+    warmed = []
+    find = finder.find_orbit
+
+    def recording(request, *, warm=None):
+        warmed.append(warm is not None)
+        return find(request, warm=warm)
+
+    monkeypatch.setattr(finder, "find_orbit", recording)
+    return sweep(base, "alpha", values), warmed
+
+
+def assert_independent(base, entries):
+    """Every entry reports what an independent find of its request reports:
+    the same orbit, outcome, label, crossings, minimal period and anomalies,
+    or the same error."""
+    for entry in entries:
+        request = replace(base, billiard=dict(base.billiard, alpha=float(entry.value)))
+        if entry.report is None:
+            with pytest.raises((ValueError, CriterionInconclusive)):
+                find_orbit(request)
+            continue
+        rep, alone = entry.report, find_orbit(request)
+        assert same_orbit(rep.final_lift, alone.final_lift), entry.value
+        assert (rep.outcome, rep.group.type_label, rep.crossings_vs_reference,
+                rep.minimal_period, rep.anomalies) == \
+            (alone.outcome, alone.group.type_label, alone.crossings_vs_reference,
+             alone.minimal_period, alone.anomalies), entry.value
+
+
+def starts(entries):
+    return [e.report.start if e.report else None for e in entries]
+
+
+def test_a_sweep_near_the_threshold_falls_back_then_continues(monkeypatch):
+    # the orbit branches off the Birkhoff orbit at alpha* = 0.0448, and grows
+    # like sqrt(alpha - alpha*): from the first lift alone, Newton's first
+    # step overshoots and fails the monotonicity test; the secant through
+    # the first two entries then carries the branch
+    values = [0.045764 + 0.00325 * i for i in range(4)]
+    entries, warmed = recorded_sweep(monkeypatch, FLAGSHIP, values)
+    assert warmed == [False, True, True, True]
+    assert starts(entries) == ["nudged", "nudged", "continued", "continued"]
+    fallback, continued = entries[1].report, entries[2].report
+    assert fallback.epsilon == 0.01 and fallback.corrector_iterations is None
+    assert fallback.flow.n_steps > 0
+    assert continued.epsilon is None and continued.flow.n_steps == 0
+    assert continued.flow.reason == "stationary"
+    assert continued.corrector_iterations > 0
+    assert 0 < continued.corrector_ratio < finder.THETA_MAX
+    assert_independent(FLAGSHIP, entries)
+
+
+def test_a_failed_entry_breaks_the_continuation_chain(monkeypatch):
+    # 0.2 is not convex and 0.0 is inconclusive: the entry after each starts
+    # from the nudge without a warm lift
+    values = [0.05, 0.2, 0.052, 0.054, 0.0, 0.056]
+    entries, warmed = recorded_sweep(monkeypatch, FLAGSHIP, values)
+    assert warmed == [False, True, False, True, True, False]
+    assert starts(entries) == ["nudged", None, "nudged", "continued", None, "nudged"]
+    assert "convex" in entries[1].error and "inconclusive" in entries[4].error
+    assert_independent(FLAGSHIP, entries)
+
+
+def test_a_forced_entry_without_a_predicted_orbit_does_not_continue(monkeypatch):
+    # 0.044 lies below alpha*: the forced flow collapses to the Birkhoff
+    # orbit, and that entry breaks the chain
+    base = replace(FLAGSHIP, force=True)
+    entries, warmed = recorded_sweep(monkeypatch, base, [0.05, 0.044, 0.05])
+    assert warmed == [False, True, False]
+    assert starts(entries) == ["nudged"] * 3
+    assert entries[1].report.outcome == "collapsed_to_birkhoff"
+    assert_independent(base, entries)
+
+
+def test_unsorted_and_repeated_alphas_continue_in_the_given_order(monkeypatch):
+    values = [0.052, 0.05, 0.05, 0.054, 0.052]
+    entries, warmed = recorded_sweep(monkeypatch, FLAGSHIP, values)
+    assert [e.value for e in entries] == values
+    assert warmed == [False, True, True, True, True]
+    assert "continued" in starts(entries)
+    # a repeated value starts at the orbit of the entry before it
+    repeat = entries[2].report
+    assert repeat.start == "continued" and repeat.corrector_iterations == 0
+    assert np.array_equal(repeat.final_lift.coords, entries[1].report.final_lift.coords)
+    assert_independent(FLAGSHIP, entries)
+
+
+def test_the_corrector_rejects_a_saddle():
+    # the Birkhoff reference is stationary but gains action along the class
+    # mode, so the reduced Hessian there has a positive eigenvalue
+    search = search_class("main", 4, 1, 4, 3)
+    system = expand_constraints(4, search.generators, search.p, search.q)
+    table = reparametrize_constant_speed(make_boundary(LIMACON4))
+    lift, steps, ratio, why = finder._correct(table, search.reference, system, 1e-6)
+    assert lift is None and steps == 0
+    assert "eigenvalue" in why

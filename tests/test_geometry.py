@@ -135,6 +135,17 @@ def test_make_boundary_descriptor_round_trip():
         make_boundary({"family": "hyperbola"})
 
 
+@pytest.mark.parametrize("descriptor, key", [
+    ({"family": "ellipse", "a": 1.3, "b": 1.0, "alpha": 0.2}, "alpha"),
+    ({"family": "circle", "radius": 1.0, "alpha": 0.1}, "alpha"),
+    ({"family": "limacon", "n": 4, "alpha": 0.05, "radius": 2.0}, "radius"),
+], ids=["ellipse-alpha", "circle-alpha", "limacon-radius"])
+def test_make_boundary_rejects_a_key_its_family_does_not_read(descriptor, key):
+    family = descriptor["family"]
+    with pytest.raises(ValueError, match=f"{family} table does not read the key '{key}'"):
+        make_boundary(descriptor)
+
+
 def test_speed_matches_quadrature_oracle(limacon4):
     cs = reparametrize_constant_speed(limacon4)
     assert cs.speed == pytest.approx(quad_length(limacon4), rel=1e-10)
