@@ -230,22 +230,24 @@ def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
 def _correct(boundary, guess: PeriodicLift, system: AffineSystem, guard: float):
     """Newton's method in the class's orbit basis from a predicted lift.
 
-    The guess is projected onto the class and corrected by full Newton steps
-    (exact Hessian).  Each step dx_k must pass Deuflhard's simplified-Newton
-    monotonicity test ||dx_bar_{k+1}|| < THETA_MAX ||dx_k||, with dx_bar_{k+1}
-    solved from the same reduced Hessian and the gradient at the new iterate,
-    which the next step reuses.  Returns (lift, Newton steps, largest ratio,
-    None), or lift None and the reason as the last entry when an iterate
-    leaves (guard, 1 - guard), a step fails the test or meets a singular
-    Hessian, |F|_inf stays above POLISH_TARGET after POLISH_MAX_ITER steps,
-    or the reduced Hessian at the limit is not negative definite (the limit
-    is no strict local maximum of the action in the class).
+    The guess, an affine combination of lifts of the class, is not projected
+    again (a stationary lift comes back bit for bit) and is corrected by full
+    Newton steps (exact Hessian), each projected onto the class.  Each step
+    dx_k must pass Deuflhard's simplified-Newton monotonicity test
+    ||dx_bar_{k+1}|| < THETA_MAX ||dx_k||, with dx_bar_{k+1} solved from the
+    same reduced Hessian and the gradient at the new iterate, which the next
+    step reuses.  Returns (lift, Newton steps, largest ratio, None), or lift
+    None and the reason as the last entry when an iterate leaves (guard,
+    1 - guard), a step fails the test or meets a singular Hessian, |F|_inf
+    stays above POLISH_TARGET after POLISH_MAX_ITER steps, or the reduced
+    Hessian at the limit is not negative definite (the limit is no strict
+    local maximum of the action in the class).
     """
     basis = system.basis
-    x = system.project(guess.coords)
+    x = guess.coords
     steps, ratio = 0, 0.0
     if basis.shape[1] == 0 or first_inadmissible(x, guess.q, guard) is not None:
-        return None, steps, ratio, "the projected guess is not admissible"
+        return None, steps, ratio, "the guess is not admissible"
     grad = gradient_field(boundary, guess.with_coords(x))
     try:
         while float(np.max(np.abs(grad))) > POLISH_TARGET:
@@ -271,7 +273,7 @@ def _correct(boundary, guess: PeriodicLift, system: AffineSystem, guard: float):
     return guess.with_coords(x), steps, ratio, None
 
 
-def find_orbit(request: SearchRequest, *, warm: PeriodicLift | None = None) -> OrbitReport:
+def find_orbit(request: SearchRequest, *, warm: list | None = None) -> OrbitReport:
     """Search for a non-Birkhoff orbit in the requested symmetry class.
 
     Pipeline: validate the boundary (strict convexity, dihedral
@@ -281,9 +283,10 @@ def find_orbit(request: SearchRequest, *, warm: PeriodicLift | None = None) -> O
     mode, flow to stationarity, classify the limit, and re-check every
     predicted property.
 
-    ``warm`` is a predicted lift of the class, e.g. the orbit found at a
-    nearby table.  When the criterion predicts an orbit, it is corrected by
-    Newton's method in the class basis, and a corrected lift the corrector
+    ``warm`` holds the (alpha, margin, lift) entries of up to two orbits of
+    the class at nearby alphas of the table.  When the criterion predicts an
+    orbit, Newton's method in the class basis corrects each lift
+    :func:`_predict` forms from them in turn, and the first one the corrector
     accepts replaces the nudged start ("continued"; the flow then stops at
     once).  Otherwise the search runs exactly as without ``warm``.
     """
@@ -309,12 +312,14 @@ def find_orbit(request: SearchRequest, *, warm: PeriodicLift | None = None) -> O
     start = steps = ratio = eps = None
     if warm is not None and predicted:
         guard = max((request.options or FlowOptions()).guard_margin, GUARD_FLOOR)
-        start, steps, ratio, why = _correct(cs, warm, system, guard)
-        if start is None:
-            log.info("continuation fell back to the nudged start: %s", why)
-        else:
-            log.info("continued from the warm lift: %d Newton steps, largest "
-                     "monotonicity ratio %.3g", steps, ratio)
+        alpha = float(request.billiard["alpha"])
+        for name, guess in _predict(warm, alpha, report.margin, reference):
+            start, steps, ratio, why = _correct(cs, guess, system, guard)
+            if start is not None:
+                log.info("continued from the warm lift (%s prediction): %d Newton "
+                         "steps, largest monotonicity ratio %.3g", name, steps, ratio)
+                break
+            log.info("continuation rejected the %s prediction: %s", name, why)
     if start is None:
         steps = ratio = None
         eps = min(1.0 / (4 * n), 1e-2) if request.epsilon is None else float(request.epsilon)
@@ -341,7 +346,9 @@ def find_orbit(request: SearchRequest, *, warm: PeriodicLift | None = None) -> O
              "-" if eps is None else f"{eps:.3g}", report.margin)
     flow = integrate(cs, start, system=system, options=request.options,
                      reference=reference)
-    final = flow.final_lift
+    # an unmoved continued start stays the corrector's lift, not integrate's
+    # re-projected copy, so a repeated alpha reports its orbit bit for bit
+    final = start if eps is None and flow.n_steps == 0 else flow.final_lift
     residual = flow.grad_norm
     if flow.reason in ("stationary", "max_time", "plateau", "max_steps") and \
             residual < POLISH_BASIN_TOL:
@@ -428,17 +435,23 @@ class SweepEntry:
     error: str | None = None
 
 
-def _predict(chain: list, alpha: float) -> PeriodicLift | None:
-    """The predicted lift at ``alpha`` from the (alpha, lift) pairs of up to
-    two previous entries: the last lift, or the secant through both when
-    their alphas differ."""
-    if not chain:
-        return None
-    a1, x1 = chain[-1]
-    if len(chain) == 1 or chain[0][0] == a1:
-        return x1
-    a0, x0 = chain[0]
-    return x1.with_coords(x1.coords + (alpha - a1) / (a1 - a0) * (x1.coords - x0.coords))
+def _predict(chain: list, alpha: float, margin: float, reference: PeriodicLift) -> list:
+    """The (name, lift) predictions at ``alpha`` (criterion ``margin``) from
+    the (alpha, margin, lift) entries of up to two previous orbits, in the
+    order to try them: the secant through both entries when their alphas
+    differ, or else, when both margins are positive, the last lift x scaled
+    about the Birkhoff ``reference`` by sqrt(margin / its margin), the normal
+    form of a branch born where the margin is 0; then x unchanged."""
+    a1, m1, x1 = chain[-1]
+    if len(chain) == 2 and chain[0][0] != a1:
+        a0, _, x0 = chain[0]
+        name, first = "secant", x1.coords + (alpha - a1) / (a1 - a0) * (x1.coords - x0.coords)
+    elif margin > 0 and m1 > 0:
+        ref = reference.coords
+        name, first = "scaled", ref + np.sqrt(margin / m1) * (x1.coords - ref)
+    else:
+        return [("previous", x1)]
+    return [(name, x1.with_coords(first)), ("previous", x1)]
 
 
 def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
@@ -453,9 +466,9 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
     traceback only at DEBUG level.
 
     An alpha sweep follows the orbit branch: its entries run in the given
-    order, and each passes find_orbit a ``warm`` lift predicted from the
-    last one or two entries of the chain (the last lift, or the secant in
-    alpha).  The chain holds entries that found a non-Birkhoff orbit with no
+    order, and each passes find_orbit the last one or two entries of the
+    chain as ``warm``, from which it predicts its start (:func:`_predict`).
+    The chain holds entries that found a non-Birkhoff orbit with no
     anomalies, and any other entry empties it.  An entry whose continuation
     falls back to the nudged start is the independent find of its request.
     The entries of other sweeps are independent and run in parallel threads
@@ -495,10 +508,11 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
     if param == "alpha":
         entries, chain = [], []
         for value, req in zip(values, requests):
-            entry = run(value, req, _predict(chain, float(value)))
+            entry = run(value, req, chain or None)
             rep = entry.report
             clean = rep is not None and rep.outcome == "non_birkhoff_found" and not rep.anomalies
-            chain = [*chain[-1:], (float(value), rep.final_lift)] if clean else []
+            chain = [*chain[-1:], (float(value), rep.criterion.margin, rep.final_lift)] \
+                if clean else []
             entries.append(entry)
         return entries
     if workers == 1 or len(requests) <= 1:

@@ -573,26 +573,28 @@ def test_an_alpha_sweep_over_an_ellipse_exits_2(tmp_path, capsys):
 
 
 def test_an_alpha_sweep_reports_how_each_entry_started(tmp_path, capsys, caplog):
-    # README's sweep: the second entry falls back to the nudge, the third
-    # continues along the secant through the first two
+    # README's sweep: the second entry continues from the first orbit scaled
+    # by the margin ratio, the third along the secant through the first two
     ini = tmp_path / "readme.ini"
     ini.write_text(FLAGSHIP_INI + "\n[sweep]\nparam = alpha\nvalues = 0.048, 0.0515, 0.055\n")
     caplog.set_level("INFO", logger="billiardflow.finder")
     assert main(["sweep", "--config", str(ini), "--out", str(tmp_path), "--prefix", "sw"]) == 0
     table = capsys.readouterr().out.splitlines()
     assert table[0].split()[4] == "start"
-    assert [line.split()[4] for line in table[1:4]] == ["nudged", "nudged", "continued"]
+    assert [line.split()[4] for line in table[1:4]] == ["nudged", "continued", "continued"]
     rows = json.loads((tmp_path / "sw.sweep.json").read_text())
     reports = [row["report"] for row in rows]
-    assert [r["start"] for r in reports] == ["nudged", "nudged", "continued"]
-    assert [r["epsilon"] for r in reports] == [0.01, 0.01, None]
-    assert reports[1]["corrector_iterations"] is reports[1]["corrector_ratio"] is None
-    assert reports[2]["corrector_iterations"] > 0
-    assert 0 < reports[2]["corrector_ratio"] < 0.5
-    assert reports[2]["flow"]["n_steps"] == 0
+    assert [r["start"] for r in reports] == ["nudged", "continued", "continued"]
+    assert [r["epsilon"] for r in reports] == [0.01, None, None]
+    assert reports[0]["corrector_iterations"] is reports[0]["corrector_ratio"] is None
+    for r in reports[1:]:
+        assert r["corrector_iterations"] > 0
+        assert 0 < r["corrector_ratio"] < 0.5
+        assert r["flow"]["n_steps"] == 0
     messages = [r.getMessage() for r in caplog.records]
-    assert sum(m.startswith("continuation fell back") for m in messages) == 1
-    assert sum(m.startswith("continued from the warm lift") for m in messages) == 1
+    assert sum(m.startswith("continuation rejected") for m in messages) == 0
+    assert [m.split("(")[1].split()[0] for m in messages
+            if m.startswith("continued from the warm lift")] == ["scaled", "secant"]
 
 
 def test_sweep_over_m_writes_the_class_of_each_entry(tmp_path, capsys):

@@ -295,7 +295,7 @@ FLAGSHIP = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
 
 def recorded_sweep(monkeypatch, base, values):
     """The entries of an alpha sweep, and per entry whether find_orbit got a
-    warm lift."""
+    warm chain."""
     warmed = []
     find = finder.find_orbit
 
@@ -305,6 +305,20 @@ def recorded_sweep(monkeypatch, base, values):
 
     monkeypatch.setattr(finder, "find_orbit", recording)
     return sweep(base, "alpha", values), warmed
+
+
+def predictions(caplog):
+    """Per continuation attempt, the predictions rejected and the one
+    accepted, read from the corrector's log lines."""
+    tried, out = [], []
+    for record in caplog.records:
+        message = record.getMessage()
+        if message.startswith("continuation rejected the "):
+            tried.append(message.split()[3] + " rejected")
+        elif message.startswith("continued from the warm lift ("):
+            out.append([*tried, message.split("(")[1].split()[0]])
+            tried = []
+    return out + ([tried] if tried else [])
 
 
 def assert_independent(base, entries):
@@ -329,23 +343,47 @@ def starts(entries):
     return [e.report.start if e.report else None for e in entries]
 
 
-def test_a_sweep_near_the_threshold_falls_back_then_continues(monkeypatch):
-    # the orbit branches off the Birkhoff orbit at alpha* = 0.0448, and grows
-    # like sqrt(alpha - alpha*): from the first lift alone, Newton's first
-    # step overshoots and fails the monotonicity test; the secant through
-    # the first two entries then carries the branch
-    values = [0.045764 + 0.00325 * i for i in range(4)]
+@pytest.mark.parametrize("values", [
+    [0.045764 + 0.00325 * i for i in range(4)],
+    # from 0.046 the unscaled lift reached a different type-I orbit at 0.052
+    # (action gain 0.0125 against 0.0222) with the predicted crossings and no
+    # anomaly: only the independent find tells them apart
+    [0.046, 0.052, 0.058],
+    [0.0455, 0.0452, 0.045, 0.0449],
+], ids=["ascending", "across", "descending"])
+def test_a_sweep_near_the_threshold_continues_from_the_scaled_lift(values, monkeypatch,
+                                                                    caplog):
+    # the orbit branches off the Birkhoff orbit at alpha* = 0.0448: from the
+    # first lift alone, Newton's first step overshoots or lands on another
+    # orbit, so the second entry starts from that lift scaled about the
+    # reference by sqrt(margin ratio); the secant carries the rest
+    caplog.set_level("INFO", logger="billiardflow.finder")
     entries, warmed = recorded_sweep(monkeypatch, FLAGSHIP, values)
-    assert warmed == [False, True, True, True]
-    assert starts(entries) == ["nudged", "nudged", "continued", "continued"]
-    fallback, continued = entries[1].report, entries[2].report
-    assert fallback.epsilon == 0.01 and fallback.corrector_iterations is None
-    assert fallback.flow.n_steps > 0
-    assert continued.epsilon is None and continued.flow.n_steps == 0
-    assert continued.flow.reason == "stationary"
-    assert continued.corrector_iterations > 0
-    assert 0 < continued.corrector_ratio < finder.THETA_MAX
+    assert warmed == [False] + [True] * (len(values) - 1)
+    assert starts(entries) == ["nudged"] + ["continued"] * (len(values) - 1)
+    assert predictions(caplog) == [["scaled"]] + [["secant"]] * (len(values) - 2)
+    assert entries[0].report.epsilon == 0.01
+    assert entries[0].report.corrector_iterations is None
+    for entry in entries[1:]:
+        continued = entry.report
+        assert continued.epsilon is None and continued.flow.n_steps == 0
+        assert continued.flow.reason == "stationary"
+        assert continued.corrector_iterations > 0
+        assert 0 < continued.corrector_ratio < finder.THETA_MAX
     assert_independent(FLAGSHIP, entries)
+
+
+def test_a_rejected_prediction_falls_back_to_the_previous_lift(monkeypatch, caplog):
+    # far above its threshold the main N=1 s=5 orbit does not scale like the
+    # square root of the margin: the scaled lift fails the monotonicity test
+    # and the previous lift, tried next, is accepted
+    caplog.set_level("INFO", logger="billiardflow.finder")
+    base = replace(FLAGSHIP, N=1, s=5)
+    entries, _ = recorded_sweep(monkeypatch, base, [0.01, 0.026, 0.042, 0.058])
+    assert starts(entries) == ["nudged", "continued", "continued", "continued"]
+    assert predictions(caplog) == [["scaled rejected", "previous"], ["secant"], ["secant"]]
+    assert "scaled prediction: step 1 failed the monotonicity test" in caplog.text
+    assert_independent(base, entries)
 
 
 def test_a_failed_entry_breaks_the_continuation_chain(monkeypatch):
@@ -370,12 +408,16 @@ def test_a_forced_entry_without_a_predicted_orbit_does_not_continue(monkeypatch)
     assert_independent(base, entries)
 
 
-def test_unsorted_and_repeated_alphas_continue_in_the_given_order(monkeypatch):
+def test_unsorted_and_repeated_alphas_continue_in_the_given_order(monkeypatch, caplog):
+    caplog.set_level("INFO", logger="billiardflow.finder")
     values = [0.052, 0.05, 0.05, 0.054, 0.052]
     entries, warmed = recorded_sweep(monkeypatch, FLAGSHIP, values)
     assert [e.value for e in entries] == values
     assert warmed == [False, True, True, True, True]
-    assert "continued" in starts(entries)
+    # 0.054 follows two equal alphas, so it has no secant: it continues from
+    # the scaled lift
+    assert starts(entries) == ["nudged"] + ["continued"] * 4
+    assert predictions(caplog) == [["scaled"], ["secant"], ["scaled"], ["secant"]]
     # a repeated value starts at the orbit of the entry before it
     repeat = entries[2].report
     assert repeat.start == "continued" and repeat.corrector_iterations == 0
