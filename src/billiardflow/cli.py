@@ -340,7 +340,7 @@ def cmd_render(args, config) -> int:
 def cmd_sweep(args, config) -> int:
     batch = _fields(config, "sweep")
     base = _request(config, args)
-    entries = sweep(base, batch["param"], batch["values"], workers=args.workers)
+    entries = sweep(base, batch["param"], batch["values"])
 
     rows = []
     print(f"{'value':>10}  {'margin':>12}  {'verdict':>15}  {'outcome':>22}  "
@@ -431,9 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="batch of searches over a parameter list")
     common(sp)
     flow_flags(sp)
-    sp.add_argument("--workers", type=int,
-                    help="thread count for parallel entries of a sweep other than "
-                         "alpha, whose entries run in order (default: auto)")
     sp.set_defaults(func=cmd_sweep)
     return parser
 

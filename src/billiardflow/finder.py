@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,8 +57,9 @@ POLISH_GUARD = 1e-9
 #: a continued lift is accepted only while every Newton step passes the
 #: simplified-Newton monotonicity test ||dx_bar_{k+1}|| < THETA_MAX ||dx_k||
 THETA_MAX = 0.5
-#: catch_warnings swaps the process-wide filter list; sweep threads taking
-#: turns keeps one thread's restore from leaving another's "ignore" behind
+#: catch_warnings swaps the process-wide filter list; callers that run
+#: find_orbit on their own threads take turns, so one thread's restore cannot
+#: leave another's "ignore" behind
 _WARNINGS_LOCK = threading.Lock()
 
 
@@ -455,7 +455,7 @@ def _predict(chain: list, alpha: float, margin: float, reference: PeriodicLift) 
 
 
 def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
-    """find_orbit runs over a list of parameter values.
+    """find_orbit runs over a list of parameter values, in the given order.
 
     ``param`` is "alpha" (varies the boundary descriptor) or one of the
     integer request fields ("s", "N", "m", "n", "branch", "reflection",
@@ -465,15 +465,14 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
     than an inconclusive criterion also logs one warning line, with its
     traceback only at DEBUG level.
 
-    An alpha sweep follows the orbit branch: its entries run in the given
-    order, and each passes find_orbit the last one or two entries of the
-    chain as ``warm``, from which it predicts its start (:func:`_predict`).
-    The chain holds entries that found a non-Birkhoff orbit with no
-    anomalies, and any other entry empties it.  An entry whose continuation
-    falls back to the nudged start is the independent find of its request.
-    The entries of other sweeps are independent and run in parallel threads
-    (each individual search is single-threaded); pass workers=1 to force
-    serial execution.
+    Every entry runs on the calling thread.  An alpha sweep follows the
+    orbit branch: each entry passes find_orbit the last one or two entries
+    of the chain as ``warm``, from which it predicts its start
+    (:func:`_predict`).  The chain holds entries that found a non-Birkhoff
+    orbit with no anomalies, and any other entry empties it.  An entry whose
+    continuation falls back to the nudged start, and every entry of another
+    sweep, is the independent find of its request.  ``workers`` is accepted
+    and ignored, for callers that still pass it (ROADMAP item 1).
     """
     requests = []
     for v in values:
@@ -491,31 +490,23 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
         else:
             raise ValueError(f"unknown sweep parameter {param!r}")
 
-    def run(value, req, warm=None) -> SweepEntry:
+    entries, chain = [], []
+    for value, req in zip(values, requests):
         try:
-            rep = find_orbit(req, warm=warm)
-            return SweepEntry(value=value, criterion=rep.criterion, report=rep)
+            rep = find_orbit(req, warm=chain or None)
+            entry = SweepEntry(value=value, criterion=rep.criterion, report=rep)
         except CriterionInconclusive as exc:
-            return SweepEntry(value=value, criterion=exc.report,
-                              error=f"inconclusive: margin = {exc.report.margin:.6g} "
-                                    "is not positive beyond roundoff")
+            entry = SweepEntry(value=value, criterion=exc.report,
+                               error=f"inconclusive: margin = {exc.report.margin:.6g} "
+                                     "is not positive beyond roundoff")
         except Exception as exc:       # noqa: BLE001 - recorded per entry
-            error = f"{type(exc).__name__}: {exc}"
-            log.warning("sweep entry %r failed: %s", value, error,
+            entry = SweepEntry(value=value, error=f"{type(exc).__name__}: {exc}")
+            log.warning("sweep entry %r failed: %s", value, entry.error,
                         exc_info=log.isEnabledFor(logging.DEBUG))
-            return SweepEntry(value=value, error=error)
-
-    if param == "alpha":
-        entries, chain = [], []
-        for value, req in zip(values, requests):
-            entry = run(value, req, chain or None)
-            rep = entry.report
-            clean = rep is not None and rep.outcome == "non_birkhoff_found" and not rep.anomalies
-            chain = [*chain[-1:], (float(value), rep.criterion.margin, rep.final_lift)] \
-                if clean else []
-            entries.append(entry)
-        return entries
-    if workers == 1 or len(requests) <= 1:
-        return list(map(run, values, requests))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, values, requests))
+        rep = entry.report
+        clean = param == "alpha" and rep is not None and \
+            rep.outcome == "non_birkhoff_found" and not rep.anomalies
+        chain = [*chain[-1:], (float(value), rep.criterion.margin, rep.final_lift)] \
+            if clean else []
+        entries.append(entry)
+    return entries

@@ -37,9 +37,9 @@ GUARD_FLOOR = 1e-6
 #: first trial step and largest step of the integrator
 INITIAL_STEP = 1e-2
 MAX_STEP = 1e4
-#: accepted steps without ||F|| progress before the run is declared a plateau
+#: accepted steps without progress before the run is declared a plateau
 PLATEAU_WINDOW = 400
-#: "progress" = beating the benchmark residual by this factor
+#: ||F|| progress = beating the benchmark residual by this factor
 PLATEAU_FACTOR = 0.9
 #: consecutive stalled steps before the run is declared a plateau
 PLATEAU_STEPS = 100
@@ -134,11 +134,11 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
     displacement is consistent with a stationary state; it stops unconverged
     at ``max_time``, on a guard violation, on a detected law violation (action
     decrease beyond 10x the local error, crossing increase), or on a plateau.
-    A plateau is declared when the best ``||F||_inf`` seen has not improved by
-    ``PLATEAU_FACTOR`` within the last ``PLATEAU_WINDOW`` accepted steps (the
-    integrator's local-error noise can floor the residual above the
-    stationarity tolerance); the result then carries the best iterate, not the
-    last one, with reason ``"plateau"``.
+    A plateau is declared when, within the last ``PLATEAU_WINDOW`` accepted
+    steps, ``||F||_inf`` has not improved by ``PLATEAU_FACTOR`` and no step
+    gained action beyond its error budget (the integrator's local-error noise
+    can floor the residual above the stationarity tolerance); the result then
+    carries the best iterate, not the last one, with reason ``"plateau"``.
     """
     opts = options or FlowOptions()
     q = start.q
@@ -249,11 +249,15 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
 
         # progress is judged against a benchmark frozen at the last reset, so
         # a slow steady decay (a few per mille per step) keeps resetting and
-        # is never mistaken for a plateau
+        # is never mistaken for a plateau; an action gain beyond the step's
+        # error budget is progress too, since near a circle the flow leaves
+        # the Birkhoff saddle with ||F|| rising for many steps
         since_progress += 1
         if fnorm < PLATEAU_FACTOR * bench_fnorm:
             since_progress = 0
             bench_fnorm = fnorm
+        elif actions[-1] - actions[-2] > budget:
+            since_progress = 0
         if fnorm < best_fnorm:
             best_fnorm = fnorm
             best_x = x.copy()

@@ -168,9 +168,10 @@ def test_find_non_converged_exits_4(tmp_path, capsys):
 def test_a_plateau_reports_the_action_of_the_lift_it_returns(flagship_ini, limacon4_cs,
                                                             tmp_path, capsys, monkeypatch):
     # a plateau stops the flow on its best iterate, here the start, and not
-    # on its last sample
-    monkeypatch.setattr(flow, "PLATEAU_WINDOW", 5)
-    monkeypatch.setattr(flow, "PLATEAU_FACTOR", 1e-9)
+    # on its last sample; every step counts as stalled, so the stall rule
+    # stops the run while the action still rises
+    monkeypatch.setattr(flow, "PLATEAU_STEPS", 5)
+    monkeypatch.setattr(flow, "DISPLACEMENT_TOL", 1.0)
     assert main(["find", "--config", str(flagship_ini), "--out", str(tmp_path)]) == 4
     report = json.loads((tmp_path / "orbit.report.json").read_text())
     assert (report["flow"]["reason"], report["flow"]["t_final"]) == ("plateau", 0.0)
@@ -548,8 +549,7 @@ def test_sweep_writes_table_and_json(tmp_path, capsys):
     ini = tmp_path / "sweep.ini"
     ini.write_text(SWEEP_INI)
     out_dir = tmp_path / "sw"
-    code = main(["sweep", "--config", str(ini), "--workers", "2",
-                 "--out", str(out_dir), "--prefix", "sw"])
+    code = main(["sweep", "--config", str(ini), "--out", str(out_dir), "--prefix", "sw"])
     assert code == 0
     out = capsys.readouterr().out
     assert "non_birkhoff_found" in out
@@ -559,6 +559,20 @@ def test_sweep_writes_table_and_json(tmp_path, capsys):
     assert by_value[0.19]["report"]["outcome"] == "non_birkhoff_found"
     assert by_value[0.25]["report"] is None
     assert "convex" in by_value[0.25]["error"]
+
+
+def test_the_removed_workers_flag_exits_2(tmp_path):
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(SWEEP_INI)
+    run = subprocess.run(
+        [sys.executable, "-m", "billiardflow.cli", "sweep", "--config", str(ini),
+         "--workers", "2", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert "error: unrecognized arguments: --workers 2" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stdout == ""
+    assert not (tmp_path / "o").exists()
 
 
 def test_an_alpha_sweep_over_an_ellipse_exits_2(tmp_path, capsys):

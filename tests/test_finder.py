@@ -1,6 +1,7 @@
 """End-to-end orbit searches: postdiction checks, shift handling, sweeps."""
 
 import logging
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -101,6 +102,20 @@ def test_type_five_search():
     assert rep.residual < 1e-8
 
 
+def test_a_near_circular_table_finds_its_predicted_orbit():
+    # a small perturbation of the circle has non-Birkhoff orbits (the paper's
+    # corollary); the flow leaves the Birkhoff saddle so slowly that ||F||
+    # rises for thousands of steps while the action rises at every one
+    rep = find_orbit(SearchRequest(billiard={"family": "limacon", "n": 4, "alpha": 5e-4},
+                                   n=4, m=1, kind="main", N=1, s=9))
+    assert rep.criterion.verdict == "orbit_predicted"
+    assert (rep.outcome, rep.flow.reason) == ("non_birkhoff_found", "stationary")
+    assert rep.group.type_label == "III"
+    assert rep.crossings_vs_reference == 2
+    assert rep.anomalies == []
+    assert rep.residual < 1e-12
+
+
 def test_odd_order_dual_orbits_are_distinct():
     base = SearchRequest(billiard=LIMACON7, n=7, m=2, kind="main", N=1, s=2)
     first = find_orbit(base)
@@ -197,7 +212,7 @@ def test_seeded_modes_satisfy_their_class(kind, n, m, s, K, k):
 
 def test_sweep_records_success_failure_and_inconclusive():
     base = SearchRequest(billiard=LIMACON2_19, n=2, m=1, kind="typeII", s=4)
-    entries = sweep(base, "alpha", [0.19, 0.25, 0.0], workers=2)
+    entries = sweep(base, "alpha", [0.19, 0.25, 0.0])
     by_value = {e.value: e for e in entries}
 
     good = by_value[0.19]
@@ -236,17 +251,26 @@ def test_sweep_states_a_roundoff_margin():
                            "beyond roundoff")
 
 
-def test_sweep_serial_matches_parallel():
-    # an alpha sweep runs in order, so the pool is driven through epsilon
-    base = SearchRequest(billiard=LIMACON2_19, n=2, m=1, kind="typeII", s=4)
-    serial = sweep(base, "epsilon", [0.01, 0.02], workers=1)
-    parallel = sweep(base, "epsilon", [0.01, 0.02], workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.value == b.value
-        assert a.error == b.error
-        assert a.report.outcome == b.report.outcome
-        assert np.allclose(a.report.final_lift.coords,
-                           b.report.final_lift.coords, atol=1e-12)
+@pytest.mark.parametrize("base, param, values", [
+    (SearchRequest(billiard=LIMACON2_19, n=2, m=1, kind="typeII", s=4), "epsilon", [0.02, 0.01]),
+    (SearchRequest(billiard=LIMACON2_15, n=2, m=1, kind="typeI", s=7), "s", [7, 5]),
+], ids=["epsilon", "s"])
+def test_a_sweep_runs_its_entries_in_order_on_the_calling_thread(monkeypatch, base, param,
+                                                                 values):
+    calls = []
+    find = finder.find_orbit
+
+    def spy(request, *, warm=None):
+        calls.append((threading.get_ident(), getattr(request, param), warm))
+        return find(request, warm=warm)
+
+    monkeypatch.setattr(finder, "find_orbit", spy)
+    entries = sweep(base, param, values)
+    # only an alpha sweep continues from the entries before
+    assert calls == [(threading.get_ident(), v, None) for v in values]
+    for entry, v in zip(entries, values):
+        alone = find(replace(base, **{param: v}))
+        assert np.array_equal(entry.report.final_lift.coords, alone.final_lift.coords)
 
 
 def test_sweep_parameter_validation(monkeypatch):
@@ -271,11 +295,15 @@ def test_unknown_kind_is_rejected():
         find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="spiral"))
 
 
-def test_a_parallel_sweep_leaves_the_warning_filters_as_they_were(monkeypatch):
+FLAGSHIP = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
+
+
+def test_threads_running_find_orbit_leave_the_warning_filters_as_they_were(monkeypatch):
     # the Newton polish silences the Hessian's warning inside catch_warnings,
-    # which saves and restores the process-wide filter list; two sweep threads
+    # which saves and restores the process-wide filter list; two threads
     # interleaving it would leave one thread's "ignore" filter behind.  A slow
-    # Hessian keeps each polish inside that block long enough to overlap
+    # Hessian keeps each polish inside that block long enough to overlap, and
+    # each thread runs every epsilon, in its own order, so that some do
     hessian = finder.hessian
 
     def slow_hessian(boundary, lift):
@@ -283,14 +311,21 @@ def test_a_parallel_sweep_leaves_the_warning_filters_as_they_were(monkeypatch):
         return hessian(boundary, lift)
 
     monkeypatch.setattr(finder, "hessian", slow_hessian)
-    base = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
     before = list(warnings.filters)
-    entries = sweep(base, "epsilon", [0.01, 0.008, 0.006, 0.005], workers=2)
-    assert [e.error for e in entries] == [None] * 4
+    epsilons = [0.01, 0.008, 0.006, 0.005]
+    outcomes = []
+
+    def run(first):
+        for eps in epsilons[first:] + epsilons[:first]:
+            outcomes.append(find_orbit(replace(FLAGSHIP, epsilon=eps)).outcome)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert outcomes == ["non_birkhoff_found"] * 16
     assert warnings.filters == before
-
-
-FLAGSHIP = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
 
 
 def recorded_sweep(monkeypatch, base, values):
