@@ -38,11 +38,10 @@ from .sequences import (
     load_lift,
     minimal_period,
     repeat_lift,
-    save_lift,
     spatiotemporal_group,
     symmetric_birkhoff,
 )
-from .flow import FlowOptions, FlowResult, integrate
+from .flow import FlowResult, integrate
 from .spectral import (
     CriterionReport,
     SearchClass,

@@ -31,7 +31,6 @@ import numpy as np
 
 from .finder import (CriterionInconclusive, OrbitReport, SearchRequest,
                      checked_boundary, checked_criterion, find_orbit, sweep)
-from .flow import FlowOptions
 from .geometry import reparametrize_constant_speed
 from .lagrangian import gradient_field
 from .render import render_aubry_diagram, render_orbit_figure
@@ -66,8 +65,8 @@ def _numbers(text: str) -> list:
 class Key(NamedTuple):
     """One INI key, ``[section] key``: the type its value parses as, and the
     ``name`` it takes in its ``group`` ("billiard": the table descriptor,
-    "request": a :class:`SearchRequest` field, "options": a
-    :class:`FlowOptions` field, "output" and "sweep": read by the commands).
+    "request": a :class:`SearchRequest` field, "output" and "sweep": read by
+    the commands).
     A command that reads the group needs a ``required`` key; ``flag`` is the
     command-line option that overrides the key."""
 
@@ -99,13 +98,6 @@ KEYS = (
     Key("theorem", "b", int, "request", "reflection"),
     Key("theorem", "k", int, "request", "shift"),
     Key("flow", "epsilon", float, "request", "epsilon", flag="--epsilon"),
-    Key("flow", "tol_stationary", float, "options", "stationarity_tol",
-        flag="--tol-stationary"),
-    Key("flow", "max_time", float, "options", "max_time", flag="--max-time"),
-    Key("flow", "max_steps", int, "options", "max_steps"),
-    Key("flow", "guard_margin", float, "options", "guard_margin"),
-    Key("flow", "abs_tol", float, "options", "abs_tol"),
-    Key("flow", "rel_tol", float, "options", "rel_tol"),
     Key("output", "out", str, "output", "out", flag="--out"),
     Key("output", "prefix", str, "output", "prefix", flag="--prefix"),
     Key("sweep", "param", str, "sweep", "param", required=True),
@@ -159,8 +151,7 @@ def _request(config: dict, args) -> SearchRequest:
     """The search the [billiard], [theorem] and [flow] keys ask for."""
     return SearchRequest(billiard=_fields(config, "billiard"),
                          **_fields(config, "request"),
-                         force=getattr(args, "force", False),
-                         options=FlowOptions(**_fields(config, "options")))
+                         force=getattr(args, "force", False))
 
 
 def _write(config: dict, name: str, text: str) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import GUARD_FLOOR, FlowOptions, FlowResult, integrate
+from .flow import GUARD_FLOOR, FlowResult, integrate
 from .geometry import (check_equivariance, check_table_keys, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
 from .lagrangian import gradient_field, periodic_action
@@ -106,7 +106,6 @@ class SearchRequest:
     shift: int | None = None
     epsilon: float | None = None
     force: bool = False
-    options: FlowOptions | None = None
 
 
 @dataclass
@@ -227,7 +226,7 @@ def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
     return lift.with_coords(best), best_norm
 
 
-def _correct(boundary, guess: PeriodicLift, system: AffineSystem, guard: float):
+def _correct(boundary, guess: PeriodicLift, system: AffineSystem):
     """Newton's method in the class's orbit basis from a predicted lift.
 
     The guess, an affine combination of lifts of the class, is not projected
@@ -237,16 +236,16 @@ def _correct(boundary, guess: PeriodicLift, system: AffineSystem, guard: float):
     ||dx_bar_{k+1}|| < THETA_MAX ||dx_k||, with dx_bar_{k+1} solved from the
     same reduced Hessian and the gradient at the new iterate, which the next
     step reuses.  Returns (lift, Newton steps, largest ratio, None), or lift
-    None and the reason as the last entry when an iterate leaves (guard,
-    1 - guard), a step fails the test or meets a singular Hessian, |F|_inf
-    stays above POLISH_TARGET after POLISH_MAX_ITER steps, or the reduced
-    Hessian at the limit is not negative definite (the limit is no strict
-    local maximum of the action in the class).
+    None and the reason as the last entry when an iterate leaves the flow's
+    guard (GUARD_FLOOR, 1 - GUARD_FLOOR), a step fails the test or meets a
+    singular Hessian, |F|_inf stays above POLISH_TARGET after POLISH_MAX_ITER
+    steps, or the reduced Hessian at the limit is not negative definite (the
+    limit is no strict local maximum of the action in the class).
     """
     basis = system.basis
     x = guess.coords
     steps, ratio = 0, 0.0
-    if basis.shape[1] == 0 or first_inadmissible(x, guess.q, guard) is not None:
+    if basis.shape[1] == 0 or first_inadmissible(x, guess.q, GUARD_FLOOR) is not None:
         return None, steps, ratio, "the guess is not admissible"
     grad = gradient_field(boundary, guess.with_coords(x))
     try:
@@ -256,7 +255,7 @@ def _correct(boundary, guess: PeriodicLift, system: AffineSystem, guard: float):
             steps += 1
             reduced, delta = _reduced_newton(boundary, guess.with_coords(x), basis, grad)
             x = system.project(x + basis @ delta)
-            if first_inadmissible(x, guess.q, guard) is not None:
+            if first_inadmissible(x, guess.q, GUARD_FLOOR) is not None:
                 return None, steps, ratio, f"step {steps} left the admissible region"
             grad = gradient_field(boundary, guess.with_coords(x))
             size = float(np.linalg.norm(delta))
@@ -311,10 +310,9 @@ def find_orbit(request: SearchRequest, *, warm: list | None = None) -> OrbitRepo
     action_ref = periodic_action(cs, reference)
     start = steps = ratio = eps = None
     if warm is not None and predicted:
-        guard = max((request.options or FlowOptions()).guard_margin, GUARD_FLOOR)
         alpha = float(request.billiard["alpha"])
         for name, guess in _predict(warm, alpha, report.margin, reference):
-            start, steps, ratio, why = _correct(cs, guess, system, guard)
+            start, steps, ratio, why = _correct(cs, guess, system)
             if start is not None:
                 log.info("continued from the warm lift (%s prediction): %d Newton "
                          "steps, largest monotonicity ratio %.3g", name, steps, ratio)
@@ -344,8 +342,7 @@ def find_orbit(request: SearchRequest, *, warm: list | None = None) -> OrbitRepo
     log.info("flowing kind=%s (p, q)=(%d, %d) K=%d k=%d epsilon=%s "
              "margin=%.6g", search.kind, p, q, search.K, search.k,
              "-" if eps is None else f"{eps:.3g}", report.margin)
-    flow = integrate(cs, start, system=system, options=request.options,
-                     reference=reference)
+    flow = integrate(cs, start, system=system, reference=reference)
     # an unmoved continued start stays the corrector's lift, not integrate's
     # re-projected copy, so a repeated alpha reports its orbit bit for bit
     final = start if eps is None and flow.n_steps == 0 else flow.final_lift

@@ -32,8 +32,16 @@ _A = np.array([
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 
-#: hard floor of the admissible-increment guard (applies even with margin 0)
+#: the admissible-increment guard: increments must stay in (floor, 1 - floor)
 GUARD_FLOOR = 1e-6
+#: convergence: ||F||_inf below this
+STATIONARITY_TOL = 1e-10
+#: flow-time and accepted-step budgets of one run
+MAX_TIME = 1e6
+MAX_STEPS = 200_000
+#: absolute and relative local-error tolerances of the step control
+ABS_TOL = 1e-13
+REL_TOL = 1e-11
 #: first trial step and largest step of the integrator
 INITIAL_STEP = 1e-2
 MAX_STEP = 1e4
@@ -45,34 +53,6 @@ PLATEAU_FACTOR = 0.9
 PLATEAU_STEPS = 100
 #: a step that moves the state less than this counts as stalled
 DISPLACEMENT_TOL = 1e-12
-
-
-@dataclass
-class FlowOptions:
-    """Tolerances and limits for :func:`integrate`.
-
-    The first and largest step and the plateau rule are module constants.
-    """
-
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-11
-    stationarity_tol: float = 1e-10      # convergence: ||F||_inf below this
-    max_time: float = 1e6
-    max_steps: int = 200_000
-    guard_margin: float = 0.0            # increments must stay in (margin, 1-margin)
-    record_lifts: bool = False           # keep coordinate snapshots
-
-    def __post_init__(self):
-        if not 0.0 <= self.guard_margin < 0.5:
-            raise ValueError("guard_margin must lie in [0, 0.5)")
-        # written so that NaN fails each test
-        if not (self.stationarity_tol > 0 and self.max_time > 0):
-            raise ValueError("tolerances and max_time must be positive")
-        if not (self.abs_tol >= 0 and self.rel_tol >= 0) or self.abs_tol == self.rel_tol == 0:
-            raise ValueError(f"abs_tol and rel_tol must be >= 0 and not both 0, "
-                             f"got {self.abs_tol} and {self.rel_tol}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass
@@ -96,7 +76,6 @@ class FlowResult:
     local_errors: np.ndarray            # embedded error estimate per sample
     constraint_residuals: np.ndarray
     crossings: list                     # per sample: int, "tangent", or None
-    lifts: list | None = None           # coordinate snapshots when recorded
     domain_violation: str | None = None  # the guard's message on "guard_violation"
 
     @property
@@ -109,7 +88,8 @@ class FlowResult:
         return None if self.reason in ("stationary", "max_time") else self.reason
 
 
-def _guard_violation(coords: np.ndarray, q: int, lo: float):
+def _guard_violation(coords: np.ndarray, q: int):
+    lo = GUARD_FLOOR
     bad = first_inadmissible(coords, q, lo)
     if bad is not None:
         return f"increment {bad[0]} = {bad[1]:.6g} left ({lo:.3g}, {1 - lo:.3g})"
@@ -117,7 +97,6 @@ def _guard_violation(coords: np.ndarray, q: int, lo: float):
 
 
 def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
-              options: FlowOptions | None = None,
               reference: PeriodicLift | None = None) -> FlowResult:
     """Run the constrained gradient flow from ``start`` until stationarity.
 
@@ -130,22 +109,20 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         Lift against which the crossing index is recorded and checked to be
         non-increasing.
 
-    The run converges when ``||F||_inf < stationarity_tol`` and the last step
+    The run converges when ``||F||_inf < STATIONARITY_TOL`` and the last step
     displacement is consistent with a stationary state; it stops unconverged
-    at ``max_time``, on a guard violation, on a detected law violation (action
-    decrease beyond 10x the local error, crossing increase), or on a plateau.
+    at ``MAX_TIME`` or after ``MAX_STEPS`` accepted steps, on a guard
+    violation, on a detected law violation (action decrease beyond 10x the
+    local error, crossing increase), or on a plateau.
     A plateau is declared when, within the last ``PLATEAU_WINDOW`` accepted
     steps, ``||F||_inf`` has not improved by ``PLATEAU_FACTOR`` and no step
     gained action beyond its error budget (the integrator's local-error noise
     can floor the residual above the stationarity tolerance); the result then
     carries the best iterate, not the last one, with reason ``"plateau"``.
     """
-    opts = options or FlowOptions()
     q = start.q
-    lo = max(opts.guard_margin, GUARD_FLOOR)
-
     x = np.asarray(start.coords, dtype=float).copy()
-    msg = _guard_violation(x, q, lo)
+    msg = _guard_violation(x, q)
     if msg is not None:
         raise ValueError(f"start violates the admissible-increment guard: {msg}")
     if system is not None:
@@ -162,7 +139,6 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
 
     times, actions, grad_sq, local_errors, residuals = [], [], [], [], []
     crossings = []
-    lift_snaps = [] if opts.record_lifts else None
 
     def record(t, coords, fvec, err):
         times.append(t)
@@ -174,17 +150,15 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
             crossings.append(intersection_index(make_lift(coords), reference))
         else:
             crossings.append(None)
-        if lift_snaps is not None:
-            lift_snaps.append(coords.copy())
 
     f_cur = rhs(x)
     fnorm = float(np.max(np.abs(f_cur)))
     record(0.0, x, f_cur, 0.0)
-    reason = "stationary" if fnorm < opts.stationarity_tol else None
+    reason = "stationary" if fnorm < STATIONARITY_TOL else None
     violation = None
 
     t = 0.0
-    dt = min(INITIAL_STEP, opts.max_time)
+    dt = min(INITIAL_STEP, MAX_TIME)
     steps = 0
     stalled = 0
     best_x = x.copy()
@@ -195,7 +169,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
     last_crossing = crossings[0] if isinstance(crossings[0], int) else None
     stages = np.empty((7, x.size))
 
-    while reason is None and steps < opts.max_steps:
+    while reason is None and steps < MAX_STEPS:
         stages[0] = f_cur
         for s in range(1, 7):
             xs = x + dt * (stages[:s].T @ _A[s, :s])
@@ -206,7 +180,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
             stages[s] = f
         else:       # the last stage point xs is the fifth-order solution
             err_vec = xs - (x + dt * (stages.T @ _B4))
-            scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(xs))
+            scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(xs))
             err_ratio = max(float(np.max(np.abs(err_vec) / scale)), 1e-16)
         # a stage left the admissible region, or the error is not finite or
         # too large: retry with a smaller step
@@ -220,7 +194,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         steps += 1
         x_new = xs if system is None else system.project(xs)
         err_abs = float(np.max(np.abs(err_vec)))
-        violation = _guard_violation(x_new, q, lo)
+        violation = _guard_violation(x_new, q)
         if violation is not None:
             reason = "guard_violation"
             break
@@ -242,8 +216,8 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
                 break
             last_crossing = cross
 
-        if fnorm < opts.stationarity_tol and \
-                displacement < max(DISPLACEMENT_TOL, dt * opts.stationarity_tol):
+        if fnorm < STATIONARITY_TOL and \
+                displacement < max(DISPLACEMENT_TOL, dt * STATIONARITY_TOL):
             reason = "stationary"
             break
 
@@ -268,7 +242,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
             x, t, fnorm = best_x, times[best], best_fnorm
             break
 
-        if t >= opts.max_time:
+        if t >= MAX_TIME:
             # a crossing index tangent at the last PLATEAU_STEPS samples
             # names the stop instead
             tangent = crossings[-PLATEAU_STEPS:].count("tangent") == PLATEAU_STEPS
@@ -277,7 +251,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
 
         dt = float(np.clip(dt * np.clip(0.9 * err_ratio ** -0.2, 0.2, 5.0),
                            1e-14, MAX_STEP))
-        dt = min(dt, opts.max_time - t)
+        dt = min(dt, MAX_TIME - t)
 
     final = best if reason == "plateau" else -1
     return FlowResult(
@@ -286,5 +260,5 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         grad_norm=fnorm, n_steps=steps, times=np.asarray(times),
         actions=np.asarray(actions), grad_sq=np.asarray(grad_sq),
         local_errors=np.asarray(local_errors), constraint_residuals=np.asarray(residuals),
-        crossings=crossings, lifts=lift_snaps, domain_violation=violation,
+        crossings=crossings, domain_violation=violation,
     )

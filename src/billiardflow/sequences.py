@@ -142,13 +142,16 @@ def _row_scores(table: np.ndarray, targets) -> tuple:
 def is_birkhoff(lift: PeriodicLift) -> bool:
     """Whether the lift is well-ordered (Birkhoff).
 
-    Uses the ordering integers l(i, j) = ceil(x_i - x_j) (the unique l with
-    x_i <= x_j + l < x_i + 1), with near-integer differences snapped at
-    ``SNAP_TOL``; the lift is Birkhoff iff l is invariant under simultaneous
-    index shifts.  Both l(j + k, j) = ceil(x_{j+k} - x_j) and, with i = j + k,
-    l(j, j + k) = ceil(x_{i+p-k} - x_i) - q read the rotation-preserving
-    identity table [k, i] -> x_{k+i} - x_i, so that holds iff each row of the
-    table has one ceiling: O(p^2) work.
+    Well-ordered means: for every integer translate (k, l) the sign of
+    x_{i+k} + l - x_i, in {-1, 0, +1}, does not depend on i (Aubry & Le
+    Daeron, Physica D 8, 1983).  So a translate that touches the lift without
+    coinciding with it breaks well-ordering, as :func:`intersection_index`
+    calls it "tangent"; differences within ``SNAP_TOL`` of an integer are
+    ties.  Row k of the rotation-preserving identity table
+    [k, i] -> x_{k+i} - x_i has one ceiling (snapped at ``SNAP_TOL``) iff no
+    sign of a translate (k, l) changes, except by zeros beside negative
+    values; row p - k, which holds q minus the same differences, rules out
+    zeros beside positive ones.  O(p^2) work.
     """
     table = _identity_table(lift, lift, "rotation_preserving")
     nearest = np.round(table)
@@ -428,11 +431,6 @@ def lift_text(lift: PeriodicLift, n: int, m: int) -> str:
     lines = [f"{lift.p} {lift.q} {n} {m}"]
     lines += [f"{c:.17g}" for c in lift.coords]
     return "\n".join(lines) + "\n"
-
-
-def save_lift(path, lift: PeriodicLift, n: int, m: int) -> None:
-    """Write the orbit file :func:`lift_text` gives."""
-    Path(path).write_text(lift_text(lift, n, m))
 
 
 def load_lift(path):

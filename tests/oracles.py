@@ -5,15 +5,18 @@ the chord partials one endpoint at a time (the package assembles the gradient
 in one kernel), the paper's closed form of the circulant Hessian at a
 symmetric Birkhoff orbit, the comparison principle of two flow runs, integer
 translates of a lift, and orbit equality by a loop over time shifts and
-reversals.
+reversals.  It also holds the helpers only tests use: the lifts a flow run
+visits, and writing an orbit file.
 """
 
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from billiardflow.sequences import CLASSIFY_TOL
+from billiardflow import flow
+from billiardflow.sequences import CLASSIFY_TOL, lift_text
 from billiardflow.spectral import kappa_chord
 
 
@@ -75,18 +78,40 @@ def circulant(p, alpha, beta):
     return h
 
 
-def comparison_check(run_x, run_y) -> bool:
-    """Whether run_x stays strictly below run_y at every recorded time > 0.
+def recorded_run(boundary, start, **kwargs):
+    """``(run, lifts)``: ``flow.integrate(boundary, start, **kwargs)`` and the
+    coordinates of each of its samples, in the order of ``run.times``.
 
-    Both runs must have been recorded with ``record_lifts=True`` and start
-    from ordered, distinct states x(0) <= y(0).  Samples of the two runs are
-    aligned by per-coordinate linear interpolation on the union of their time
-    grids, truncated to the shorter run.
+    The lifts come from a spy on ``flow.periodic_action``, which the flow
+    calls once per sample.
     """
-    if run_x.lifts is None or run_y.lifts is None:
-        raise ValueError("comparison_check needs runs recorded with record_lifts=True")
-    x0 = run_x.lifts[0]
-    y0 = run_y.lifts[0]
+    lifts = []
+    action = flow.periodic_action
+
+    def spy(boundary, lift):
+        lifts.append(lift.coords.copy())
+        return action(boundary, lift)
+
+    flow.periodic_action = spy
+    try:
+        run = flow.integrate(boundary, start, **kwargs)
+    finally:
+        flow.periodic_action = action
+    assert len(lifts) == len(run.times)
+    return run, lifts
+
+
+def comparison_check(recorded_x, recorded_y) -> bool:
+    """Whether run x stays strictly below run y at every recorded time > 0.
+
+    Each argument is a :func:`recorded_run` ``(run, lifts)``; the runs must
+    start from ordered, distinct states x(0) <= y(0).  Samples of the two
+    runs are aligned by per-coordinate linear interpolation on the union of
+    their time grids, truncated to the shorter run.
+    """
+    (run_x, lifts_x), (run_y, lifts_y) = recorded_x, recorded_y
+    x0 = lifts_x[0]
+    y0 = lifts_y[0]
     if np.any(x0 > y0):
         raise ValueError("requires x(0) <= y(0) componentwise")
     if np.array_equal(x0, y0):
@@ -96,14 +121,19 @@ def comparison_check(run_x, run_y) -> bool:
     ts = ts[(ts > 0.0) & (ts <= t_max)]
     if ts.size == 0:
         raise ValueError("runs share no positive recorded time")
-    xs = np.vstack(run_x.lifts)
-    ys = np.vstack(run_y.lifts)
+    xs = np.vstack(lifts_x)
+    ys = np.vstack(lifts_y)
     for j in range(xs.shape[1]):
         xj = np.interp(ts, run_x.times, xs[:, j])
         yj = np.interp(ts, run_y.times, ys[:, j])
         if not np.all(xj < yj):
             return False
     return True
+
+
+def save_lift(path, lift, n, m) -> None:
+    """Write the orbit file :func:`~billiardflow.sequences.lift_text` gives."""
+    Path(path).write_text(lift_text(lift, n, m))
 
 
 def translate(lift, c, d):

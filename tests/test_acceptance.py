@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from billiardflow import (
-    FlowOptions,
     SearchRequest,
     criterion,
     expand_constraints,
     find_orbit,
     hessian,
-    integrate,
     is_birkhoff,
     kappa_chord,
     periodic_action,
@@ -31,7 +29,7 @@ from billiardflow.geometry import (
 )
 from billiardflow.sequences import PeriodicLift
 from billiardflow.spectral import search_class
-from oracles import birkhoff_coefficients, circulant, increments, same_orbit
+from oracles import birkhoff_coefficients, circulant, increments, recorded_run, same_orbit
 
 
 def announce(num: int, name: str, t0: float, budget: float, detail: str):
@@ -264,16 +262,15 @@ def test_criterion_6_flow_laws():
     for boundary, reference, system, runs in setups:
         for _ in range(runs):
             start = random_class_start(rng, reference, system)
-            run = integrate(boundary, start, system=system,
-                            reference=reference,
-                            options=FlowOptions(record_lifts=True))
+            run, lifts = recorded_run(boundary, start, system=system,
+                                      reference=reference)
             assert run.failure in (None, "plateau"), run.failure
             budget = 10.0 * (run.local_errors + 1e-15)
             assert np.all(np.diff(run.actions) >= -budget[1:])
             counts = [c for c in run.crossings if isinstance(c, int)]
             assert all(b <= a for a, b in zip(counts, counts[1:]))
             assert np.max(run.constraint_residuals) < 1e-12
-            for snap in run.lifts:
+            for snap in lifts:
                 inc = np.diff(snap, append=snap[0] + reference.q)
                 assert 0.0 < inc.min() and inc.max() < 1.0
             assert run.final_lift.q == reference.q

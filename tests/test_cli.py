@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import billiardflow
-from billiardflow import (finder, flow, periodic_action, repeat_lift, save_lift,
-                          symmetric_birkhoff)
+from billiardflow import finder, flow, periodic_action, repeat_lift, symmetric_birkhoff
 from billiardflow.cli import KEYS, main
 from billiardflow.sequences import PeriodicLift
+from oracles import save_lift
 
 FLAGSHIP_INI = """\
 [billiard]
@@ -153,10 +153,9 @@ def test_find_force_runs_anyway(circle_ini, tmp_path):
     assert report["outcome"] == "collapsed_to_birkhoff"
 
 
-def test_find_non_converged_exits_4(tmp_path, capsys):
-    ini = tmp_path / "capped.ini"
-    ini.write_text(FLAGSHIP_INI + "\n[flow]\nmax_steps = 5\n")
-    code = main(["find", "--config", str(ini), "--out", str(tmp_path / "x")])
+def test_find_non_converged_exits_4(flagship_ini, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 5)
+    code = main(["find", "--config", str(flagship_ini), "--out", str(tmp_path / "x")])
     assert code == 4
     assert "did not converge" in capsys.readouterr().err
     # the artifacts of a run that returned are kept for diagnosis
@@ -392,7 +391,7 @@ def test_no_action_gain_along_the_mode_exits_4(flagship_ini, tmp_path, capsys, m
     assert not (tmp_path / "x").exists()
 
 
-MISSPELLED = "shift = 7\n\n[flow]\ntol_stationry = 1e-3\nmax_tme = 1\n\n[ouput]\nout = runs\n"
+MISSPELLED = "shift = 7\n\n[flow]\nepsilom = 1e-3\n\n[ouput]\nout = runs\n"
 
 
 @pytest.mark.parametrize("ini, message", [
@@ -400,16 +399,16 @@ MISSPELLED = "shift = 7\n\n[flow]\ntol_stationry = 1e-3\nmax_tme = 1\n\n[ouput]\
      "unknown config key [billiard] aplha; did you mean [billiard] alpha?"),
     (FLAGSHIP_INI + "shift = 7\n",
      "unknown config key [theorem] shift; did you mean [theorem] s?"),
-    (FLAGSHIP_INI + "\n[flow]\ntol_stationry = 1e-3\n",
-     "unknown config key [flow] tol_stationry; did you mean [flow] tol_stationary?"),
-    (FLAGSHIP_INI + "\n[flow]\nmax_tme = 1\n",
-     "unknown config key [flow] max_tme; did you mean [flow] max_time?"),
+    (FLAGSHIP_INI + "\n[flow]\nepsilom = 1e-3\n",
+     "unknown config key [flow] epsilom; did you mean [flow] epsilon?"),
+    (FLAGSHIP_INI + "\n[output]\nprefx = run\n",
+     "unknown config key [output] prefx; did you mean [output] prefix?"),
     (FLAGSHIP_INI + "\n[ouput]\n", "unknown config section [ouput]; did you mean [output]?"),
     ("[DEFAULT]\nn = 4\n\n" + FLAGSHIP_INI, "unknown config section [DEFAULT]"),
     (FLAGSHIP_INI + MISSPELLED,
      "unknown config key [theorem] shift; did you mean [theorem] s?"),
     (FLAGSHIP_INI.replace("s = 3", "s = three"), "config value [theorem] s = 'three'"),
-], ids=["aplha", "shift", "tol_stationry", "max_tme", "ouput", "DEFAULT", "all", "s-three"])
+], ids=["aplha", "shift", "epsilom", "prefx", "ouput", "DEFAULT", "all", "s-three"])
 def test_find_rejects_a_name_or_value_the_table_lacks(ini, message, tmp_path, capsys):
     # each typo would otherwise drop its setting and run the default flagship
     config = tmp_path / "typo.ini"
@@ -527,15 +526,29 @@ def test_missing_config_exits_2(tmp_path, capsys):
     ("max_steps = 0", "max_steps"),
     ("max_steps = -5", "max_steps"),
     ("rel_tol = nan", "rel_tol"),
-    ("max_steps = many", "[flow] max_steps = 'many'"),
+    ("tol_stationary = 1e-3", "tol_stationary"),
+    ("max_time = 1", "max_time"),
+    ("guard_margin = 0.1", "guard_margin"),
+    ("--tol-stationary=1e-3", "--tol-stationary"),
+    ("--max-time=1", "--max-time"),
 ])
-def test_unusable_step_control_exits_2(flow, name, tmp_path, capsys):
-    ini = tmp_path / "flow.ini"
-    ini.write_text(FLAGSHIP_INI + f"\n[flow]\n{flow}\n")
-    assert main(["find", "--config", str(ini), "--out", str(tmp_path)]) == 2
+def test_unusable_step_control_exits_2(flow, name, flagship_ini, tmp_path, capsys):
+    # the step control is a set of constants of the flow module: a [flow] key
+    # or a flag that still sets it exits 2 naming itself, and writes nothing
+    config, flags = flagship_ini, [flow]
+    if not flow.startswith("--"):
+        config, flags = tmp_path / "flow.ini", []
+        config.write_text(FLAGSHIP_INI + f"\n[flow]\n{flow}\n")
+    out_dir = tmp_path / "out"
+    try:
+        code = main(["find", "--config", str(config), "--out", str(out_dir), *flags])
+    except SystemExit as exc:       # argparse rejects an unknown flag
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert name in err
     assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_config_without_theorem_section_exits_2(tmp_path, capsys):

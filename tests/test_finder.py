@@ -11,7 +11,6 @@ import pytest
 
 from billiardflow import (
     CriterionInconclusive,
-    FlowOptions,
     SearchRequest,
     expand_constraints,
     find_orbit,
@@ -20,7 +19,7 @@ from billiardflow import (
     search_class,
     sweep,
 )
-from billiardflow import finder
+from billiardflow import finder, flow
 from oracles import increments, same_orbit
 
 LIMACON4 = {"family": "limacon", "n": 4, "alpha": 0.05}
@@ -143,9 +142,10 @@ def test_circle_margin_gates_the_run():
     assert np.allclose(increments(forced.final_lift), 0.25, atol=1e-8)
 
 
-def test_step_capped_run_reports_non_converged():
+def test_step_capped_run_reports_non_converged(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 5)
     rep = find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main",
-                                   N=4, s=3, options=FlowOptions(max_steps=5)))
+                                   N=4, s=3))
     assert rep.outcome == "non_converged"
     assert rep.residual > 1e-4  # the basin gate must not polish this state
 
@@ -159,12 +159,12 @@ def test_epsilon_validation():
                                  N=4, s=3, epsilon=0.0))
 
 
-def test_epsilon_halving_is_logged(caplog):
+def test_epsilon_halving_is_logged(caplog, monkeypatch):
     # at the flagship margin a nudge of 0.08 loses action; 0.04 gains it
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
     with caplog.at_level(logging.INFO, logger="billiardflow.finder"):
         find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main",
-                                 N=4, s=3, epsilon=0.08,
-                                 options=FlowOptions(max_steps=3)))
+                                 N=4, s=3, epsilon=0.08))
     halvings = [r.getMessage() for r in caplog.records
                 if r.getMessage().startswith("halving epsilon")]
     assert len(halvings) == 1
@@ -466,6 +466,6 @@ def test_the_corrector_rejects_a_saddle():
     search = search_class("main", 4, 1, 4, 3)
     system = expand_constraints(4, search.generators, search.p, search.q)
     table = reparametrize_constant_speed(make_boundary(LIMACON4))
-    lift, steps, ratio, why = finder._correct(table, search.reference, system, 1e-6)
+    lift, steps, ratio, why = finder._correct(table, search.reference, system)
     assert lift is None and steps == 0
     assert "eigenvalue" in why

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from billiardflow import (
-    FlowOptions,
     expand_constraints,
     gradient_field,
     integrate,
@@ -15,7 +14,7 @@ from billiardflow import (
 )
 from billiardflow import flow as flow_module
 from billiardflow.sequences import PeriodicLift
-from oracles import comparison_check, increments
+from oracles import comparison_check, increments, recorded_run
 
 
 def flagship_setup(boundary):
@@ -84,19 +83,19 @@ def test_circle_perturbation_collapses_back(circle4):
     assert np.allclose(increments(final), 0.25, atol=1e-8)
 
 
-def test_max_time_stops_the_run(limacon4_cs):
+def test_max_time_stops_the_run(limacon4_cs, monkeypatch):
+    monkeypatch.setattr(flow_module, "MAX_TIME", 0.5)
     ref, system, start = flagship_setup(limacon4_cs)
-    run = integrate(limacon4_cs, start, system=system,
-                    options=FlowOptions(max_time=0.5))
+    run = integrate(limacon4_cs, start, system=system)
     assert not run.converged
     assert run.reason == "max_time"
     assert run.t_final == pytest.approx(0.5)
 
 
-def test_max_steps_stops_the_run(limacon4_cs):
+def test_max_steps_stops_the_run(limacon4_cs, monkeypatch):
+    monkeypatch.setattr(flow_module, "MAX_STEPS", 3)
     ref, system, start = flagship_setup(limacon4_cs)
-    run = integrate(limacon4_cs, start, system=system,
-                    options=FlowOptions(max_steps=3))
+    run = integrate(limacon4_cs, start, system=system)
     assert not run.converged
     assert run.reason == "max_steps"
     assert run.failure == "max_steps"
@@ -105,9 +104,9 @@ def test_max_steps_stops_the_run(limacon4_cs):
 
 def test_plateau_returns_best_iterate(limacon4_cs, monkeypatch):
     monkeypatch.setattr(flow_module, "PLATEAU_WINDOW", 60)
+    monkeypatch.setattr(flow_module, "STATIONARITY_TOL", 1e-15)
     ref, system, start = flagship_setup(limacon4_cs)
-    opts = FlowOptions(stationarity_tol=1e-15)
-    run = integrate(limacon4_cs, start, system=system, options=opts)
+    run = integrate(limacon4_cs, start, system=system)
     assert not run.converged
     assert run.reason == "plateau"
     assert run.failure == "plateau"
@@ -130,44 +129,17 @@ def test_start_off_the_constraint_class_is_rejected(limacon4_cs):
         integrate(limacon4_cs, off, system=system)
 
 
-def test_guard_margin_violation_stops_the_run(limacon4_cs):
-    # demand a margin the start satisfies but the target orbit does not
+def test_guard_margin_violation_stops_the_run(limacon4_cs, monkeypatch):
+    # demand a guard the start satisfies but the target orbit does not
     # (its smallest increment is about 0.218)
+    monkeypatch.setattr(flow_module, "GUARD_FLOOR", 0.23)
     ref, system, _ = flagship_setup(limacon4_cs)
     start = search_class("main", 4, 1, N=4, s=3).start(0.01)
     assert np.min(increments(start)) > 0.23
-    run = integrate(limacon4_cs, start, system=system,
-                    options=FlowOptions(guard_margin=0.23))
+    run = integrate(limacon4_cs, start, system=system)
     assert not run.converged
     assert run.reason == "guard_violation"
     assert run.domain_violation is not None
-
-
-def test_flow_options_are_validated():
-    with pytest.raises(ValueError):
-        FlowOptions(stationarity_tol=-1.0)
-
-
-@pytest.mark.parametrize("bad, name", [
-    (dict(abs_tol=-1.0), "abs_tol"),
-    (dict(rel_tol=-1e-11), "rel_tol"),
-    (dict(abs_tol=0.0, rel_tol=0.0), "abs_tol"),
-    (dict(guard_margin=0.5), "guard_margin"),
-    (dict(guard_margin=-1e-3), "guard_margin"),
-    (dict(max_time=0.0), "max_time"),
-    (dict(max_steps=0), "max_steps"),
-    (dict(abs_tol=float("nan")), "abs_tol"),
-    (dict(guard_margin=float("nan")), "guard_margin"),
-    (dict(stationarity_tol=float("nan")), "tolerances"),
-])
-def test_flow_options_reject_unusable_values(bad, name):
-    with pytest.raises(ValueError, match=name):
-        FlowOptions(**bad)
-
-
-def test_one_error_tolerance_may_be_zero():
-    assert FlowOptions(abs_tol=0.0).rel_tol > 0
-    assert FlowOptions(rel_tol=0.0).abs_tol > 0
 
 
 def test_inadmissible_stage_shrinks_the_step(limacon4_cs, monkeypatch):
@@ -229,9 +201,10 @@ def test_an_error_that_stays_too_large_underflows_the_step(limacon4_cs, monkeypa
     # a fourth-order solution off by a whole step makes every error estimate
     # exceed the (tiny) tolerance, so the step shrinks below its floor
     monkeypatch.setattr(flow_module, "_B4", 2 * flow_module._B4)
+    monkeypatch.setattr(flow_module, "ABS_TOL", 1e-300)
+    monkeypatch.setattr(flow_module, "REL_TOL", 1e-300)
     ref, system, start = flagship_setup(limacon4_cs)
-    run = integrate(limacon4_cs, start, system=system,
-                    options=FlowOptions(abs_tol=1e-300, rel_tol=1e-300))
+    run = integrate(limacon4_cs, start, system=system)
     assert run.reason == run.failure == "step_underflow" and not run.converged
     assert run.n_steps == 0 and run.t_final == 0.0
     assert np.array_equal(run.final_lift.coords, system.project(start.coords))
@@ -242,9 +215,9 @@ def test_a_tangency_that_persists_to_max_time_is_reported(limacon4_cs, monkeypat
     # count, so the run that reaches max_time names the tangency instead
     monkeypatch.setattr(flow_module, "intersection_index", lambda xl, yl: "tangent")
     monkeypatch.setattr(flow_module, "PLATEAU_STEPS", 5)
+    monkeypatch.setattr(flow_module, "MAX_TIME", 0.5)
     ref, system, start = flagship_setup(limacon4_cs)
-    run = integrate(limacon4_cs, start, system=system, reference=ref,
-                    options=FlowOptions(max_time=0.5))
+    run = integrate(limacon4_cs, start, system=system, reference=ref)
     assert run.reason == run.failure == "persistent_tangency" and not run.converged
     assert run.n_steps == 83
     assert run.t_final == pytest.approx(0.5)
@@ -279,36 +252,30 @@ def test_a_rising_crossing_count_stops_the_run(limacon4_cs, monkeypatch):
     assert run.crossings == [1, 2]
 
 
-def test_comparison_runs_stay_strictly_ordered(limacon2_10_cs):
+def test_comparison_runs_stay_strictly_ordered(limacon2_10_cs, monkeypatch):
+    monkeypatch.setattr(flow_module, "MAX_TIME", 2.0)
     x0 = PeriodicLift(4, 1, np.array([0.10, 0.30, 0.62, 0.85]))
     y0 = x0.with_coords(x0.coords + 0.01)
-    opts = FlowOptions(max_time=2.0, record_lifts=True)
-    run_x = integrate(limacon2_10_cs, x0, options=opts)
-    run_y = integrate(limacon2_10_cs, y0, options=opts)
-    assert comparison_check(run_x, run_y)
+    assert comparison_check(recorded_run(limacon2_10_cs, x0),
+                            recorded_run(limacon2_10_cs, y0))
 
 
-def test_comparison_with_equality_at_some_indices(limacon2_10_cs):
+def test_comparison_with_equality_at_some_indices(limacon2_10_cs, monkeypatch):
+    monkeypatch.setattr(flow_module, "MAX_TIME", 2.0)
     x0 = PeriodicLift(4, 1, np.array([0.10, 0.30, 0.62, 0.85]))
     bumped = x0.coords.copy()
     bumped[2] += 0.01
     y0 = x0.with_coords(bumped)
-    opts = FlowOptions(max_time=2.0, record_lifts=True)
-    run_x = integrate(limacon2_10_cs, x0, options=opts)
-    run_y = integrate(limacon2_10_cs, y0, options=opts)
-    assert comparison_check(run_x, run_y)
+    assert comparison_check(recorded_run(limacon2_10_cs, x0),
+                            recorded_run(limacon2_10_cs, y0))
 
 
-def test_comparison_preconditions(limacon2_10_cs):
+def test_comparison_preconditions(limacon2_10_cs, monkeypatch):
+    monkeypatch.setattr(flow_module, "MAX_TIME", 0.5)
     x0 = PeriodicLift(4, 1, np.array([0.10, 0.30, 0.62, 0.85]))
-    opts = FlowOptions(max_time=0.5, record_lifts=True)
-    run_x = integrate(limacon2_10_cs, x0, options=opts)
-    run_lo = integrate(limacon2_10_cs, x0.with_coords(x0.coords - 0.01),
-                       options=opts)
+    run_x = recorded_run(limacon2_10_cs, x0)
+    run_lo = recorded_run(limacon2_10_cs, x0.with_coords(x0.coords - 0.01))
     with pytest.raises(ValueError, match="x\\(0\\)"):
         comparison_check(run_x, run_lo)
     with pytest.raises(ValueError, match="x\\(0\\)"):
         comparison_check(run_x, run_x)
-    bare = integrate(limacon2_10_cs, x0, options=FlowOptions(max_time=0.5))
-    with pytest.raises(ValueError, match="record_lifts"):
-        comparison_check(bare, bare)

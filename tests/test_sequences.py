@@ -12,7 +12,6 @@ from billiardflow import (
     load_lift,
     minimal_period,
     repeat_lift,
-    save_lift,
     spatiotemporal_group,
     symmetric_birkhoff,
 )
@@ -25,14 +24,16 @@ from billiardflow.sequences import (
     first_inadmissible,
 )
 from billiardflow.spectral import search_class
-from oracles import loop_score, same_orbit, translate
+from oracles import loop_score, same_orbit, save_lift, translate
 
 
 def brute_force_well_ordered(lift, tol=1e-9):
-    """Independent oracle: no integer translate of the lift crosses it.
+    """Independent oracle: every integer translate keeps one sign against the lift.
 
-    Checks every translate x_{i+j} + d - x_i over one period for a sign
-    change, for all j in 0..p-1 and every integer offset d that can matter.
+    Checks every translate x_{i+j} + d - x_i over one period, for all j in
+    0..p-1 and every integer offset d that can matter, with |diff| <= tol a
+    zero: the rule of :func:`is_birkhoff`, so a translate that touches the
+    lift without coinciding with it is not well-ordered.
     """
     p, q = lift.p, lift.q
     i = np.arange(2 * p)  # one full period of differences, any start
@@ -40,11 +41,15 @@ def brute_force_well_ordered(lift, tol=1e-9):
         base = lift.value(i + j) - lift.value(i)
         for d in range(-q - 1, q + 2):
             diff = base + d
-            if np.all(np.abs(diff) <= tol):
-                continue  # the trivial translate of itself
-            if np.max(diff) > tol and np.min(diff) < -tol:
+            signs = np.where(np.abs(diff) <= tol, 0.0, np.sign(diff))
+            if np.any(signs != signs[0]):
                 return False
     return True
+
+
+def lift_from_increments(increments, q):
+    """The lift starting at 0 with the given increments."""
+    return PeriodicLift(len(increments), q, np.r_[0.0, np.cumsum(increments[:-1])])
 
 
 def random_lift(rng, p, q, margin=0.05):
@@ -126,6 +131,17 @@ def test_birkhoff_agrees_with_brute_force_oracle():
         if is_birkhoff(lift) != brute_force_well_ordered(lift):
             disagreements.append(lift)
     assert not disagreements
+    # exact ties, which random lifts never meet: a translate that touches
+    # without coinciding, (2, -1) and (3, -1) here, breaks well-ordering ...
+    touching = lift_from_increments([1 / 2, 1 / 2, 1 / 4, 1 / 2, 1 / 4], 2)
+    assert [intersection_index(touching, translate(touching, c, -1))
+            for c in (2, 3)] == ["tangent", "tangent"]
+    ties = [(touching, False),
+            (lift_from_increments([1 / 2, 1 / 2, 1 / 2, 3 / 4, 3 / 4], 3), False),
+            # ... and a translate that coincides, (3, -1), keeps it
+            (repeat_lift(lift_from_increments([1 / 2, 1 / 4, 1 / 4], 1), 2), True)]
+    for lift, ordered in ties:
+        assert is_birkhoff(lift) == brute_force_well_ordered(lift) == ordered
 
 
 def test_birkhoff_flag_on_crossing_perturbation():
