@@ -10,7 +10,7 @@ The class, its mode and its criterion come from one validated
 solves in it.  The limit is classified and every predicted property (minimal
 period, crossing count, action gain, the group the class generators generate)
 is re-checked; mismatches are recorded as anomalies, not silently accepted.
-Along an alpha sweep, Newton's method from the orbits of the previous entries
+Along an alpha sweep, Newton's method from the orbit of the previous entry
 (natural-parameter continuation) replaces the nudge and the flow whenever it
 passes Deuflhard's monotonicity test and reaches a local maximum of the action.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import GUARD_FLOOR, FlowResult, integrate
+from .flow import GUARD_FLOOR, STATIONARITY_TOL, FlowResult, integrate
 from .geometry import (check_equivariance, check_table_keys, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
 from .lagrangian import gradient_field, periodic_action
@@ -40,9 +40,6 @@ log = logging.getLogger(__name__)
 #: distance below which a limit is reported as one of the two adjacent
 #: symmetric Birkhoff configurations X +- 1/(2n)
 BOUNDARY_ORBIT_TOL = 1e-8
-#: a Newton-polished limit counts as a stationary orbit below this |F|_inf,
-#: even when the flow itself stopped on a plateau or a step cap
-SETTLED_RESIDUAL_TOL = 1e-10
 #: Newton polish only runs from states this close to stationary (gradient
 #: scale), and may move the state by at most this much; otherwise the flow's
 #: own iterate is reported unchanged
@@ -51,9 +48,6 @@ POLISH_BASIN_TOL = 1e-4
 #: POLISH_MAX_ITER Newton steps
 POLISH_TARGET = 1e-12
 POLISH_MAX_ITER = 30
-#: a Newton step is halved until every increment lies in
-#: (POLISH_GUARD, 1 - POLISH_GUARD)
-POLISH_GUARD = 1e-9
 #: a continued lift is accepted only while every Newton step passes the
 #: simplified-Newton monotonicity test ||dx_bar_{k+1}|| < THETA_MAX ||dx_k||
 THETA_MAX = 0.5
@@ -189,8 +183,9 @@ def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
 
     The adaptive flow stalls at its local-error noise floor; a couple of
     reduced Newton iterations push the stationarity residual to roundoff.
-    Returns (refined lift, |F|_inf at it); never leaves the admissible region
-    and falls back to the best iterate seen if a step misbehaves.
+    Returns (refined lift, |F|_inf at it): the best iterate seen, which is
+    all the polish returns once a step leaves the flow's guard (GUARD_FLOOR,
+    1 - GUARD_FLOOR) or meets a singular reduced Hessian.
     """
     basis = system.basis
     cur = lift.coords.copy()
@@ -209,16 +204,9 @@ def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
             _, delta = _reduced_newton(boundary, lift.with_coords(cur), basis, grad)
         except np.linalg.LinAlgError:
             break
-        step = basis @ delta
-        scale = 1.0
-        for _ in range(6):
-            cand = cur + scale * step
-            if first_inadmissible(cand, lift.q, POLISH_GUARD) is None:
-                break
-            scale *= 0.5
-        else:
-            break
-        cur = system.project(cand)
+        cur = system.project(cur + basis @ delta)
+        if first_inadmissible(cur, lift.q, GUARD_FLOOR) is not None:
+            return lift.with_coords(best), best_norm
     grad = gradient_field(boundary, lift.with_coords(cur))
     norm = float(np.max(np.abs(grad)))
     if norm < best_norm:
@@ -272,7 +260,7 @@ def _correct(boundary, guess: PeriodicLift, system: AffineSystem):
     return guess.with_coords(x), steps, ratio, None
 
 
-def find_orbit(request: SearchRequest, *, warm: list | None = None) -> OrbitReport:
+def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitReport:
     """Search for a non-Birkhoff orbit in the requested symmetry class.
 
     Pipeline: validate the boundary (strict convexity, dihedral
@@ -282,12 +270,14 @@ def find_orbit(request: SearchRequest, *, warm: list | None = None) -> OrbitRepo
     mode, flow to stationarity, classify the limit, and re-check every
     predicted property.
 
-    ``warm`` holds the (alpha, margin, lift) entries of up to two orbits of
-    the class at nearby alphas of the table.  When the criterion predicts an
-    orbit, Newton's method in the class basis corrects each lift
-    :func:`_predict` forms from them in turn, and the first one the corrector
-    accepts replaces the nudged start ("continued"; the flow then stops at
-    once).  Otherwise the search runs exactly as without ``warm``.
+    ``warm`` is the (m_prev, x) margin and lift of an orbit of the class on a
+    nearby table of the same family.  When the criterion predicts an orbit,
+    Newton's method in the class basis corrects two predictions in turn:
+    when m_prev > 0, x scaled about the Birkhoff reference by the root of the
+    margin ratio, x + (sqrt(margin / m_prev) - 1)(x - reference), which is x
+    itself at an equal margin; then x.  The first one the corrector accepts
+    replaces the nudged start ("continued"; the flow then stops at once).
+    Otherwise the search runs exactly as without ``warm``.
     """
     boundary, search, report = checked_criterion(request)
     predicted = report.verdict == "orbit_predicted"
@@ -310,8 +300,15 @@ def find_orbit(request: SearchRequest, *, warm: list | None = None) -> OrbitRepo
     action_ref = periodic_action(cs, reference)
     start = steps = ratio = eps = None
     if warm is not None and predicted:
-        alpha = float(request.billiard["alpha"])
-        for name, guess in _predict(warm, alpha, report.margin, reference):
+        m_prev, x = warm
+        guesses = [("previous", x)]
+        if m_prev > 0:
+            # the normal form of a branch born where the margin is 0: the
+            # distance from the reference grows like sqrt(margin)
+            scale = np.sqrt(report.margin / m_prev) - 1.0
+            guesses.insert(0, ("scaled", x.with_coords(
+                x.coords + scale * (x.coords - reference.coords))))
+        for name, guess in guesses:
             start, steps, ratio, why = _correct(cs, guess, system)
             if start is not None:
                 log.info("continued from the warm lift (%s prediction): %d Newton "
@@ -359,7 +356,8 @@ def find_orbit(request: SearchRequest, *, warm: list | None = None) -> OrbitRepo
         moved = float(np.max(np.abs(polished.coords - final.coords)))
         if moved < POLISH_BASIN_TOL:
             final, residual = polished, polished_residual
-    settled = flow.converged or residual < SETTLED_RESIDUAL_TOL
+    # a converged flow is below the tolerance, and the polish only lowers it
+    settled = residual < STATIONARITY_TOL
     birkhoff = is_birkhoff(final)
 
     third = np.full(p, 1.0 / (2 * n))
@@ -432,25 +430,6 @@ class SweepEntry:
     error: str | None = None
 
 
-def _predict(chain: list, alpha: float, margin: float, reference: PeriodicLift) -> list:
-    """The (name, lift) predictions at ``alpha`` (criterion ``margin``) from
-    the (alpha, margin, lift) entries of up to two previous orbits, in the
-    order to try them: the secant through both entries when their alphas
-    differ, or else, when both margins are positive, the last lift x scaled
-    about the Birkhoff ``reference`` by sqrt(margin / its margin), the normal
-    form of a branch born where the margin is 0; then x unchanged."""
-    a1, m1, x1 = chain[-1]
-    if len(chain) == 2 and chain[0][0] != a1:
-        a0, _, x0 = chain[0]
-        name, first = "secant", x1.coords + (alpha - a1) / (a1 - a0) * (x1.coords - x0.coords)
-    elif margin > 0 and m1 > 0:
-        ref = reference.coords
-        name, first = "scaled", ref + np.sqrt(margin / m1) * (x1.coords - ref)
-    else:
-        return [("previous", x1)]
-    return [(name, x1.with_coords(first)), ("previous", x1)]
-
-
 def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
     """find_orbit runs over a list of parameter values, in the given order.
 
@@ -463,13 +442,13 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
     traceback only at DEBUG level.
 
     Every entry runs on the calling thread.  An alpha sweep follows the
-    orbit branch: each entry passes find_orbit the last one or two entries
-    of the chain as ``warm``, from which it predicts its start
-    (:func:`_predict`).  The chain holds entries that found a non-Birkhoff
-    orbit with no anomalies, and any other entry empties it.  An entry whose
-    continuation falls back to the nudged start, and every entry of another
-    sweep, is the independent find of its request.  ``workers`` is accepted
-    and ignored, for callers that still pass it (ROADMAP item 1).
+    orbit branch: after an entry that found a non-Birkhoff orbit with no
+    anomalies, the next passes find_orbit that entry's (margin, lift) as
+    ``warm``, from which it predicts its start; after any other entry it
+    passes none.  An entry whose continuation falls back to the nudged
+    start, and every entry of another sweep, is the independent find of its
+    request.  ``workers`` is accepted and ignored, for callers that still
+    pass it (ROADMAP item 1).
     """
     requests = []
     for v in values:
@@ -487,10 +466,10 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
         else:
             raise ValueError(f"unknown sweep parameter {param!r}")
 
-    entries, chain = [], []
+    entries, warm = [], None
     for value, req in zip(values, requests):
         try:
-            rep = find_orbit(req, warm=chain or None)
+            rep = find_orbit(req, warm=warm)
             entry = SweepEntry(value=value, criterion=rep.criterion, report=rep)
         except CriterionInconclusive as exc:
             entry = SweepEntry(value=value, criterion=exc.report,
@@ -503,7 +482,6 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
         rep = entry.report
         clean = param == "alpha" and rep is not None and \
             rep.outcome == "non_birkhoff_found" and not rep.anomalies
-        chain = [*chain[-1:], (float(value), rep.criterion.margin, rep.final_lift)] \
-            if clean else []
+        warm = (rep.criterion.margin, rep.final_lift) if clean else None
         entries.append(entry)
     return entries

@@ -4,6 +4,8 @@ PASS reports."""
 
 import math
 import time
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from billiardflow import (
     reparametrize_constant_speed,
     symmetric_birkhoff,
 )
+from billiardflow.finder import checked_criterion
 from billiardflow.geometry import (
     convexity_margin,
     make_circle,
@@ -363,3 +366,59 @@ def test_criterion_9_birkhoff_oracle():
     assert disagreements == 0
     announce(9, "Birkhoff oracle equivalence", t0, 10.0,
              "200 random lifts, order-preservation brute force agrees exactly")
+
+
+# ---------------------------------------------------------------------------
+# 11. the criterion is sharp on a grid of classes, m > 1 included
+
+
+def criterion_grid():
+    """The main-kind requests on limacons with n in {3, 5} at 0.3 and 0.9 of
+    the convexity threshold 1/(1 + n^2): every coprime m <= n/2, every N | n
+    and s = 2..5 with gcd(s, N) = 1."""
+    for n in (3, 5):
+        for fraction in (0.3, 0.9):
+            table = {"family": "limacon", "n": n, "alpha": fraction / (1 + n * n)}
+            for m in range(1, n // 2 + 1):
+                for N in (d for d in range(1, n + 1) if n % d == 0):
+                    for s in range(2, 6):
+                        if math.gcd(m, n) == 1 and math.gcd(s, N) == 1:
+                            yield SearchRequest(billiard=table, n=n, m=m, kind="main",
+                                                N=N, s=s)
+
+
+#: the paper's D2 case: typeI, typeII and typeV classes on two ellipses
+ELLIPSE_CLASSES = [("typeI", 5), ("typeII", 3), ("typeII", 4), ("typeV", 3), ("typeV", 5)]
+
+
+def test_criterion_11_criterion_is_sharp_on_a_grid():
+    t0 = time.monotonic()
+    ellipses = [SearchRequest(billiard={"family": "ellipse", "a": a, "b": 1.0},
+                              n=2, m=1, kind=kind, s=s)
+                for a in (1.3, 2.0) for kind, s in ELLIPSE_CLASSES]
+    limacons = list(criterion_grid())
+    assert len(limacons) == 42
+    tally = Counter()
+    for req in limacons + ellipses:
+        name = (req.billiard, req.kind, req.m, req.N, req.s)
+        family = req.billiard["family"]
+        predicted = checked_criterion(req)[2].verdict == "orbit_predicted"
+        if not predicted and req.s == 2 and req.N == req.n:
+            # rhs = 0 at s = 2, N = n, and the class mode has period 2
+            with pytest.raises(ValueError, match="degenerate symmetric mode"):
+                find_orbit(replace(req, force=True))
+            tally[family, "degenerate"] += 1
+            continue
+        rep = find_orbit(replace(req, force=not predicted))
+        if predicted:
+            assert (rep.outcome, rep.anomalies) == ("non_birkhoff_found", []), name
+            tally[family, "found"] += 1
+        else:
+            assert rep.outcome == "collapsed_to_birkhoff", name
+            tally[family, "collapsed"] += 1
+    assert tally == {("limacon", "found"): 30, ("limacon", "collapsed"): 6,
+                     ("limacon", "degenerate"): 6, ("ellipse", "found"): 10}
+    announce(11, "criterion sharp on a grid", t0, 120.0,
+             "clean non-Birkhoff orbits at the 30 positive limacon margins and "
+             "on the 10 ellipse classes; the 6 forced non-positive margins "
+             "collapse; the 6 s = 2, N = n requests have a degenerate mode")

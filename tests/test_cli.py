@@ -600,8 +600,8 @@ def test_an_alpha_sweep_over_an_ellipse_exits_2(tmp_path, capsys):
 
 
 def test_an_alpha_sweep_reports_how_each_entry_started(tmp_path, capsys, caplog):
-    # README's sweep: the second entry continues from the first orbit scaled
-    # by the margin ratio, the third along the secant through the first two
+    # README's sweep: each entry after the first continues from the orbit
+    # before it, scaled about the reference by the root of the margin ratio
     ini = tmp_path / "readme.ini"
     ini.write_text(FLAGSHIP_INI + "\n[sweep]\nparam = alpha\nvalues = 0.048, 0.0515, 0.055\n")
     caplog.set_level("INFO", logger="billiardflow.finder")
@@ -621,7 +621,7 @@ def test_an_alpha_sweep_reports_how_each_entry_started(tmp_path, capsys, caplog)
     messages = [r.getMessage() for r in caplog.records]
     assert sum(m.startswith("continuation rejected") for m in messages) == 0
     assert [m.split("(")[1].split()[0] for m in messages
-            if m.startswith("continued from the warm lift")] == ["scaled", "secant"]
+            if m.startswith("continued from the warm lift")] == ["scaled", "scaled"]
 
 
 def test_sweep_over_m_writes_the_class_of_each_entry(tmp_path, capsys):

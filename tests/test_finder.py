@@ -14,6 +14,7 @@ from billiardflow import (
     SearchRequest,
     expand_constraints,
     find_orbit,
+    gradient_field,
     make_boundary,
     reparametrize_constant_speed,
     search_class,
@@ -148,6 +149,36 @@ def test_step_capped_run_reports_non_converged(monkeypatch):
                                    N=4, s=3))
     assert rep.outcome == "non_converged"
     assert rep.residual > 1e-4  # the basin gate must not polish this state
+
+
+def test_the_polish_settles_a_step_capped_flow(monkeypatch, flagship_report):
+    # the flow stops on its step cap near the orbit; the Newton polish brings
+    # the residual to roundoff, and the residual alone decides that it settled
+    monkeypatch.setattr(flow, "MAX_STEPS", 100)
+    rep = find_orbit(FLAGSHIP)
+    assert rep.flow.reason == "max_steps"
+    assert 1e-10 < rep.flow.grad_norm < finder.POLISH_BASIN_TOL
+    assert rep.outcome == "non_birkhoff_found"
+    assert rep.residual < 1e-12
+    assert same_orbit(rep.final_lift, flagship_report.final_lift)
+
+
+def test_a_polish_step_that_leaves_the_guard_ends_the_polish(monkeypatch, flagship_report):
+    # a start 5% of the way from the orbit to the reference has a larger
+    # smallest increment than the orbit; with the guard between the two, the
+    # first Newton step lands outside it, and the polish keeps the start
+    orbit = flagship_report.final_lift
+    search = search_class("main", 4, 1, 4, 3)
+    system = expand_constraints(4, search.generators, search.p, search.q)
+    table = reparametrize_constant_speed(make_boundary(LIMACON4))
+    start = orbit.with_coords(orbit.coords + 0.05 * (search.reference.coords - orbit.coords))
+    assert system.residual(start.coords) < 1e-12
+    floor = 0.5 * (increments(orbit).min() + increments(start).min())
+    monkeypatch.setattr(finder, "GUARD_FLOOR", floor)
+    lift, residual = finder._newton_polish(table, start, system)
+    assert np.array_equal(lift.coords, start.coords)
+    assert residual == float(np.max(np.abs(gradient_field(table, start))))
+    assert residual > 1e-2
 
 
 def test_epsilon_validation():
@@ -330,7 +361,7 @@ def test_threads_running_find_orbit_leave_the_warning_filters_as_they_were(monke
 
 def recorded_sweep(monkeypatch, base, values):
     """The entries of an alpha sweep, and per entry whether find_orbit got a
-    warm chain."""
+    warm lift."""
     warmed = []
     find = finder.find_orbit
 
@@ -378,25 +409,28 @@ def starts(entries):
     return [e.report.start if e.report else None for e in entries]
 
 
-@pytest.mark.parametrize("values", [
-    [0.045764 + 0.00325 * i for i in range(4)],
+@pytest.mark.parametrize("values, expected", [
+    ([0.045764 + 0.00325 * i for i in range(4)], [["scaled"]] * 3),
     # from 0.046 the unscaled lift reached a different type-I orbit at 0.052
     # (action gain 0.0125 against 0.0222) with the predicted crossings and no
     # anomaly: only the independent find tells them apart
-    [0.046, 0.052, 0.058],
-    [0.0455, 0.0452, 0.045, 0.0449],
+    ([0.046, 0.052, 0.058], [["scaled"], ["scaled"]]),
+    # closest to alpha* the scaled lift fails the monotonicity test and the
+    # previous one passes
+    ([0.0455, 0.0452, 0.045, 0.0449],
+     [["scaled"], ["scaled"], ["scaled rejected", "previous"]]),
 ], ids=["ascending", "across", "descending"])
-def test_a_sweep_near_the_threshold_continues_from_the_scaled_lift(values, monkeypatch,
-                                                                    caplog):
+def test_a_sweep_near_the_threshold_continues_from_the_scaled_lift(values, expected,
+                                                                    monkeypatch, caplog):
     # the orbit branches off the Birkhoff orbit at alpha* = 0.0448: from the
-    # first lift alone, Newton's first step overshoots or lands on another
-    # orbit, so the second entry starts from that lift scaled about the
-    # reference by sqrt(margin ratio); the secant carries the rest
+    # previous lift alone, Newton's first step overshoots or lands on another
+    # orbit, so each entry starts from that lift scaled about the reference by
+    # sqrt(margin ratio)
     caplog.set_level("INFO", logger="billiardflow.finder")
     entries, warmed = recorded_sweep(monkeypatch, FLAGSHIP, values)
     assert warmed == [False] + [True] * (len(values) - 1)
     assert starts(entries) == ["nudged"] + ["continued"] * (len(values) - 1)
-    assert predictions(caplog) == [["scaled"]] + [["secant"]] * (len(values) - 2)
+    assert predictions(caplog) == expected
     assert entries[0].report.epsilon == 0.01
     assert entries[0].report.corrector_iterations is None
     for entry in entries[1:]:
@@ -410,13 +444,13 @@ def test_a_sweep_near_the_threshold_continues_from_the_scaled_lift(values, monke
 
 def test_a_rejected_prediction_falls_back_to_the_previous_lift(monkeypatch, caplog):
     # far above its threshold the main N=1 s=5 orbit does not scale like the
-    # square root of the margin: the scaled lift fails the monotonicity test
-    # and the previous lift, tried next, is accepted
+    # square root of the margin: the first scaled lift fails the monotonicity
+    # test and the previous lift, tried next, is accepted
     caplog.set_level("INFO", logger="billiardflow.finder")
     base = replace(FLAGSHIP, N=1, s=5)
     entries, _ = recorded_sweep(monkeypatch, base, [0.01, 0.026, 0.042, 0.058])
     assert starts(entries) == ["nudged", "continued", "continued", "continued"]
-    assert predictions(caplog) == [["scaled rejected", "previous"], ["secant"], ["secant"]]
+    assert predictions(caplog) == [["scaled rejected", "previous"], ["scaled"], ["scaled"]]
     assert "scaled prediction: step 1 failed the monotonicity test" in caplog.text
     assert_independent(base, entries)
 
@@ -449,11 +483,10 @@ def test_unsorted_and_repeated_alphas_continue_in_the_given_order(monkeypatch, c
     entries, warmed = recorded_sweep(monkeypatch, FLAGSHIP, values)
     assert [e.value for e in entries] == values
     assert warmed == [False, True, True, True, True]
-    # 0.054 follows two equal alphas, so it has no secant: it continues from
-    # the scaled lift
     assert starts(entries) == ["nudged"] + ["continued"] * 4
-    assert predictions(caplog) == [["scaled"], ["secant"], ["scaled"], ["secant"]]
-    # a repeated value starts at the orbit of the entry before it
+    assert predictions(caplog) == [["scaled"]] * 4
+    # a repeated value scales by sqrt(1) - 1 = 0: it starts at the orbit of
+    # the entry before it, bit for bit
     repeat = entries[2].report
     assert repeat.start == "continued" and repeat.corrector_iterations == 0
     assert np.array_equal(repeat.final_lift.coords, entries[1].report.final_lift.coords)
