@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lagrangian import _gradient_coords, periodic_action
+from .lagrangian import _gradient_coords
+from .lagrangian import periodic_action  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
 from .sequences import AffineSystem, PeriodicLift, first_inadmissible, intersection_index
 
 # Dormand-Prince 5(4) tableau
@@ -140,20 +141,18 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
     times, actions, grad_sq, local_errors, residuals = [], [], [], [], []
     crossings = []
 
-    def record(t, coords, fvec, err):
+    def record(t, coords, fvec, action, err):
         times.append(t)
-        actions.append(periodic_action(boundary, make_lift(coords)))
+        actions.append(action)
         grad_sq.append(float(np.sum(fvec * fvec)))
         local_errors.append(err)
         residuals.append(system.residual(coords) if system is not None else 0.0)
-        if reference is not None:
-            crossings.append(intersection_index(make_lift(coords), reference))
-        else:
-            crossings.append(None)
+        crossings.append(None if reference is None
+                         else intersection_index(make_lift(coords), reference))
 
-    f_cur = rhs(x)
+    f_cur, action = rhs(x)
     fnorm = float(np.max(np.abs(f_cur)))
-    record(0.0, x, f_cur, 0.0)
+    record(0.0, x, f_cur, action, 0.0)
     reason = "stationary" if fnorm < STATIONARITY_TOL else None
     violation = None
 
@@ -177,7 +176,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
             if f is None:
                 err_ratio = np.inf
                 break
-            stages[s] = f
+            stages[s] = f[0]
         else:       # the last stage point xs is the fifth-order solution
             err_vec = xs - (x + dt * (stages.T @ _B4))
             scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(xs))
@@ -201,10 +200,10 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         displacement = float(np.max(np.abs(x_new - x)))
         t += dt
         x = x_new
-        f_cur = rhs(x)
+        f_cur, action = rhs(x)
         fnorm = float(np.max(np.abs(f_cur)))
 
-        record(t, x, f_cur, err_abs)
+        record(t, x, f_cur, action, err_abs)
         budget = 10.0 * (err_abs * (1.0 + float(np.sum(np.abs(f_cur)))) + 1e-15)
         if actions[-1] < actions[-2] - budget:
             reason = "action_decrease"
@@ -249,8 +248,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
             reason = "persistent_tangency" if tangent else "max_time"
             break
 
-        dt = float(np.clip(dt * np.clip(0.9 * err_ratio ** -0.2, 0.2, 5.0),
-                           1e-14, MAX_STEP))
+        dt = min(max(dt * min(max(0.9 * err_ratio ** -0.2, 0.2), 5.0), 1e-14), MAX_STEP)
         dt = min(dt, MAX_TIME - t)
 
     final = best if reason == "plateau" else -1

@@ -288,8 +288,9 @@ def _series_sums(coef: np.ndarray, n: int, y) -> np.ndarray:
     while size < depth:
         grow = min(size, depth - size)
         np.multiply(powers[:grow], jump, out=powers[size:size + grow])
-        jump = jump * jump
         size += grow
+        if size < depth:        # the next block needs the next power
+            jump = jump * jump
     sums = coef @ powers
     return np.exp(2j * math.pi * t) * (sums[0::2] + sums[1::2].conj())
 

@@ -71,14 +71,15 @@ def second_partials(boundary: Boundary, x, X) -> SecondPartials:
     )
 
 
-def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> np.ndarray | None:
-    """Gradient of the periodic action in plain-array form (hot path).
+def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> tuple | None:
+    """Gradient and value of the periodic action in plain-array form (hot path).
 
     Evaluates the curve once, as complex positions z_i and tangents z'_i, and
     assembles F_i = Re(conj(z'_i) (u_{i-1} - u_i)) with u_i the unit chord
     from z_i to z_{i+1}; by 1-periodicity of the curve the wrapped chord ends
-    at z_0.  Returns None when an increment leaves (0, 1), where the action
-    is not smooth.
+    at z_0.  Returns (F, W), with W the total chord length, equal bit for bit
+    to :func:`periodic_action`; None when an increment leaves (0, 1), where
+    the action is not smooth.
     """
     if first_inadmissible(coords, q) is not None:
         return None
@@ -93,13 +94,14 @@ def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> np.ndarr
     ring[:-1] = z
     ring[-1] = z[0]
     chords = ring[1:] - ring[:-1]
+    action = float(np.abs(chords).sum())
     length = np.sqrt(chords.real * chords.real + chords.imag * chords.imag)
     unit = ring[1:]
     np.divide(chords.real, length, out=unit.real)
     np.divide(chords.imag, length, out=unit.imag)
     ring[0] = unit[-1]
     turn = ring[:-1] - unit
-    return dz.real * turn.real + dz.imag * turn.imag
+    return dz.real * turn.real + dz.imag * turn.imag, action
 
 
 def gradient_field(boundary: Boundary, lift) -> np.ndarray:
@@ -110,13 +112,13 @@ def gradient_field(boundary: Boundary, lift) -> np.ndarray:
     index) if any increment leaves (0, 1).
     """
     x = np.asarray(lift.coords, dtype=float)
-    grad = _gradient_coords(boundary, x, lift.q)
-    if grad is None:
+    out = _gradient_coords(boundary, x, lift.q)
+    if out is None:
         i, inc = first_inadmissible(x, lift.q)
         raise ValueError(
             f"lift leaves the admissible region at increment {i}: "
             f"x[{(i + 1) % x.shape[0]}] - x[{i}] = {inc:.6g}")
-    return grad
+    return out[0]
 
 
 def periodic_action(boundary: Boundary, lift) -> float:

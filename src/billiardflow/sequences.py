@@ -65,14 +65,14 @@ class PeriodicLift:
 def first_inadmissible(coords: np.ndarray, q: int, lo: float = 0.0):
     """The first increment u_i = x_{i+1} - x_i (the last one wraps to x_0 + q)
     outside the open interval (lo, 1 - lo), as (i, u_i); None when there is
-    none.  A NaN increment is outside.
+    none.  A NaN increment is outside (a NaN extreme fails both tests).
     """
     inc = np.empty(coords.shape[0])
     inc[:-1] = coords[1:] - coords[:-1]
     inc[-1] = coords[0] + q - coords[-1]
-    inside = (inc > lo) & (inc < 1.0 - lo)
-    if inside.all():
+    if inc.min() > lo and inc.max() < 1.0 - lo:
         return None
+    inside = (inc > lo) & (inc < 1.0 - lo)
     i = int(np.argmin(inside))
     return i, float(inc[i])
 
@@ -178,7 +178,7 @@ def intersection_index(xl: PeriodicLift, yl: PeriodicLift):
         if not d[(i - 1) % p] * d[(i + 1) % p] < 0:
             return "tangent"
     signs = np.sign(d[~zero])
-    return int(np.count_nonzero(signs != np.roll(signs, 1)))
+    return int(np.count_nonzero(signs[1:] != signs[:-1])) + int(signs[0] != signs[-1])
 
 
 def minimal_period(lift: PeriodicLift) -> int:

@@ -250,29 +250,33 @@ def search_class(kind: str, n: int, m: int, N: int | None = None, s: int = 2,
                        tuple(generators))
 
 
-def criterion(kind: str, n: int, m: int, N: int | None, s: int,
-              kappa: float, chord: float) -> CriterionReport:
-    """Closed-form existence check for a non-Birkhoff orbit of the given kind.
+def class_criterion(search: SearchClass, kappa: float, chord: float) -> CriterionReport:
+    """Closed-form existence check for a non-Birkhoff orbit of a validated class.
 
     Every kind is the theorem for the order-2N subgroup of the order-n
     dihedral group: it predicts 2N crossings at period p = s n when
-    rhs = 2 sin(m pi/n) cos^2(N pi/p) exceeds kappa*L.  Main takes N from the
-    request; the class is :func:`search_class`'s, at the default branch,
-    reflection and shift.  typeII limits have a reversing rotation and a
-    preserving reflection, typeV limits a single reflection acting both ways.
+    rhs = 2 sin(m pi/n) cos^2(N pi/p) exceeds kappa*L; the verdict reads
+    only the kind, n, m, N and s of the class.  typeII limits have a
+    reversing rotation and a preserving reflection, typeV limits a single
+    reflection acting both ways.
 
     kappa and chord are the curvature and chord length at the reference
     symmetric Birkhoff orbit; the product kappa*chord is scale-invariant.
     """
-    search = search_class(kind, n, m, N, s)
-    N, p = search.N, search.p
+    n, m, N, p = search.n, search.m, search.N, search.p
     rhs = 2.0 * math.sin(m * math.pi / n) * math.cos(N * math.pi / p) ** 2
     lhs = kappa * chord
     margin = rhs - lhs
     resolved = margin > DEGENERATE_ULPS * math.ulp(abs(lhs) + abs(rhs))
     return CriterionReport(
-        kind=kind, n=n, m=m, N=N, s=s, p=p, q=search.q,
+        kind=search.kind, n=n, m=m, N=N, s=search.s, p=p, q=search.q,
         kappa=kappa, chord=chord, lhs=lhs, rhs=rhs, margin=margin,
         predicted_crossings=2 * N, predicted_min_period=p,
         verdict="orbit_predicted" if resolved else "inconclusive",
     )
+
+
+def criterion(kind: str, n: int, m: int, N: int | None, s: int,
+              kappa: float, chord: float) -> CriterionReport:
+    """:func:`class_criterion` of the request's default class (:func:`search_class`)."""
+    return class_criterion(search_class(kind, n, m, N, s), kappa, chord)

@@ -82,21 +82,28 @@ def recorded_run(boundary, start, **kwargs):
     """``(run, lifts)``: ``flow.integrate(boundary, start, **kwargs)`` and the
     coordinates of each of its samples, in the order of ``run.times``.
 
-    The lifts come from a spy on ``flow.periodic_action``, which the flow
-    calls once per sample.
+    The lifts come from a spy on the flow's kernel, ``flow._gradient_coords``.
+    The flow evaluates its first sample at the start, and every later one at
+    the projection of the last stage point of the step it accepts (the point
+    itself without a system), so the spy keeps the first call and each call
+    made at the projection of the previous call's point.
     """
-    lifts = []
-    action = flow.periodic_action
+    system = kwargs.get("system")
+    project = (lambda x: x) if system is None else system.project
+    lifts, previous = [], []
+    kernel = flow._gradient_coords
 
-    def spy(boundary, lift):
-        lifts.append(lift.coords.copy())
-        return action(boundary, lift)
+    def spy(boundary, coords, q):
+        if not previous or np.array_equal(coords, project(previous[-1])):
+            lifts.append(coords.copy())
+        previous[:] = [coords.copy()]
+        return kernel(boundary, coords, q)
 
-    flow.periodic_action = spy
+    flow._gradient_coords = spy
     try:
         run = flow.integrate(boundary, start, **kwargs)
     finally:
-        flow.periodic_action = action
+        flow._gradient_coords = kernel
     assert len(lifts) == len(run.times)
     return run, lifts
 

@@ -12,15 +12,18 @@ import pytest
 from billiardflow import (
     CriterionInconclusive,
     SearchRequest,
+    criterion,
     expand_constraints,
     find_orbit,
     gradient_field,
+    kappa_chord,
     make_boundary,
     reparametrize_constant_speed,
     search_class,
     sweep,
 )
-from billiardflow import finder, flow
+from billiardflow import finder, flow, spectral
+from billiardflow.spectral import KINDS
 from oracles import increments, same_orbit
 
 LIMACON4 = {"family": "limacon", "n": 4, "alpha": 0.05}
@@ -239,6 +242,49 @@ def test_seeded_modes_satisfy_their_class(kind, n, m, s, K, k):
     system = expand_constraints(n, search.generators, search.p, search.q)
     start = search.start(0.02)
     assert system.residual(start.coords) <= 1e-12
+
+
+#: classes of every KINDS row, as (kind, n, m, N, s, branch)
+BOUNDARY_CASES = [
+    ("main", 4, 1, 4, 3, 1), ("main", 4, 1, 1, 5, 1), ("main", 4, 1, 2, 3, 1),
+    ("main", 4, 1, 1, 48, 1), ("main", 5, 2, 1, 2, 1), ("main", 3, 1, 1, 4, 2),
+    ("typeI", 2, 1, None, 7, 1), ("typeII", 2, 1, None, 4, 1),
+    ("typeV", 2, 1, None, 5, 1),
+]
+
+
+def test_the_adjacent_birkhoff_configurations_leave_every_class():
+    # X +- 1/(2n), the symmetric Birkhoff configurations beside the
+    # reference X, break a reflection identity x_i + x_{k-i} = c by 1/n in
+    # every class, while the flow keeps its state in the class to roundoff:
+    # so no search can end on them, and find_orbit has no outcome for it
+    assert {case[0] for case in BOUNDARY_CASES} == set(KINDS)
+    for kind, n, m, N, s, branch in BOUNDARY_CASES:
+        search = search_class(kind, n, m, N, s, branch)
+        system = expand_constraints(n, search.generators, search.p, search.q)
+        x = search.reference.coords
+        assert system.residual(x) <= 1e-12
+        for sign in (1, -1):
+            assert system.residual(x + sign / (2 * n)) == pytest.approx(1 / n, rel=1e-9)
+
+
+def test_the_search_validates_its_class_once_and_reads_the_same_criterion(monkeypatch):
+    # checked_criterion reads the criterion of the class it validated; the
+    # seven-argument criterion validates the default class again: same report
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return search_class(*args)
+
+    monkeypatch.setattr(finder, "search_class", counting)
+    monkeypatch.setattr(spectral, "search_class", counting)
+    request = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3,
+                            branch=3, reflection=1, shift=6)
+    boundary, search, report = finder.checked_criterion(request)
+    assert len(built) == 1 and search.k == 6
+    kappa, chord = kappa_chord(boundary, 4, 1, 3)
+    assert report == criterion("main", 4, 1, 4, 3, kappa, chord)
 
 
 def test_sweep_records_success_failure_and_inconclusive():

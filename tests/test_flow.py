@@ -70,6 +70,24 @@ def test_crossings_never_increase_and_reach_prediction(limacon4_cs):
     assert counts[0] == 8   # the seeded mode already crosses 2N times
 
 
+def test_each_recorded_action_is_the_action_of_its_sample(limacon4_cs, limacon2_10_cs,
+                                                         monkeypatch):
+    # the kernel returns the action with the gradient; it must be the action
+    # of the sample's own lift, bit for bit, with and without a system
+    ref, system, start = flagship_setup(limacon4_cs)
+    run, lifts = recorded_run(limacon4_cs, start, system=system, reference=ref)
+    assert run.converged and len(lifts) == run.n_steps + 1
+    assert [periodic_action(limacon4_cs, start.with_coords(x)) for x in lifts] == \
+        list(run.actions)
+    assert run.final_action == periodic_action(limacon4_cs, run.final_lift)
+    monkeypatch.setattr(flow_module, "MAX_TIME", 2.0)
+    x0 = PeriodicLift(4, 1, np.array([0.10, 0.30, 0.62, 0.85]))
+    run, lifts = recorded_run(limacon2_10_cs, x0)
+    assert run.n_steps > 0
+    assert [periodic_action(limacon2_10_cs, x0.with_coords(x)) for x in lifts] == \
+        list(run.actions)
+
+
 def test_constraint_residuals_stay_at_machine_precision(limacon4_cs):
     ref, system, start = flagship_setup(limacon4_cs)
     run = integrate(limacon4_cs, start, system=system, reference=ref)
@@ -225,9 +243,15 @@ def test_a_tangency_that_persists_to_max_time_is_reported(limacon4_cs, monkeypat
 
 
 def test_a_descending_flow_stops_on_the_action_law(limacon4_cs, monkeypatch):
-    # the negated gradient lowers the action by far more than the local error
+    # the negated gradient lowers the action by far more than the local error;
+    # the action the kernel returns with it is the true one
     kernel = flow_module._gradient_coords
-    monkeypatch.setattr(flow_module, "_gradient_coords", lambda *args: -kernel(*args))
+
+    def descending(*args):
+        out = kernel(*args)
+        return None if out is None else (-out[0], out[1])
+
+    monkeypatch.setattr(flow_module, "_gradient_coords", descending)
     ref, system, start = flagship_setup(limacon4_cs)
     run = integrate(limacon4_cs, start, system=system)
     assert run.reason == run.failure == "action_decrease" and not run.converged

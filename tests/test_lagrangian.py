@@ -12,6 +12,7 @@ from billiardflow import (
     second_partials,
     symmetric_birkhoff,
 )
+from billiardflow.lagrangian import _gradient_coords
 from billiardflow.sequences import PeriodicLift
 from oracles import force_minus, force_plus
 
@@ -123,6 +124,22 @@ def test_gradient_matches_the_two_route_assembly(limacon4_cs, limacon4, ellipse2
         two_route = (force_minus(boundary, prev, x)
                      + force_plus(boundary, x, nxt))
         assert np.allclose(gradient_field(boundary, lift), two_route, atol=1e-13)
+
+
+@pytest.mark.parametrize("table", ["limacon4", "limacon4_cs", "circle4", "ellipse21",
+                                   "ellipse21_cs"])
+def test_kernel_returns_the_gradient_and_the_action_bit_for_bit(table, request):
+    # the kernel's action comes from its order-1 jet and its own chords;
+    # periodic_action takes an order-0 jet and np.diff: the two agree exactly
+    boundary = request.getfixturevalue(table)
+    rng = np.random.default_rng(5)
+    for p, q in ((4, 1), (12, 3), (29, 11)):
+        inc = rng.uniform(0.05, 0.95, p)
+        inc *= q / inc.sum()
+        lift = PeriodicLift(p, q, rng.uniform(-2, 2) + np.r_[0.0, np.cumsum(inc[:-1])])
+        grad, action = _gradient_coords(boundary, lift.coords, q)
+        assert action == periodic_action(boundary, lift)
+        assert np.array_equal(grad, gradient_field(boundary, lift))
 
 
 def test_periodic_action_of_a_long_lift_sums_the_chords(limacon4_cs):

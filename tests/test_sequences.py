@@ -83,6 +83,9 @@ def test_increments_wrap_to_the_winding():
     # the interval is open: an increment equal to lo is outside, and so is NaN
     assert first_inadmissible(np.arange(4) / 4, 1, 0.25) == (0, 0.25)
     assert first_inadmissible(np.array([0.1, np.nan, 0.6, 0.9]), 1)[0] == 0
+    # ... and so is an increment equal to 1 - lo (increments 3/8, 3/4, 3/8, 1/2)
+    assert first_inadmissible(np.array([0.0, 0.375, 1.125, 1.5]), 2, 0.25) == (1, 0.75)
+    assert first_inadmissible(np.array([0.0, 0.5, 1.5, 1.75]), 2) == (1, 1.0)
     shifted = translate(lift, 2, -1)
     assert shifted.value(0) == pytest.approx(lift.value(2) - 1)
 
@@ -164,6 +167,45 @@ def test_intersection_index_is_symmetric_and_even():
             continue
         assert ab == intersection_index(b, a)
         assert ab % 2 == 0
+
+
+def brute_force_crossings(x, y):
+    """Independent count: walk the cycle of nonzero differences x_i - y_i and
+    count sign flips between cyclic neighbours; a zero (|x_i - y_i| <=
+    SNAP_TOL) whose neighbours do not have strictly opposite signs, or an
+    all-zero difference, is "tangent"."""
+    d = [float(u) for u in x.coords - y.coords]
+    p = len(d)
+    zeros = [abs(u) <= SNAP_TOL for u in d]
+    if all(zeros):
+        return "tangent"
+    for i in range(p):
+        if zeros[i] and not d[i - 1] * d[(i + 1) % p] < 0:
+            return "tangent"
+    signs = [u > 0 for u, z in zip(d, zeros) if not z]
+    return sum(signs[j] != signs[j - 1] for j in range(len(signs)))
+
+
+def test_intersection_index_matches_a_brute_force_count():
+    rng = np.random.default_rng(11)
+    seen = {"random": 0, "snapped": 0, "tangent": 0}
+    for _ in range(300):
+        p = int(rng.integers(2, 16))
+        a = random_lift(rng, p, 1)
+        if rng.uniform() < 0.3:
+            b = random_lift(rng, p, 1)
+            kind = "random"
+        else:
+            # differences of random sign and size, some snapped to zero
+            d = rng.choice([-1.0, 1.0], p) * rng.uniform(1e-3, 1e-2, p)
+            snap = rng.uniform(size=p) < 0.3
+            d[snap] = rng.uniform(-0.5, 0.5, snap.sum()) * SNAP_TOL
+            b = a.with_coords(a.coords + d)
+            kind = "snapped" if snap.any() else "random"
+        want = brute_force_crossings(a, b)
+        assert intersection_index(a, b) == want
+        seen["tangent" if want == "tangent" else kind] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_shifted_copy_never_crosses():

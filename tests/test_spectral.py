@@ -17,6 +17,7 @@ from billiardflow import (
     symmetric_birkhoff,
 )
 from billiardflow.geometry import make_circle
+from billiardflow.spectral import class_criterion
 from billiardflow.sequences import (
     PeriodicLift,
     SymmetryGenerator,
@@ -350,6 +351,16 @@ def test_search_table_reproduces_the_per_kind_classes():
         assert type_label(group, n, birkhoff=False) == label
         classes += 1
     assert classes > 10_000
+
+
+def test_the_criterion_of_a_class_equals_the_criterion_of_its_request():
+    # the seven-argument criterion validates the default class of the
+    # request; the criterion of any valid class of that request is equal
+    for kind, n, m, N, s, branch, reflection, shift in search_grid():
+        search = search_class(kind, n, m, N, s, branch, reflection, shift)
+        for kappa, chord in ((0.1, 1.0), (1.7, 1.2)):
+            assert class_criterion(search, kappa, chord) == \
+                criterion(kind, n, m, N, s, kappa, chord)
 
 
 def test_every_kind_uses_the_main_criterion():
