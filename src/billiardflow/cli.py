@@ -192,7 +192,6 @@ def _flow_summary(flow) -> dict:
         "t_final": flow.t_final,
         "grad_norm": flow.grad_norm,
         "n_steps": flow.n_steps,
-        "samples": int(len(flow.times)),
         "final_action": flow.final_action,
     }
 

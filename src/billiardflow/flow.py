@@ -5,8 +5,8 @@ Dormand-Prince 5(4) pair, projecting every accepted step orthogonally onto the
 symmetry class through its orbit basis (see :class:`~.sequences.AffineSystem`).
 The run stops on a violated law of the flow (the action decreasing beyond the
 local error, the crossing index against a reference lift increasing) and names
-it; it only records the constraint residual, which the projection keeps at
-roundoff.
+it.  It keeps no per-sample history: the result is the stop reason and where
+the run stopped.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ DISPLACEMENT_TOL = 1e-12
 
 @dataclass
 class FlowResult:
-    """Outcome of one flow run, with per-sample histories for the law checks.
+    """Outcome of one flow run: why it stopped and where.
 
     ``reason`` is the one stop reason: "stationary", "max_time", or a failure
     ("step_underflow", "guard_violation", "action_decrease",
@@ -71,12 +71,6 @@ class FlowResult:
     t_final: float
     grad_norm: float
     n_steps: int
-    times: np.ndarray
-    actions: np.ndarray
-    grad_sq: np.ndarray                 # sum of squared gradient entries per sample
-    local_errors: np.ndarray            # embedded error estimate per sample
-    constraint_residuals: np.ndarray
-    crossings: list                     # per sample: int, "tangent", or None
     domain_violation: str | None = None  # the guard's message on "guard_violation"
 
     @property
@@ -107,8 +101,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         Affine symmetry class; the start must (approximately) satisfy it, and
         the state is re-projected after every accepted step.
     reference : PeriodicLift, optional
-        Lift against which the crossing index is recorded and checked to be
-        non-increasing.
+        Lift against which the crossing index is checked to be non-increasing.
 
     The run converges when ``||F||_inf < STATIONARITY_TOL`` and the last step
     displacement is consistent with a stationary state; it stops unconverged
@@ -138,21 +131,12 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
     def make_lift(coords):
         return PeriodicLift(start.p, q, coords)
 
-    times, actions, grad_sq, local_errors, residuals = [], [], [], [], []
-    crossings = []
-
-    def record(t, coords, fvec, action, err):
-        times.append(t)
-        actions.append(action)
-        grad_sq.append(float(np.sum(fvec * fvec)))
-        local_errors.append(err)
-        residuals.append(system.residual(coords) if system is not None else 0.0)
-        crossings.append(None if reference is None
-                         else intersection_index(make_lift(coords), reference))
+    def crossing(coords):
+        return None if reference is None else intersection_index(make_lift(coords), reference)
 
     f_cur, action = rhs(x)
     fnorm = float(np.max(np.abs(f_cur)))
-    record(0.0, x, f_cur, action, 0.0)
+    cross = crossing(x)
     reason = "stationary" if fnorm < STATIONARITY_TOL else None
     violation = None
 
@@ -160,12 +144,11 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
     dt = min(INITIAL_STEP, MAX_TIME)
     steps = 0
     stalled = 0
-    best_x = x.copy()
-    best_fnorm = fnorm
-    best = 0                 # the sample index of the best iterate
+    best_x, best_t, best_action, best_fnorm = x.copy(), t, action, fnorm
     bench_fnorm = fnorm      # benchmark at the last progress reset
     since_progress = 0
-    last_crossing = crossings[0] if isinstance(crossings[0], int) else None
+    last_crossing = cross if isinstance(cross, int) else None
+    tangent_run = int(cross == "tangent")    # consecutive tangent samples
     stages = np.empty((7, x.size))
 
     while reason is None and steps < MAX_STEPS:
@@ -200,15 +183,16 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         displacement = float(np.max(np.abs(x_new - x)))
         t += dt
         x = x_new
+        prev_action = action
         f_cur, action = rhs(x)
         fnorm = float(np.max(np.abs(f_cur)))
 
-        record(t, x, f_cur, action, err_abs)
         budget = 10.0 * (err_abs * (1.0 + float(np.sum(np.abs(f_cur)))) + 1e-15)
-        if actions[-1] < actions[-2] - budget:
+        if action < prev_action - budget:
             reason = "action_decrease"
             break
-        cross = crossings[-1]
+        cross = crossing(x)
+        tangent_run = tangent_run + 1 if cross == "tangent" else 0
         if isinstance(cross, int):
             if last_crossing is not None and cross > last_crossing:
                 reason = "crossing_increase"
@@ -229,34 +213,25 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
         if fnorm < PLATEAU_FACTOR * bench_fnorm:
             since_progress = 0
             bench_fnorm = fnorm
-        elif actions[-1] - actions[-2] > budget:
+        elif action - prev_action > budget:
             since_progress = 0
         if fnorm < best_fnorm:
-            best_fnorm = fnorm
-            best_x = x.copy()
-            best = len(times) - 1
+            best_x, best_t, best_action, best_fnorm = x.copy(), t, action, fnorm
         stalled = stalled + 1 if displacement < DISPLACEMENT_TOL else 0
         if stalled >= PLATEAU_STEPS or since_progress >= PLATEAU_WINDOW:
             reason = "plateau"
-            x, t, fnorm = best_x, times[best], best_fnorm
+            x, t, action, fnorm = best_x, best_t, best_action, best_fnorm
             break
 
         if t >= MAX_TIME:
             # a crossing index tangent at the last PLATEAU_STEPS samples
             # names the stop instead
-            tangent = crossings[-PLATEAU_STEPS:].count("tangent") == PLATEAU_STEPS
-            reason = "persistent_tangency" if tangent else "max_time"
+            reason = "persistent_tangency" if tangent_run >= PLATEAU_STEPS else "max_time"
             break
 
         dt = min(max(dt * min(max(0.9 * err_ratio ** -0.2, 0.2), 5.0), 1e-14), MAX_STEP)
         dt = min(dt, MAX_TIME - t)
 
-    final = best if reason == "plateau" else -1
-    return FlowResult(
-        final_lift=make_lift(x), final_action=actions[final],
-        reason=reason or "max_steps", t_final=t,
-        grad_norm=fnorm, n_steps=steps, times=np.asarray(times),
-        actions=np.asarray(actions), grad_sq=np.asarray(grad_sq),
-        local_errors=np.asarray(local_errors), constraint_residuals=np.asarray(residuals),
-        crossings=crossings, domain_violation=violation,
-    )
+    return FlowResult(final_lift=make_lift(x), final_action=action,
+                      reason=reason or "max_steps", t_final=t, grad_norm=fnorm,
+                      n_steps=steps, domain_violation=violation)

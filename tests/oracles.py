@@ -5,8 +5,8 @@ the chord partials one endpoint at a time (the package assembles the gradient
 in one kernel), the paper's closed form of the circulant Hessian at a
 symmetric Birkhoff orbit, the comparison principle of two flow runs, integer
 translates of a lift, and orbit equality by a loop over time shifts and
-reversals.  It also holds the helpers only tests use: the lifts a flow run
-visits, and writing an orbit file.
+reversals.  It also holds the helpers only tests use: the history of a flow
+run's samples, the trapezoid rule, and writing an orbit file.
 """
 
 import math
@@ -78,61 +78,96 @@ def circulant(p, alpha, beta):
     return h
 
 
-def recorded_run(boundary, start, **kwargs):
-    """``(run, lifts)``: ``flow.integrate(boundary, start, **kwargs)`` and the
-    coordinates of each of its samples, in the order of ``run.times``.
+class Recording(NamedTuple):
+    """A flow run and the history of its samples, read off its kernel calls:
+    each sample's coordinates, time, action and sum of squared gradient
+    entries."""
 
-    The lifts come from a spy on the flow's kernel, ``flow._gradient_coords``.
+    run: flow.FlowResult
+    lifts: list
+    times: np.ndarray
+    actions: np.ndarray
+    grad_sq: np.ndarray
+
+
+#: the largest drop of the action between samples that the flow-law tests
+#: forgive: a few units in the last place of the actions they meet (their
+#: worst drop is 1.1e-14), and below ten times the local error of every
+#: step those runs take (at least 3.7e-13)
+ACTION_ROUNDOFF = 1e-13
+
+
+def recorded_run(boundary, start, **kwargs) -> Recording:
+    """``flow.integrate(boundary, start, **kwargs)`` and the history of its
+    samples, from a spy on the flow's kernel, ``flow._gradient_coords``.
+
     The flow evaluates its first sample at the start, and every later one at
     the projection of the last stage point of the step it accepts (the point
-    itself without a system), so the spy keeps the first call and each call
-    made at the projection of the previous call's point.
+    itself without a system), so the samples are the first call and each
+    call made at the projection of the previous call's point.  A sample's
+    action and gradient are what the kernel returned there.  Its time adds
+    the step dt of the attempt it ends, whose six calls precede it: the
+    first is at x + (dt/5) F(x), with x and F(x) the previous sample's.
     """
     system = kwargs.get("system")
     project = (lambda x: x) if system is None else system.project
-    lifts, previous = [], []
+    calls = []
     kernel = flow._gradient_coords
 
     def spy(boundary, coords, q):
-        if not previous or np.array_equal(coords, project(previous[-1])):
-            lifts.append(coords.copy())
-        previous[:] = [coords.copy()]
-        return kernel(boundary, coords, q)
+        out = kernel(boundary, coords, q)
+        calls.append((coords.copy(), out))
+        return out
 
     flow._gradient_coords = spy
     try:
         run = flow.integrate(boundary, start, **kwargs)
     finally:
         flow._gradient_coords = kernel
-    assert len(lifts) == len(run.times)
-    return run, lifts
+    samples = [0] + [i for i in range(1, len(calls))
+                     if np.array_equal(calls[i][0], project(calls[i - 1][0]))]
+    assert len(samples) == run.n_steps + (run.reason != "guard_violation")
+    points = [calls[i] for i in samples]      # (coords, (F, W)) of each sample
+    times = [0.0]
+    for (x, (f, _)), i in zip(points, samples[1:]):
+        times.append(times[-1] + 5.0 * float((calls[i - 6][0] - x) @ f / (f @ f)))
+    return Recording(run=run, lifts=[x for x, _ in points], times=np.array(times),
+                     actions=np.array([w for _, (_, w) in points]),
+                     grad_sq=np.array([float(np.sum(f * f)) for _, (f, _) in points]))
+
+
+def trapezoid(y, x) -> float:
+    """The trapezoid rule for samples y at points x, summed as numpy's
+    ``trapezoid`` sums it (numpy before 2.0 has no ``trapezoid``)."""
+    y, x = np.asarray(y), np.asarray(x)
+    return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def comparison_check(recorded_x, recorded_y) -> bool:
     """Whether run x stays strictly below run y at every recorded time > 0.
 
-    Each argument is a :func:`recorded_run` ``(run, lifts)``; the runs must
-    start from ordered, distinct states x(0) <= y(0).  Samples of the two
-    runs are aligned by per-coordinate linear interpolation on the union of
-    their time grids, truncated to the shorter run.
+    Each argument is a :func:`recorded_run` recording; the runs must start
+    from ordered, distinct states x(0) <= y(0).  Samples of the two runs are
+    aligned by per-coordinate linear interpolation on the union of their
+    time grids, truncated to the shorter run.
     """
-    (run_x, lifts_x), (run_y, lifts_y) = recorded_x, recorded_y
-    x0 = lifts_x[0]
-    y0 = lifts_y[0]
+    x0 = recorded_x.lifts[0]
+    y0 = recorded_y.lifts[0]
     if np.any(x0 > y0):
         raise ValueError("requires x(0) <= y(0) componentwise")
     if np.array_equal(x0, y0):
         raise ValueError("requires x(0) != y(0)")
-    t_max = min(run_x.times[-1], run_y.times[-1])
-    ts = np.union1d(run_x.times, run_y.times)
+    t_x, t_y = recorded_x.times, recorded_y.times
+    t_max = min(t_x[-1], t_y[-1])
+    ts = np.union1d(t_x, t_y)
     ts = ts[(ts > 0.0) & (ts <= t_max)]
     if ts.size == 0:
         raise ValueError("runs share no positive recorded time")
-    xs = np.vstack(lifts_x)
-    ys = np.vstack(lifts_y)
+    xs = np.vstack(recorded_x.lifts)
+    ys = np.vstack(recorded_y.lifts)
     for j in range(xs.shape[1]):
-        xj = np.interp(ts, run_x.times, xs[:, j])
-        yj = np.interp(ts, run_y.times, ys[:, j])
+        xj = np.interp(ts, t_x, xs[:, j])
+        yj = np.interp(ts, t_y, ys[:, j])
         if not np.all(xj < yj):
             return False
     return True

@@ -30,9 +30,16 @@ from billiardflow.geometry import (
     make_ellipse,
     make_limacon,
 )
-from billiardflow.sequences import PeriodicLift
+from billiardflow.sequences import PeriodicLift, intersection_index
 from billiardflow.spectral import search_class
-from oracles import birkhoff_coefficients, circulant, increments, recorded_run, same_orbit
+from oracles import (
+    ACTION_ROUNDOFF,
+    birkhoff_coefficients,
+    circulant,
+    increments,
+    recorded_run,
+    same_orbit,
+)
 
 
 def announce(num: int, name: str, t0: float, budget: float, detail: str):
@@ -265,15 +272,16 @@ def test_criterion_6_flow_laws():
     for boundary, reference, system, runs in setups:
         for _ in range(runs):
             start = random_class_start(rng, reference, system)
-            run, lifts = recorded_run(boundary, start, system=system,
-                                      reference=reference)
+            rec = recorded_run(boundary, start, system=system, reference=reference)
+            run = rec.run
             assert run.failure in (None, "plateau"), run.failure
-            budget = 10.0 * (run.local_errors + 1e-15)
-            assert np.all(np.diff(run.actions) >= -budget[1:])
-            counts = [c for c in run.crossings if isinstance(c, int)]
+            assert np.all(np.diff(rec.actions) >= -ACTION_ROUNDOFF)
+            crossings = [intersection_index(start.with_coords(x), reference)
+                         for x in rec.lifts]
+            counts = [c for c in crossings if isinstance(c, int)]
             assert all(b <= a for a, b in zip(counts, counts[1:]))
-            assert np.max(run.constraint_residuals) < 1e-12
-            for snap in lifts:
+            assert max(system.residual(x) for x in rec.lifts) < 1e-12
+            for snap in rec.lifts:
                 inc = np.diff(snap, append=snap[0] + reference.q)
                 assert 0.0 < inc.min() and inc.max() < 1.0
             assert run.final_lift.q == reference.q

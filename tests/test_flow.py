@@ -13,8 +13,8 @@ from billiardflow import (
     symmetric_birkhoff,
 )
 from billiardflow import flow as flow_module
-from billiardflow.sequences import PeriodicLift
-from oracles import comparison_check, increments, recorded_run
+from billiardflow.sequences import PeriodicLift, intersection_index
+from oracles import ACTION_ROUNDOFF, comparison_check, increments, recorded_run, trapezoid
 
 
 def flagship_setup(boundary):
@@ -49,21 +49,21 @@ def test_flagship_flow_reaches_stationarity(limacon4_cs):
 
 def test_action_is_monotone_and_matches_gradient_power(limacon4_cs):
     ref, system, start = flagship_setup(limacon4_cs)
-    run = integrate(limacon4_cs, start, system=system, reference=ref)
-    acts, times, power = run.actions, run.times, run.grad_sq
-    budget = 10.0 * (run.local_errors + 1e-15)
-    assert np.all(np.diff(acts) >= -budget[1:])
+    rec = recorded_run(limacon4_cs, start, system=system, reference=ref)
+    acts = rec.actions
+    assert np.all(np.diff(acts) >= -ACTION_ROUNDOFF)
     # dW/dt = sum_i F_i^2 along the flow: total gain matches the integrated
     # gradient power (trapezoid rule on the accepted-step grid)
     gain = acts[-1] - acts[0]
     assert gain > 0
-    assert np.trapezoid(power, times) == pytest.approx(gain, rel=2e-2)
+    assert trapezoid(rec.grad_sq, rec.times) == pytest.approx(gain, rel=2e-2)
 
 
 def test_crossings_never_increase_and_reach_prediction(limacon4_cs):
     ref, system, start = flagship_setup(limacon4_cs)
-    run = integrate(limacon4_cs, start, system=system, reference=ref)
-    counts = [c for c in run.crossings if isinstance(c, int)]
+    rec = recorded_run(limacon4_cs, start, system=system, reference=ref)
+    crossings = [intersection_index(start.with_coords(x), ref) for x in rec.lifts]
+    counts = [c for c in crossings if isinstance(c, int)]
     assert counts, "expected integer crossing samples"
     assert all(b <= a for a, b in zip(counts, counts[1:]))
     assert counts[-1] == 8  # 2N for the order-4 subgroup class
@@ -73,25 +73,27 @@ def test_crossings_never_increase_and_reach_prediction(limacon4_cs):
 def test_each_recorded_action_is_the_action_of_its_sample(limacon4_cs, limacon2_10_cs,
                                                          monkeypatch):
     # the kernel returns the action with the gradient; it must be the action
-    # of the sample's own lift, bit for bit, with and without a system
+    # of the sample's own lift, bit for bit, with and without a system, and
+    # the run reports the action of its final lift
     ref, system, start = flagship_setup(limacon4_cs)
-    run, lifts = recorded_run(limacon4_cs, start, system=system, reference=ref)
-    assert run.converged and len(lifts) == run.n_steps + 1
-    assert [periodic_action(limacon4_cs, start.with_coords(x)) for x in lifts] == \
-        list(run.actions)
-    assert run.final_action == periodic_action(limacon4_cs, run.final_lift)
+    rec = recorded_run(limacon4_cs, start, system=system, reference=ref)
+    assert rec.run.converged and len(rec.lifts) == rec.run.n_steps + 1
+    assert [periodic_action(limacon4_cs, start.with_coords(x)) for x in rec.lifts] == \
+        list(rec.actions)
+    assert rec.run.final_action == periodic_action(limacon4_cs, rec.run.final_lift)
     monkeypatch.setattr(flow_module, "MAX_TIME", 2.0)
     x0 = PeriodicLift(4, 1, np.array([0.10, 0.30, 0.62, 0.85]))
-    run, lifts = recorded_run(limacon2_10_cs, x0)
-    assert run.n_steps > 0
-    assert [periodic_action(limacon2_10_cs, x0.with_coords(x)) for x in lifts] == \
-        list(run.actions)
+    rec = recorded_run(limacon2_10_cs, x0)
+    assert rec.run.n_steps > 0
+    assert [periodic_action(limacon2_10_cs, x0.with_coords(x)) for x in rec.lifts] == \
+        list(rec.actions)
+    assert rec.run.final_action == rec.actions[-1]
 
 
 def test_constraint_residuals_stay_at_machine_precision(limacon4_cs):
     ref, system, start = flagship_setup(limacon4_cs)
-    run = integrate(limacon4_cs, start, system=system, reference=ref)
-    assert np.max(run.constraint_residuals) <= 1e-12
+    rec = recorded_run(limacon4_cs, start, system=system, reference=ref)
+    assert max(system.residual(x) for x in rec.lifts) <= 1e-12
 
 
 def test_circle_perturbation_collapses_back(circle4):
@@ -231,7 +233,13 @@ def test_an_error_that_stays_too_large_underflows_the_step(limacon4_cs, monkeypa
 def test_a_tangency_that_persists_to_max_time_is_reported(limacon4_cs, monkeypatch):
     # a crossing index that is tangent at every sample outlasts the plateau
     # count, so the run that reaches max_time names the tangency instead
-    monkeypatch.setattr(flow_module, "intersection_index", lambda xl, yl: "tangent")
+    calls = []
+
+    def tangent(xl, yl):
+        calls.append(1)
+        return "tangent"
+
+    monkeypatch.setattr(flow_module, "intersection_index", tangent)
     monkeypatch.setattr(flow_module, "PLATEAU_STEPS", 5)
     monkeypatch.setattr(flow_module, "MAX_TIME", 0.5)
     ref, system, start = flagship_setup(limacon4_cs)
@@ -239,7 +247,26 @@ def test_a_tangency_that_persists_to_max_time_is_reported(limacon4_cs, monkeypat
     assert run.reason == run.failure == "persistent_tangency" and not run.converged
     assert run.n_steps == 83
     assert run.t_final == pytest.approx(0.5)
-    assert set(run.crossings) == {"tangent"}
+    assert len(calls) == run.n_steps + 1    # one crossing index per sample
+
+
+def test_an_integer_crossing_restarts_the_tangent_count(limacon4_cs, monkeypatch):
+    # 83 of the 84 samples are tangent, more than PLATEAU_STEPS, but one
+    # integer count in the middle splits them into runs of 40 and 43, so the
+    # last PLATEAU_STEPS samples are not all tangent and the stop is max_time
+    calls = []
+
+    def tangent_but_one(xl, yl):
+        calls.append(1)
+        return 8 if len(calls) == 41 else "tangent"
+
+    monkeypatch.setattr(flow_module, "intersection_index", tangent_but_one)
+    monkeypatch.setattr(flow_module, "PLATEAU_STEPS", 50)
+    monkeypatch.setattr(flow_module, "MAX_TIME", 0.5)
+    ref, system, start = flagship_setup(limacon4_cs)
+    run = integrate(limacon4_cs, start, system=system, reference=ref)
+    assert len(calls) == run.n_steps + 1 == 84
+    assert run.reason == "max_time" and run.failure is None
 
 
 def test_a_descending_flow_stops_on_the_action_law(limacon4_cs, monkeypatch):
@@ -253,10 +280,11 @@ def test_a_descending_flow_stops_on_the_action_law(limacon4_cs, monkeypatch):
 
     monkeypatch.setattr(flow_module, "_gradient_coords", descending)
     ref, system, start = flagship_setup(limacon4_cs)
-    run = integrate(limacon4_cs, start, system=system)
+    rec = recorded_run(limacon4_cs, start, system=system)
+    run = rec.run
     assert run.reason == run.failure == "action_decrease" and not run.converged
     assert run.n_steps == 1
-    assert run.actions[-1] < run.actions[0]
+    assert run.final_action == rec.actions[-1] < rec.actions[0]
 
 
 def test_a_rising_crossing_count_stops_the_run(limacon4_cs, monkeypatch):
@@ -273,7 +301,7 @@ def test_a_rising_crossing_count_stops_the_run(limacon4_cs, monkeypatch):
     run = integrate(limacon4_cs, start, system=system, reference=ref)
     assert run.reason == run.failure == "crossing_increase" and not run.converged
     assert run.n_steps == 1
-    assert run.crossings == [1, 2]
+    assert len(calls) == 2    # the start's count, then the first step's
 
 
 def test_comparison_runs_stay_strictly_ordered(limacon2_10_cs, monkeypatch):

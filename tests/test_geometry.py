@@ -23,6 +23,7 @@ from billiardflow import (
 )
 from billiardflow import geometry
 from billiardflow.geometry import orientation_det
+from oracles import trapezoid
 
 
 def curve(boundary, x, order=0):
@@ -47,7 +48,7 @@ def fd_curvature(boundary, x, h=1e-4):
 def quad_length(boundary, samples=200_000):
     """Independent arc-length oracle: trapezoid rule on the speed."""
     x = np.linspace(0.0, 1.0, samples + 1)
-    return float(np.trapezoid(np.abs(curve(boundary, x, 1)), x))
+    return trapezoid(np.abs(curve(boundary, x, 1)), x)
 
 
 def test_convexity_threshold_closed_form():
