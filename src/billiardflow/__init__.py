@@ -20,11 +20,10 @@ from .geometry import (
     reparametrize_constant_speed,
 )
 from .lagrangian import (
-    SecondPartials,
     chord_length,
     gradient_field,
+    hessian,
     periodic_action,
-    second_partials,
 )
 from .sequences import (
     AffineSystem,
@@ -46,7 +45,6 @@ from .spectral import (
     CriterionReport,
     SearchClass,
     criterion,
-    hessian,
     kappa_chord,
     search_class,
 )

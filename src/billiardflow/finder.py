@@ -18,8 +18,6 @@ passes Deuflhard's monotonicity test and reaches a local maximum of the action.
 from __future__ import annotations
 
 import logging
-import threading
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,13 +25,14 @@ import numpy as np
 from .flow import GUARD_FLOOR, STATIONARITY_TOL, FlowResult, integrate
 from .geometry import (check_equivariance, check_table_keys, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
-from .lagrangian import gradient_field, periodic_action
+from .lagrangian import gradient_field, hessian, periodic_action
 from .sequences import (AffineSystem, GroupDescription,
                         PeriodicLift, expand_constraints,
                         first_inadmissible, generated_group,
-                        intersection_index, is_birkhoff,
-                        minimal_period, spatiotemporal_group, type_label)
-from .spectral import CriterionReport, class_criterion, hessian, kappa_chord, search_class
+                        intersection_index, minimal_period,
+                        spatiotemporal_group, type_label)
+from .sequences import is_birkhoff  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
+from .spectral import CriterionReport, class_criterion, kappa_chord, search_class
 from .spectral import criterion  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
 
 log = logging.getLogger(__name__)
@@ -49,10 +48,6 @@ POLISH_MAX_ITER = 30
 #: a continued lift is accepted only while every Newton step passes the
 #: simplified-Newton monotonicity test ||dx_bar_{k+1}|| < THETA_MAX ||dx_k||
 THETA_MAX = 0.5
-#: catch_warnings swaps the process-wide filter list; callers that run
-#: find_orbit on their own threads take turns, so one thread's restore cannot
-#: leave another's "ignore" behind
-_WARNINGS_LOCK = threading.Lock()
 
 
 class CriterionInconclusive(RuntimeError):
@@ -165,14 +160,9 @@ def _reduced_newton(boundary, lift: PeriodicLift, basis: np.ndarray, grad: np.nd
     """The reduced Hessian B^T H B at ``lift`` and the Newton step
     -(B^T H B)^{-1} B^T grad in the orbit basis B.
 
-    The exact Hessian warns off stationarity, which Newton iterates are by
-    design, so its warning is silenced.  Raises LinAlgError on a singular
-    reduced Hessian.
+    Raises LinAlgError on a singular reduced Hessian.
     """
-    with _WARNINGS_LOCK, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hess = hessian(boundary, lift)
-    reduced = basis.T @ hess @ basis
+    reduced = basis.T @ hessian(boundary, lift) @ basis
     return reduced, np.linalg.solve(reduced, -(basis.T @ grad))
 
 
@@ -357,7 +347,8 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
             final, residual = polished, polished_residual
     # a converged flow is below the tolerance, and the polish only lowers it
     settled = residual < STATIONARITY_TOL
-    birkhoff = is_birkhoff(final)
+    group = spatiotemporal_group(final, n)
+    birkhoff = group.is_birkhoff
     if not settled:
         outcome = "non_converged"
     elif birkhoff:
@@ -365,7 +356,6 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
     else:
         outcome = "non_birkhoff_found"
 
-    group = spatiotemporal_group(final, n)
     minimal = minimal_period(final)
     winding = int(round(float(final.value(minimal) - final.coords[0])))
     crossings = intersection_index(final, reference)

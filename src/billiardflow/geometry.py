@@ -184,14 +184,18 @@ def make_boundary(descriptor: dict) -> Boundary:
         {"family": "ellipse", "a": 2.0, "b": 1.0}
         {"family": "circle", "radius": 1.0, "n": 4}
 
-    A key the family does not read is rejected (:func:`check_table_keys`).
+    A key the family does not read is rejected (:func:`check_table_keys`),
+    and so is an order ``n`` that is not integral.
     """
     family = check_table_keys(descriptor)
-    if family == "limacon":
-        return make_limacon(int(descriptor["n"]), float(descriptor["alpha"]))
     if family == "ellipse":
         return make_ellipse(float(descriptor["a"]), float(descriptor["b"]))
-    return make_circle(float(descriptor.get("radius", 1.0)), int(descriptor.get("n", 2)))
+    n = float(descriptor.get("n", 2))
+    if not n.is_integer():
+        raise ValueError(f"{family} table order n = {descriptor['n']!r} is not an integer")
+    if family == "limacon":
+        return make_limacon(int(n), float(descriptor["alpha"]))
+    return make_circle(float(descriptor.get("radius", 1.0)), int(n))
 
 
 def orientation_det(boundary: Boundary, x) -> np.ndarray:

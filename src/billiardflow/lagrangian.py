@@ -1,37 +1,20 @@
-"""Chord-length generating function on a boundary: partials and gradient.
+"""Chord-length generating function on a boundary: the action, its gradient
+and its Hessian.
 
 For boundary points gamma(x), gamma(X) the generating function is the chord
 length l(x, X) = |gamma(X) - gamma(x)|, smooth away from x - X in Z.  Its
-partials are expressed through the angles the chord makes with the two
-tangents; all trigonometry here is done with cross/dot ratios or atan2, never
-arccos, to keep full precision near the diagonal.
+partials are expressed through the unit chord and the tangents; all of it is
+done with cross/dot products of real and imaginary parts, never arccos, to
+keep full precision near the diagonal.  One kernel, :func:`_gradient_coords`,
+gives the action with its gradient and, on request, its Hessian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geometry import Boundary, curvature
+from .geometry import Boundary
 from .sequences import first_inadmissible
-
-#: closer than this to the diagonal counts as coincident points
-COINCIDENT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SecondPartials:
-    d11: np.ndarray
-    d12: np.ndarray
-    d22: np.ndarray
-
-
-def _check_not_coincident(x, X):
-    t = np.mod(np.asarray(X, dtype=float) - np.asarray(x, dtype=float), 1.0)
-    t = np.minimum(t, 1.0 - t)
-    if np.any(t <= COINCIDENT_TOL):
-        raise ValueError("coincident boundary points: x - X is an integer")
 
 
 def chord_length(boundary: Boundary, x, X):
@@ -39,39 +22,8 @@ def chord_length(boundary: Boundary, x, X):
     return np.sqrt(d.real * d.real + d.imag * d.imag)
 
 
-def second_partials(boundary: Boundary, x, X) -> SecondPartials:
-    """Second partials of the chord length, constant-speed parametrization only.
-
-    With c the (constant) speed, L the chord length, theta/phi the chord
-    angles and kappa the curvature:
-
-        d11 = c^2 (sin^2 theta / L - kappa(x) sin theta)
-        d12 = c^2 sin theta sin phi / L            (always positive)
-        d22 = c^2 (sin^2 phi / L - kappa(X) sin phi)
-    """
-    c = boundary.speed
-    if c is None:
-        raise ValueError("second partials require a constant-speed boundary; "
-                         "reparametrize first")
-    _check_not_coincident(x, X)
-    zx, tx, ddx = boundary.jet(x, 2)
-    zX, tX, ddX = boundary.jet(X, 2)
-    d = zX - zx
-    length = np.sqrt(d.real * d.real + d.imag * d.imag)
-    # sines from cross products; both positive for 0 < X - x < 1 on a convex curve
-    sin_theta = (tx.real * d.imag - tx.imag * d.real) / (c * length)
-    sin_phi = (d.real * tX.imag - d.imag * tX.real) / (c * length)
-    kx = curvature(tx, ddx)
-    kX = curvature(tX, ddX)
-    c2 = c * c
-    return SecondPartials(
-        d11=c2 * (sin_theta * sin_theta / length - kx * sin_theta),
-        d12=c2 * sin_theta * sin_phi / length,
-        d22=c2 * (sin_phi * sin_phi / length - kX * sin_phi),
-    )
-
-
-def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> tuple | None:
+def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int,
+                     order: int = 1) -> tuple | None:
     """Gradient and value of the periodic action in plain-array form (hot path).
 
     Evaluates the curve once, as complex positions z_i and tangents z'_i, and
@@ -79,11 +31,12 @@ def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> tuple | 
     from z_i to z_{i+1}; by 1-periodicity of the curve the wrapped chord ends
     at z_0.  Returns (F, W), with W the total chord length, equal bit for bit
     to :func:`periodic_action`; None when an increment leaves (0, 1), where
-    the action is not smooth.
+    the action is not smooth.  ``order`` 2 takes the order-2 jet instead and
+    returns (F, W, H), H the Hessian of the action (see :func:`hessian`).
     """
     if first_inadmissible(coords, q) is not None:
         return None
-    z, dz = boundary.jet(coords, 1)
+    z, dz, *second = boundary.jet(coords, order)
     # ring = (z_0, ..., z_{p-1}, z_0), whose differences are the chords; the
     # unit chords then overwrite ring[1:] and ring[0] takes u_{p-1}, so that
     # ring[:-1] holds u_{i-1}.  Lengths, quotients and the final product are
@@ -101,7 +54,39 @@ def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int) -> tuple | 
     np.divide(chords.imag, length, out=unit.imag)
     ring[0] = unit[-1]
     turn = ring[:-1] - unit
-    return dz.real * turn.real + dz.imag * turn.imag, action
+    grad = dz.real * turn.real + dz.imag * turn.imag
+    if order == 1:
+        return grad, action
+    # chord i contributes, with a = Im(conj(u_i) z'_i), b = Im(conj(u_i) z'_{i+1})
+    # and L its length, d11 = a^2/L - Re(conj(z''_i) u_i) to H[i, i],
+    # d22 = b^2/L + Re(conj(z''_{i+1}) u_i) to H[i+1, i+1] and d12 = -ab/L to
+    # H[i, i+1] and H[i+1, i], indices mod p
+    dd = second[0]
+    j = np.arange(z.size)
+    jn = (j + 1) % z.size
+    dz_next, dd_next = dz[jn], dd[jn]
+    a = unit.real * dz.imag - unit.imag * dz.real
+    b = unit.real * dz_next.imag - unit.imag * dz_next.real
+    h = np.diag(a * a / length - (dd.real * unit.real + dd.imag * unit.imag))
+    h[jn, jn] += b * b / length + (dd_next.real * unit.real + dd_next.imag * unit.imag)
+    d12 = -a * b / length
+    h[j, jn] = d12
+    # at p = 2 both chords join vertices 0 and 1, and this adds the other one
+    h[jn, j] += d12
+    return grad, action, h
+
+
+def _kernel(boundary: Boundary, lift, order: int) -> tuple:
+    """:func:`_gradient_coords` at ``lift``; off the admissible region a
+    ValueError names the first increment outside (0, 1)."""
+    x = np.asarray(lift.coords, dtype=float)
+    out = _gradient_coords(boundary, x, lift.q, order)
+    if out is None:
+        i, inc = first_inadmissible(x, lift.q)
+        raise ValueError(
+            f"lift leaves the admissible region at increment {i}: "
+            f"x[{(i + 1) % x.shape[0]}] - x[{i}] = {inc:.6g}")
+    return out
 
 
 def gradient_field(boundary: Boundary, lift) -> np.ndarray:
@@ -111,14 +96,18 @@ def gradient_field(boundary: Boundary, lift) -> np.ndarray:
     at billiard configurations.  Raises ValueError (naming the first violating
     index) if any increment leaves (0, 1).
     """
-    x = np.asarray(lift.coords, dtype=float)
-    out = _gradient_coords(boundary, x, lift.q)
-    if out is None:
-        i, inc = first_inadmissible(x, lift.q)
-        raise ValueError(
-            f"lift leaves the admissible region at increment {i}: "
-            f"x[{(i + 1) % x.shape[0]}] - x[{i}] = {inc:.6g}")
-    return out[0]
+    return _kernel(boundary, lift, 1)[0]
+
+
+def hessian(boundary: Boundary, lift) -> np.ndarray:
+    """Exact Hessian of the periodic action at an admissible lift.
+
+    Cyclic tridiagonal: vertex i meets chords i - 1 and i (see
+    :func:`_gradient_coords`).  One order-2 kernel call, valid for any
+    parametrization and at any admissible lift, stationary or not; raises
+    ValueError like :func:`gradient_field` off the admissible region.
+    """
+    return _kernel(boundary, lift, 2)[2]
 
 
 def periodic_action(boundary: Boundary, lift) -> float:

@@ -17,14 +17,13 @@ search read.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Boundary, curvature_at
-from .lagrangian import chord_length, gradient_field, second_partials
+from .lagrangian import chord_length
 from .sequences import (FAMILIES, PeriodicLift, SymmetryGenerator, _check_rotation,
                         repeat_lift, symmetric_birkhoff)
 
@@ -39,31 +38,6 @@ def kappa_chord(boundary: Boundary, n: int, m: int, branch: int = 1):
     kappa = float(curvature_at(boundary, ref.coords[0]))
     chord = float(chord_length(boundary, ref.coords[0], ref.value(1)))
     return kappa, chord
-
-
-def hessian(boundary: Boundary, lift: PeriodicLift) -> np.ndarray:
-    """Exact Hessian of the periodic action at a stationary lift.
-
-    Assembled from the analytic second partials of the chord length; emits a
-    warning (but still returns the matrix) if the configuration is not
-    stationary to 1e-8.
-    """
-    residual = float(np.max(np.abs(gradient_field(boundary, lift))))
-    if residual >= 1e-8:
-        warnings.warn(f"Hessian requested at a non-stationary lift "
-                      f"(|F|_inf = {residual:.3e})", stacklevel=2)
-    p = lift.p
-    x = np.asarray(lift.coords, dtype=float)
-    # edge j joins vertex j to vertex j + 1, the last one to x_0 + q
-    sp = second_partials(boundary, x, np.append(x[1:], x[0] + lift.q))
-    j = np.arange(p)
-    jn = (j + 1) % p
-    h = np.zeros((p, p))
-    np.add.at(h, (j, j), sp.d11)
-    np.add.at(h, (jn, jn), sp.d22)
-    np.add.at(h, (j, jn), sp.d12)
-    np.add.at(h, (jn, j), sp.d12)
-    return h
 
 
 #: a margin within this many units in the last place of |lhs| + |rhs| is

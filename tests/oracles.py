@@ -2,7 +2,8 @@
 
 Each computes, by a second route, something the package computes another way:
 the chord partials one endpoint at a time (the package assembles the gradient
-in one kernel), the paper's closed form of the circulant Hessian at a
+in one kernel), the Hessian of the action chord by chord in 40-digit decimal
+arithmetic, the paper's closed form of the circulant Hessian at a
 symmetric Birkhoff orbit, the comparison principle of two flow runs, integer
 translates of a lift, and orbit equality by a loop over time shifts and
 reversals.  It also holds the helpers only tests use: the history of a flow
@@ -10,6 +11,7 @@ run's samples, the trapezoid rule, and writing an orbit file.
 """
 
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,6 +39,38 @@ def force_plus(boundary, x, X):
     """d/dx of the chord length, -|gamma'(x)| cos(theta), for x < X < x + 1."""
     zx, tx = boundary.jet(x, 1)
     return -_force(zx, boundary.jet(X, 0)[0], tx)
+
+
+def decimal_hessian(boundary, lift) -> np.ndarray:
+    """The Hessian of the action at ``lift``, assembled chord by chord in
+    40-digit decimal arithmetic from the table's own float jet values.
+
+    Chord i joins vertex i to vertex i + 1 (the last one ends at vertex 0, by
+    1-periodicity of the curve).  With u its unit vector, L its length and
+    the cross products a = u x gamma'_i, b = u x gamma'_{i+1}, it adds
+    a^2/L - u.gamma''_i to H[i, i], b^2/L + u.gamma''_{i+1} to H[i+1, i+1]
+    and -ab/L to H[i, i+1] and to H[i+1, i].  Only the final rounding to
+    floats is left.
+    """
+    jet = boundary.jet(np.asarray(lift.coords, dtype=float), 2)
+    z, dz, ddz = ([(Decimal(float(w.real)), Decimal(float(w.imag))) for w in v]
+                  for v in jet)
+    p = lift.p
+    with localcontext() as ctx:
+        ctx.prec = 40
+        h = [[Decimal(0)] * p for _ in range(p)]
+        for i in range(p):
+            k = (i + 1) % p
+            dx, dy = z[k][0] - z[i][0], z[k][1] - z[i][1]
+            length = (dx * dx + dy * dy).sqrt()
+            ux, uy = dx / length, dy / length
+            a = ux * dz[i][1] - uy * dz[i][0]
+            b = ux * dz[k][1] - uy * dz[k][0]
+            h[i][i] += a * a / length - (ux * ddz[i][0] + uy * ddz[i][1])
+            h[k][k] += b * b / length + (ux * ddz[k][0] + uy * ddz[k][1])
+            h[i][k] -= a * b / length
+            h[k][i] -= a * b / length
+        return np.array([[float(v) for v in row] for row in h])
 
 
 class BirkhoffCoefficients(NamedTuple):

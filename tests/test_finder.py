@@ -376,10 +376,9 @@ FLAGSHIP = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
 
 
 def test_threads_running_find_orbit_leave_the_warning_filters_as_they_were(monkeypatch):
-    # the Newton polish silences the Hessian's warning inside catch_warnings,
-    # which saves and restores the process-wide filter list; two threads
-    # interleaving it would leave one thread's "ignore" filter behind.  A slow
-    # Hessian keeps each polish inside that block long enough to overlap, and
+    # find_orbit must not touch the process-wide warning filters: a save and
+    # restore interleaved across threads would leave one thread's filter
+    # behind.  A slow Hessian keeps each polish long enough to overlap, and
     # each thread runs every epsilon, in its own order, so that some do
     hessian = finder.hessian
 

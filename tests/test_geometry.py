@@ -17,12 +17,13 @@ from billiardflow import (
     make_boundary,
     make_circle,
     make_ellipse,
+    hessian,
     make_limacon,
     reparametrize_constant_speed,
-    second_partials,
 )
 from billiardflow import geometry
 from billiardflow.geometry import orientation_det
+from billiardflow.sequences import PeriodicLift
 from oracles import trapezoid
 
 
@@ -134,6 +135,18 @@ def test_make_boundary_descriptor_round_trip():
     assert np.allclose(abs(curve(c, 0.37)), 2.0)
     with pytest.raises(ValueError):
         make_boundary({"family": "hyperbola"})
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"family": "limacon", "n": 4.7, "alpha": 0.05},
+    {"family": "circle", "radius": 1.0, "n": 4.5},
+], ids=["limacon", "circle"])
+def test_make_boundary_rejects_a_fractional_order(descriptor):
+    # int() would quietly build the 4-fold table from either
+    family = descriptor["family"]
+    with pytest.raises(ValueError, match=f"{family} table order n = {descriptor['n']}"):
+        make_boundary(descriptor)
+    assert make_boundary({**descriptor, "n": 4.0}).symmetry_order == 4
 
 
 @pytest.mark.parametrize("descriptor, key", [
@@ -280,7 +293,7 @@ def test_each_query_evaluates_the_jet_once_per_endpoint(limacon4_cs):
     queries = {
         "orientation_det": (lambda: orientation_det(b, x), [2]),
         "curvature_at": (lambda: curvature_at(b, x), [2]),
-        "second_partials": (lambda: second_partials(b, x, X), [2, 2]),
+        "hessian": (lambda: hessian(b, PeriodicLift(9, 1, x)), [2]),
         "chord_length": (lambda: chord_length(b, x, X), [0, 0]),
     }
     for name, (query, orders) in queries.items():

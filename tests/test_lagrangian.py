@@ -9,9 +9,9 @@ from billiardflow import (
     hessian,
     periodic_action,
     repeat_lift,
-    second_partials,
     symmetric_birkhoff,
 )
+from billiardflow import lagrangian
 from billiardflow.lagrangian import _gradient_coords
 from billiardflow.sequences import PeriodicLift
 from oracles import force_minus, force_plus
@@ -83,25 +83,51 @@ def test_chord_angles_lie_in_the_open_interval(limacon4_cs):
     assert np.all(phi > 0) and np.all(phi < np.pi)
 
 
-def test_second_partials_match_finite_differences(limacon4_cs):
+def test_hessian_entries_match_finite_differences(limacon4_cs, limacon4):
+    # central differences of the gradient assembled from the chord partials,
+    # one endpoint at a time; the Hessian holds for any parametrization
     h = 1e-5
-    b = limacon4_cs
-    for (x, X) in ((0.05, 0.4), (0.3, 0.62), (0.8, 1.45)):
-        sp = second_partials(b, x, X)
-        fd11 = (force_plus(b, x + h, X) - force_plus(b, x - h, X)) / (2 * h)
-        fd12 = (force_plus(b, x, X + h) - force_plus(b, x, X - h)) / (2 * h)
-        fd22 = (force_minus(b, x, X + h) - force_minus(b, x, X - h)) / (2 * h)
-        assert sp.d11 == pytest.approx(fd11, rel=1e-5, abs=1e-5)
-        assert sp.d12 == pytest.approx(fd12, rel=1e-5, abs=1e-5)
-        assert sp.d22 == pytest.approx(fd22, rel=1e-5, abs=1e-5)
+    rng = np.random.default_rng(21)
+    for b in (limacon4_cs, limacon4):
+        lift = random_admissible_lift(rng, 5, 2)
+
+        def two_route(x):
+            prev, nxt = np.r_[x[-1] - lift.q, x[:-1]], np.r_[x[1:], x[0] + lift.q]
+            return force_minus(b, prev, x) + force_plus(b, x, nxt)
+
+        hess = hessian(b, lift)
+        for i in range(lift.p):
+            step = h * np.eye(lift.p)[i]
+            fd = (two_route(lift.coords + step) - two_route(lift.coords - step)) / (2 * h)
+            assert hess[i] == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
-def test_mixed_partial_is_positive(limacon4_cs):
-    # strict convexity + admissible increments make the cross term positive
+def test_mixed_partial_is_positive(limacon4_cs, limacon4):
+    # strict convexity + admissible increments make every cross term positive,
+    # on either parametrization: increments s_i (q = 1) or 1 - s_i (q = p - 1)
+    # from random points s of the simplex
     rng = np.random.default_rng(5)
-    x = rng.uniform(0, 1, 50)
-    X = x + rng.uniform(0.03, 0.97, 50)
-    assert np.all(second_partials(limacon4_cs, x, X).d12 > 0)
+    for b in (limacon4_cs, limacon4):
+        for p in (3, 7, 12):
+            s = rng.dirichlet(np.ones(p))
+            for q, inc in ((1, s), (p - 1, 1.0 - s)):
+                x = rng.uniform(0, 1) + np.r_[0.0, np.cumsum(inc[:-1])]
+                hess = hessian(b, PeriodicLift(p, q, x))
+                j = np.arange(p)
+                assert np.all(hess[j, (j + 1) % p] > 0)
+
+
+def test_hessian_is_one_order_2_kernel_call(limacon4_cs, monkeypatch):
+    calls = []
+    kernel = lagrangian._gradient_coords
+
+    def spy(boundary, coords, q, order=1):
+        calls.append(order)
+        return kernel(boundary, coords, q, order)
+
+    monkeypatch.setattr(lagrangian, "_gradient_coords", spy)
+    hessian(limacon4_cs, repeat_lift(symmetric_birkhoff(4, 1), 3))
+    assert calls == [2]
 
 
 def test_periodic_action_is_the_polygon_perimeter(limacon4_cs):
@@ -181,7 +207,7 @@ def test_gradient_rejects_inadmissible_lifts(limacon4_cs):
     too_wide = PeriodicLift(3, 2, np.array([0.0, 1.05, 1.5]))  # increment > 1
     with pytest.raises(ValueError, match="admissible"):
         gradient_field(limacon4_cs, too_wide)
-    # a NaN increment is outside (0, 1) too, also for the Hessian's own check
+    # a NaN increment is outside (0, 1) too, also for the Hessian
     lost = PeriodicLift(3, 1, np.array([0.0, np.nan, 0.6]))
     with pytest.raises(ValueError, match="admissible region at increment 0"):
         gradient_field(limacon4_cs, lost)
@@ -202,7 +228,3 @@ def test_inadmissible_lift_message_names_the_increment(limacon4_cs):
     assert str(info.value) == ("lift leaves the admissible region at increment 2: "
                                "x[0] - x[2] = -0.1")
 
-
-def test_second_partials_require_constant_speed(limacon4):
-    with pytest.raises(ValueError, match="constant"):
-        second_partials(limacon4, 0.1, 0.4)

@@ -13,7 +13,6 @@ from billiardflow import (
     kappa_chord,
     repeat_lift,
     search_class,
-    second_partials,
     symmetric_birkhoff,
 )
 from billiardflow.geometry import make_circle
@@ -24,7 +23,7 @@ from billiardflow.sequences import (
     generated_group,
     type_label,
 )
-from oracles import birkhoff_coefficients, circulant
+from oracles import birkhoff_coefficients, circulant, decimal_hessian
 
 # frozen reference values at the order-4 boundary with bulge 0.05, branch 1
 LIMACON4_KAPPA = 0.1662049861495844
@@ -127,31 +126,20 @@ def test_hessian_matches_finite_differences(limacon4_cs):
     assert np.allclose(h, fd, rtol=1e-4, atol=1e-6 * np.max(np.abs(h)))
 
 
-def test_hessian_matches_the_per_edge_assembly(limacon4_cs):
-    # reference: one second_partials call per edge, off a critical point so
-    # every entry differs; at p = 2 both edges meet in the off-diagonal entries
+def test_hessian_matches_the_per_edge_assembly(limacon4, limacon4_cs):
+    # reference: the per-chord formula in 40-digit decimals from the table's
+    # own jet values, off a critical point so every entry differs, on a
+    # constant-speed table and a raw one; at p = 2 both edges meet in the
+    # off-diagonal entries
     rng = np.random.default_rng(17)
-    for p, q in ((2, 1), (3, 1), (7, 2), (12, 5)):
-        inc = rng.uniform(0.2, 0.8, p)
-        coords = 0.1 + np.r_[0.0, np.cumsum(inc / inc.sum() * q)[:-1]]
-        lift = PeriodicLift(p, q, coords)
-        ref = np.zeros((p, p))
-        for j in range(p):
-            jn = (j + 1) % p
-            sp = second_partials(limacon4_cs, coords[j], coords[jn] + (q if jn == 0 else 0))
-            ref[j, j] += float(sp.d11)
-            ref[jn, jn] += float(sp.d22)
-            ref[j, jn] += float(sp.d12)
-            ref[jn, j] += float(sp.d12)
-        with pytest.warns(UserWarning, match="non-stationary"):
-            h = hessian(limacon4_cs, lift)
-        assert np.max(np.abs(h - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def test_hessian_warns_off_a_critical_point(limacon4_cs):
-    lift = PeriodicLift(4, 1, np.array([0.05, 0.3, 0.55, 0.8]))
-    with pytest.warns(UserWarning, match="non-stationary"):
-        hessian(limacon4_cs, lift)
+    for table in (limacon4_cs, limacon4):
+        for p, q in ((2, 1), (3, 1), (7, 2), (12, 5), (48, 13)):
+            inc = rng.uniform(0.2, 0.8, p)
+            coords = 0.1 + np.r_[0.0, np.cumsum(inc / inc.sum() * q)[:-1]]
+            lift = PeriodicLift(p, q, coords)
+            ref = decimal_hessian(table, lift)
+            h = hessian(table, lift)
+            assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
