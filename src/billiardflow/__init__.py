@@ -3,9 +3,9 @@
 The package finds, verifies and renders periodic billiard trajectories on
 dihedrally symmetric strictly convex tables.  Orbits are represented by
 monotone periodic lifts; critical points of the total chord length are located
-by an adaptive gradient flow restricted to affine symmetry classes, and
-closed-form curvature/chord criteria predict when the flow produces orbits
-that are not well-ordered (not Birkhoff).
+by pseudo-transient continuation of the gradient flow restricted to affine
+symmetry classes, and closed-form curvature/chord criteria predict when the
+search produces orbits that are not well-ordered (not Birkhoff).
 """
 
 from .geometry import (

@@ -1,18 +1,19 @@
-"""Non-Birkhoff orbit search: reference orbit + symmetric nudge + constrained flow.
+"""Non-Birkhoff orbit search: reference orbit + symmetric nudge + constrained search.
 
 The pipeline builds the (n, m) symmetric Birkhoff reference inside the chosen
 (p, q) = (s*n, s*m) class, evaluates the closed-form existence criterion,
 perturbs the reference along the symmetric mode whose eigenvalue the margin
-controls, and runs the symmetry-constrained gradient flow until it stabilizes.
-The class, its mode and its criterion come from one validated
+controls, and runs the symmetry-constrained search (:mod:`~.flow`) until it
+is stationary.  The class, its mode and its criterion come from one validated
 :func:`~.spectral.search_class`.  The class is one orthonormal orbit basis
-(:func:`expand_constraints`): the flow projects onto it and the Newton polish
-solves in it.  The limit is classified and every predicted property (minimal
-period, crossing count, action gain, the group the class generators generate)
-is re-checked; mismatches are recorded as anomalies, not silently accepted.
-Along an alpha sweep, Newton's method from the orbit of the previous entry
-(natural-parameter continuation) replaces the nudge and the flow whenever it
-passes Deuflhard's monotonicity test and reaches a local maximum of the action.
+(:func:`expand_constraints`), in which the search solves.  The limit is
+classified and every predicted property (minimal period, crossing count,
+action gain, the group the class generators generate) is re-checked;
+mismatches are recorded as anomalies, not silently accepted.  Along an alpha
+sweep, Newton's method from the orbit of the previous entry (natural-parameter
+continuation; the same search at delta = infinity) replaces the nudge whenever
+it passes Deuflhard's monotonicity test and reaches a local maximum of the
+action.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import GUARD_FLOOR, STATIONARITY_TOL, FlowResult, integrate
+from .flow import GUARD_FLOOR, FlowResult, integrate, newton
 from .geometry import (check_equivariance, check_table_keys, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
-from .lagrangian import gradient_field, hessian, periodic_action
+from .lagrangian import periodic_action
+from .lagrangian import hessian  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
 from .sequences import (AffineSystem, GroupDescription,
                         PeriodicLift, expand_constraints,
                         first_inadmissible, generated_group,
@@ -37,16 +39,8 @@ from .spectral import criterion  # noqa: F401 - a benchmark tracer site (ROADMAP
 
 log = logging.getLogger(__name__)
 
-#: Newton polish only runs from states this close to stationary (gradient
-#: scale), and may move the state by at most this much; otherwise the flow's
-#: own iterate is reported unchanged
-POLISH_BASIN_TOL = 1e-4
-#: the polish stops once |F|_inf is at most POLISH_TARGET, or after
-#: POLISH_MAX_ITER Newton steps
-POLISH_TARGET = 1e-12
-POLISH_MAX_ITER = 30
-#: a continued lift is accepted only while every Newton step passes the
-#: simplified-Newton monotonicity test ||dx_bar_{k+1}|| < THETA_MAX ||dx_k||
+#: a continued lift is accepted only when Newton's first step passes the
+#: simplified-Newton monotonicity test ||dx_bar_1|| < THETA_MAX ||dx_0||
 THETA_MAX = 0.5
 
 
@@ -106,7 +100,8 @@ class OrbitReport:
     find.  ``start`` is "nudged" (the reference nudged by ``epsilon``) or
     "continued" (a warm lift corrected by Newton's method, see
     :func:`find_orbit`; ``epsilon`` is then None), and a continued start
-    records the corrector's Newton steps and its largest monotonicity ratio.
+    records the corrector's Newton steps (its ``flow.n_steps``) and its
+    first step's monotonicity ratio.
     """
 
     outcome: str
@@ -156,96 +151,30 @@ def checked_criterion(request: SearchRequest):
     return boundary, search, report
 
 
-def _reduced_newton(boundary, lift: PeriodicLift, basis: np.ndarray, grad: np.ndarray):
-    """The reduced Hessian B^T H B at ``lift`` and the Newton step
-    -(B^T H B)^{-1} B^T grad in the orbit basis B.
-
-    Raises LinAlgError on a singular reduced Hessian.
-    """
-    reduced = basis.T @ hessian(boundary, lift) @ basis
-    return reduced, np.linalg.solve(reduced, -(basis.T @ grad))
-
-
-def _newton_polish(boundary, lift: PeriodicLift, system: AffineSystem):
-    """Refine a near-stationary lift by Newton steps in the class's orbit basis.
-
-    The adaptive flow stalls at its local-error noise floor; a couple of
-    reduced Newton iterations push the stationarity residual to roundoff.
-    Returns (refined lift, |F|_inf at it): the best iterate seen, which is
-    all the polish returns once a step leaves the flow's guard (GUARD_FLOOR,
-    1 - GUARD_FLOOR) or meets a singular reduced Hessian.
-    """
-    basis = system.basis
-    cur = lift.coords.copy()
-    best = cur
-    best_norm = float(np.max(np.abs(gradient_field(boundary, lift))))
-    if basis.shape[1] == 0:
-        return lift, best_norm
-    for _ in range(POLISH_MAX_ITER):
-        grad = gradient_field(boundary, lift.with_coords(cur))
-        norm = float(np.max(np.abs(grad)))
-        if norm < best_norm:
-            best, best_norm = cur, norm
-        if norm <= POLISH_TARGET:
-            break
-        try:
-            _, delta = _reduced_newton(boundary, lift.with_coords(cur), basis, grad)
-        except np.linalg.LinAlgError:
-            break
-        cur = system.project(cur + basis @ delta)
-        if first_inadmissible(cur, lift.q, GUARD_FLOOR) is not None:
-            return lift.with_coords(best), best_norm
-    grad = gradient_field(boundary, lift.with_coords(cur))
-    norm = float(np.max(np.abs(grad)))
-    if norm < best_norm:
-        best, best_norm = cur, norm
-    return lift.with_coords(best), best_norm
-
-
-def _correct(boundary, guess: PeriodicLift, system: AffineSystem):
-    """Newton's method in the class's orbit basis from a predicted lift.
+def _correct(boundary, guess: PeriodicLift, system: AffineSystem, reference: PeriodicLift):
+    """Newton's method in the class's orbit basis from a predicted lift: the
+    search at delta = infinity (:func:`~.flow.newton`).
 
     The guess, an affine combination of lifts of the class, is not projected
-    again (a stationary lift comes back bit for bit) and is corrected by full
-    Newton steps (exact Hessian), each projected onto the class.  Each step
-    dx_k must pass Deuflhard's simplified-Newton monotonicity test
-    ||dx_bar_{k+1}|| < THETA_MAX ||dx_k||, with dx_bar_{k+1} solved from the
-    same reduced Hessian and the gradient at the new iterate, which the next
-    step reuses.  Returns (lift, Newton steps, largest ratio, None), or lift
-    None and the reason as the last entry when an iterate leaves the flow's
-    guard (GUARD_FLOOR, 1 - GUARD_FLOOR), a step fails the test or meets a
-    singular Hessian, |F|_inf stays above POLISH_TARGET after POLISH_MAX_ITER
-    steps, or the reduced Hessian at the limit is not negative definite (the
+    (a stationary lift comes back bit for bit).  Returns (run, ratio, None),
+    ratio Deuflhard's simplified-Newton monotonicity ratio of the first step,
+    or run None and the reason as the last entry when the guess leaves the
+    flow's guard (GUARD_FLOOR, 1 - GUARD_FLOOR), the first step fails the
+    test ratio < THETA_MAX, the run stops unconverged (a rejected step ends
+    it), or the reduced Hessian at the limit is not negative definite (the
     limit is no strict local maximum of the action in the class).
     """
-    basis = system.basis
-    x = guess.coords
-    steps, ratio = 0, 0.0
-    if basis.shape[1] == 0 or first_inadmissible(x, guess.q, GUARD_FLOOR) is not None:
-        return None, steps, ratio, "the guess is not admissible"
-    grad = gradient_field(boundary, guess.with_coords(x))
-    try:
-        while float(np.max(np.abs(grad))) > POLISH_TARGET:
-            if steps == POLISH_MAX_ITER:
-                return None, steps, ratio, f"|F|_inf > {POLISH_TARGET:g} after {steps} steps"
-            steps += 1
-            reduced, delta = _reduced_newton(boundary, guess.with_coords(x), basis, grad)
-            x = system.project(x + basis @ delta)
-            if first_inadmissible(x, guess.q, GUARD_FLOOR) is not None:
-                return None, steps, ratio, f"step {steps} left the admissible region"
-            grad = gradient_field(boundary, guess.with_coords(x))
-            size = float(np.linalg.norm(delta))
-            simplified = float(np.linalg.norm(np.linalg.solve(reduced, basis.T @ grad)))
-            if not simplified < THETA_MAX * size:
-                return None, steps, ratio, f"step {steps} failed the monotonicity test"
-            ratio = max(ratio, simplified / size)
-        reduced, _ = _reduced_newton(boundary, guess.with_coords(x), basis, grad)
-    except np.linalg.LinAlgError:
-        return None, steps, ratio, f"singular reduced Hessian after {steps} steps"
-    top = float(np.linalg.eigvalsh(reduced)[-1])
+    if first_inadmissible(guess.coords, guess.q, GUARD_FLOOR) is not None:
+        return None, 0.0, "the guess is not admissible"
+    run, ratio, h = newton(boundary, guess, system, reference)
+    if not ratio < THETA_MAX:
+        return None, ratio, "step 1 failed the monotonicity test"
+    if not run.converged:
+        return None, ratio, f"{run.reason} after {run.n_steps} steps"
+    top = float(np.linalg.eigvalsh(system.basis.T @ h @ system.basis).max(initial=-np.inf))
     if not top < 0:
-        return None, steps, ratio, f"largest reduced Hessian eigenvalue {top:.3g} >= 0"
-    return guess.with_coords(x), steps, ratio, None
+        return None, ratio, f"largest reduced Hessian eigenvalue {top:.3g} >= 0"
+    return run, ratio, None
 
 
 def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitReport:
@@ -255,8 +184,8 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
     equivariance), evaluate the closed-form criterion, gate on its margin
     (raise :class:`CriterionInconclusive` unless forced), reparametrize to
     constant speed, nudge the symmetric Birkhoff reference along the class
-    mode, flow to stationarity, classify the limit, and re-check every
-    predicted property.
+    mode, search from it to stationarity (:func:`~.flow.integrate`), classify
+    the limit, and re-check every predicted property.
 
     ``warm`` is the (m_prev, x) margin and lift of an orbit of the class on a
     nearby table of the same family.  When the criterion predicts an orbit,
@@ -264,7 +193,7 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
     when m_prev > 0, x scaled about the Birkhoff reference by the root of the
     margin ratio, x + (sqrt(margin / m_prev) - 1)(x - reference), which is x
     itself at an equal margin; then x.  The first one the corrector accepts
-    replaces the nudged start ("continued"; the flow then stops at once).
+    is the result ("continued"; its Newton run is the report's ``flow``).
     Otherwise the search runs exactly as without ``warm``.
     """
     boundary, search, report = checked_criterion(request)
@@ -286,7 +215,7 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
 
     cs = reparametrize_constant_speed(boundary)
     action_ref = periodic_action(cs, reference)
-    start = steps = ratio = eps = None
+    run = ratio = eps = None
     if warm is not None and predicted:
         m_prev, x = warm
         guesses = [("previous", x)]
@@ -298,14 +227,15 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
             guesses.insert(0, ("scaled", x.with_coords(
                 x.coords + scale * (x.coords - reference.coords))))
         for name, guess in guesses:
-            start, steps, ratio, why = _correct(cs, guess, system)
-            if start is not None:
+            run, ratio, why = _correct(cs, guess, system, reference)
+            if run is not None:
                 log.info("continued from the warm lift (%s prediction): %d Newton "
-                         "steps, largest monotonicity ratio %.3g", name, steps, ratio)
+                         "steps, first-step monotonicity ratio %.3g", name,
+                         run.n_steps, ratio)
                 break
             log.info("continuation rejected the %s prediction: %s", name, why)
-    if start is None:
-        steps = ratio = None
+    if run is None:
+        ratio = None
         eps = min(1.0 / (4 * n), 1e-2) if request.epsilon is None else float(request.epsilon)
         start = search.start(eps)
         if predicted:
@@ -324,32 +254,14 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
                     f"no action gain along the certified mode down to epsilon = "
                     f"{eps:.3g}; the margin {report.margin:.3g} is too small to "
                     "resolve numerically")
-
-    log.info("flowing kind=%s (p, q)=(%d, %d) K=%d k=%d epsilon=%s "
-             "margin=%.6g", search.kind, p, q, search.K, search.k,
-             "-" if eps is None else f"{eps:.3g}", report.margin)
-    flow = integrate(cs, start, system=system, reference=reference)
-    # an unmoved continued start stays the corrector's lift, not integrate's
-    # re-projected copy, so a repeated alpha reports its orbit bit for bit
-    final = start if eps is None and flow.n_steps == 0 else flow.final_lift
-    residual = flow.grad_norm
-    if flow.reason in ("stationary", "max_time", "plateau", "max_steps") and \
-            residual < POLISH_BASIN_TOL:
-        # the explicit flow stalls at its noise floor; finish with Newton.
-        # Plateau/step-capped runs still hold a good iterate, so polish those
-        # too and judge by the achieved residual rather than the flow's own
-        # verdict.  The basin gate keeps Newton from wandering to a different
-        # critical point from a half-converged state, and a move larger than
-        # the gate means it did exactly that, so the flow iterate stands.
-        polished, polished_residual = _newton_polish(cs, final, system)
-        moved = float(np.max(np.abs(polished.coords - final.coords)))
-        if moved < POLISH_BASIN_TOL:
-            final, residual = polished, polished_residual
-    # a converged flow is below the tolerance, and the polish only lowers it
-    settled = residual < STATIONARITY_TOL
+        log.info("flowing kind=%s (p, q)=(%d, %d) K=%d k=%d epsilon=%.3g "
+                 "margin=%.6g", search.kind, p, q, search.K, search.k, eps,
+                 report.margin)
+        run = integrate(cs, start, system=system, reference=reference)
+    final = run.final_lift
     group = spatiotemporal_group(final, n)
     birkhoff = group.is_birkhoff
-    if not settled:
+    if not run.converged:
         outcome = "non_converged"
     elif birkhoff:
         outcome = "collapsed_to_birkhoff"
@@ -359,7 +271,7 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
     minimal = minimal_period(final)
     winding = int(round(float(final.value(minimal) - final.coords[0])))
     crossings = intersection_index(final, reference)
-    action_gain = periodic_action(cs, final) - action_ref
+    action_gain = run.final_action - action_ref
 
     anomalies = []
     if outcome == "non_birkhoff_found":
@@ -392,13 +304,13 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
         group=group,
         crossings_vs_reference=crossings,
         action_gain=float(action_gain),
-        residual=float(residual),
+        residual=run.grad_norm,
         anomalies=anomalies,
         epsilon=eps,
         criterion=report,
-        flow=flow,
+        flow=run,
         start="nudged" if eps is not None else "continued",
-        corrector_iterations=steps,
+        corrector_iterations=None if eps is not None else run.n_steps,
         corrector_ratio=ratio,
     )
 

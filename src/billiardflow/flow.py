@@ -1,12 +1,20 @@
-"""Symmetry-constrained gradient flow of the periodic action.
+"""Symmetry-constrained search for a local maximum of the periodic action.
 
-Integrates dx/dt = F(x) (F the action gradient) with an embedded
-Dormand-Prince 5(4) pair, projecting every accepted step orthogonally onto the
-symmetry class through its orbit basis (see :class:`~.sequences.AffineSystem`).
-The run stops on a violated law of the flow (the action decreasing beyond the
-local error, the crossing index against a reference lift increasing) and names
-it.  It keeps no per-sample history: the result is the stop reason and where
-the run stopped.
+Pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998)
+in the symmetry class's orthonormal orbit basis B (see
+:class:`~.sequences.AffineSystem`): each iterate is one linearly implicit
+Euler step of the gradient flow dx/dt = F(x) with pseudo-time step delta,
+
+    d = (I/delta - B^T H B)^{-1} B^T F,    x <- x + B d,
+
+F, the action W and its Hessian H read off one order-2 kernel call.  delta
+grows by switched evolution relaxation (Mulder & van Leer, J. Comput. Phys.
+59, 1985), so the step turns into Newton's method as the iterate nears a
+maximum.  A step that leaves the guard, lowers the action or raises the
+crossing count against a reference lift is rejected and delta cut.  At
+delta = infinity the iteration is Newton's method from its first step, and a
+rejected step ends the run.  It keeps no per-iterate history: the result is
+the stop reason and where the run stopped.
 """
 
 from __future__ import annotations
@@ -17,52 +25,36 @@ import numpy as np
 
 from .lagrangian import _gradient_coords
 from .lagrangian import periodic_action  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
-from .sequences import AffineSystem, PeriodicLift, first_inadmissible, intersection_index
-
-# Dormand-Prince 5(4) tableau
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    # the fifth-order weights: the last stage point is the fifth-order solution
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                -92097 / 339200, 187 / 2100, 1 / 40])
+from .sequences import (SNAP_TOL, AffineSystem, PeriodicLift, first_inadmissible,
+                        intersection_index)
 
 #: the admissible-increment guard: increments must stay in (floor, 1 - floor)
 GUARD_FLOOR = 1e-6
-#: convergence: ||F||_inf below this
+#: convergence: ||F||_inf below RESIDUAL_TARGET, or below STATIONARITY_TOL
+#: once a step no longer lowers it (its roundoff floor, which at p = 192
+#: lies near 1e-12)
+RESIDUAL_TARGET = 1e-12
 STATIONARITY_TOL = 1e-10
-#: flow-time and accepted-step budgets of one run
-MAX_TIME = 1e6
-MAX_STEPS = 200_000
-#: absolute and relative local-error tolerances of the step control
-ABS_TOL = 1e-13
-REL_TOL = 1e-11
-#: first trial step and largest step of the integrator
-INITIAL_STEP = 1e-2
-MAX_STEP = 1e4
-#: accepted steps without progress before the run is declared a plateau
-PLATEAU_WINDOW = 400
-#: ||F|| progress = beating the benchmark residual by this factor
-PLATEAU_FACTOR = 0.9
-#: consecutive stalled steps before the run is declared a plateau
-PLATEAU_STEPS = 100
-#: a step that moves the state less than this counts as stalled
-DISPLACEMENT_TOL = 1e-12
+#: accepted-step budget of one run
+MAX_STEPS = 500
+#: the first pseudo-time step of a search, and the cap of its growth
+DELTA_START = 5e-3
+DELTA_MAX = 1e12
+#: a run whose rejections cut delta below this stops
+DELTA_MIN = 1e-14
+#: a step may lower the action by this much, relative, before it is rejected
+ACTION_RTOL = 1e-12
 
 
 @dataclass
 class FlowResult:
-    """Outcome of one flow run: why it stopped and where.
+    """Outcome of one search: why it stopped and where.
 
-    ``reason`` is the one stop reason: "stationary", "max_time", or a failure
-    ("step_underflow", "guard_violation", "action_decrease",
-    "crossing_increase", "plateau", "persistent_tangency", "max_steps").
+    ``reason`` is the one stop reason: "stationary", or a failure
+    ("max_steps", "step_underflow", and, at delta = infinity only,
+    "guard_violation", "action_decrease", "crossing_increase").
+    ``n_steps`` counts accepted iterations and ``t_final`` the pseudo-time
+    they covered, the sum of their finite deltas.
     """
 
     final_lift: PeriodicLift
@@ -79,8 +71,8 @@ class FlowResult:
 
     @property
     def failure(self) -> str | None:
-        """The stop reason, unless the run converged or reached max_time."""
-        return None if self.reason in ("stationary", "max_time") else self.reason
+        """The stop reason, unless the run converged."""
+        return None if self.converged else self.reason
 
 
 def _guard_violation(coords: np.ndarray, q: int):
@@ -91,147 +83,126 @@ def _guard_violation(coords: np.ndarray, q: int):
     return None
 
 
+def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
+            reference: PeriodicLift | None, delta: float):
+    """The iteration from ``start`` at first pseudo-time step ``delta``.
+
+    Returns the :class:`FlowResult`, the first accepted step's contraction
+    ratio ||(I/delta - R_0)^{-1} B^T F_1|| / ||d_0|| (the simplified step at
+    the new iterate against the step taken, with the old matrix; 0 without a
+    step) and the Hessian H at the last iterate.
+    """
+    q = start.q
+    x = np.asarray(start.coords, dtype=float)
+    msg = _guard_violation(x, q)
+    if msg is not None:
+        raise ValueError(f"start violates the admissible-increment guard: {msg}")
+    if system is None:
+        basis = np.eye(x.size)
+    elif system.residual(x) > SNAP_TOL:
+        raise ValueError("start does not satisfy the constraint system")
+    else:
+        basis = system.basis
+    eye = np.eye(basis.shape[1])
+
+    def crossing(coords):
+        if reference is None:
+            return None
+        return intersection_index(PeriodicLift(start.p, q, coords), reference)
+
+    f, action, h = _gradient_coords(boundary, x, q, 2)
+    fnorm = float(np.max(np.abs(f)))
+    g = basis.T @ f
+    cross = crossing(x)
+    last_crossing = cross if isinstance(cross, int) else None
+    steps, t, ratio, violation = 0, 0.0, 0.0, None
+    while True:
+        if fnorm < RESIDUAL_TARGET:
+            reason = "stationary"
+            break
+        if steps == MAX_STEPS:
+            reason = "max_steps"
+            break
+        reduced = basis.T @ h @ basis
+        while True:     # trial steps from x, delta cut after each rejection
+            matrix = eye / delta - reduced
+            d = np.linalg.solve(matrix, g)
+            x_new = x + basis @ d
+            violation = _guard_violation(x_new, q)
+            reason = None if violation is None else "guard_violation"
+            if reason is None:
+                f_new, action_new, h_new = _gradient_coords(boundary, x_new, q, 2)
+                cross = crossing(x_new)
+                if action_new < action - ACTION_RTOL * abs(action):
+                    reason = "action_decrease"
+                elif isinstance(cross, int) and last_crossing is not None \
+                        and cross > last_crossing:
+                    reason = "crossing_increase"
+            if reason is None or delta == np.inf:
+                break
+            delta /= 4.0
+            if delta < DELTA_MIN:
+                reason = "step_underflow"
+                break
+        if reason is not None:
+            break
+        fnorm_new = float(np.max(np.abs(f_new)))
+        if fnorm < STATIONARITY_TOL and not fnorm_new < fnorm:
+            # the residual has reached its roundoff floor
+            reason = "stationary"
+            break
+
+        steps += 1
+        if delta < np.inf:
+            t += delta
+        g_new = basis.T @ f_new
+        if steps == 1:
+            size = float(np.linalg.norm(d))
+            ratio = float(np.linalg.norm(np.linalg.solve(matrix, g_new))) / size if size else 0.0
+        if delta < DELTA_MAX:
+            # grow by the residual ratio, at least 2; a zero residual jumps to the cap
+            norm_new = float(np.linalg.norm(g_new))
+            growth = float(np.linalg.norm(g)) / norm_new if norm_new else np.inf
+            delta = min(delta * max(growth, 2.0), DELTA_MAX)
+        x, f, fnorm, action, h, g = x_new, f_new, fnorm_new, action_new, h_new, g_new
+        if isinstance(cross, int):
+            last_crossing = cross
+
+    run = FlowResult(final_lift=PeriodicLift(start.p, q, x), final_action=action,
+                     reason=reason, t_final=t, grad_norm=fnorm,
+                     n_steps=steps,
+                     domain_violation=violation if reason == "guard_violation" else None)
+    return run, ratio, h
+
+
 def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
               reference: PeriodicLift | None = None) -> FlowResult:
-    """Run the constrained gradient flow from ``start`` until stationarity.
+    """Search from ``start`` for a stationary point of the action: the
+    iteration at first pseudo-time step ``DELTA_START``.
 
     Parameters
     ----------
     system : AffineSystem, optional
-        Affine symmetry class; the start must (approximately) satisfy it, and
-        the state is re-projected after every accepted step.
+        Affine symmetry class; the start must satisfy it to ``SNAP_TOL``, and
+        every step stays in it.
     reference : PeriodicLift, optional
-        Lift against which the crossing index is checked to be non-increasing.
+        Lift against which the integer crossing index may not increase.
 
-    The run converges when ``||F||_inf < STATIONARITY_TOL`` and the last step
-    displacement is consistent with a stationary state; it stops unconverged
-    at ``MAX_TIME`` or after ``MAX_STEPS`` accepted steps, on a guard
-    violation, on a detected law violation (action decrease beyond 10x the
-    local error, crossing increase), or on a plateau.
-    A plateau is declared when, within the last ``PLATEAU_WINDOW`` accepted
-    steps, ``||F||_inf`` has not improved by ``PLATEAU_FACTOR`` and no step
-    gained action beyond its error budget (the integrator's local-error noise
-    can floor the residual above the stationarity tolerance); the result then
-    carries the best iterate, not the last one, with reason ``"plateau"``.
+    The run converges when ``||F||_inf < RESIDUAL_TARGET``, or when
+    ``||F||_inf < STATIONARITY_TOL`` and a step does not lower it; it stops
+    unconverged after ``MAX_STEPS`` accepted steps, or when rejections cut
+    delta below ``DELTA_MIN``.
     """
-    q = start.q
-    x = np.asarray(start.coords, dtype=float).copy()
-    msg = _guard_violation(x, q)
-    if msg is not None:
-        raise ValueError(f"start violates the admissible-increment guard: {msg}")
-    if system is not None:
-        projected = system.project(x)
-        if np.max(np.abs(projected - x)) > 1e-6:
-            raise ValueError("start does not satisfy the constraint system")
-        x = projected
+    return _search(boundary, start, system, reference, DELTA_START)[0]
 
-    def rhs(coords):
-        return _gradient_coords(boundary, coords, q)
 
-    def make_lift(coords):
-        return PeriodicLift(start.p, q, coords)
+def newton(boundary, start: PeriodicLift, system: AffineSystem,
+           reference: PeriodicLift | None = None):
+    """Newton's method in the class's orbit basis from ``start``: the
+    iteration at delta = infinity, where a rejected step ends the run.
 
-    def crossing(coords):
-        return None if reference is None else intersection_index(make_lift(coords), reference)
-
-    f_cur, action = rhs(x)
-    fnorm = float(np.max(np.abs(f_cur)))
-    cross = crossing(x)
-    reason = "stationary" if fnorm < STATIONARITY_TOL else None
-    violation = None
-
-    t = 0.0
-    dt = min(INITIAL_STEP, MAX_TIME)
-    steps = 0
-    stalled = 0
-    best_x, best_t, best_action, best_fnorm = x.copy(), t, action, fnorm
-    bench_fnorm = fnorm      # benchmark at the last progress reset
-    since_progress = 0
-    last_crossing = cross if isinstance(cross, int) else None
-    tangent_run = int(cross == "tangent")    # consecutive tangent samples
-    stages = np.empty((7, x.size))
-
-    while reason is None and steps < MAX_STEPS:
-        stages[0] = f_cur
-        for s in range(1, 7):
-            xs = x + dt * (stages[:s].T @ _A[s, :s])
-            f = rhs(xs)
-            if f is None:
-                err_ratio = np.inf
-                break
-            stages[s] = f[0]
-        else:       # the last stage point xs is the fifth-order solution
-            err_vec = xs - (x + dt * (stages.T @ _B4))
-            scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(xs))
-            err_ratio = max(float(np.max(np.abs(err_vec) / scale)), 1e-16)
-        # a stage left the admissible region, or the error is not finite or
-        # too large: retry with a smaller step
-        if not err_ratio <= 1.0:
-            dt *= max(0.2, 0.9 * err_ratio ** -0.2) if np.isfinite(err_ratio) else 0.2
-            if dt < 1e-14:
-                reason = "step_underflow"
-            continue
-
-        # accepted
-        steps += 1
-        x_new = xs if system is None else system.project(xs)
-        err_abs = float(np.max(np.abs(err_vec)))
-        violation = _guard_violation(x_new, q)
-        if violation is not None:
-            reason = "guard_violation"
-            break
-        displacement = float(np.max(np.abs(x_new - x)))
-        t += dt
-        x = x_new
-        prev_action = action
-        f_cur, action = rhs(x)
-        fnorm = float(np.max(np.abs(f_cur)))
-
-        budget = 10.0 * (err_abs * (1.0 + float(np.sum(np.abs(f_cur)))) + 1e-15)
-        if action < prev_action - budget:
-            reason = "action_decrease"
-            break
-        cross = crossing(x)
-        tangent_run = tangent_run + 1 if cross == "tangent" else 0
-        if isinstance(cross, int):
-            if last_crossing is not None and cross > last_crossing:
-                reason = "crossing_increase"
-                break
-            last_crossing = cross
-
-        if fnorm < STATIONARITY_TOL and \
-                displacement < max(DISPLACEMENT_TOL, dt * STATIONARITY_TOL):
-            reason = "stationary"
-            break
-
-        # progress is judged against a benchmark frozen at the last reset, so
-        # a slow steady decay (a few per mille per step) keeps resetting and
-        # is never mistaken for a plateau; an action gain beyond the step's
-        # error budget is progress too, since near a circle the flow leaves
-        # the Birkhoff saddle with ||F|| rising for many steps
-        since_progress += 1
-        if fnorm < PLATEAU_FACTOR * bench_fnorm:
-            since_progress = 0
-            bench_fnorm = fnorm
-        elif action - prev_action > budget:
-            since_progress = 0
-        if fnorm < best_fnorm:
-            best_x, best_t, best_action, best_fnorm = x.copy(), t, action, fnorm
-        stalled = stalled + 1 if displacement < DISPLACEMENT_TOL else 0
-        if stalled >= PLATEAU_STEPS or since_progress >= PLATEAU_WINDOW:
-            reason = "plateau"
-            x, t, action, fnorm = best_x, best_t, best_action, best_fnorm
-            break
-
-        if t >= MAX_TIME:
-            # a crossing index tangent at the last PLATEAU_STEPS samples
-            # names the stop instead
-            reason = "persistent_tangency" if tangent_run >= PLATEAU_STEPS else "max_time"
-            break
-
-        dt = min(max(dt * min(max(0.9 * err_ratio ** -0.2, 0.2), 5.0), 1e-14), MAX_STEP)
-        dt = min(dt, MAX_TIME - t)
-
-    return FlowResult(final_lift=make_lift(x), final_action=action,
-                      reason=reason or "max_steps", t_final=t, grad_norm=fnorm,
-                      n_steps=steps, domain_violation=violation)
+    Returns the :class:`FlowResult` (whose ``t_final`` is 0), the first
+    step's contraction ratio (Deuflhard's simplified-Newton monotonicity
+    ratio) and the Hessian at the last iterate.
+    """
+    return _search(boundary, start, system, reference, np.inf)

@@ -4,10 +4,12 @@ Each computes, by a second route, something the package computes another way:
 the chord partials one endpoint at a time (the package assembles the gradient
 in one kernel), the Hessian of the action chord by chord in 40-digit decimal
 arithmetic, the paper's closed form of the circulant Hessian at a
-symmetric Birkhoff orbit, the comparison principle of two flow runs, integer
+symmetric Birkhoff orbit, the gradient flow itself by an explicit
+Dormand-Prince integrator (the package searches by pseudo-transient
+continuation instead), the comparison principle of two flow runs, integer
 translates of a lift, and orbit equality by a loop over time shifts and
-reversals.  It also holds the helpers only tests use: the history of a flow
-run's samples, the trapezoid rule, and writing an orbit file.
+reversals.  It also holds the helpers only tests use: the trapezoid rule and
+writing an orbit file.
 """
 
 import math
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from billiardflow import flow
+from billiardflow.lagrangian import _gradient_coords
 from billiardflow.sequences import CLASSIFY_TOL, lift_text
 from billiardflow.spectral import kappa_chord
 
@@ -112,16 +114,34 @@ def circulant(p, alpha, beta):
     return h
 
 
-class Recording(NamedTuple):
-    """A flow run and the history of its samples, read off its kernel calls:
-    each sample's coordinates, time, action and sum of squared gradient
-    entries."""
+# Dormand-Prince 5(4) tableau; the last row is the fifth-order weights, so
+# the last stage point is the fifth-order solution
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                -92097 / 339200, 187 / 2100, 1 / 40])
+#: absolute and relative local-error tolerances of its step control
+DP5_ABS_TOL = 1e-13
+DP5_REL_TOL = 1e-11
 
-    run: flow.FlowResult
+
+class Recording(NamedTuple):
+    """A gradient-flow trajectory: each accepted sample's coordinates, time,
+    action and sum of squared gradient entries, and whether the last sample
+    is stationary."""
+
     lifts: list
     times: np.ndarray
     actions: np.ndarray
     grad_sq: np.ndarray
+    converged: bool
 
 
 #: the largest drop of the action between samples that the flow-law tests
@@ -131,43 +151,51 @@ class Recording(NamedTuple):
 ACTION_ROUNDOFF = 1e-13
 
 
-def recorded_run(boundary, start, **kwargs) -> Recording:
-    """``flow.integrate(boundary, start, **kwargs)`` and the history of its
-    samples, from a spy on the flow's kernel, ``flow._gradient_coords``.
+def dp5_flow(boundary, start, system=None, t_max=np.inf, tol=1e-10,
+             max_steps=20_000, first_step=1e-2) -> Recording:
+    """The gradient flow dx/dt = F(x) from ``start`` by an embedded
+    Dormand-Prince 5(4) pair, each accepted step projected onto ``system``.
 
-    The flow evaluates its first sample at the start, and every later one at
-    the projection of the last stage point of the step it accepts (the point
-    itself without a system), so the samples are the first call and each
-    call made at the projection of the previous call's point.  A sample's
-    action and gradient are what the kernel returned there.  Its time adds
-    the step dt of the attempt it ends, whose six calls precede it: the
-    first is at x + (dt/5) F(x), with x and F(x) the previous sample's.
+    The step control keeps the local error below DP5_ABS_TOL + DP5_REL_TOL
+    |x|; a stage
+    off the admissible region, where the kernel returns None, shrinks the
+    step.  The run stops once ||F||_inf < tol, at t_max, after max_steps
+    accepted steps or once the step falls below 1e-14, and records every
+    accepted sample.
     """
-    system = kwargs.get("system")
     project = (lambda x: x) if system is None else system.project
-    calls = []
-    kernel = flow._gradient_coords
-
-    def spy(boundary, coords, q):
-        out = kernel(boundary, coords, q)
-        calls.append((coords.copy(), out))
-        return out
-
-    flow._gradient_coords = spy
-    try:
-        run = flow.integrate(boundary, start, **kwargs)
-    finally:
-        flow._gradient_coords = kernel
-    samples = [0] + [i for i in range(1, len(calls))
-                     if np.array_equal(calls[i][0], project(calls[i - 1][0]))]
-    assert len(samples) == run.n_steps + (run.reason != "guard_violation")
-    points = [calls[i] for i in samples]      # (coords, (F, W)) of each sample
-    times = [0.0]
-    for (x, (f, _)), i in zip(points, samples[1:]):
-        times.append(times[-1] + 5.0 * float((calls[i - 6][0] - x) @ f / (f @ f)))
-    return Recording(run=run, lifts=[x for x, _ in points], times=np.array(times),
-                     actions=np.array([w for _, (_, w) in points]),
-                     grad_sq=np.array([float(np.sum(f * f)) for _, (f, _) in points]))
+    q = start.q
+    x = project(np.asarray(start.coords, dtype=float))
+    f, action = _gradient_coords(boundary, x, q)
+    lifts, times, actions, grad_sq = [x], [0.0], [action], [float(f @ f)]
+    t, dt = 0.0, min(first_step, t_max)
+    stages = np.empty((7, x.size))
+    while np.max(np.abs(f)) >= tol and t < t_max and len(lifts) <= max_steps \
+            and dt > 1e-14:
+        stages[0] = f
+        for s in range(1, 7):
+            xs = x + dt * (stages[:s].T @ _A[s, :s])
+            out = _gradient_coords(boundary, xs, q)
+            if out is None:
+                ratio = np.inf
+                break
+            stages[s] = out[0]
+        else:
+            err = xs - (x + dt * (stages.T @ _B4))
+            scale = DP5_ABS_TOL + DP5_REL_TOL * np.maximum(np.abs(x), np.abs(xs))
+            ratio = max(float(np.max(np.abs(err) / scale)), 1e-16)
+        if ratio <= 1.0:
+            t += dt
+            x = project(xs)
+            f, action = _gradient_coords(boundary, x, q)
+            lifts.append(x)
+            times.append(t)
+            actions.append(action)
+            grad_sq.append(float(f @ f))
+        factor = 0.2 if not np.isfinite(ratio) else min(max(0.9 * ratio ** -0.2, 0.2), 5.0)
+        dt = min(dt * factor, 1e4, t_max - t)
+    return Recording(lifts=lifts, times=np.array(times), actions=np.array(actions),
+                     grad_sq=np.array(grad_sq), converged=bool(np.max(np.abs(f)) < tol))
 
 
 def trapezoid(y, x) -> float:
@@ -180,7 +208,7 @@ def trapezoid(y, x) -> float:
 def comparison_check(recorded_x, recorded_y) -> bool:
     """Whether run x stays strictly below run y at every recorded time > 0.
 
-    Each argument is a :func:`recorded_run` recording; the runs must start
+    Each argument is a :func:`dp5_flow` recording; the runs must start
     from ordered, distinct states x(0) <= y(0).  Samples of the two runs are
     aligned by per-coordinate linear interpolation on the union of their
     time grids, truncated to the shorter run.

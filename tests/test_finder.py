@@ -15,7 +15,6 @@ from billiardflow import (
     criterion,
     expand_constraints,
     find_orbit,
-    gradient_field,
     kappa_chord,
     make_boundary,
     reparametrize_constant_speed,
@@ -23,8 +22,9 @@ from billiardflow import (
     sweep,
 )
 from billiardflow import finder, flow, spectral
+from billiardflow.sequences import intersection_index, minimal_period, spatiotemporal_group
 from billiardflow.spectral import KINDS
-from oracles import increments, same_orbit
+from oracles import dp5_flow, increments, same_orbit
 
 LIMACON4 = {"family": "limacon", "n": 4, "alpha": 0.05}
 LIMACON2_10 = {"family": "limacon", "n": 2, "alpha": 0.10}
@@ -151,37 +151,8 @@ def test_step_capped_run_reports_non_converged(monkeypatch):
     rep = find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main",
                                    N=4, s=3))
     assert rep.outcome == "non_converged"
-    assert rep.residual > 1e-4  # the basin gate must not polish this state
-
-
-def test_the_polish_settles_a_step_capped_flow(monkeypatch, flagship_report):
-    # the flow stops on its step cap near the orbit; the Newton polish brings
-    # the residual to roundoff, and the residual alone decides that it settled
-    monkeypatch.setattr(flow, "MAX_STEPS", 100)
-    rep = find_orbit(FLAGSHIP)
     assert rep.flow.reason == "max_steps"
-    assert 1e-10 < rep.flow.grad_norm < finder.POLISH_BASIN_TOL
-    assert rep.outcome == "non_birkhoff_found"
-    assert rep.residual < 1e-12
-    assert same_orbit(rep.final_lift, flagship_report.final_lift)
-
-
-def test_a_polish_step_that_leaves_the_guard_ends_the_polish(monkeypatch, flagship_report):
-    # a start 5% of the way from the orbit to the reference has a larger
-    # smallest increment than the orbit; with the guard between the two, the
-    # first Newton step lands outside it, and the polish keeps the start
-    orbit = flagship_report.final_lift
-    search = search_class("main", 4, 1, 4, 3)
-    system = expand_constraints(4, search.generators, search.p, search.q)
-    table = reparametrize_constant_speed(make_boundary(LIMACON4))
-    start = orbit.with_coords(orbit.coords + 0.05 * (search.reference.coords - orbit.coords))
-    assert system.residual(start.coords) < 1e-12
-    floor = 0.5 * (increments(orbit).min() + increments(start).min())
-    monkeypatch.setattr(finder, "GUARD_FLOOR", floor)
-    lift, residual = finder._newton_polish(table, start, system)
-    assert np.array_equal(lift.coords, start.coords)
-    assert residual == float(np.max(np.abs(gradient_field(table, start))))
-    assert residual > 1e-2
+    assert rep.residual > 1e-4  # five steps from the nudge end far from the orbit
 
 
 def test_epsilon_validation():
@@ -378,15 +349,15 @@ FLAGSHIP = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
 def test_threads_running_find_orbit_leave_the_warning_filters_as_they_were(monkeypatch):
     # find_orbit must not touch the process-wide warning filters: a save and
     # restore interleaved across threads would leave one thread's filter
-    # behind.  A slow Hessian keeps each polish long enough to overlap, and
+    # behind.  A slow kernel keeps each search long enough to overlap, and
     # each thread runs every epsilon, in its own order, so that some do
-    hessian = finder.hessian
+    kernel = flow._gradient_coords
 
-    def slow_hessian(boundary, lift):
-        time.sleep(0.02)
-        return hessian(boundary, lift)
+    def slow_kernel(*args):
+        time.sleep(0.002)
+        return kernel(*args)
 
-    monkeypatch.setattr(finder, "hessian", slow_hessian)
+    monkeypatch.setattr(flow, "_gradient_coords", slow_kernel)
     before = list(warnings.filters)
     epsilons = [0.01, 0.008, 0.006, 0.005]
     outcomes = []
@@ -480,23 +451,25 @@ def test_a_sweep_near_the_threshold_continues_from_the_scaled_lift(values, expec
     assert entries[0].report.corrector_iterations is None
     for entry in entries[1:]:
         continued = entry.report
-        assert continued.epsilon is None and continued.flow.n_steps == 0
+        # the corrector's Newton run is the entry's search: no pseudo-time
+        assert continued.epsilon is None and continued.flow.t_final == 0.0
         assert continued.flow.reason == "stationary"
-        assert continued.corrector_iterations > 0
+        assert continued.corrector_iterations == continued.flow.n_steps > 0
         assert 0 < continued.corrector_ratio < finder.THETA_MAX
     assert_independent(FLAGSHIP, entries)
 
 
 def test_a_rejected_prediction_falls_back_to_the_previous_lift(monkeypatch, caplog):
     # far above its threshold the main N=1 s=5 orbit does not scale like the
-    # square root of the margin: the first scaled lift fails the monotonicity
-    # test and the previous lift, tried next, is accepted
+    # square root of the margin: Newton's first step from the first scaled
+    # lift lowers the action, which ends its run, and the previous lift,
+    # tried next, is accepted
     caplog.set_level("INFO", logger="billiardflow.finder")
     base = replace(FLAGSHIP, N=1, s=5)
     entries, _ = recorded_sweep(monkeypatch, base, [0.01, 0.026, 0.042, 0.058])
     assert starts(entries) == ["nudged", "continued", "continued", "continued"]
     assert predictions(caplog) == [["scaled rejected", "previous"], ["scaled"], ["scaled"]]
-    assert "scaled prediction: step 1 failed the monotonicity test" in caplog.text
+    assert "scaled prediction: action_decrease after 0 steps" in caplog.text
     assert_independent(base, entries)
 
 
@@ -544,6 +517,42 @@ def test_the_corrector_rejects_a_saddle():
     search = search_class("main", 4, 1, 4, 3)
     system = expand_constraints(4, search.generators, search.p, search.q)
     table = reparametrize_constant_speed(make_boundary(LIMACON4))
-    lift, steps, ratio, why = finder._correct(table, search.reference, system)
-    assert lift is None and steps == 0
+    run, ratio, why = finder._correct(table, search.reference, system, search.reference)
+    assert run is None and ratio == 0.0
     assert "eigenvalue" in why
+
+
+#: the five tier-1 classes, each on the limacon of its table symmetry n at
+#: 1/3 and 2/3 of an alpha band where its criterion predicts an orbit
+ORACLE_CLASSES = [
+    ("main(12,3)", dict(n=4, m=1, kind="main", N=4, s=3), (0.046, 0.058)),
+    ("typeI-s7", dict(n=2, m=1, kind="typeI", s=7), (0.09, 0.195)),
+    ("typeII-s4", dict(n=2, m=1, kind="typeII", s=4), (0.12, 0.195)),
+    ("typeV-s5", dict(n=2, m=1, kind="typeV", s=5), (0.04, 0.195)),
+    ("main-N1-s5", dict(n=4, m=1, kind="main", N=1, s=5), (0.01, 0.058)),
+]
+
+
+@pytest.mark.parametrize("fields, alpha", [
+    pytest.param(fields, alpha, id=f"{name}-{alpha:.4g}")
+    for name, fields, (lo, hi) in ORACLE_CLASSES
+    for alpha in (lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3)])
+def test_the_search_ends_on_the_limit_of_the_oracle_flow(fields, alpha):
+    # the gradient flow integrated by the Dormand-Prince oracle from the same
+    # nudged start reaches the orbit the search reports: the same label,
+    # crossings and minimal period, and the same representative (typeII s = 4
+    # has two at alpha = 0.17, 0.43 apart), to the oracle's accuracy
+    request = SearchRequest(billiard={"family": "limacon", "n": fields["n"],
+                                      "alpha": alpha}, **fields)
+    rep = find_orbit(request)
+    search = search_class(request.kind, request.n, request.m, request.N, request.s)
+    system = expand_constraints(search.n, search.generators, search.p, search.q)
+    table = reparametrize_constant_speed(make_boundary(request.billiard))
+    rec = dp5_flow(table, search.start(rep.epsilon), system=system)
+    assert rec.converged and rep.outcome == "non_birkhoff_found"
+    limit = rep.final_lift.with_coords(rec.lifts[-1])
+    assert (spatiotemporal_group(limit, search.n).type_label,
+            intersection_index(limit, search.reference), minimal_period(limit)) == \
+        (rep.group.type_label, rep.crossings_vs_reference, rep.minimal_period)
+    assert np.max(np.abs(limit.coords - rep.final_lift.coords)) < 1e-10
+    assert same_orbit(limit, rep.final_lift)
