@@ -34,7 +34,7 @@ from .finder import (CriterionInconclusive, OrbitReport, SearchRequest,
 from .geometry import reparametrize_constant_speed
 from .lagrangian import gradient_field
 from .render import render_aubry_diagram, render_orbit_figure
-from .sequences import lift_text, load_lift, minimal_period, spatiotemporal_group
+from .sequences import lift_text, load_lift, spatiotemporal_group
 
 log = logging.getLogger(__name__)
 
@@ -197,15 +197,16 @@ def _flow_summary(flow) -> dict:
 
 
 def _group_payload(group) -> dict:
-    """The type label and elements of a spatiotemporal group, as JSON; each
-    element's name, isometry kind and time parity are read off its family."""
+    """The classification of a lift, as JSON; each group element's name,
+    isometry kind and time parity are read off its family."""
     elements = []
     for g in group.elements:
         kind, parity = g.kind.split("_")
         elements.append({"name": f"R^{g.exponent}" + ("S" if kind == "reflection" else ""),
                          "kind": kind, "exponent": g.exponent, "parity": parity,
                          "shift": g.shift, "offset": g.offset})
-    return {"type_label": group.type_label, "group_elements": elements}
+    return {"is_birkhoff": group.is_birkhoff, "minimal_period": group.minimal_period,
+            "winding": group.winding, "type_label": group.type_label, "group_elements": elements}
 
 
 def _print_group(group) -> None:
@@ -218,9 +219,6 @@ def _report_payload(rep: OrbitReport) -> dict:
     """The JSON of one find; the lift's (n, m) is the class its criterion read."""
     return {
         "outcome": rep.outcome,
-        "is_birkhoff": rep.is_birkhoff,
-        "minimal_period": rep.minimal_period,
-        "winding": rep.winding,
         **_group_payload(rep.group),
         "crossings_vs_reference": rep.crossings_vs_reference,
         "action_gain": rep.action_gain,
@@ -293,21 +291,16 @@ def cmd_classify(args, config) -> int:
     boundary = _table(config, n)
     residual = float(np.max(np.abs(gradient_field(boundary, lift))))
     group = spatiotemporal_group(lift, n)
-    minimal = minimal_period(lift)
-    winding = int(round(float(lift.value(minimal) - lift.coords[0])))
     payload = {
         "orbit_file": str(args.orbit),
         "p": lift.p, "q": lift.q, "n": n, "m": m,
-        "is_birkhoff": group.is_birkhoff,
-        "minimal_period": minimal,
-        "winding": winding,
         **_group_payload(group),
         "borderline_residual": group.borderline_residual,
         "stationarity_residual": residual,
     }
     print(f"orbit:       (p, q) = ({lift.p}, {lift.q}) with (n, m) = ({n}, {m})")
-    print(f"birkhoff:    {payload['is_birkhoff']}")
-    print(f"min period:  {minimal} (winding {winding})")
+    print(f"birkhoff:    {group.is_birkhoff}")
+    print(f"min period:  {group.minimal_period} (winding {group.winding})")
     _print_group(group)
     print(f"|F|_inf:     {residual:.3e}")
     _print_json(config, "classify", payload)

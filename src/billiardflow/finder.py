@@ -28,12 +28,10 @@ from .geometry import (check_equivariance, check_table_keys, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
 from .lagrangian import periodic_action
 from .lagrangian import hessian  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
-from .sequences import (AffineSystem, GroupDescription,
-                        PeriodicLift, expand_constraints,
-                        first_inadmissible, generated_group,
-                        intersection_index, minimal_period,
+from .sequences import (AffineSystem, GroupDescription, PeriodicLift, expand_constraints,
+                        first_inadmissible, generated_group, intersection_index,
                         spatiotemporal_group, type_label)
-from .sequences import is_birkhoff  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
+from .sequences import is_birkhoff, minimal_period  # noqa: F401 - tracer sites (ROADMAP item 1)
 from .spectral import CriterionReport, class_criterion, kappa_chord, search_class
 from .spectral import criterion  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
 
@@ -94,8 +92,7 @@ class OrbitReport:
     """Outcome of one search: the limit lift and its re-checked properties.
 
     outcome is one of "non_birkhoff_found", "collapsed_to_birkhoff",
-    "non_converged".  ``winding`` is the integer shift
-    of the minimal-period block (equals q when the minimal period is p).
+    "non_converged"; ``is_birkhoff``, ``minimal_period`` and ``winding`` are ``group``'s.
     ``anomalies`` lists every postdiction that failed; it is empty on a clean
     find.  ``start`` is "nudged" (the reference nudged by ``epsilon``) or
     "continued" (a warm lift corrected by Newton's method, see
@@ -260,23 +257,20 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
         run = integrate(cs, start, system=system, reference=reference)
     final = run.final_lift
     group = spatiotemporal_group(final, n)
-    birkhoff = group.is_birkhoff
     if not run.converged:
         outcome = "non_converged"
-    elif birkhoff:
+    elif group.is_birkhoff:
         outcome = "collapsed_to_birkhoff"
     else:
         outcome = "non_birkhoff_found"
 
-    minimal = minimal_period(final)
-    winding = int(round(float(final.value(minimal) - final.coords[0])))
     crossings = intersection_index(final, reference)
     action_gain = run.final_action - action_ref
 
     anomalies = []
     if outcome == "non_birkhoff_found":
-        if minimal != report.predicted_min_period:
-            anomalies.append(f"minimal period {minimal} != predicted "
+        if group.minimal_period != report.predicted_min_period:
+            anomalies.append(f"minimal period {group.minimal_period} != predicted "
                              f"{report.predicted_min_period}")
         if crossings != report.predicted_crossings:
             anomalies.append(f"crossing count {crossings} != predicted "
@@ -298,9 +292,9 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
     return OrbitReport(
         outcome=outcome,
         final_lift=final,
-        is_birkhoff=birkhoff,
-        minimal_period=minimal,
-        winding=winding,
+        is_birkhoff=group.is_birkhoff,
+        minimal_period=group.minimal_period,
+        winding=group.winding,
         group=group,
         crossings_vs_reference=crossings,
         action_gain=float(action_gain),

@@ -442,6 +442,11 @@ ELLIPSE_CLASSES = [("typeI", 5), ("typeII", 3), ("typeII", 4), ("typeV", 3), ("t
 
 
 def test_criterion_11_criterion_is_sharp_on_a_grid():
+    """A positive margin gives a clean orbit; a forced non-positive one
+    collapses to the reference.  The collapse holds on this grid, whose alpha
+    lie far from the criterion roots, and is not a theorem: the flagship
+    class keeps a non-Birkhoff maximum a little below its root
+    (``test_a_forced_run_keeps_its_postdictions``)."""
     t0 = time.monotonic()
     ellipses = [SearchRequest(billiard={"family": "ellipse", "a": a, "b": 1.0},
                               n=2, m=1, kind=kind, s=s)

@@ -1,6 +1,8 @@
 """End-to-end orbit searches: postdiction checks, shift handling, sweeps."""
 
 import logging
+import math
+import re
 import threading
 import time
 import warnings
@@ -15,13 +17,14 @@ from billiardflow import (
     criterion,
     expand_constraints,
     find_orbit,
+    hessian,
     kappa_chord,
     make_boundary,
     reparametrize_constant_speed,
     search_class,
     sweep,
 )
-from billiardflow import finder, flow, spectral
+from billiardflow import finder, flow, sequences, spectral
 from billiardflow.sequences import intersection_index, minimal_period, spatiotemporal_group
 from billiardflow.spectral import KINDS
 from oracles import dp5_flow, increments, same_orbit
@@ -60,6 +63,18 @@ def test_flagship_group_is_the_full_dihedral_group(flagship_report):
     assert g.exponents("rotation_reversing") == set()
     assert g.exponents("reflection_preserving") == set()
     assert g.type_label == "I"
+
+
+def test_a_find_classifies_its_limit_once(monkeypatch):
+    # one identity table per family: the report's well-ordering, minimal
+    # period and winding are read off the classification, not computed again
+    built, table = [], sequences._identity_table
+    monkeypatch.setattr(sequences, "_identity_table",
+                        lambda lift, family: built.append(family) or table(lift, family))
+    rep = find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3))
+    assert sorted(built) == sorted(sequences.FAMILIES)
+    assert (rep.is_birkhoff, rep.minimal_period, rep.winding) == \
+        (rep.group.is_birkhoff, rep.group.minimal_period, rep.group.winding) == (False, 12, 3)
 
 
 def test_type_one_search():
@@ -144,6 +159,35 @@ def test_circle_margin_gates_the_run():
     assert forced.outcome == "collapsed_to_birkhoff"
     assert forced.is_birkhoff
     assert np.allclose(increments(forced.final_lift), 0.25, atol=1e-8)
+
+
+def forced_flagship(margin):
+    """The flagship class, forced, on the n = 4 limacon whose closed form
+    kappa L = 2 sin(pi/4) (1 - 17 alpha) / (1 - alpha) puts the margin
+    2 sin(pi/4) cos^2(pi/3) - kappa L at ``margin``."""
+    r = 0.25 - margin / (2 * math.sin(math.pi / 4))
+    return SearchRequest(billiard={"family": "limacon", "n": 4, "alpha": (1 - r) / (17 - r)},
+                         n=4, m=1, kind="main", N=4, s=3, force=True)
+
+
+def test_a_forced_run_keeps_its_postdictions():
+    # below the root alpha* = 3/67 the +epsilon nudge still reaches a class
+    # maximum until its branch folds near margin -1.33e-3; close to the fold
+    # that maximum has less action than the reference, and the gain
+    # postdiction fires on the forced run as it would on any other
+    req = forced_flagship(-1.24e-3)
+    rep = find_orbit(req)
+    assert rep.criterion.verdict == "inconclusive"
+    assert (rep.outcome, rep.group.type_label, rep.crossings_vs_reference) == \
+        ("non_birkhoff_found", "I", 8)
+    assert len(rep.anomalies) == 1
+    assert re.fullmatch(r"action gain -\S+ is not positive", rep.anomalies[0])
+    search = search_class("main", 4, 1, 4, 3)
+    basis = expand_constraints(4, search.generators, search.p, search.q).basis
+    h = hessian(reparametrize_constant_speed(make_boundary(req.billiard)), rep.final_lift)
+    assert np.linalg.eigvalsh(basis.T @ h @ basis).max() < 0   # a genuine class maximum
+    # past the fold the forced run collapses to the reference
+    assert find_orbit(forced_flagship(-1.49e-3)).outcome == "collapsed_to_birkhoff"
 
 
 def test_step_capped_run_reports_non_converged(monkeypatch):

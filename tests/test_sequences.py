@@ -17,9 +17,11 @@ from billiardflow import (
 )
 from billiardflow.sequences import (
     CLASSIFY_TOL,
+    FAMILIES,
     SNAP_TOL,
     PeriodicLift,
     SymmetryGenerator,
+    _identity_table,
     aubry_vertices,
     first_inadmissible,
 )
@@ -337,12 +339,27 @@ def oracle_lifts(rng, noise):
     return lifts
 
 
+@pytest.mark.parametrize("p, q, shift", [(2, 1, 0.0), (3, 1, 0.0), (12, 5, 0.0),
+                                         (48, 17, 0.0), (48, 17, 1000.0)])
+def test_the_window_tables_equal_the_double_loop(p, q, shift):
+    lift = random_lift(np.random.default_rng(p), p, q)
+    lift = lift.with_coords(lift.coords + shift)
+    for family, (d, sign, c) in FAMILIES.items():
+        table = _identity_table(lift, family)
+        assert table.shape == (p, p)
+        for k in range(p):
+            for i in range(p):
+                assert table[k, i] == lift.value(k + d * i) - sign * lift.coords[i] - c * i, \
+                    (family, k, i)
+
+
 def test_is_birkhoff_agrees_with_the_block_comparison():
     rng = np.random.default_rng(51)
-    verdicts = [(is_birkhoff(lift), cubic_is_birkhoff(lift))
+    verdicts = [(is_birkhoff(lift), cubic_is_birkhoff(lift),
+                 spatiotemporal_group(lift, 2).is_birkhoff)
                 for lift in oracle_lifts(rng, (1e-11, 3e-10))]
-    assert all(new == old for new, old in verdicts)
-    assert {new for new, _ in verdicts} == {True, False}
+    assert all(new == old == group for new, old, group in verdicts)
+    assert {new for new, _, _ in verdicts} == {True, False}
 
 
 @pytest.mark.parametrize("noise", [(1e-11, 3e-10), (1e-9, 1e-7)])
@@ -355,6 +372,9 @@ def test_minimal_period_agrees_outside_the_band(noise):
             continue
         expected = min(d for d, score in scores.items() if score <= CLASSIFY_TOL)
         assert minimal_period(lift) == expected
+        group = spatiotemporal_group(lift, 2)
+        assert (group.minimal_period, group.winding) == \
+            (expected, round(float(lift.value(expected) - lift.coords[0])))
         compared += 1
         periods.add(expected < lift.p)
     assert compared > 300 and periods == {True, False}
