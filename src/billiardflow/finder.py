@@ -163,12 +163,12 @@ def _correct(boundary, guess: PeriodicLift, system: AffineSystem, reference: Per
     """
     if first_inadmissible(guess.coords, guess.q, GUARD_FLOOR) is not None:
         return None, 0.0, "the guess is not admissible"
-    run, ratio, h = newton(boundary, guess, system, reference)
+    run, ratio, reduced = newton(boundary, guess, system, reference)
     if not ratio < THETA_MAX:
         return None, ratio, "step 1 failed the monotonicity test"
     if not run.converged:
         return None, ratio, f"{run.reason} after {run.n_steps} steps"
-    top = float(np.linalg.eigvalsh(system.basis.T @ h @ system.basis).max(initial=-np.inf))
+    top = float(np.linalg.eigvalsh(reduced).max(initial=-np.inf))
     if not top < 0:
         return None, ratio, f"largest reduced Hessian eigenvalue {top:.3g} >= 0"
     return run, ratio, None

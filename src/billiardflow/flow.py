@@ -7,7 +7,9 @@ Euler step of the gradient flow dx/dt = F(x) with pseudo-time step delta,
 
     d = (I/delta - B^T H B)^{-1} B^T F,    x <- x + B d,
 
-F, the action W and its Hessian H read off one order-2 kernel call.  delta
+F, the action W and its Hessian H read off one order-2 kernel call.  B is a
+gather and B^T a bincount, and B^T H B is assembled from H's 3p nonzero
+entries, so only the d x d solve costs more than O(p).  delta
 grows by switched evolution relaxation (Mulder & van Leer, J. Comput. Phys.
 59, 1985), so the step turns into Newton's method as the iterate nears a
 maximum.  A step that leaves the guard, lowers the action or raises the
@@ -90,7 +92,8 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
     Returns the :class:`FlowResult`, the first accepted step's contraction
     ratio ||(I/delta - R_0)^{-1} B^T F_1|| / ||d_0|| (the simplified step at
     the new iterate against the step taken, with the old matrix; 0 without a
-    step) and the Hessian H at the last iterate.
+    step) and the reduced Hessian R = B^T H B at the last iterate.  Without a
+    ``system`` the class is every lift, B = I.
     """
     q = start.q
     x = np.asarray(start.coords, dtype=float)
@@ -98,12 +101,10 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
     if msg is not None:
         raise ValueError(f"start violates the admissible-increment guard: {msg}")
     if system is None:
-        basis = np.eye(x.size)
-    elif system.residual(x) > SNAP_TOL:
+        system = AffineSystem.identity(x.size)
+    if system.residual(x) > SNAP_TOL:
         raise ValueError("start does not satisfy the constraint system")
-    else:
-        basis = system.basis
-    eye = np.eye(basis.shape[1])
+    eye = np.eye(system.dim)
 
     def crossing(coords):
         if reference is None:
@@ -112,22 +113,22 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
 
     f, action, h = _gradient_coords(boundary, x, q, 2)
     fnorm = float(np.max(np.abs(f)))
-    g = basis.T @ f
+    g = system.reduce(f)
     cross = crossing(x)
     last_crossing = cross if isinstance(cross, int) else None
     steps, t, ratio, violation = 0, 0.0, 0.0, None
     while True:
+        reduced = system.reduced_hessian(*h)
         if fnorm < RESIDUAL_TARGET:
             reason = "stationary"
             break
         if steps == MAX_STEPS:
             reason = "max_steps"
             break
-        reduced = basis.T @ h @ basis
         while True:     # trial steps from x, delta cut after each rejection
             matrix = eye / delta - reduced
             d = np.linalg.solve(matrix, g)
-            x_new = x + basis @ d
+            x_new = x + system.expand(d)
             violation = _guard_violation(x_new, q)
             reason = None if violation is None else "guard_violation"
             if reason is None:
@@ -155,7 +156,7 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
         steps += 1
         if delta < np.inf:
             t += delta
-        g_new = basis.T @ f_new
+        g_new = system.reduce(f_new)
         if steps == 1:
             size = float(np.linalg.norm(d))
             ratio = float(np.linalg.norm(np.linalg.solve(matrix, g_new))) / size if size else 0.0
@@ -172,7 +173,7 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
                      reason=reason, t_final=t, grad_norm=fnorm,
                      n_steps=steps,
                      domain_violation=violation if reason == "guard_violation" else None)
-    return run, ratio, h
+    return run, ratio, reduced
 
 
 def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
@@ -203,6 +204,6 @@ def newton(boundary, start: PeriodicLift, system: AffineSystem,
 
     Returns the :class:`FlowResult` (whose ``t_final`` is 0), the first
     step's contraction ratio (Deuflhard's simplified-Newton monotonicity
-    ratio) and the Hessian at the last iterate.
+    ratio) and the reduced Hessian B^T H B at the last iterate.
     """
     return _search(boundary, start, system, reference, np.inf)

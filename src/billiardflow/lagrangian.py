@@ -6,7 +6,7 @@ length l(x, X) = |gamma(X) - gamma(x)|, smooth away from x - X in Z.  Its
 partials are expressed through the unit chord and the tangents; all of it is
 done with cross/dot products of real and imaginary parts, never arccos, to
 keep full precision near the diagonal.  One kernel, :func:`_gradient_coords`,
-gives the action with its gradient and, on request, its Hessian.
+gives the action with its gradient and, on request, its Hessian's diagonals.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int,
     at z_0.  Returns (F, W), with W the total chord length, equal bit for bit
     to :func:`periodic_action`; None when an increment leaves (0, 1), where
     the action is not smooth.  ``order`` 2 takes the order-2 jet instead and
-    returns (F, W, H), H the Hessian of the action (see :func:`hessian`).
+    returns (F, W, (diag, off)): the Hessian of the action is cyclic
+    tridiagonal, with diagonal ``diag`` and H[i, i+1] = H[i+1, i] = off[i],
+    indices mod p (see :func:`hessian`).
     """
     if first_inadmissible(coords, q) is not None:
         return None
@@ -60,20 +62,18 @@ def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int,
     # chord i contributes, with a = Im(conj(u_i) z'_i), b = Im(conj(u_i) z'_{i+1})
     # and L its length, d11 = a^2/L - Re(conj(z''_i) u_i) to H[i, i],
     # d22 = b^2/L + Re(conj(z''_{i+1}) u_i) to H[i+1, i+1] and d12 = -ab/L to
-    # H[i, i+1] and H[i+1, i], indices mod p
+    # H[i, i+1] and H[i+1, i], indices mod p; the jet at vertex i + 1 is a
+    # ring slice, as the chords are
     dd = second[0]
-    j = np.arange(z.size)
-    jn = (j + 1) % z.size
-    dz_next, dd_next = dz[jn], dd[jn]
+    dz_next = np.concatenate((dz[1:], dz[:1]))
+    dd_next = np.concatenate((dd[1:], dd[:1]))
     a = unit.real * dz.imag - unit.imag * dz.real
     b = unit.real * dz_next.imag - unit.imag * dz_next.real
-    h = np.diag(a * a / length - (dd.real * unit.real + dd.imag * unit.imag))
-    h[jn, jn] += b * b / length + (dd_next.real * unit.real + dd_next.imag * unit.imag)
-    d12 = -a * b / length
-    h[j, jn] = d12
-    # at p = 2 both chords join vertices 0 and 1, and this adds the other one
-    h[jn, j] += d12
-    return grad, action, h
+    diag = a * a / length - (dd.real * unit.real + dd.imag * unit.imag)
+    d22 = b * b / length + (dd_next.real * unit.real + dd_next.imag * unit.imag)
+    diag[1:] += d22[:-1]
+    diag[0] += d22[-1]
+    return grad, action, (diag, -a * b / length)
 
 
 def _kernel(boundary: Boundary, lift, order: int) -> tuple:
@@ -107,7 +107,14 @@ def hessian(boundary: Boundary, lift) -> np.ndarray:
     parametrization and at any admissible lift, stationary or not; raises
     ValueError like :func:`gradient_field` off the admissible region.
     """
-    return _kernel(boundary, lift, 2)[2]
+    diag, off = _kernel(boundary, lift, 2)[2]
+    j = np.arange(diag.size)
+    jn = (j + 1) % diag.size
+    h = np.diag(diag)
+    h[j, jn] += off
+    # at p = 2 both chords join vertices 0 and 1, and this adds the other one
+    h[jn, j] += off
+    return h
 
 
 def periodic_action(boundary: Boundary, lift) -> float:

@@ -6,13 +6,14 @@ x_{i+p} = x_i + q and increments in (0, 1); it encodes a period-p orbit that
 winds q times around the table.  Symmetries of the underlying orbit become
 affine identities x_j = +-x_i + c between lift coordinates; this module walks
 them into orbits of indices, which give the symmetry class an orthonormal
-basis, one column per orbit.
+basis, one column per free orbit, kept as each vertex's column and weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -224,22 +225,34 @@ class SymmetryGenerator:
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """The affine class base + span(basis) cut out by symmetry generators.
+    """The affine class base + span(B) cut out by symmetry generators.
 
     Each generator identity at each index is an edge
     x_dst = sign x_src + offset.  The edges split the indices into orbits
-    whose displacements from ``base`` agree up to sign.  Each orbit is one
-    column of the orthonormal (p, d) ``basis``, with entries +-1/sqrt(|orbit|);
-    an orbit that forces a displacement to equal its own negative is fixed at
-    ``base`` and has no column.
+    whose displacements from ``base`` agree up to sign.  Each free orbit is
+    one column of the orthonormal (p, d) basis B, with entries
+    +-1/sqrt(|orbit|); an orbit that forces a displacement to equal its own
+    negative is fixed at ``base`` and has no column.  B has one nonzero per
+    row, so it is kept as two length-p vectors: ``column``, the column of each
+    vertex's orbit, and ``weight``, its entry; a vertex of a fixed orbit has
+    column 0 and weight 0.  ``dim`` is d.
     """
 
     base: np.ndarray
-    basis: np.ndarray
+    column: np.ndarray
+    weight: np.ndarray
+    dim: int
     src: np.ndarray
     dst: np.ndarray
     sign: np.ndarray
     offset: np.ndarray
+
+    @classmethod
+    def identity(cls, p: int) -> AffineSystem:
+        """The class of every lift: no edges, one orbit per vertex."""
+        none = np.zeros(0, dtype=int)
+        return cls(np.zeros(p), np.arange(p), np.ones(p), p, none, none,
+                   np.zeros(0), np.zeros(0))
 
     def _check(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
@@ -250,11 +263,44 @@ class AffineSystem:
     def residual(self, coords: np.ndarray) -> float:
         """Largest violation of a generator identity."""
         x = self._check(coords)
-        return float(np.abs(x[self.dst] - self.sign * x[self.src] - self.offset).max())
+        return float(np.abs(x[self.dst] - self.sign * x[self.src] - self.offset)
+                     .max(initial=0.0))
 
-    def project(self, coords: np.ndarray) -> np.ndarray:
-        """Orthogonal projection base + B B^T (x - base) onto the class."""
-        return self.base + self.basis @ (self.basis.T @ (self._check(coords) - self.base))
+    def reduce(self, f: np.ndarray) -> np.ndarray:
+        """B^T f: one signed, weighted sum per free orbit.
+
+        Fixed vertices add 0 to column 0, which a class without a free orbit
+        (d = 0) slices off.
+        """
+        return np.bincount(self.column, self.weight * f, minlength=self.dim)[:self.dim]
+
+    def expand(self, step: np.ndarray) -> np.ndarray:
+        """B step: each vertex reads its orbit's entry."""
+        if not self.dim:
+            return np.zeros(self.weight.size)
+        return self.weight * step[self.column]
+
+    def reduced_hessian(self, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """B^T H B, d x d, for the cyclic tridiagonal H with diagonal ``diag``
+        and H[i, i+1] = H[i+1, i] = off[i], indices mod p (at p = 2 both
+        off[0] and off[1] join vertices 0 and 1): one bincount over H's 3p
+        entries."""
+        flat, scale = self._hessian_entries
+        d = self.dim
+        values = scale * np.concatenate((diag, off, off))
+        return np.bincount(flat, values, minlength=d * d)[:d * d].reshape(d, d)
+
+    @cached_property
+    def _hessian_entries(self) -> tuple:
+        """Where each entry of H lands in B^T H B, and its weight: the flat
+        index column_i d + column_j and w_i w_j of the entries (i, i), then
+        (i, i+1), then (i+1, i)."""
+        col, w = self.column, self.weight
+        col_next = np.concatenate((col[1:], col[:1]))
+        pair = w * np.concatenate((w[1:], w[:1]))
+        rows = np.concatenate((col, col, col_next))
+        cols = np.concatenate((col, col_next, col))
+        return rows * self.dim + cols, np.concatenate((w * w, pair, pair))
 
 
 def expand_constraints(n: int, generators, p: int, q: int) -> AffineSystem:
@@ -302,11 +348,12 @@ def expand_constraints(n: int, generators, p: int, q: int) -> AffineSystem:
     free = root == i
     free[root[a]] = False
     member = free[root]
-    basis = np.zeros((p, np.count_nonzero(free)))
-    basis[member, (np.cumsum(free) - 1)[root[member]]] = parity[member]
-    basis /= np.linalg.norm(basis, axis=0)
+    size = np.bincount(root, minlength=p)
+    column = np.where(member, (np.cumsum(free) - 1)[root], 0)
+    weight = np.where(member, parity / np.sqrt(size[root]), 0.0)
 
-    system = AffineSystem(base, basis, src, dst, sign, offset)
+    system = AffineSystem(base, column, weight, int(np.count_nonzero(free)),
+                          src, dst, sign, offset)
     worst = system.residual(base)
     if worst > SNAP_TOL:
         raise ValueError(

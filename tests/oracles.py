@@ -6,10 +6,12 @@ in one kernel), the Hessian of the action chord by chord in 40-digit decimal
 arithmetic, the paper's closed form of the circulant Hessian at a
 symmetric Birkhoff orbit, the gradient flow itself by an explicit
 Dormand-Prince integrator (the package searches by pseudo-transient
-continuation instead), the comparison principle of two flow runs, integer
-translates of a lift, and orbit equality by a loop over time shifts and
-reversals.  It also holds the helpers only tests use: the trapezoid rule and
-writing an orbit file.
+continuation instead), the class basis as a dense matrix and the orthogonal
+projection onto a class (the package keeps the basis as two vectors and never
+projects), the comparison principle of two flow runs, integer translates of a
+lift, and orbit equality by a loop over time shifts and reversals.  It also
+holds the helpers only tests use: the trapezoid rule and writing an orbit
+file.
 """
 
 import math
@@ -114,6 +116,25 @@ def circulant(p, alpha, beta):
     return h
 
 
+def dense_basis(system) -> np.ndarray:
+    """The class's orthonormal (p, d) orbit basis B as a dense matrix: row i
+    holds ``weight[i]`` in column ``column[i]``, and a fixed vertex's row is 0."""
+    basis = np.zeros((system.weight.size, system.dim))
+    free = system.weight != 0
+    basis[free, system.column[free]] = system.weight[free]
+    return basis
+
+
+def project(system, coords) -> np.ndarray:
+    """The orthogonal projection base + B B^T (x - base) onto the class,
+    written on its two vectors: B^T is a sum per orbit and B a gather, so each
+    free orbit's signed displacements are replaced by their mean and a fixed
+    orbit's by 0.  Raises ValueError on a coordinate count other than p."""
+    dx = system._check(coords) - system.base
+    sums = np.bincount(system.column, system.weight * dx)
+    return system.base + system.weight * sums[system.column]
+
+
 # Dormand-Prince 5(4) tableau; the last row is the fifth-order weights, so
 # the last stage point is the fifth-order solution
 _A = np.array([
@@ -163,9 +184,9 @@ def dp5_flow(boundary, start, system=None, t_max=np.inf, tol=1e-10,
     accepted steps or once the step falls below 1e-14, and records every
     accepted sample.
     """
-    project = (lambda x: x) if system is None else system.project
+    onto = (lambda x: x) if system is None else (lambda x: project(system, x))
     q = start.q
-    x = project(np.asarray(start.coords, dtype=float))
+    x = onto(np.asarray(start.coords, dtype=float))
     f, action = _gradient_coords(boundary, x, q)
     lifts, times, actions, grad_sq = [x], [0.0], [action], [float(f @ f)]
     t, dt = 0.0, min(first_step, t_max)
@@ -186,7 +207,7 @@ def dp5_flow(boundary, start, system=None, t_max=np.inf, tol=1e-10,
             ratio = max(float(np.max(np.abs(err) / scale)), 1e-16)
         if ratio <= 1.0:
             t += dt
-            x = project(xs)
+            x = onto(xs)
             f, action = _gradient_coords(boundary, x, q)
             lifts.append(x)
             times.append(t)

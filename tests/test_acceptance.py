@@ -39,6 +39,7 @@ from oracles import (
     circulant,
     increments,
     dp5_flow,
+    project,
     same_orbit,
 )
 
@@ -243,8 +244,8 @@ def test_criterion_5_twofold_types():
 
 def random_class_start(rng, reference, system, amp=0.03):
     for _ in range(30):
-        coords = system.project(reference.coords
-                                + amp * rng.standard_normal(reference.p))
+        coords = project(system, reference.coords
+                         + amp * rng.standard_normal(reference.p))
         inc = np.diff(coords, append=coords[0] + reference.q)
         if 0.0 < inc.min() and inc.max() < 1.0 and \
                 np.max(np.abs(coords - reference.coords)) > 1e-4:

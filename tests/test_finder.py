@@ -17,6 +17,7 @@ from billiardflow import (
     criterion,
     expand_constraints,
     find_orbit,
+    gradient_field,
     hessian,
     kappa_chord,
     make_boundary,
@@ -27,7 +28,7 @@ from billiardflow import (
 from billiardflow import finder, flow, sequences, spectral
 from billiardflow.sequences import intersection_index, minimal_period, spatiotemporal_group
 from billiardflow.spectral import KINDS
-from oracles import dp5_flow, increments, same_orbit
+from oracles import dense_basis, dp5_flow, increments, same_orbit
 
 LIMACON4 = {"family": "limacon", "n": 4, "alpha": 0.05}
 LIMACON2_10 = {"family": "limacon", "n": 2, "alpha": 0.10}
@@ -134,6 +135,19 @@ def test_a_near_circular_table_finds_its_predicted_orbit():
     assert rep.residual < 1e-12
 
 
+def test_a_long_period_find_is_clean():
+    # the paper's "arbitrarily long periods": a (1024, 256) orbit, whose
+    # search runs in the 512-dimensional class in O(p) per iterate apart
+    # from its solve; the step count follows the last bit of the gradient,
+    # so it is not pinned
+    table = {"family": "limacon", "n": 4, "alpha": 0.04}
+    rep = find_orbit(SearchRequest(billiard=table, n=4, m=1, kind="main", N=1, s=256))
+    assert (rep.outcome, rep.group.minimal_period, rep.crossings_vs_reference,
+            rep.anomalies) == ("non_birkhoff_found", 1024, 2, [])
+    cs = reparametrize_constant_speed(make_boundary(table))
+    assert np.max(np.abs(gradient_field(cs, rep.final_lift))) < 1e-10
+
+
 def test_odd_order_dual_orbits_are_distinct():
     base = SearchRequest(billiard=LIMACON7, n=7, m=2, kind="main", N=1, s=2)
     first = find_orbit(base)
@@ -183,7 +197,7 @@ def test_a_forced_run_keeps_its_postdictions():
     assert len(rep.anomalies) == 1
     assert re.fullmatch(r"action gain -\S+ is not positive", rep.anomalies[0])
     search = search_class("main", 4, 1, 4, 3)
-    basis = expand_constraints(4, search.generators, search.p, search.q).basis
+    basis = dense_basis(expand_constraints(4, search.generators, search.p, search.q))
     h = hessian(reparametrize_constant_speed(make_boundary(req.billiard)), rep.final_lift)
     assert np.linalg.eigvalsh(basis.T @ h @ basis).max() < 0   # a genuine class maximum
     # past the fold the forced run collapses to the reference

@@ -18,7 +18,8 @@ from billiardflow import flow as flow_module
 from billiardflow.flow import newton
 from billiardflow.sequences import PeriodicLift, intersection_index
 import oracles
-from oracles import ACTION_ROUNDOFF, comparison_check, dp5_flow, increments, trapezoid
+from oracles import (ACTION_ROUNDOFF, comparison_check, dp5_flow, increments, project,
+                     trapezoid)
 
 
 def flagship_setup(boundary):
@@ -297,7 +298,7 @@ def test_an_error_that_stays_too_large_underflows_the_step(limacon4_cs, monkeypa
     ref, system, start = flagship_setup(limacon4_cs)
     rec = dp5_flow(limacon4_cs, start, system=system)
     assert not rec.converged and len(rec.lifts) == 1
-    assert np.array_equal(rec.lifts[0], system.project(start.coords))
+    assert np.array_equal(rec.lifts[0], project(system, start.coords))
 
 
 def test_a_descending_flow_stops_on_the_action_law(limacon4_cs):
@@ -333,11 +334,11 @@ def test_newton_from_near_the_orbit_contracts_to_it(limacon4_cs):
     # the corrector's iteration: full Newton steps, no pseudo-time, a first
     # step that passes the monotonicity test, and the orbit's own limit
     ref, system, orbit, near = near_orbit_setup(limacon4_cs)
-    run, ratio, h = newton(limacon4_cs, near, system, ref)
+    run, ratio, reduced = newton(limacon4_cs, near, system, ref)
     assert run.converged and run.t_final == 0.0 and 0 < run.n_steps < 10
     assert 0 < ratio < 0.5
     assert np.max(np.abs(run.final_lift.coords - orbit.coords)) < 1e-13
-    reduced = system.basis.T @ h @ system.basis
+    assert reduced.shape == (system.dim, system.dim)
     assert np.linalg.eigvalsh(reduced).max() < 0
 
 

@@ -19,6 +19,7 @@ from billiardflow.sequences import (
     CLASSIFY_TOL,
     FAMILIES,
     SNAP_TOL,
+    AffineSystem,
     PeriodicLift,
     SymmetryGenerator,
     _identity_table,
@@ -26,7 +27,7 @@ from billiardflow.sequences import (
     first_inadmissible,
 )
 from billiardflow.spectral import search_class
-from oracles import loop_score, same_orbit, save_lift, translate
+from oracles import dense_basis, loop_score, project, same_orbit, save_lift, translate
 
 
 def brute_force_well_ordered(lift, tol=1e-9):
@@ -404,11 +405,11 @@ def test_projection_is_idempotent_and_affine():
     rng = np.random.default_rng(17)
     ref = repeat_lift(symmetric_birkhoff(4, 1), 3)
     noisy = ref.coords + 0.01 * rng.standard_normal(p)
-    once = system.project(noisy)
+    once = project(system, noisy)
     assert system.residual(once) < 1e-12
-    assert np.allclose(system.project(once), once, atol=1e-13)
+    assert np.allclose(project(system, once), once, atol=1e-13)
     # projecting a point already in the class is the identity
-    assert np.allclose(system.project(ref.coords), ref.coords, atol=1e-13)
+    assert np.allclose(project(system, ref.coords), ref.coords, atol=1e-13)
 
 
 def test_projected_lifts_realize_the_boundary_symmetry(limacon4_cs):
@@ -416,8 +417,8 @@ def test_projected_lifts_realize_the_boundary_symmetry(limacon4_cs):
     system, p, q = flagship_system()
     ref = repeat_lift(symmetric_birkhoff(4, 1), 3)
     rng = np.random.default_rng(23)
-    member = PeriodicLift(p, q, system.project(ref.coords
-                                               + 0.02 * rng.standard_normal(p)))
+    member = PeriodicLift(p, q, project(system, ref.coords
+                                        + 0.02 * rng.standard_normal(p)))
     rotated = np.exp(2j * np.pi * 3 / 4) * limacon4_cs.jet(member.coords, 0)[0]
     target = limacon4_cs.jet(member.value(np.arange(p) + 3), 0)[0]  # shift K = 3
     assert np.allclose(rotated, target, atol=1e-9)
@@ -445,7 +446,7 @@ def test_affine_system_rejects_shape_mismatch():
         with pytest.raises(ValueError):
             system.residual(coords)
         with pytest.raises(ValueError):
-            system.project(coords)
+            project(system, coords)
 
 
 def dense_constraints(n, generators, p, q):
@@ -500,7 +501,7 @@ def test_orbit_basis_spans_the_null_space_of_the_dense_system(fields, dim):
 
     _, singular, vt = np.linalg.svd(matrix)
     null = vt[int(np.sum(singular > 1e-12 * singular[0])):].T
-    basis = system.basis
+    basis = dense_basis(system)
     assert basis.shape == null.shape == (p, dim)
     assert np.allclose(basis.T @ basis, np.eye(dim), rtol=0, atol=1e-14)
     assert not np.any(matrix @ basis)
@@ -514,9 +515,58 @@ def test_orbit_basis_spans_the_null_space_of_the_dense_system(fields, dim):
     rng = np.random.default_rng(p)
     for _ in range(3):
         x = ref.coords + 0.05 * rng.standard_normal(p)
-        assert np.max(np.abs(system.project(x) - (x - pinv @ (matrix @ x - rhs)))) < 1e-12
+        assert np.max(np.abs(project(system, x) - (x - pinv @ (matrix @ x - rhs)))) < 1e-12
         assert system.residual(x) == pytest.approx(np.max(np.abs(matrix @ x - rhs)),
                                                    rel=0, abs=1e-12)
+
+
+def cyclic_tridiagonal(diag, off):
+    """H with diagonal ``diag`` and H[i, i+1] = H[i+1, i] = off[i], indices
+    mod p, added entry by entry (at p = 2 both off entries join 0 and 1)."""
+    p = diag.size
+    h = np.diag(diag)
+    for i in range(p):
+        h[i, (i + 1) % p] += off[i]
+        h[(i + 1) % p, i] += off[i]
+    return h
+
+
+#: every KINDS row at a small and a large s (p up to 514), and the degenerate
+#: main class of criterion 11 (n = N = 3, s = 2), which has no free orbit
+O_P_CLASSES = [
+    ("main", 4, 1, 4, 3), ("main", 4, 1, 4, 65), ("main", 4, 1, 1, 5),
+    ("main", 4, 1, 1, 128), ("typeI", 2, 1, None, 7), ("typeI", 2, 1, None, 257),
+    ("typeII", 2, 1, None, 4), ("typeII", 2, 1, None, 256),
+    ("typeV", 2, 1, None, 5), ("typeV", 2, 1, None, 257), ("main", 3, 1, 3, 2),
+]
+
+
+@pytest.mark.parametrize("case", O_P_CLASSES + [2, 12],
+                         ids=[f"{c[0]}-N{c[3]}-s{c[4]}" for c in O_P_CLASSES]
+                         + ["identity-p2", "identity-p12"])
+def test_the_class_forms_equal_the_dense_products(case):
+    # B^T f, B d and B^T H B, kept as a bincount, a gather and a bincount over
+    # H's 3p entries, against dense products with the basis the oracle builds
+    # from the same column and weight vectors
+    if isinstance(case, int):
+        system = AffineSystem.identity(case)
+    else:
+        kind, n, m, N, s = case
+        search = search_class(kind, n, m, N, s)
+        system = expand_constraints(n, search.generators, search.p, search.q)
+    p, d = system.weight.size, system.dim
+    assert (d == 0) == (case == ("main", 3, 1, 3, 2))
+    basis = dense_basis(system)
+    rng = np.random.default_rng(p)
+    f, step = rng.standard_normal(p), rng.standard_normal(d)
+    diag, off = rng.standard_normal(p), rng.standard_normal(p)
+    pairs = [(system.reduce(f), basis.T @ f), (system.expand(step), basis @ step),
+             (system.reduced_hessian(diag, off),
+              basis.T @ cyclic_tridiagonal(diag, off) @ basis)]
+    for fast, dense in pairs:
+        assert fast.shape == dense.shape
+        ulp = np.spacing(np.max(np.abs(dense), initial=1.0))
+        assert np.max(np.abs(fast - dense), initial=0.0) <= 4 * ulp
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +586,8 @@ def test_group_of_a_constructed_class_member():
     system, p, q = flagship_system()
     ref = repeat_lift(symmetric_birkhoff(4, 1), 3)
     rng = np.random.default_rng(29)
-    member = PeriodicLift(p, q, system.project(ref.coords
-                                               + 0.05 * rng.standard_normal(p)))
+    member = PeriodicLift(p, q, project(system, ref.coords
+                                        + 0.05 * rng.standard_normal(p)))
     desc = spatiotemporal_group(member, 4)
     assert desc.exponents("rotation_preserving") >= {0, 1, 2, 3}
     assert desc.exponents("reflection_reversing") >= {0}
@@ -552,7 +602,7 @@ def test_palindromic_reflection_membership_labels_type_v():
     system = expand_constraints(2, gens, 10, 5)
     ref = repeat_lift(symmetric_birkhoff(2, 1), 5)
     rng = np.random.default_rng(31)
-    coords = system.project(ref.coords + 0.05 * rng.standard_normal(10))
+    coords = project(system, ref.coords + 0.05 * rng.standard_normal(10))
     desc = spatiotemporal_group(PeriodicLift(10, 5, coords), 2)
     assert desc.type_label == "V"
     assert desc.exponents("reflection_preserving") \
@@ -575,10 +625,10 @@ def test_borderline_residual_reports_the_near_miss():
     system = expand_constraints(2, gens, 10, 5)
     ref = repeat_lift(symmetric_birkhoff(2, 1), 5)
     rng = np.random.default_rng(41)
-    coords = system.project(ref.coords + 0.05 * rng.standard_normal(10))
+    coords = project(system, ref.coords + 0.05 * rng.standard_normal(10))
     bump = 1e-5
     only_rev = expand_constraints(2, [gens[0]], 10, 5)
-    broken = only_rev.project(coords + bump * rng.standard_normal(10))
+    broken = project(only_rev, coords + bump * rng.standard_normal(10))
     desc = spatiotemporal_group(PeriodicLift(10, 5, broken), 2)
     assert desc.type_label == "III"
     assert desc.borderline_residual is not None
