@@ -222,11 +222,11 @@ def _report_payload(rep: OrbitReport) -> dict:
         **_group_payload(rep.group),
         "crossings_vs_reference": rep.crossings_vs_reference,
         "action_gain": rep.action_gain,
-        "residual": rep.residual,
+        "residual": rep.flow.grad_norm,
         "anomalies": list(rep.anomalies),
         "start": rep.start,
         "epsilon": rep.epsilon,
-        "corrector_iterations": rep.corrector_iterations,
+        "corrector_iterations": rep.flow.n_steps if rep.start == "continued" else None,
         "corrector_ratio": rep.corrector_ratio,
         "criterion": asdict(rep.criterion),
         "flow": _flow_summary(rep.flow),
@@ -266,11 +266,11 @@ def cmd_find(args, config) -> int:
         svg = render_orbit_figure(_table(config, n), lift, overlay=(n, m))
     print(f"outcome:     {rep.outcome}")
     print(f"lift:        (p, q) = ({lift.p}, {lift.q}), "
-          f"minimal period {rep.minimal_period}, winding {rep.winding}")
+          f"minimal period {rep.group.minimal_period}, winding {rep.group.winding}")
     _print_group(rep.group)
     print(f"crossings:   {rep.crossings_vs_reference}")
     print(f"action gain: {rep.action_gain:.6g}")
-    print(f"|F|_inf:     {rep.residual:.3e}")
+    print(f"|F|_inf:     {rep.flow.grad_norm:.3e}")
     print(f"epsilon:     {rep.epsilon:.6g}")
     print(f"flow:        {rep.flow.reason} after {rep.flow.n_steps} steps, "
           f"t = {rep.flow.t_final:.6g}, |F|_inf = {rep.flow.grad_norm:.3e}")
@@ -334,11 +334,11 @@ def cmd_sweep(args, config) -> int:
         start = e.report.start if e.report else "-"
         if e.report is not None:
             outcome = e.report.outcome
-            detail = (f"p={e.report.minimal_period} "
+            detail = (f"p={e.report.group.minimal_period} "
                       f"label={e.report.group.type_label} "
                       f"crossings={e.report.crossings_vs_reference}")
             if e.report.start == "continued":
-                detail += (f" newton={e.report.corrector_iterations} "
+                detail += (f" newton={e.report.flow.n_steps} "
                            f"ratio={e.report.corrector_ratio:.2g}")
             if e.report.anomalies:
                 detail += f" anomalies={len(e.report.anomalies)}"

@@ -30,7 +30,7 @@ from .lagrangian import periodic_action
 from .lagrangian import hessian  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
 from .sequences import (AffineSystem, GroupDescription, PeriodicLift, expand_constraints,
                         first_inadmissible, generated_group, intersection_index,
-                        spatiotemporal_group, type_label)
+                        spatiotemporal_group)
 from .sequences import is_birkhoff, minimal_period  # noqa: F401 - tracer sites (ROADMAP item 1)
 from .spectral import CriterionReport, class_criterion, kappa_chord, search_class
 from .spectral import criterion  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
@@ -92,30 +92,30 @@ class OrbitReport:
     """Outcome of one search: the limit lift and its re-checked properties.
 
     outcome is one of "non_birkhoff_found", "collapsed_to_birkhoff",
-    "non_converged"; ``is_birkhoff``, ``minimal_period`` and ``winding`` are ``group``'s.
+    "non_converged".  Each fact is stated once: the classification is
+    ``group``'s and the residual |F|_inf at the reported lift is
+    ``flow.grad_norm``.  ``final_lift`` (``flow.final_lift``) and
+    ``is_birkhoff`` (``group.is_birkhoff``) stay only because the benchmark
+    harness reads them; ROADMAP item 2 deletes ``is_birkhoff``.
     ``anomalies`` lists every postdiction that failed; it is empty on a clean
     find.  ``start`` is "nudged" (the reference nudged by ``epsilon``) or
     "continued" (a warm lift corrected by Newton's method, see
-    :func:`find_orbit`; ``epsilon`` is then None), and a continued start
-    records the corrector's Newton steps (its ``flow.n_steps``) and its
-    first step's monotonicity ratio.
+    :func:`find_orbit`; ``epsilon`` is then None, ``flow`` is the
+    corrector's Newton run and ``corrector_ratio`` its first step's
+    monotonicity ratio).
     """
 
     outcome: str
     final_lift: PeriodicLift
     is_birkhoff: bool
-    minimal_period: int
-    winding: int
     group: GroupDescription
     crossings_vs_reference: object      # int, or "tangent"
     action_gain: float
-    residual: float                     # |F|_inf at the reported lift
     anomalies: list
     epsilon: float | None
     criterion: CriterionReport
     flow: FlowResult
     start: str = "nudged"
-    corrector_iterations: int | None = None
     corrector_ratio: float | None = None
 
 
@@ -284,27 +284,19 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
                 kind, parity = family.split("_")
                 anomalies.append(f"{parity} {kind} exponents {sorted(got)} "
                                  f"!= expected {sorted(want)}")
-        label = type_label(expected, n, birkhoff=False)
-        if group.type_label != label:
-            anomalies.append(f"type label {group.type_label!r} != expected "
-                             f"{label!r}")
 
     return OrbitReport(
         outcome=outcome,
         final_lift=final,
         is_birkhoff=group.is_birkhoff,
-        minimal_period=group.minimal_period,
-        winding=group.winding,
         group=group,
         crossings_vs_reference=crossings,
         action_gain=float(action_gain),
-        residual=run.grad_norm,
         anomalies=anomalies,
         epsilon=eps,
         criterion=report,
         flow=run,
         start="nudged" if eps is not None else "continued",
-        corrector_iterations=None if eps is not None else run.n_steps,
         corrector_ratio=ratio,
     )
 

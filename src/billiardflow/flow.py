@@ -104,14 +104,13 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
         system = AffineSystem.identity(x.size)
     if system.residual(x) > SNAP_TOL:
         raise ValueError("start does not satisfy the constraint system")
-    eye = np.eye(system.dim)
 
     def crossing(coords):
         if reference is None:
             return None
         return intersection_index(PeriodicLift(start.p, q, coords), reference)
 
-    f, action, h = _gradient_coords(boundary, x, q, 2)
+    f, action, h = _gradient_coords(boundary, x, 2)
     fnorm = float(np.max(np.abs(f)))
     g = system.reduce(f)
     cross = crossing(x)
@@ -126,13 +125,14 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
             reason = "max_steps"
             break
         while True:     # trial steps from x, delta cut after each rejection
-            matrix = eye / delta - reduced
+            matrix = -reduced
+            matrix.flat[::system.dim + 1] += 1.0 / delta
             d = np.linalg.solve(matrix, g)
             x_new = x + system.expand(d)
             violation = _guard_violation(x_new, q)
             reason = None if violation is None else "guard_violation"
             if reason is None:
-                f_new, action_new, h_new = _gradient_coords(boundary, x_new, q, 2)
+                f_new, action_new, h_new = _gradient_coords(boundary, x_new, 2)
                 cross = crossing(x_new)
                 if action_new < action - ACTION_RTOL * abs(action):
                     reason = "action_decrease"

@@ -22,22 +22,19 @@ def chord_length(boundary: Boundary, x, X):
     return np.sqrt(d.real * d.real + d.imag * d.imag)
 
 
-def _gradient_coords(boundary: Boundary, coords: np.ndarray, q: int,
-                     order: int = 1) -> tuple | None:
+def _gradient_coords(boundary: Boundary, coords: np.ndarray, order: int = 1) -> tuple:
     """Gradient and value of the periodic action in plain-array form (hot path).
 
     Evaluates the curve once, as complex positions z_i and tangents z'_i, and
     assembles F_i = Re(conj(z'_i) (u_{i-1} - u_i)) with u_i the unit chord
     from z_i to z_{i+1}; by 1-periodicity of the curve the wrapped chord ends
     at z_0.  Returns (F, W), with W the total chord length, equal bit for bit
-    to :func:`periodic_action`; None when an increment leaves (0, 1), where
-    the action is not smooth.  ``order`` 2 takes the order-2 jet instead and
+    to :func:`periodic_action`.  ``order`` 2 takes the order-2 jet instead and
     returns (F, W, (diag, off)): the Hessian of the action is cyclic
     tridiagonal, with diagonal ``diag`` and H[i, i+1] = H[i+1, i] = off[i],
-    indices mod p (see :func:`hessian`).
+    indices mod p (see :func:`hessian`).  Every increment must lie in (0, 1),
+    where the action is smooth; the callers check that before the call.
     """
-    if first_inadmissible(coords, q) is not None:
-        return None
     z, dz, *second = boundary.jet(coords, order)
     # ring = (z_0, ..., z_{p-1}, z_0), whose differences are the chords; the
     # unit chords then overwrite ring[1:] and ring[0] takes u_{p-1}, so that
@@ -80,13 +77,13 @@ def _kernel(boundary: Boundary, lift, order: int) -> tuple:
     """:func:`_gradient_coords` at ``lift``; off the admissible region a
     ValueError names the first increment outside (0, 1)."""
     x = np.asarray(lift.coords, dtype=float)
-    out = _gradient_coords(boundary, x, lift.q, order)
-    if out is None:
-        i, inc = first_inadmissible(x, lift.q)
+    bad = first_inadmissible(x, lift.q)
+    if bad is not None:
+        i, inc = bad
         raise ValueError(
             f"lift leaves the admissible region at increment {i}: "
             f"x[{(i + 1) % x.shape[0]}] - x[{i}] = {inc:.6g}")
-    return out
+    return _gradient_coords(boundary, x, order)
 
 
 def gradient_field(boundary: Boundary, lift) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from billiardflow.lagrangian import _gradient_coords
-from billiardflow.sequences import CLASSIFY_TOL, lift_text
+from billiardflow.sequences import CLASSIFY_TOL, first_inadmissible, lift_text
 from billiardflow.spectral import kappa_chord
 
 
@@ -178,16 +178,15 @@ def dp5_flow(boundary, start, system=None, t_max=np.inf, tol=1e-10,
     Dormand-Prince 5(4) pair, each accepted step projected onto ``system``.
 
     The step control keeps the local error below DP5_ABS_TOL + DP5_REL_TOL
-    |x|; a stage
-    off the admissible region, where the kernel returns None, shrinks the
-    step.  The run stops once ||F||_inf < tol, at t_max, after max_steps
-    accepted steps or once the step falls below 1e-14, and records every
-    accepted sample.
+    |x|; a stage off the admissible region (:func:`first_inadmissible`,
+    checked before each stage's kernel call) shrinks the step.  The run
+    stops once ||F||_inf < tol, at t_max, after max_steps accepted steps or
+    once the step falls below 1e-14, and records every accepted sample.
     """
     onto = (lambda x: x) if system is None else (lambda x: project(system, x))
     q = start.q
     x = onto(np.asarray(start.coords, dtype=float))
-    f, action = _gradient_coords(boundary, x, q)
+    f, action = _gradient_coords(boundary, x)
     lifts, times, actions, grad_sq = [x], [0.0], [action], [float(f @ f)]
     t, dt = 0.0, min(first_step, t_max)
     stages = np.empty((7, x.size))
@@ -196,11 +195,10 @@ def dp5_flow(boundary, start, system=None, t_max=np.inf, tol=1e-10,
         stages[0] = f
         for s in range(1, 7):
             xs = x + dt * (stages[:s].T @ _A[s, :s])
-            out = _gradient_coords(boundary, xs, q)
-            if out is None:
+            if first_inadmissible(xs, q) is not None:
                 ratio = np.inf
                 break
-            stages[s] = out[0]
+            stages[s] = _gradient_coords(boundary, xs)[0]
         else:
             err = xs - (x + dt * (stages.T @ _B4))
             scale = DP5_ABS_TOL + DP5_REL_TOL * np.maximum(np.abs(x), np.abs(xs))
@@ -208,7 +206,7 @@ def dp5_flow(boundary, start, system=None, t_max=np.inf, tol=1e-10,
         if ratio <= 1.0:
             t += dt
             x = onto(xs)
-            f, action = _gradient_coords(boundary, x, q)
+            f, action = _gradient_coords(boundary, x)
             lifts.append(x)
             times.append(t)
             actions.append(action)

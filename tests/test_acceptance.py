@@ -189,11 +189,11 @@ def test_criterion_4_main_orbit_reproduction():
         billiard={"family": "limacon", "n": 4, "alpha": 0.05},
         n=4, m=1, kind="main", N=4, s=3))
     assert rep.outcome == "non_birkhoff_found"
-    assert rep.minimal_period == 12
-    assert rep.winding == 3
+    assert rep.group.minimal_period == 12
+    assert rep.group.winding == 3
     assert rep.crossings_vs_reference == 8
     assert rep.action_gain > 0
-    assert rep.residual < 1e-10
+    assert rep.flow.grad_norm < 1e-10
     g = rep.group
     assert g.exponents("rotation_preserving") == {0, 1, 2, 3}
     assert g.exponents("reflection_reversing") == {0, 1, 2, 3}
@@ -202,7 +202,7 @@ def test_criterion_4_main_orbit_reproduction():
     assert rep.anomalies == []
     announce(4, "main orbit reproduction", t0, 30.0,
              f"(12,3) orbit, full order-4 dihedral group, 8 crossings, "
-             f"gain {rep.action_gain:.3e}, |F| {rep.residual:.1e}")
+             f"gain {rep.action_gain:.3e}, |F| {rep.flow.grad_norm:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_criterion_5_twofold_types():
     assert two.outcome == "non_birkhoff_found"
     assert (two.final_lift.p, two.final_lift.q) == (8, 4)
     assert two.group.type_label == "II"
-    assert two.residual < 1e-8
+    assert two.flow.grad_norm < 1e-8
     rev_rot = [e for e in two.group.elements if e.kind == "rotation_reversing"]
     assert rev_rot and all(e.shift % 2 == 1 for e in rev_rot)
 
@@ -227,15 +227,15 @@ def test_criterion_5_twofold_types():
     assert five.outcome == "non_birkhoff_found"
     assert (five.final_lift.p, five.final_lift.q) == (10, 5)
     assert five.group.type_label == "V"
-    assert five.residual < 1e-8
+    assert five.flow.grad_norm < 1e-8
     both_ways = five.group.exponents("reflection_preserving") & \
         five.group.exponents("reflection_reversing")
     assert both_ways, "expected a reflection acting with both parities"
 
     announce(5, "twofold orbit types", t0, 60.0,
              f"type II (8,4) with odd reversing shift; type V (10,5) with a "
-             f"two-parity reflection; residuals {two.residual:.1e}, "
-             f"{five.residual:.1e}")
+             f"two-parity reflection; residuals {two.flow.grad_norm:.1e}, "
+             f"{five.flow.grad_norm:.1e}")
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,26 @@ def test_classify_rejects_a_header_that_does_not_fit(n, ini, message, tmp_path, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty orbit file: "),
+    ("# a comment, and no header\n\n", "empty orbit file: "),
+    ("12 3 4\n", "orbit header must be 'p q n m', got '12 3 4'"),
+    ("4 1 4 1\n0.1\n0.35\n0.6\n", "expected 4 coordinates, found 3"),
+], ids=["empty", "comment-only", "three-field-header", "one-coordinate-too-few"])
+def test_classify_rejects_a_malformed_orbit_file(text, message, flagship_ini, tmp_path,
+                                                 capsys):
+    path = tmp_path / "orbit.txt"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    code = main(["classify", str(path), "--config", str(flagship_ini), "--out", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + message)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 NONCONVEX_INI = FLAGSHIP_INI.replace("alpha = 0.05", "alpha = 0.2")
 
 
@@ -572,6 +592,42 @@ def test_sweep_writes_table_and_json(tmp_path, capsys):
     assert by_value[0.19]["report"]["outcome"] == "non_birkhoff_found"
     assert by_value[0.25]["report"] is None
     assert "convex" in by_value[0.25]["error"]
+
+
+@pytest.mark.parametrize("values", ["", " , ,"], ids=["empty", "separators-only"])
+def test_a_sweep_without_values_exits_2(values, tmp_path, capsys):
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(FLAGSHIP_INI + f"\n[sweep]\nparam = alpha\nvalues ={values}\n")
+    assert main(["sweep", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: config value [sweep] values = {values.strip()!r}: "
+                            "expected a list of numbers\n")
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_anomalous_sweep_entry_is_counted_and_not_continued(tmp_path, capsys,
+                                                              monkeypatch):
+    # the second find reads 10 crossings against the predicted 8: its row
+    # counts one anomaly, and the entry after it starts from the nudge
+    crossings = finder.intersection_index
+    calls = []
+
+    def one_wrong_count(final, reference):
+        calls.append(1)
+        return 10 if len(calls) == 2 else crossings(final, reference)
+
+    monkeypatch.setattr(finder, "intersection_index", one_wrong_count)
+    ini = tmp_path / "sweep.ini"
+    ini.write_text(FLAGSHIP_INI + "\n[sweep]\nparam = alpha\nvalues = 0.05, 0.052, 0.054\n")
+    assert main(["sweep", "--config", str(ini), "--out", str(tmp_path), "--prefix", "sw"]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert [line.split()[4] for line in table[1:4]] == ["nudged", "continued", "nudged"]
+    assert [line.endswith(" anomalies=1") for line in table[1:4]] == [False, True, False]
+    assert "crossings=10 newton=" in table[2]
+    reports = [row["report"] for row in json.loads((tmp_path / "sw.sweep.json").read_text())]
+    assert [r["anomalies"] for r in reports] == [[], ["crossing count 10 != predicted 8"], []]
+    assert [r["start"] for r in reports] == ["nudged", "continued", "nudged"]
 
 
 def test_the_removed_workers_flag_exits_2(tmp_path):

@@ -48,11 +48,11 @@ def test_flagship_finds_the_predicted_orbit(flagship_report):
     rep = flagship_report
     assert rep.outcome == "non_birkhoff_found"
     assert not rep.is_birkhoff
-    assert rep.minimal_period == 12
-    assert rep.winding == 3
+    assert rep.group.minimal_period == 12
+    assert rep.group.winding == 3
     assert rep.crossings_vs_reference == 8
     assert rep.action_gain > 0
-    assert rep.residual < 1e-10
+    assert rep.flow.grad_norm < 1e-10
     assert rep.anomalies == []
     assert rep.criterion.margin == pytest.approx(0.13025651232383795, rel=1e-9)
 
@@ -74,27 +74,27 @@ def test_a_find_classifies_its_limit_once(monkeypatch):
                         lambda lift, family: built.append(family) or table(lift, family))
     rep = find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3))
     assert sorted(built) == sorted(sequences.FAMILIES)
-    assert (rep.is_birkhoff, rep.minimal_period, rep.winding) == \
-        (rep.group.is_birkhoff, rep.group.minimal_period, rep.group.winding) == (False, 12, 3)
+    assert rep.is_birkhoff is rep.group.is_birkhoff is False
+    assert (rep.group.minimal_period, rep.group.winding) == (12, 3)
 
 
 def test_type_one_search():
     rep = find_orbit(SearchRequest(billiard=LIMACON2_15, n=2, m=1,
                                    kind="typeI", s=7))
     assert rep.outcome == "non_birkhoff_found"
-    assert rep.minimal_period == 14
-    assert rep.winding == 7
+    assert rep.group.minimal_period == 14
+    assert rep.group.winding == 7
     assert rep.crossings_vs_reference == 4
     assert rep.group.type_label == "I"
     assert rep.anomalies == []
-    assert rep.residual < 1e-8
+    assert rep.flow.grad_norm < 1e-8
 
 
 def test_type_two_search():
     rep = find_orbit(SearchRequest(billiard=LIMACON2_19, n=2, m=1,
                                    kind="typeII", s=4))
     assert rep.outcome == "non_birkhoff_found"
-    assert rep.minimal_period == 8
+    assert rep.group.minimal_period == 8
     assert rep.crossings_vs_reference == 2
     g = rep.group
     assert g.type_label == "II"
@@ -103,14 +103,14 @@ def test_type_two_search():
     assert g.exponents("reflection_preserving") == {1}
     assert g.exponents("reflection_reversing") == {0}
     assert rep.anomalies == []
-    assert rep.residual < 1e-8
+    assert rep.flow.grad_norm < 1e-8
 
 
 def test_type_five_search():
     rep = find_orbit(SearchRequest(billiard=LIMACON2_10, n=2, m=1,
                                    kind="typeV", s=5))
     assert rep.outcome == "non_birkhoff_found"
-    assert rep.minimal_period == 10
+    assert rep.group.minimal_period == 10
     assert rep.crossings_vs_reference == 2
     g = rep.group
     assert g.type_label == "V"
@@ -118,7 +118,7 @@ def test_type_five_search():
         == g.exponents("reflection_reversing") == {0}
     assert 0 in g.exponents("rotation_reversing")
     assert rep.anomalies == []
-    assert rep.residual < 1e-8
+    assert rep.flow.grad_norm < 1e-8
 
 
 def test_a_near_circular_table_finds_its_predicted_orbit():
@@ -132,7 +132,7 @@ def test_a_near_circular_table_finds_its_predicted_orbit():
     assert rep.group.type_label == "III"
     assert rep.crossings_vs_reference == 2
     assert rep.anomalies == []
-    assert rep.residual < 1e-12
+    assert rep.flow.grad_norm < 1e-12
 
 
 def test_a_long_period_find_is_clean():
@@ -155,8 +155,8 @@ def test_odd_order_dual_orbits_are_distinct():
                                       N=1, s=2, shift=10))
     for rep in (first, second):
         assert rep.outcome == "non_birkhoff_found"
-        assert rep.minimal_period == 14
-        assert rep.winding == 4
+        assert rep.group.minimal_period == 14
+        assert rep.group.winding == 4
         assert rep.crossings_vs_reference == 2
         assert rep.group.type_label == "III"
         assert rep.anomalies == []
@@ -210,7 +210,7 @@ def test_step_capped_run_reports_non_converged(monkeypatch):
                                    N=4, s=3))
     assert rep.outcome == "non_converged"
     assert rep.flow.reason == "max_steps"
-    assert rep.residual > 1e-4  # five steps from the nudge end far from the orbit
+    assert rep.flow.grad_norm > 1e-4  # five steps from the nudge end far from the orbit
 
 
 def test_epsilon_validation():
@@ -474,9 +474,9 @@ def assert_independent(base, entries):
         rep, alone = entry.report, find_orbit(request)
         assert same_orbit(rep.final_lift, alone.final_lift), entry.value
         assert (rep.outcome, rep.group.type_label, rep.crossings_vs_reference,
-                rep.minimal_period, rep.anomalies) == \
+                rep.group.minimal_period, rep.anomalies) == \
             (alone.outcome, alone.group.type_label, alone.crossings_vs_reference,
-             alone.minimal_period, alone.anomalies), entry.value
+             alone.group.minimal_period, alone.anomalies), entry.value
 
 
 def starts(entries):
@@ -506,13 +506,13 @@ def test_a_sweep_near_the_threshold_continues_from_the_scaled_lift(values, expec
     assert starts(entries) == ["nudged"] + ["continued"] * (len(values) - 1)
     assert predictions(caplog) == expected
     assert entries[0].report.epsilon == 0.01
-    assert entries[0].report.corrector_iterations is None
+    assert entries[0].report.corrector_ratio is None
     for entry in entries[1:]:
         continued = entry.report
         # the corrector's Newton run is the entry's search: no pseudo-time
         assert continued.epsilon is None and continued.flow.t_final == 0.0
         assert continued.flow.reason == "stationary"
-        assert continued.corrector_iterations == continued.flow.n_steps > 0
+        assert continued.flow.n_steps > 0
         assert 0 < continued.corrector_ratio < finder.THETA_MAX
     assert_independent(FLAGSHIP, entries)
 
@@ -542,6 +542,49 @@ def test_a_failed_entry_breaks_the_continuation_chain(monkeypatch):
     assert_independent(FLAGSHIP, entries)
 
 
+def test_each_failed_postdiction_is_one_anomaly(monkeypatch):
+    # a classification without R^2 and with a preserving reflection, a period
+    # of 6 and a crossing count of 10 on the flagship find: each disagreement
+    # with the class is named once, with what was read and what was predicted
+    classify = finder.spatiotemporal_group
+
+    def wrong_group(lift, n):
+        group = classify(lift, n)
+        elements = [g for g in group.elements
+                    if (g.kind, g.exponent) != ("rotation_preserving", 2)]
+        elements.append(sequences.SymmetryGenerator("reflection_preserving", 1, 0, 0))
+        return replace(group, elements=elements, minimal_period=6)
+
+    monkeypatch.setattr(finder, "spatiotemporal_group", wrong_group)
+    monkeypatch.setattr(finder, "intersection_index", lambda final, reference: 10)
+    rep = find_orbit(FLAGSHIP)
+    assert (rep.outcome, rep.group.type_label) == ("non_birkhoff_found", "I")
+    assert rep.anomalies == [
+        "minimal period 6 != predicted 12",
+        "crossing count 10 != predicted 8",
+        "preserving rotation exponents [0, 1, 3] != expected [0, 1, 2, 3]",
+        "preserving reflection exponents [1] != expected []",
+    ]
+
+
+def test_no_entry_continues_from_an_anomalous_one(monkeypatch):
+    # the second entry's crossing count is off: the third gets no warm lift,
+    # and the fourth continues from the third
+    crossings = finder.intersection_index
+    calls = []
+
+    def one_wrong_count(final, reference):
+        calls.append(1)
+        return "tangent" if len(calls) == 2 else crossings(final, reference)
+
+    monkeypatch.setattr(finder, "intersection_index", one_wrong_count)
+    entries, warmed = recorded_sweep(monkeypatch, FLAGSHIP, [0.05, 0.052, 0.054, 0.056])
+    assert [e.report.anomalies for e in entries] == \
+        [[], ["crossing count tangent != predicted 8"], [], []]
+    assert warmed == [False, True, False, True]
+    assert starts(entries) == ["nudged", "continued", "nudged", "continued"]
+
+
 def test_a_forced_entry_without_a_predicted_orbit_does_not_continue(monkeypatch):
     # 0.044 lies below alpha*: the forced flow collapses to the Birkhoff
     # orbit, and that entry breaks the chain
@@ -564,7 +607,7 @@ def test_unsorted_and_repeated_alphas_continue_in_the_given_order(monkeypatch, c
     # a repeated value scales by sqrt(1) - 1 = 0: it starts at the orbit of
     # the entry before it, bit for bit
     repeat = entries[2].report
-    assert repeat.start == "continued" and repeat.corrector_iterations == 0
+    assert repeat.start == "continued" and repeat.flow.n_steps == 0
     assert np.array_equal(repeat.final_lift.coords, entries[1].report.final_lift.coords)
     assert_independent(FLAGSHIP, entries)
 
@@ -611,6 +654,6 @@ def test_the_search_ends_on_the_limit_of_the_oracle_flow(fields, alpha):
     limit = rep.final_lift.with_coords(rec.lifts[-1])
     assert (spatiotemporal_group(limit, search.n).type_label,
             intersection_index(limit, search.reference), minimal_period(limit)) == \
-        (rep.group.type_label, rep.crossings_vs_reference, rep.minimal_period)
+        (rep.group.type_label, rep.crossings_vs_reference, rep.group.minimal_period)
     assert np.max(np.abs(limit.coords - rep.final_lift.coords)) < 1e-10
     assert same_orbit(limit, rep.final_lift)

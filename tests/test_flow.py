@@ -35,8 +35,8 @@ def spied_run(monkeypatch, boundary, start, **kwargs):
     kernel = flow_module._gradient_coords
     calls = []
 
-    def spy(boundary, coords, q, order=1):
-        out = kernel(boundary, coords, q, order)
+    def spy(boundary, coords, order=1):
+        out = kernel(boundary, coords, order)
         calls.append((coords.copy(), out))
         return out
 
@@ -201,20 +201,20 @@ def test_guard_margin_violation_stops_the_run(limacon4_cs, monkeypatch):
 
 def test_inadmissible_stage_shrinks_the_step(limacon4_cs, monkeypatch):
     # the oracle: a first step far too long sends a stage out of the
-    # admissible region; the kernel reports it by returning None and the run
-    # shrinks the step
-    kernel = oracles._gradient_coords
+    # admissible region; the check before the stage's kernel call finds it
+    # and the run shrinks the step
+    check = oracles.first_inadmissible
     returned = []
 
     def spy(*args):
-        out = kernel(*args)
-        returned.append(out is None)
+        out = check(*args)
+        returned.append(out is not None)
         return out
 
-    monkeypatch.setattr(oracles, "_gradient_coords", spy)
+    monkeypatch.setattr(oracles, "first_inadmissible", spy)
     ref, system, start = flagship_setup(limacon4_cs)
     rec = dp5_flow(limacon4_cs, start, system=system, first_step=1e3)
-    assert returned[1]
+    assert returned[0]
     assert rec.converged
 
 
@@ -255,17 +255,17 @@ def test_a_value_error_inside_the_rhs_propagates(limacon4_cs, monkeypatch):
 def test_a_stage_that_stays_inadmissible_underflows_the_step(limacon4_cs, monkeypatch):
     # the oracle: every stage after the start is inadmissible, so the step
     # shrinks below its floor and the run stops where it began
-    kernel = oracles._gradient_coords
     calls = []
 
-    def first_call_only(*args):
+    def always_inadmissible(coords, q):
         calls.append(1)
-        return kernel(*args) if len(calls) == 1 else None
+        return 0, float(coords[1] - coords[0])
 
-    monkeypatch.setattr(oracles, "_gradient_coords", first_call_only)
+    monkeypatch.setattr(oracles, "first_inadmissible", always_inadmissible)
     ref, system, start = flagship_setup(limacon4_cs)
     rec = dp5_flow(limacon4_cs, start, system=system)
     assert not rec.converged and len(rec.lifts) == 1 and list(rec.times) == [0.0]
+    assert len(calls) > 1
     assert np.allclose(rec.lifts[0], start.coords, rtol=0, atol=1e-12)
 
 

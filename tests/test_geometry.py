@@ -344,3 +344,19 @@ def test_constructors_reject_non_finite_parameters(bad, caplog):
         with pytest.raises(ValueError, match=name):
             build()
     assert not caplog.records      # each constructor rejects without logging
+
+
+@pytest.mark.parametrize("n, alpha, message", [
+    (1, 0.01, "symmetry order n=1 must be >= 2"),
+    (4, 1.0, r"\|alpha\| = 1.0 >= 1 does not give a simple curve"),
+    (4, -1.5, r"\|alpha\| = 1.5 >= 1 does not give a simple curve"),
+], ids=["n-one", "alpha-one", "alpha-below-minus-one"])
+def test_make_limacon_rejects_a_table_that_is_no_simple_symmetric_curve(n, alpha, message):
+    with pytest.raises(ValueError, match=message):
+        make_limacon(n, alpha)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_check_equivariance_rejects_an_order_below_one(limacon4, n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        check_equivariance(limacon4, n)

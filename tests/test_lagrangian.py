@@ -121,9 +121,9 @@ def test_hessian_is_one_order_2_kernel_call(limacon4_cs, monkeypatch):
     calls = []
     kernel = lagrangian._gradient_coords
 
-    def spy(boundary, coords, q, order=1):
+    def spy(boundary, coords, order=1):
         calls.append(order)
-        return kernel(boundary, coords, q, order)
+        return kernel(boundary, coords, order)
 
     monkeypatch.setattr(lagrangian, "_gradient_coords", spy)
     hessian(limacon4_cs, repeat_lift(symmetric_birkhoff(4, 1), 3))
@@ -163,7 +163,7 @@ def test_kernel_returns_the_gradient_and_the_action_bit_for_bit(table, request):
         inc = rng.uniform(0.05, 0.95, p)
         inc *= q / inc.sum()
         lift = PeriodicLift(p, q, rng.uniform(-2, 2) + np.r_[0.0, np.cumsum(inc[:-1])])
-        grad, action = _gradient_coords(boundary, lift.coords, q)
+        grad, action = _gradient_coords(boundary, lift.coords)
         assert action == periodic_action(boundary, lift)
         assert np.array_equal(grad, gradient_field(boundary, lift))
 
@@ -227,4 +227,25 @@ def test_inadmissible_lift_message_names_the_increment(limacon4_cs):
         gradient_field(limacon4_cs, wrap.with_coords(np.array([0.5, 0.7, 1.6])))
     assert str(info.value) == ("lift leaves the admissible region at increment 2: "
                                "x[0] - x[2] = -0.1")
+
+
+def test_the_kernel_leaves_the_admissibility_check_to_its_callers(limacon4_cs, monkeypatch):
+    # gradient_field and hessian check once, before the kernel call, and an
+    # inadmissible lift never reaches the kernel; the kernel checks nothing
+    checks, kernel_calls = [], []
+    check, kernel = lagrangian.first_inadmissible, lagrangian._gradient_coords
+    monkeypatch.setattr(lagrangian, "first_inadmissible",
+                        lambda *args: checks.append(1) or check(*args))
+    monkeypatch.setattr(lagrangian, "_gradient_coords",
+                        lambda *args: kernel_calls.append(1) or kernel(*args))
+    lift = repeat_lift(symmetric_birkhoff(4, 1), 3)
+    gradient_field(limacon4_cs, lift)
+    hessian(limacon4_cs, lift)
+    assert (len(checks), len(kernel_calls)) == (2, 2)
+    with pytest.raises(ValueError, match="admissible"):
+        gradient_field(limacon4_cs, PeriodicLift(4, 1, np.array([0.0, 0.5, 0.4, 0.8])))
+    assert (len(checks), len(kernel_calls)) == (3, 2)
+    grad, action = kernel(limacon4_cs, lift.coords)
+    assert len(checks) == 3
+    assert action == periodic_action(limacon4_cs, lift)
 

@@ -25,6 +25,7 @@ from billiardflow.sequences import (
     _identity_table,
     aubry_vertices,
     first_inadmissible,
+    type_label,
 )
 from billiardflow.spectral import search_class
 from oracles import dense_basis, loop_score, project, same_orbit, save_lift, translate
@@ -91,6 +92,23 @@ def test_increments_wrap_to_the_winding():
     assert first_inadmissible(np.array([0.0, 0.5, 1.5, 1.75]), 2) == (1, 1.0)
     shifted = translate(lift, 2, -1)
     assert shifted.value(0) == pytest.approx(lift.value(2) - 1)
+
+
+@pytest.mark.parametrize("p, q, coords, message", [
+    (4, 1, np.arange(3) / 4, r"expected 4 coordinates, got \(3,\)"),
+    (4, 1, np.zeros((2, 2)), r"expected 4 coordinates, got \(2, 2\)"),
+    (4, 0, np.arange(4) / 4, "winding q=0 must satisfy 0 < q < p=4"),
+    (4, 4, np.arange(4), "winding q=4 must satisfy 0 < q < p=4"),
+], ids=["too-few", "two-dimensional", "q-zero", "q-equal-p"])
+def test_a_lift_rejects_a_wrong_shape_or_winding(p, q, coords, message):
+    with pytest.raises(ValueError, match=message):
+        PeriodicLift(p, q, coords)
+
+
+@pytest.mark.parametrize("times", [0, -1])
+def test_repeat_lift_rejects_fewer_than_one_copy(times):
+    with pytest.raises(ValueError, match="times must be >= 1"):
+        repeat_lift(symmetric_birkhoff(4, 1), times)
 
 
 def test_symmetric_birkhoff_is_a_shifted_lattice():
@@ -221,6 +239,15 @@ def test_shifted_copy_never_crosses():
 def test_identical_lifts_are_tangent():
     a = random_lift(np.random.default_rng(3), 6, 1)
     assert intersection_index(a, a) == "tangent"
+
+
+def test_intersection_index_rejects_lifts_of_two_classes():
+    # the same orbit embedded twice over is a (24, 6) lift, not a (12, 3) one
+    ref = repeat_lift(symmetric_birkhoff(4, 1), 3)
+    with pytest.raises(ValueError, match=r"same \(p, q\) class"):
+        intersection_index(ref, repeat_lift(ref, 2))
+    with pytest.raises(ValueError, match=r"same \(p, q\) class"):
+        intersection_index(ref, repeat_lift(symmetric_birkhoff(4, 3), 3))
 
 
 def test_mode_perturbation_crossing_count():
@@ -424,6 +451,11 @@ def test_projected_lifts_realize_the_boundary_symmetry(limacon4_cs):
     assert np.allclose(rotated, target, atol=1e-9)
 
 
+def test_a_generator_of_an_unknown_family_is_rejected():
+    with pytest.raises(ValueError, match="unknown generator kind 'rotation'"):
+        SymmetryGenerator("rotation", exponent=1, shift=3, offset=0)
+
+
 def test_infeasible_constraint_system_is_rejected():
     cases = [
         # a preserving rotation with zero index shift forces x_i = x_i + e/n
@@ -616,6 +648,29 @@ def test_asymmetric_lift_has_trivial_group():
     desc = spatiotemporal_group(lift, 2)
     assert desc.type_label == "none"
     assert desc.exponents("rotation_preserving") == {0}
+
+
+def test_preserving_reflections_alone_label_type_iv():
+    # a member of the class of one preserving reflection, x_i + x_{5+i} = 3 + i
+    gen = SymmetryGenerator("reflection_preserving", exponent=0, shift=5, offset=3)
+    system = expand_constraints(2, [gen], 10, 5)
+    ref = repeat_lift(symmetric_birkhoff(2, 1), 5)
+    rng = np.random.default_rng(43)
+    coords = project(system, ref.coords + 0.05 * rng.standard_normal(10))
+    desc = spatiotemporal_group(PeriodicLift(10, 5, coords), 2)
+    assert desc.type_label == "IV"
+    assert desc.exponents("reflection_preserving") == {0}
+    assert desc.exponents("reflection_reversing") == desc.exponents("rotation_reversing") \
+        == set()
+    # the rule itself: preserving reflections, no reversing element
+    exponents = {family: set() for family in FAMILIES}
+    exponents["rotation_preserving"] = {0}
+    exponents["reflection_preserving"] = {0, 1}
+    assert type_label(exponents, 2, birkhoff=False) == "IV"
+    exponents["rotation_reversing"] = {0}
+    assert type_label(exponents, 2, birkhoff=False) == "IV"
+    exponents["rotation_reversing"] = {1}
+    assert type_label(exponents, 2, birkhoff=False) == "II"
 
 
 def test_borderline_residual_reports_the_near_miss():
