@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .sequences import (AffineSystem, GroupDescription, PeriodicLift, expand_con
                         first_inadmissible, generated_group, intersection_index,
                         spatiotemporal_group)
 from .sequences import is_birkhoff, minimal_period  # noqa: F401 - tracer sites (ROADMAP item 1)
-from .spectral import CriterionReport, class_criterion, kappa_chord, search_class
+from .spectral import CriterionReport, SearchClass, class_criterion, kappa_chord, search_class
 from .spectral import criterion  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
 
 log = logging.getLogger(__name__)
@@ -148,6 +150,26 @@ def checked_criterion(request: SearchRequest):
     return boundary, search, report
 
 
+@lru_cache(maxsize=32)
+def _class_structures(search: SearchClass) -> tuple:
+    """The class's :class:`AffineSystem`, with its B^T H B entries, and the
+    group its generators generate (family -> exponents), built once per class
+    and process, once the reference satisfies its own class.  Every caller
+    gets the same objects, so they are read-only: the arrays, the mapping and
+    its exponent sets."""
+    system = expand_constraints(search.n, search.generators, search.p, search.q)
+    ref_residual = system.residual(search.reference.coords)
+    if ref_residual > 1e-9:
+        raise RuntimeError("internal error: the reference violates its own "
+                           f"symmetry class (residual {ref_residual:.3e})")
+    for array in (*vars(system).values(), *system._hessian_entries):
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    expected = {family: frozenset(exponents) for family, exponents
+                in generated_group(search.n, search.generators).items()}
+    return system, MappingProxyType(expected)
+
+
 def _correct(boundary, guess: PeriodicLift, system: AffineSystem, reference: PeriodicLift):
     """Newton's method in the class's orbit basis from a predicted lift: the
     search at delta = infinity (:func:`~.flow.newton`).
@@ -204,11 +226,7 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
 
     n, p, q = search.n, search.p, search.q
     reference = search.reference
-    system = expand_constraints(n, search.generators, p, q)
-    ref_residual = system.residual(reference.coords)
-    if ref_residual > 1e-9:
-        raise RuntimeError("internal error: the reference violates its own "
-                           f"symmetry class (residual {ref_residual:.3e})")
+    system, expected = _class_structures(search)
 
     cs = reparametrize_constant_speed(boundary)
     action_ref = periodic_action(cs, reference)
@@ -277,7 +295,6 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
                              f"{report.predicted_crossings}")
         if not action_gain > 0:
             anomalies.append(f"action gain {action_gain:.3e} is not positive")
-        expected = generated_group(n, search.generators)
         for family, want in expected.items():
             got = group.exponents(family)
             if got != want:

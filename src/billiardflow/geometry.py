@@ -328,8 +328,9 @@ def _arc_inverse(boundary: Boundary, speed: np.ndarray, total: float) -> np.ndar
     for _ in range(NEWTON_MAX_STEPS):
         u = np.exp(2j * math.pi * x)
         acc = np.zeros_like(u)
-        for c in a[::-1]:
-            acc = (acc + c) * u
+        for c in a[::-1].tolist():
+            acc += c
+            acc *= u
         step = (x + 2.0 * (acc.real - offset) - y) * total / _speed(boundary.jet, x)
         x = x - step
         if np.max(np.abs(step)) <= NEWTON_XTOL:

@@ -9,7 +9,10 @@ Dormand-Prince integrator (the package searches by pseudo-transient
 continuation instead), the class basis as a dense matrix and the orthogonal
 projection onto a class (the package keeps the basis as two vectors and never
 projects), the comparison principle of two flow runs, integer translates of a
-lift, and orbit equality by a loop over time shifts and reversals.  It also
+lift, orbit equality by a loop over time shifts and reversals, the
+classification from whole p x p identity tables, each a strided view of a
+window (the package gathers only the entries a prefilter needs) and the crossing count by its loop over zeros
+(the package counts a difference without zeros in one pass).  It also
 holds the helpers only tests use: the trapezoid rule and writing an orbit
 file.
 """
@@ -22,7 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from billiardflow.lagrangian import _gradient_coords
-from billiardflow.sequences import CLASSIFY_TOL, first_inadmissible, lift_text
+from billiardflow.sequences import (CLASSIFY_TOL, FAMILIES, SNAP_TOL, GroupDescription,
+                                    SymmetryGenerator, first_inadmissible, lift_text,
+                                    type_label)
 from billiardflow.spectral import kappa_chord
 
 
@@ -294,3 +299,65 @@ def same_orbit(a, b) -> bool:
     """Whether two lifts describe the same orbit up to time shift or reversal:
     some match scores within ``CLASSIFY_TOL``."""
     return a.p == b.p and any(score <= CLASSIFY_TOL for score in loop_equality_scores(a, b))
+
+
+def identity_table(lift, family) -> np.ndarray:
+    """[k, i] -> x_{k + d i} - sign x_i - c i for k, i = 0..p-1, with (d, sign, c)
+    the row of ``family`` in ``FAMILIES``: row k is a run of p entries of the
+    window x_{1-p} .. x_{2p-2}, reversed when d = -1."""
+    d, sign, c = FAMILIES[family]
+    p = lift.p
+    runs = np.lib.stride_tricks.sliding_window_view(lift.value(np.arange(1 - p, 2 * p - 1)), p)
+    return (runs[p - 1:] if d > 0 else runs[:p, ::-1]) - sign * lift.coords - c * np.arange(p)
+
+
+def full_table_group(lift, n) -> GroupDescription:
+    """:func:`~billiardflow.sequences.spatiotemporal_group` from whole tables:
+    each family's p x p identity table, every row scored against every
+    exponent e/n, well-ordering read off every entry of the
+    rotation-preserving table and the minimal period off its divisor rows."""
+    p = lift.p
+    tables = {family: identity_table(lift, family) for family in FAMILIES}
+    scores = {}
+    for family, table in tables.items():
+        first = table[:, 0] - (np.arange(n) / n)[:, None]
+        nearest = np.round(first)
+        spread = np.max(np.abs(table - table[:, :1]), axis=1)
+        scores[family] = (np.maximum(spread, np.abs(first - nearest)), nearest)
+    elements, exponents = [], {family: set() for family in FAMILIES}
+    for e in range(n):
+        for family, (score, nearest) in scores.items():
+            hits = np.flatnonzero(score[e] <= CLASSIFY_TOL)
+            if hits.size:
+                k = int(hits[0])
+                elements.append(SymmetryGenerator(family, e, k, int(nearest[e, k])))
+                exponents[family].add(e)
+    ref_pres, ref_rev = exponents["reflection_preserving"], exponents["reflection_reversing"]
+    opposite = [scores["reflection_reversing"][0][e].min() for e in ref_pres - ref_rev]
+    opposite += [scores["reflection_preserving"][0][e].min() for e in ref_rev - ref_pres]
+    borderline = float(min(opposite, default=0.0)) if ref_pres | ref_rev else None
+    rotation = tables["rotation_preserving"]
+    nearest = np.round(rotation)
+    ceilings = np.where(np.abs(rotation - nearest) < SNAP_TOL, nearest, np.ceil(rotation))
+    birkhoff = bool(np.all(ceilings == ceilings[:, :1]))
+    period = scores["rotation_preserving"][0][0]
+    minimal = next((d for d in range(1, p) if p % d == 0 and period[d] <= CLASSIFY_TOL), p)
+    return GroupDescription(elements, type_label(exponents, n, birkhoff), birkhoff,
+                            minimal, lift.q * minimal // p, borderline)
+
+
+def loop_intersection_index(xl, yl):
+    """:func:`~billiardflow.sequences.intersection_index` with its loop over
+    zeros on every call: sign changes of x - y over one period, or "tangent"
+    when a zero (|x_i - y_i| <= SNAP_TOL) is no transversal crossing or every
+    difference is one."""
+    d = xl.coords - yl.coords
+    p = xl.p
+    zero = np.abs(d) <= SNAP_TOL
+    if np.all(zero):
+        return "tangent"
+    for i in np.nonzero(zero)[0]:
+        if not d[(i - 1) % p] * d[(i + 1) % p] < 0:
+            return "tangent"
+    signs = np.sign(d[~zero])
+    return int(np.count_nonzero(signs[1:] != signs[:-1])) + int(signs[0] != signs[-1])

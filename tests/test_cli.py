@@ -287,6 +287,20 @@ def test_classify_rejects_a_malformed_orbit_file(text, message, flagship_ini, tm
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("12 3 4 x\n", 1, "orbit header 'p q n m' must be four integers, got '12 3 4 x'"),
+    ("# p q n m\n4 1 4 1\n0.1\n\nabc\n0.6\n0.9\n", 5, "coordinate 'abc' is not a number"),
+], ids=["header-field", "coordinate"])
+def test_classify_names_the_file_and_line_of_a_field_that_does_not_parse(
+        text, line, message, flagship_ini, tmp_path, capsys):
+    path = tmp_path / "orbit.txt"
+    path.write_text(text)
+    assert main(["classify", str(path), "--config", str(flagship_ini)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}, line {line}: {message}\n"
+    assert captured.out == ""
+
+
 NONCONVEX_INI = FLAGSHIP_INI.replace("alpha = 0.05", "alpha = 0.2")
 
 

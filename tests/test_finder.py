@@ -67,15 +67,41 @@ def test_flagship_group_is_the_full_dihedral_group(flagship_report):
 
 
 def test_a_find_classifies_its_limit_once(monkeypatch):
-    # one identity table per family: the report's well-ordering, minimal
-    # period and winding are read off the classification, not computed again
-    built, table = [], sequences._identity_table
-    monkeypatch.setattr(sequences, "_identity_table",
-                        lambda lift, family: built.append(family) or table(lift, family))
+    # one window per find, and one prefilter read of all four families: the
+    # report's well-ordering, minimal period and winding are read off the
+    # classification, not computed again
+    windows, window = [], sequences._window
+    monkeypatch.setattr(sequences, "_window",
+                        lambda lift: windows.append(lift.p) or window(lift))
+    reads, entries = [], sequences._entries
+    monkeypatch.setattr(sequences, "_entries",
+                        lambda *args: reads.append(np.unique(args[2]).tolist()) or entries(*args))
     rep = find_orbit(SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3))
-    assert sorted(built) == sorted(sequences.FAMILIES)
+    assert windows == [12]
+    assert reads[0] == list(range(len(sequences.FAMILIES)))
+    assert all(len(families) < len(sequences.FAMILIES) for families in reads[1:])
     assert rep.is_birkhoff is rep.group.is_birkhoff is False
     assert (rep.group.minimal_period, rep.group.winding) == (12, 3)
+
+
+def test_a_sweep_builds_its_class_once(monkeypatch):
+    finder._class_structures.cache_clear()
+    built, expand = [], finder.expand_constraints
+    monkeypatch.setattr(finder, "expand_constraints",
+                        lambda *args: built.append(args[2:]) or expand(*args))
+    base = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
+    entries = sweep(base, "alpha", [0.048, 0.05, 0.052])
+    assert [e.report.outcome for e in entries] == ["non_birkhoff_found"] * 3
+    assert built == [(12, 3)]
+    # a second find of the class builds nothing
+    find_orbit(replace(base, billiard=dict(LIMACON4, alpha=0.049)))
+    assert built == [(12, 3)]
+    system, expected = finder._class_structures(search_class("main", 4, 1, 4, 3))
+    assert expected["rotation_preserving"] == {0, 1, 2, 3}
+    for array in (system.base, system.column, system.weight, system.offset,
+                  *system._hessian_entries):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_type_one_search():

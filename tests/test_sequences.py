@@ -22,13 +22,14 @@ from billiardflow.sequences import (
     AffineSystem,
     PeriodicLift,
     SymmetryGenerator,
-    _identity_table,
     aubry_vertices,
     first_inadmissible,
     type_label,
 )
 from billiardflow.spectral import search_class
-from oracles import dense_basis, loop_score, project, same_orbit, save_lift, translate
+from billiardflow import sequences
+from oracles import (dense_basis, full_table_group, identity_table, loop_intersection_index,
+                     loop_score, project, same_orbit, save_lift, translate)
 
 
 def brute_force_well_ordered(lift, tol=1e-9):
@@ -372,13 +373,16 @@ def oracle_lifts(rng, noise):
 def test_the_window_tables_equal_the_double_loop(p, q, shift):
     lift = random_lift(np.random.default_rng(p), p, q)
     lift = lift.with_coords(lift.coords + shift)
-    for family, (d, sign, c) in FAMILIES.items():
-        table = _identity_table(lift, family)
-        assert table.shape == (p, p)
-        for k in range(p):
-            for i in range(p):
-                assert table[k, i] == lift.value(k + d * i) - sign * lift.coords[i] - c * i, \
-                    (family, k, i)
+    i = np.arange(p)
+    for number, (family, (d, sign, c)) in enumerate(FAMILIES.items()):
+        # the package's gather and the oracle's strided view of the window
+        for table in (sequences._entries(sequences._window(lift), lift.coords, number,
+                                         i[:, None], i), identity_table(lift, family)):
+            assert table.shape == (p, p)
+            for k in range(p):
+                for j in range(p):
+                    assert table[k, j] == lift.value(k + d * j) - sign * lift.coords[j] - c * j, \
+                        (family, k, j)
 
 
 def test_is_birkhoff_agrees_with_the_block_comparison():
@@ -406,6 +410,117 @@ def test_minimal_period_agrees_outside_the_band(noise):
         compared += 1
         periods.add(expected < lift.p)
     assert compared > 300 and periods == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the prefiltered classification against whole tables
+
+
+def touching_lifts():
+    """Lifts one of whose translates touches them without coinciding, and
+    their repeats, up to p = 45."""
+    touching = [lift_from_increments([1 / 2, 1 / 2, 1 / 4, 1 / 2, 1 / 4], 2),
+                lift_from_increments([1 / 2, 1 / 2, 1 / 2, 3 / 4, 3 / 4], 3)]
+    return [repeat_lift(lift, times) for lift in touching for times in (1, 2, 5, 9)]
+
+
+def class_members(rng, p_max):
+    """Members of search classes up to period ``p_max``, at random points of
+    the class: every class symmetry holds to roundoff."""
+    members = []
+    for kind, n, N, sizes in (("main", 4, 4, (3, 5, 7, 11)), ("main", 4, 1, (3, 12)),
+                              ("typeI", 2, 2, (3, 7, 23)), ("typeII", 2, 1, (4, 24)),
+                              ("typeV", 2, 1, (5, 24))):
+        for s in sizes:
+            search = search_class(kind, n, 1, N, s)
+            if search.p > p_max:
+                continue
+            system = expand_constraints(n, search.generators, search.p, search.q)
+            ref = search.reference
+            amplitude = 10 ** rng.uniform(-4, -2)
+            members.append((project(system, ref.coords + amplitude
+                                    * rng.standard_normal(search.p)), ref.p, ref.q, n))
+    return [(PeriodicLift(p, q, coords), n) for coords, p, q, n in members]
+
+
+def classification_cases(rng):
+    """(lift, n): random and exact-tie lifts, symmetric Birkhoff references,
+    touching translates and class members, all with p <= 48."""
+    lifts = oracle_lifts(rng, (1e-11, 3e-10)) + touching_lifts()
+    lifts += [random_lift(rng, p, q) for p, q in ((24, 7), (36, 5), (48, 13))]
+    lifts += [repeat_lift(symmetric_birkhoff(n, m, branch), s)
+              for n, m in ((2, 1), (3, 1), (4, 1), (5, 2)) for branch in (0, 1)
+              for s in (1, 3, 48 // n) if n * s >= 2]
+    return [(lift, n) for lift in lifts for n in (2, 3, 4)] + class_members(rng, 48)
+
+
+def test_the_classification_equals_the_whole_table_oracle():
+    seen = set()
+    for lift, n in classification_cases(np.random.default_rng(61)):
+        want = full_table_group(lift, n)
+        assert spatiotemporal_group(lift, n) == want, (lift, n)
+        assert (is_birkhoff(lift), minimal_period(lift)) == \
+            (want.is_birkhoff, want.minimal_period)
+        seen |= {("birkhoff", want.is_birkhoff), ("borderline", want.borderline_residual),
+                 ("repeated", want.minimal_period < lift.p), ("label", want.type_label)}
+    assert {("birkhoff", True), ("birkhoff", False), ("borderline", None),
+            ("borderline", 0.0), ("repeated", True), ("repeated", False)} <= seen
+    assert {label for key, label in seen if key == "label"} >= \
+        {"Birkhoff-symmetric", "I", "II", "III", "V", "none"}
+    assert any(key == "borderline" and value not in (None, 0.0) for key, value in seen)
+
+
+def entries_read(monkeypatch):
+    """A list that receives the size of every identity-table read."""
+    sizes, entries = [], sequences._entries
+
+    def counting(*args):
+        out = entries(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(sequences, "_entries", counting)
+    return sizes
+
+
+def test_a_lift_off_the_birkhoff_set_is_classified_in_o_p(monkeypatch):
+    # a member of the p = 192 main N = 1 class: the four tables would hold
+    # 4 p^2 entries; the prefilter and the rows it keeps read a few p
+    search = search_class("main", 4, 1, 1, 48)
+    system = expand_constraints(4, search.generators, search.p, search.q)
+    ref = search.reference
+    rng = np.random.default_rng(62)
+    member = ref.with_coords(project(system, ref.coords + 1e-3 * rng.standard_normal(192)))
+    want = full_table_group(member, 4)
+    sizes = entries_read(monkeypatch)
+    assert spatiotemporal_group(member, 4) == want
+    assert not want.is_birkhoff and want.type_label == "III"
+    assert sum(sizes) <= 48 * 192
+    # a Birkhoff lift is confirmed on every entry of its rotation-preserving table
+    sizes.clear()
+    assert spatiotemporal_group(ref, 4) == full_table_group(ref, 4)
+    assert sum(sizes) >= 192 * 192
+
+
+def test_intersection_index_equals_the_loop_over_zeros():
+    rng = np.random.default_rng(63)
+    seen = {"no zero": 0, "planted zeros": 0, "tangent": 0}
+    for _ in range(400):
+        p = int(rng.integers(2, 40))
+        a = random_lift(rng, p, int(rng.integers(1, p)))
+        d = rng.choice([-1.0, 1.0], p) * 10 ** rng.uniform(-8, -2, p)
+        if rng.uniform() < 0.6:
+            # zeros, most of them between neighbours of opposite signs
+            crossing = d[np.arange(p) - 1] * d[(np.arange(p) + 1) % p] < 0
+            zeros = rng.uniform(size=p) < np.where(crossing, 0.5, 0.05)
+            d[zeros] = rng.uniform(-1, 1, zeros.sum()) * SNAP_TOL
+        b = a.with_coords(a.coords + d)
+        want = loop_intersection_index(a, b)
+        assert intersection_index(a, b) == want
+        zero = np.abs(d) <= SNAP_TOL
+        seen["tangent" if want == "tangent" else
+             "planted zeros" if zero.any() else "no zero"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 # ---------------------------------------------------------------------------
