@@ -138,21 +138,6 @@ def _sample(p: int) -> np.ndarray:
     return np.unique([0, 1, p // 4, p // 2, 3 * p // 4, p - 1])
 
 
-def _row_scores(table: np.ndarray, targets) -> tuple:
-    """How far each row of an identity table is from one constant t + M.
-
-    ``table`` holds the columns i = 0, ... on axis 1.  Returns [t, rows] ->
-    max(spread of the row, |first entry - t - M|) for each t in ``targets``,
-    with M the integer nearest the first entry less t, and those M.  On some
-    of a row's columns, column 0 first, the score bounds the full row's score
-    from below: the spread is a maximum over the columns.
-    """
-    spread = np.max(np.abs(table - table[:, :1]), axis=1)
-    first = table[:, 0] - np.asarray(targets, dtype=float).reshape((-1,) + (1,) * spread.ndim)
-    nearest = np.round(first)
-    return np.maximum(spread, np.abs(first - nearest)), nearest
-
-
 # ---------------------------------------------------------------------------
 # ordering
 
@@ -165,26 +150,9 @@ def is_birkhoff(lift: PeriodicLift) -> bool:
     Daeron, Physica D 8, 1983).  So a translate that touches the lift without
     coinciding with it breaks well-ordering, as :func:`intersection_index`
     calls it "tangent"; differences within ``SNAP_TOL`` of an integer are
-    ties.  O(p^2) work on a well-ordered lift.
+    ties.  Read off :func:`spatiotemporal_group`: O(p^2) on a Birkhoff lift.
     """
-    return _well_ordered(_window(lift), lift.coords, _sample(lift.p))
-
-
-def _well_ordered(window: np.ndarray, coords: np.ndarray, sample: np.ndarray) -> bool:
-    """The rule of :func:`is_birkhoff`: row k of the rotation-preserving table
-    [k, i] -> x_{k+i} - x_i has one ceiling (snapped at ``SNAP_TOL``) iff no
-    sign of a translate (k, l) changes, except by zeros beside negative
-    values; row p - k, which holds q minus the same differences, rules out
-    zeros beside positive ones.  The ``sample`` columns can only refute it;
-    when they do not, the full table decides."""
-    k = np.arange(coords.size)
-    for cols in (sample, k):
-        table = _entries(window, coords, 0, k, cols[:, None])      # [i, k]
-        nearest = np.round(table)
-        l = np.where(np.abs(table - nearest) < SNAP_TOL, nearest, np.ceil(table))
-        if not np.all(l == l[:1]):
-            return False
-    return True
+    return spatiotemporal_group(lift, 1).is_birkhoff
 
 
 def intersection_index(xl: PeriodicLift, yl: PeriodicLift):
@@ -212,20 +180,8 @@ def intersection_index(xl: PeriodicLift, yl: PeriodicLift):
 
 
 def minimal_period(lift: PeriodicLift) -> int:
-    """Smallest divisor d of p with x_{d+i} - x_i a constant integer, to CLASSIFY_TOL."""
-    p = lift.p
-    divisors = np.flatnonzero(p % np.arange(1, p) == 0) + 1
-    rows = _entries(_window(lift), lift.coords, 0, divisors[:, None], np.arange(p))
-    return _min_period(p, divisors[_row_scores(rows, [0.0])[0][0] <= CLASSIFY_TOL])
-
-
-def _min_period(p: int, rows: np.ndarray) -> int:
-    """The rule of :func:`minimal_period`: the smallest divisor d < p of p
-    among the rotation-preserving ``rows`` whose target-0 score is within
-    ``CLASSIFY_TOL``, else p."""
-    d = rows[rows > 0]
-    d = d[p % d == 0]
-    return int(d[0]) if d.size else p
+    """Smallest divisor d of p with x_{d+i} - x_i one integer: see spatiotemporal_group."""
+    return spatiotemporal_group(lift, 1).minimal_period
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +423,22 @@ def generated_group(n: int, generators) -> dict:
     return exponents
 
 
+def _rows(table: np.ndarray) -> tuple:
+    """Each row of an identity table, its columns on axis 1, as its first
+    entry (a copy, so the table is freed), its least and its largest."""
+    return table[:, 0].copy(), table.min(axis=1), table.max(axis=1)
+
+
+def _one_ceiling(least: np.ndarray, largest: np.ndarray) -> bool:
+    """Whether each row has one snapped ceiling (the integer within ``SNAP_TOL``,
+    else the ceiling).  It never decreases as its argument grows, so a row's
+    least and largest entry decide; NaN has none."""
+    extremes = np.array((least, largest))
+    nearest = np.round(extremes)
+    ceiling = np.where(np.abs(extremes - nearest) < SNAP_TOL, nearest, np.ceil(extremes))
+    return bool(np.all(ceiling[0] == ceiling[1]))
+
+
 def spatiotemporal_group(lift: PeriodicLift, n: int) -> GroupDescription:
     """Detect every dihedral element acting on the orbit, and its type label.
 
@@ -475,46 +447,54 @@ def spatiotemporal_group(lift: PeriodicLift, n: int) -> GroupDescription:
     integer M to ``CLASSIFY_TOL``.  Each hit is the
     :class:`SymmetryGenerator` (family, e, smallest such k, M), the element
     type symmetry classes are built from; the label follows
-    :func:`type_label`.  Well-ordering and the minimal period follow the
-    rules of :func:`is_birkhoff` and :func:`minimal_period` on the
-    rotation-preserving table.
+    :func:`type_label`.  The minimal period is the least divisor d < p of p
+    whose rotation-preserving row is a hit at e = 0, else p.  The lift is
+    well-ordered (:func:`is_birkhoff`) when each row k of the
+    rotation-preserving table [k, i] -> x_{k+i} - x_i has one snapped
+    ceiling: no sign of a translate (k, l) changes, except by zeros beside
+    negative values, and row p - k, q minus the same differences, rules out
+    zeros beside positive ones.
 
     ``borderline_residual`` reports, when reflections are present, how close
     the opposite-parity reflection test came to passing — a III verdict with a
     tiny value is a near-V case.
 
-    No table is built whole.  The scores on the :func:`_sample` columns bound
-    every row's score from below, so only the rows whose bound is within
-    ``CLASSIFY_TOL`` are scored in full, and the borderline residual in full
-    on the rows whose bound lies below the least score found.  A lift off the
-    Birkhoff set, whose sampled columns refute well-ordering, costs O(p).
+    No table is built whole: a row is its first, least and largest entry
+    (:func:`_rows`).  The :func:`_sample` columns bound each row's score from
+    below and can refute well-ordering.  Only the rows they keep, the
+    borderline residual's rows whose bound is below the least score found and,
+    unless refuted, the rotation-preserving rows are read in full, each once.
     """
     p, x = lift.p, lift.coords
-    window, sample = _window(lift), _sample(p)
-    count = len(FAMILIES)
-    k = np.arange(p)
-    # [e, family, k]: scores on the sampled columns, laid out [family, i, k]
-    bound, nearest = _row_scores(
-        _entries(window, x, np.arange(count)[:, None, None], k, sample[:, None]),
-        np.arange(n) / n)
-    spread = np.full((count, p), np.inf)      # a row's full spread, once scored
+    window, count, k = _window(lift), len(FAMILIES), np.arange(p)
+    # the sampled columns, laid out [family, i, k]
+    first, least, largest = _rows(
+        _entries(window, x, np.arange(count)[:, None, None], k, _sample(p)[:, None]))
+
+    def spread(least, largest):
+        """[family, k] -> max |entry - first|, exact: subtraction is monotone."""
+        return np.maximum(largest - first, first - least)
+
+    # [e, family, k]: M and the score on the sampled columns
+    target = (np.arange(n) / n)[:, None, None]
+    nearest = np.round(first - target)
+    bound = np.maximum(spread(least, largest), np.abs(first - target - nearest))
+    # each row's least and largest entry once read in full, -inf and inf until then
+    low, high = np.full((count, p), -np.inf), np.full((count, p), np.inf)
 
     def scores(rows: np.ndarray) -> np.ndarray:
-        """[e, family, k] -> the score, exact on every row scored so far and
-        in ``rows`` ([family, k]), inf elsewhere."""
-        todo = rows & np.isinf(spread)
-        if todo.any():
-            f, r = np.nonzero(todo)
-            full = _entries(window, x, f[:, None], r[:, None], k)
-            spread[f, r] = np.max(np.abs(full - full[:, :1]), axis=1)
-        return np.maximum(spread, bound)
+        """[e, family, k] -> the score once ``rows`` ([family, k]) are read; inf if unread."""
+        f, r = np.nonzero(rows & (low == -np.inf))
+        if f.size:
+            _, low[f, r], high[f, r] = _rows(_entries(window, x, f[:, None], r[:, None], k))
+        return np.maximum(spread(low, high), bound)
 
     hit = scores(np.any(bound <= CLASSIFY_TOL, axis=0)) <= CLASSIFY_TOL
-    first = hit.argmax(axis=2)
+    shift = hit.argmax(axis=2)
     names = list(FAMILIES)
     elements, exponents = [], {name: set() for name in names}
     for e, f in zip(*(i.tolist() for i in np.nonzero(hit.any(axis=2)))):
-        k_e = int(first[e, f])
+        k_e = int(shift[e, f])
         elements.append(SymmetryGenerator(names[f], e, k_e, int(nearest[e, f, k_e])))
         exponents[names[f]].add(e)
     ref_pres, ref_rev = exponents["reflection_preserving"], exponents["reflection_reversing"]
@@ -528,16 +508,21 @@ def spatiotemporal_group(lift: PeriodicLift, n: int) -> GroupDescription:
         # the least score: no other row can score less
         bounds = np.where(opposite, bound, np.inf)
 
-        def least(rows):
+        def least_score(rows):
             return np.where(opposite, scores(rows), np.inf).min()
 
         top = np.zeros((count, p), dtype=bool)
         top[np.unravel_index(bounds.argmin(), bounds.shape)[1:]] = True
-        borderline = float(least(np.any(bounds < least(top), axis=0)))
-    birkhoff = _well_ordered(window, x, sample)
-    minimal = _min_period(p, np.flatnonzero(hit[0, 0]))
+        borderline = float(least_score(np.any(bounds < least_score(top), axis=0)))
+    # the sampled extremes can only refute well-ordering; all rows confirm it
+    birkhoff = _one_ceiling(least[0], largest[0])
+    if birkhoff:
+        scores(np.arange(count)[:, None] == 0)
+        birkhoff = _one_ceiling(low[0], high[0])
+    divisors = k[1:][hit[0, 0, 1:] & (p % k[1:] == 0)]
+    minimal = int(divisors[0]) if divisors.size else p
     return GroupDescription(elements, type_label(exponents, n, birkhoff), birkhoff,
-                            minimal, lift.q * minimal // lift.p, borderline)
+                            minimal, lift.q * minimal // p, borderline)
 
 
 # ---------------------------------------------------------------------------

@@ -478,3 +478,42 @@ def test_criterion_11_criterion_is_sharp_on_a_grid():
              "clean non-Birkhoff orbits at the 30 positive limacon margins and "
              "on the 10 ellipse classes; the 6 forced non-positive margins "
              "collapse; the 6 s = 2, N = n requests have a degenerate mode")
+
+
+# ---------------------------------------------------------------------------
+# 14. D2-symmetric tables that are not ellipses
+
+
+#: the n = 2 limacon at 0.3 and 0.9 of its convexity threshold 1/5, and the
+#: D2 classes: kind -> (label, N, the s of the grid)
+D2_CLASSES = {"typeI": ("I", 2, (3, 5, 7, 9)), "typeII": ("II", 1, range(2, 7)),
+              "typeV": ("V", 1, range(3, 8))}
+
+
+def test_criterion_14_d2_tables_that_are_not_ellipses():
+    """Criterion 11's rule on a D2 table that is no ellipse: a positive margin
+    gives a clean orbit with the kind's label, 2N crossings and minimal
+    period p; a forced non-positive one collapses to the reference, which,
+    as for criterion 11, holds on this grid and is not a theorem."""
+    t0 = time.monotonic()
+    tally = Counter()
+    for alpha in (0.06, 0.18):
+        for kind, (label, N, sizes) in D2_CLASSES.items():
+            for s in sizes:
+                req = SearchRequest(billiard={"family": "limacon", "n": 2, "alpha": alpha},
+                                    n=2, m=1, kind=kind, s=s)
+                predicted = checked_criterion(req)[2].verdict == "orbit_predicted"
+                rep = find_orbit(replace(req, force=not predicted))
+                name = (alpha, kind, s)
+                if predicted:
+                    assert (rep.outcome, rep.group.type_label, rep.crossings_vs_reference,
+                            rep.group.minimal_period, rep.anomalies) == \
+                        ("non_birkhoff_found", label, 2 * N, 2 * s, []), name
+                else:
+                    assert rep.outcome == "collapsed_to_birkhoff", name
+                tally[rep.outcome] += 1
+    assert tally == {"non_birkhoff_found": 25, "collapsed_to_birkhoff": 3}
+    announce(14, "D2 tables that are not ellipses", t0, 30.0,
+             "typeI, typeII and typeV classes on the n = 2 limacon at alpha = "
+             "0.06 and 0.18: 25 clean orbits at the positive margins, and the 3 "
+             "forced non-positive margins collapse")

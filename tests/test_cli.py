@@ -86,6 +86,19 @@ def test_check_prints_table_and_json(flagship_ini, capsys):
     assert payload["margin"] == pytest.approx(0.13025651232383795, rel=1e-9)
 
 
+def test_check_gives_a_scaled_table_the_margin_of_the_unscaled_one(tmp_path, capsys):
+    margins = []
+    for scale in (1.0, 1e6):
+        config = tmp_path / f"ellipse{scale:g}.ini"
+        config.write_text(f"[billiard]\nfamily = ellipse\na = {1.3 * scale!r}\nb = {scale!r}\n\n"
+                          "[theorem]\nkind = typeI\nn = 2\nm = 1\ns = 5\n")
+        assert main(["check", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        margins.append(json.loads(out[out.index("{"):])["margin"])
+    assert margins[0] > 0
+    assert margins[1] == pytest.approx(margins[0], abs=1e-12)
+
+
 def test_check_writes_criterion_file(flagship_ini, tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     code = main(["check", "--config", str(flagship_ini),

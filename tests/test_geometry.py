@@ -116,6 +116,16 @@ def test_equivariance_of_builtin_families(limacon4, ellipse21, circle4):
     assert not check_equivariance(ellipse21, 4)
 
 
+def test_equivariance_does_not_depend_on_the_tables_size():
+    # the tolerance scales with the sampled curve: a large symmetric table
+    # passes, and a tiny ellipse still lacks the order-4 symmetry
+    assert check_equivariance(make_circle(1e6, 4), 4)
+    assert check_equivariance(make_ellipse(2e6, 1e6), 2)
+    assert not check_equivariance(make_ellipse(2e6, 1e6), 4)
+    assert check_equivariance(make_ellipse(2e-11, 1e-11), 2)
+    assert not check_equivariance(make_ellipse(2e-11, 1e-11), 4)
+
+
 @settings(deadline=None, max_examples=25)
 @given(n=st.integers(min_value=2, max_value=8),
        frac=st.floats(min_value=0.05, max_value=0.95))

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from billiardflow import (
+    SearchRequest,
     expand_constraints,
+    find_orbit,
     intersection_index,
     is_birkhoff,
     load_lift,
@@ -500,6 +502,43 @@ def test_a_lift_off_the_birkhoff_set_is_classified_in_o_p(monkeypatch):
     sizes.clear()
     assert spatiotemporal_group(ref, 4) == full_table_group(ref, 4)
     assert sum(sizes) >= 192 * 192
+
+
+def rows_read(monkeypatch):
+    """A list that receives the (family, k) of every identity-table row read
+    in full: the reads laid out [row, i], apart from the sampled gather."""
+    rows, entries = [], sequences._entries
+
+    def recording(window, coords, family, k, i):
+        out = entries(window, coords, family, k, i)
+        if out.ndim == 2:
+            rows.extend(zip(np.ravel(family).tolist(), np.ravel(k).tolist()))
+        return out
+
+    monkeypatch.setattr(sequences, "_entries", recording)
+    return rows
+
+
+def test_a_classification_reads_each_row_in_full_at_most_once(monkeypatch):
+    flagship = find_orbit(SearchRequest(billiard={"family": "limacon", "n": 4, "alpha": 0.05},
+                                        n=4, m=1, kind="main", N=4, s=3)).final_lift
+    search = search_class("main", 4, 1, 1, 48)
+    system = expand_constraints(4, search.generators, search.p, search.q)
+    rng = np.random.default_rng(64)
+    member = search.reference.with_coords(
+        project(system, search.reference.coords + 1e-3 * rng.standard_normal(search.p)))
+    references = [repeat_lift(symmetric_birkhoff(4, 1, branch), 48) for branch in (0, 1)]
+    for lift in [flagship, member] + references:
+        want = full_table_group(lift, 4)
+        rows = rows_read(monkeypatch)
+        assert spatiotemporal_group(lift, 4) == want
+        assert len(rows) == len(set(rows)), lift.p
+        monkeypatch.undo()
+        assert (is_birkhoff(lift), minimal_period(lift)) == \
+            (want.is_birkhoff, want.minimal_period)
+    # the Birkhoff reference reads its rotation-preserving table once, whole
+    assert want.is_birkhoff and want.minimal_period == 4
+    assert {(0, k) for k in range(192)} <= set(rows)
 
 
 def test_intersection_index_equals_the_loop_over_zeros():
