@@ -96,11 +96,10 @@ class OrbitReport:
     outcome is one of "non_birkhoff_found", "collapsed_to_birkhoff",
     "non_converged".  Each fact is stated once: the classification is
     ``group``'s and the residual |F|_inf at the reported lift is
-    ``flow.grad_norm``.  ``final_lift`` (``flow.final_lift``) and
-    ``is_birkhoff`` (``group.is_birkhoff``) stay only because the benchmark
-    harness reads them; ROADMAP item 2 deletes ``is_birkhoff``.
-    ``anomalies`` lists every postdiction that failed; it is empty on a clean
-    find.  ``start`` is "nudged" (the reference nudged by ``epsilon``) or
+    ``flow.grad_norm``; ``final_lift``, ``is_birkhoff`` and ``start`` are
+    read-only views of ``flow``, ``group`` and ``epsilon``.  ``anomalies``
+    lists every postdiction that failed; it is empty on a clean find.
+    ``start`` is "nudged" (the reference nudged by ``epsilon``) or
     "continued" (a warm lift corrected by Newton's method, see
     :func:`find_orbit`; ``epsilon`` is then None, ``flow`` is the
     corrector's Newton run and ``corrector_ratio`` its first step's
@@ -108,8 +107,6 @@ class OrbitReport:
     """
 
     outcome: str
-    final_lift: PeriodicLift
-    is_birkhoff: bool
     group: GroupDescription
     crossings_vs_reference: object      # int, or "tangent"
     action_gain: float
@@ -117,8 +114,19 @@ class OrbitReport:
     epsilon: float | None
     criterion: CriterionReport
     flow: FlowResult
-    start: str = "nudged"
     corrector_ratio: float | None = None
+
+    @property
+    def final_lift(self) -> PeriodicLift:
+        return self.flow.final_lift
+
+    @property
+    def is_birkhoff(self) -> bool:
+        return self.group.is_birkhoff
+
+    @property
+    def start(self) -> str:
+        return "nudged" if self.epsilon is not None else "continued"
 
 
 def checked_boundary(descriptor: dict, n: int):
@@ -304,8 +312,6 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
 
     return OrbitReport(
         outcome=outcome,
-        final_lift=final,
-        is_birkhoff=group.is_birkhoff,
         group=group,
         crossings_vs_reference=crossings,
         action_gain=float(action_gain),
@@ -313,7 +319,6 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
         epsilon=eps,
         criterion=report,
         flow=run,
-        start="nudged" if eps is not None else "continued",
         corrector_ratio=ratio,
     )
 

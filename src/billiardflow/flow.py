@@ -85,36 +85,29 @@ def _guard_violation(coords: np.ndarray, q: int):
     return None
 
 
-def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
-            reference: PeriodicLift | None, delta: float):
+def _search(boundary, start: PeriodicLift, system: AffineSystem,
+            reference: PeriodicLift, delta: float):
     """The iteration from ``start`` at first pseudo-time step ``delta``.
 
     Returns the :class:`FlowResult`, the first accepted step's contraction
     ratio ||(I/delta - R_0)^{-1} B^T F_1|| / ||d_0|| (the simplified step at
     the new iterate against the step taken, with the old matrix; 0 without a
-    step) and the reduced Hessian R = B^T H B at the last iterate.  Without a
-    ``system`` the class is every lift, B = I.
+    step) and the reduced Hessian R = B^T H B at the last iterate.
     """
     q = start.q
     x = np.asarray(start.coords, dtype=float)
     msg = _guard_violation(x, q)
     if msg is not None:
         raise ValueError(f"start violates the admissible-increment guard: {msg}")
-    if system is None:
-        system = AffineSystem.identity(x.size)
     if system.residual(x) > SNAP_TOL:
         raise ValueError("start does not satisfy the constraint system")
-
-    def crossing(coords):
-        if reference is None:
-            return None
-        return intersection_index(PeriodicLift(start.p, q, coords), reference)
 
     f, action, h = _gradient_coords(boundary, x, 2)
     fnorm = float(np.max(np.abs(f)))
     g = system.reduce(f)
-    cross = crossing(x)
-    last_crossing = cross if isinstance(cross, int) else None
+    cross = intersection_index(start, reference)
+    # the last integer count; a tangent start bounds nothing until there is one
+    last_crossing = cross if isinstance(cross, int) else np.inf
     steps, t, ratio, violation = 0, 0.0, 0.0, None
     while True:
         reduced = system.reduced_hessian(*h)
@@ -133,11 +126,10 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
             reason = None if violation is None else "guard_violation"
             if reason is None:
                 f_new, action_new, h_new = _gradient_coords(boundary, x_new, 2)
-                cross = crossing(x_new)
+                cross = intersection_index(PeriodicLift(start.p, q, x_new), reference)
                 if action_new < action - ACTION_RTOL * abs(action):
                     reason = "action_decrease"
-                elif isinstance(cross, int) and last_crossing is not None \
-                        and cross > last_crossing:
+                elif isinstance(cross, int) and cross > last_crossing:
                     reason = "crossing_increase"
             if reason is None or delta == np.inf:
                 break
@@ -176,17 +168,18 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem | None,
     return run, ratio, reduced
 
 
-def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
-              reference: PeriodicLift | None = None) -> FlowResult:
+def integrate(boundary, start: PeriodicLift, system: AffineSystem,
+              reference: PeriodicLift) -> FlowResult:
     """Search from ``start`` for a stationary point of the action: the
     iteration at first pseudo-time step ``DELTA_START``.
 
     Parameters
     ----------
-    system : AffineSystem, optional
+    system : AffineSystem
         Affine symmetry class; the start must satisfy it to ``SNAP_TOL``, and
-        every step stays in it.
-    reference : PeriodicLift, optional
+        every step stays in it.  ``expand_constraints(n, (), p, q)`` is the
+        class of every lift.
+    reference : PeriodicLift
         Lift against which the integer crossing index may not increase.
 
     The run converges when ``||F||_inf < RESIDUAL_TARGET``, or when
@@ -198,7 +191,7 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem | None = None,
 
 
 def newton(boundary, start: PeriodicLift, system: AffineSystem,
-           reference: PeriodicLift | None = None):
+           reference: PeriodicLift):
     """Newton's method in the class's orbit basis from ``start``: the
     iteration at delta = infinity, where a rejected step ends the run.
 

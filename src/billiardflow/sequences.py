@@ -232,13 +232,6 @@ class AffineSystem:
     sign: np.ndarray
     offset: np.ndarray
 
-    @classmethod
-    def identity(cls, p: int) -> AffineSystem:
-        """The class of every lift: no edges, one orbit per vertex."""
-        none = np.zeros(0, dtype=int)
-        return cls(np.zeros(p), np.arange(p), np.ones(p), p, none, none,
-                   np.zeros(0), np.zeros(0))
-
     def _check(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != self.base.shape:
@@ -293,11 +286,12 @@ def expand_constraints(n: int, generators, p: int, q: int) -> AffineSystem:
 
     Indices outside 0..p-1 are reduced by the extension rule
     x_{j} = x_{j mod p} + q * floor(j / p), which moves integer offsets into
-    the edge offsets.  Raises ValueError if the generators are infeasible:
+    the edge offsets.  No generators give the class of every lift: no edges,
+    one orbit per vertex.  Raises ValueError if the generators are infeasible:
     some edge is violated by more than ``SNAP_TOL`` at every class member.
     """
     i = np.arange(p)
-    edges = []
+    edges = [(i[:0], i[:0], np.zeros(0), np.zeros(0))]    # no generators: no edges
     for g in generators:
         d, s, c = FAMILIES[g.kind]
         wrap, j = np.divmod(g.shift + d * i, p)

@@ -481,6 +481,53 @@ def test_criterion_11_criterion_is_sharp_on_a_grid():
 
 
 # ---------------------------------------------------------------------------
+# 13. infinitely many orbits: main's rhs grows with s towards 2 sin(m pi/n)
+
+
+#: (n, m, N, alpha, s0, the s at and above s0, the largest admissible s below
+#: s0), s0 the least s with a positive closed-form margin; the listed s are
+#: coprime to N, and p = s n stays at or below 512
+INFINITELY_MANY = [
+    (4, 1, 1, 0.004, 4, (4, 5, 8, 16, 32, 64, 128), 3),
+    (4, 1, 4, 0.02, 6, (7, 9, 11, 13, 15, 17, 19), 5),
+    (5, 2, 1, 0.003, 3, (3, 4, 6, 8, 16, 32, 64, 100), 2),
+]
+
+
+def test_criterion_13_infinitely_many_orbits():
+    """The paper's sufficient condition: kappa L < 2 sin(m pi/n) makes the
+    main margin 2 sin(m pi/n) cos^2(N pi/(s n)) - kappa L positive for every
+    s >= s0 coprime to N, and each such class holds a clean non-Birkhoff
+    orbit of minimal period s n with 2N crossings.  Covered up to p = 512:
+    the final residual grows about linearly with p, so longer periods need
+    its cause found first (ROADMAP item 6)."""
+    t0 = time.monotonic()
+    found = []
+    for n, m, N, alpha, s0, sizes, below in INFINITELY_MANY:
+        table = {"family": "limacon", "n": n, "alpha": alpha}
+        kappa, chord = kappa_chord(make_limacon(n, alpha), n, m, 1)
+        ceiling = 2 * math.sin(m * math.pi / n)
+        assert kappa * chord < ceiling
+        positive = [s for s in range(2, 1000)
+                    if ceiling * math.cos(N * math.pi / (s * n)) ** 2 > kappa * chord]
+        assert positive[0] == s0 and positive == list(range(s0, 1000))
+        base = SearchRequest(billiard=table, n=n, m=m, kind="main", N=N)
+        assert checked_criterion(replace(base, s=below))[2].verdict == "inconclusive"
+        for s in sizes:
+            rep = find_orbit(replace(base, s=s))
+            assert (rep.outcome, rep.anomalies, rep.group.minimal_period,
+                    rep.crossings_vs_reference) == \
+                ("non_birkhoff_found", [], s * n, 2 * N), (n, m, N, s)
+            found.append(rep.final_lift)
+    assert max(lift.p for lift in found) <= 512
+    assert not any(same_orbit(a, b) for i, a in enumerate(found) for b in found[i + 1:])
+    announce(13, "infinitely many orbits", t0, 30.0,
+             f"{len(found)} clean non-Birkhoff orbits at every listed s >= s0 on "
+             "three limacon classes, p up to 512, and an inconclusive margin "
+             "below each s0")
+
+
+# ---------------------------------------------------------------------------
 # 14. D2-symmetric tables that are not ellipses
 
 

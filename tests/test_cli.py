@@ -343,10 +343,12 @@ def test_orbit_commands_reject_a_table_that_does_not_fit(command, ini, message,
     assert not out_dir.exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_ini() -> str:
     """The INI block of README.md, inline comments included."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    return README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
 
 
 def test_readme_configuration_runs(tmp_path, capsys):
@@ -366,6 +368,19 @@ def test_readme_ini_block_lists_every_key():
         elif re.match(r"\w+ = ", text):
             listed.append((section, text.split(" = ")[0]))
     assert sorted(listed) == sorted((row.section, row.key) for row in KEYS)
+
+
+def test_readme_library_api_block_runs(capsys):
+    # the python block of README's Library API section runs, and each print
+    # shows the line of the comment under it
+    section = README.read_text().split("## Library API", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    shown = [after.removeprefix("# ") for before, after in zip(lines, lines[1:])
+             if before.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown
+    assert shown[0] == "non_birkhoff_found 12 8"
 
 
 TYPE_V_INI = """\
@@ -762,13 +777,15 @@ def test_log_level_environment_variable(flagship_ini, tmp_path):
     assert run.returncode == 0
     assert "INFO billiardflow.finder: flowing" in run.stderr
 
-    quiet = subprocess.run(
-        [sys.executable, "-m", "billiardflow.cli", "find",
-         "--config", str(flagship_ini), "--out", str(tmp_path / "log2")],
-        capture_output=True, text=True,
-        env=dict(os.environ, BILLIARD_LOG="warning"), timeout=120)
-    assert quiet.returncode == 0
-    assert "INFO" not in quiet.stderr
+    # an unknown level name falls back to WARNING
+    for value in ("warning", "verbose"):
+        quiet = subprocess.run(
+            [sys.executable, "-m", "billiardflow.cli", "find",
+             "--config", str(flagship_ini), "--out", str(tmp_path / value)],
+            capture_output=True, text=True,
+            env=dict(os.environ, BILLIARD_LOG=value), timeout=120)
+        assert quiet.returncode == 0
+        assert "INFO" not in quiet.stderr
 
 
 def test_import_loads_no_scipy():

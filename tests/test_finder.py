@@ -555,6 +555,16 @@ def test_a_rejected_prediction_falls_back_to_the_previous_lift(monkeypatch, capl
     assert predictions(caplog) == [["scaled rejected", "previous"], ["scaled"], ["scaled"]]
     assert "scaled prediction: action_decrease after 0 steps" in caplog.text
     assert_independent(base, entries)
+    # a prediction that leaves the guard is rejected before Newton runs: a
+    # margin ratio of 1e12 scales the flagship orbit by 1e6 about the reference
+    caplog.clear()
+    first = find_orbit(FLAGSHIP)
+    again = find_orbit(FLAGSHIP, warm=(first.criterion.margin * 1e-12, first.final_lift))
+    assert predictions(caplog) == [["scaled rejected", "previous"]]
+    assert "continuation rejected the scaled prediction: the guess is not admissible" \
+        in caplog.text
+    assert again.start == "continued" and again.flow.n_steps == 0
+    assert np.array_equal(again.final_lift.coords, first.final_lift.coords)
 
 
 def test_a_failed_entry_breaks_the_continuation_chain(monkeypatch):

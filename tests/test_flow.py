@@ -46,7 +46,7 @@ def spied_run(monkeypatch, boundary, start, **kwargs):
 
 def test_stationary_start_returns_immediately(circle4):
     lift = repeat_lift(symmetric_birkhoff(4, 1), 3)
-    run = integrate(circle4, lift)
+    run = integrate(circle4, lift, expand_constraints(4, (), 12, 3), lift)
     assert run.converged
     assert run.reason == "stationary"
     assert run.t_final == 0.0
@@ -97,8 +97,10 @@ def test_crossings_never_increase_and_reach_prediction(limacon4_cs):
 def test_each_recorded_action_is_the_action_of_its_sample(limacon4_cs, limacon2_10_cs,
                                                          monkeypatch):
     # the kernel returns the action with the gradient; it must be the action
-    # of the point it was called at, bit for bit, with and without a system,
-    # and the run reports the action of its final lift
+    # of the point it was called at, bit for bit, in the flagship class and in
+    # the class of every lift, and the run reports the action of its final
+    # lift; the start may be its own reference, which reads "tangent" until
+    # the first integer count
     ref, system, start = flagship_setup(limacon4_cs)
     run, calls = spied_run(monkeypatch, limacon4_cs, start, system=system, reference=ref)
     assert run.converged and len(calls) > run.n_steps
@@ -106,7 +108,8 @@ def test_each_recorded_action_is_the_action_of_its_sample(limacon4_cs, limacon2_
         [out[1] for _, out in calls]
     assert run.final_action == periodic_action(limacon4_cs, run.final_lift)
     x0 = PeriodicLift(4, 1, np.array([0.10, 0.30, 0.62, 0.85]))
-    run, calls = spied_run(monkeypatch, limacon2_10_cs, x0)
+    run, calls = spied_run(monkeypatch, limacon2_10_cs, x0,
+                           system=expand_constraints(2, (), 4, 1), reference=x0)
     assert run.converged and run.n_steps > 0
     assert [periodic_action(limacon2_10_cs, x0.with_coords(x)) for x, _ in calls] == \
         [out[1] for _, out in calls]
@@ -134,7 +137,7 @@ def test_circle_perturbation_collapses_back(circle4):
 def test_max_steps_stops_the_run(limacon4_cs, monkeypatch):
     monkeypatch.setattr(flow_module, "MAX_STEPS", 3)
     ref, system, start = flagship_setup(limacon4_cs)
-    run = integrate(limacon4_cs, start, system=system)
+    run = integrate(limacon4_cs, start, system=system, reference=ref)
     assert not run.converged
     assert run.reason == "max_steps"
     assert run.failure == "max_steps"
@@ -160,14 +163,14 @@ def test_plateau_returns_best_iterate(limacon4_cs, monkeypatch):
 def test_inadmissible_start_is_rejected(limacon4_cs):
     bad = PeriodicLift(4, 1, np.array([0.0, 0.5, 0.45, 0.9]))
     with pytest.raises(ValueError, match="guard"):
-        integrate(limacon4_cs, bad)
+        integrate(limacon4_cs, bad, expand_constraints(4, (), 4, 1), bad)
 
 
 def test_start_off_the_constraint_class_is_rejected(limacon4_cs):
     ref, system, start = flagship_setup(limacon4_cs)
     off = start.with_coords(start.coords + 1e-3 * np.sin(np.arange(12) ** 2))
     with pytest.raises(ValueError, match="constraint"):
-        integrate(limacon4_cs, off, system=system)
+        integrate(limacon4_cs, off, system=system, reference=ref)
 
 
 def near_orbit_setup(boundary):
@@ -248,7 +251,7 @@ def test_a_value_error_inside_the_rhs_propagates(limacon4_cs, monkeypatch):
     monkeypatch.setattr(flow_module, "_gradient_coords", faulty)
     ref, system, start = flagship_setup(limacon4_cs)
     with pytest.raises(ValueError, match="fault inside"):
-        integrate(limacon4_cs, start, system=system)
+        integrate(limacon4_cs, start, system=system, reference=ref)
     assert len(calls) == 2
 
 

@@ -330,6 +330,14 @@ def test_reparametrization_rejects_a_claimed_symmetry_the_table_lacks():
         reparametrize_constant_speed(replace(make_limacon(3, 0.05), symmetry_order=6))
 
 
+def test_reparametrization_rejects_a_series_it_cannot_resolve():
+    # far past convexity (alpha = 0.99 against 1/17) the limacon's speed
+    # nearly vanishes, and no node count up to the cap resolves its series
+    cap = geometry.ARC_NODES_CAP
+    with pytest.raises(ValueError, match=f"{cap} nodes do not resolve the constant-speed"):
+        reparametrize_constant_speed(make_limacon(4, 0.99))
+
+
 def test_convexity_margin_positive_cases(limacon4, ellipse21, circle4):
     assert convexity_margin(limacon4) > 0
     assert convexity_margin(ellipse21) > 0

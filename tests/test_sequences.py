@@ -21,7 +21,6 @@ from billiardflow.sequences import (
     CLASSIFY_TOL,
     FAMILIES,
     SNAP_TOL,
-    AffineSystem,
     PeriodicLift,
     SymmetryGenerator,
     aubry_vertices,
@@ -735,7 +734,11 @@ def test_the_class_forms_equal_the_dense_products(case):
     # H's 3p entries, against dense products with the basis the oracle builds
     # from the same column and weight vectors
     if isinstance(case, int):
-        system = AffineSystem.identity(case)
+        # no generators: the class of every lift, B = I
+        system = expand_constraints(1, (), case, 1)
+        assert np.array_equal(system.base, np.zeros(case))
+        assert np.array_equal(system.column, np.arange(case))
+        assert np.array_equal(system.weight, np.ones(case)) and system.dim == case
     else:
         kind, n, m, N, s = case
         search = search_class(kind, n, m, N, s)

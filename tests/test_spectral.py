@@ -259,6 +259,8 @@ def test_subgroup_mode_parameters_validation():
         search_class("main", 4, 1, N=3, s=3, branch=1, reflection=0)
     with pytest.raises(ValueError, match="gcd"):
         search_class("main", 4, 3, N=4, s=2, branch=1, reflection=0)
+    with pytest.raises(ValueError, match="n=1 must be >= 2"):
+        search_class("main", 1, 1, N=1, s=2)
 
 
 # ---------------------------------------------------------------------------
