@@ -11,9 +11,9 @@ classified and every predicted property (minimal period, crossing count,
 action gain, the group the class generators generate) is re-checked;
 mismatches are recorded as anomalies, not silently accepted.  Along an alpha
 sweep, Newton's method from the orbit of the previous entry (natural-parameter
-continuation; the same search at delta = infinity) replaces the nudge whenever
-it passes Deuflhard's monotonicity test and reaches a local maximum of the
-action.
+continuation; the same search at delta = infinity, :func:`~.flow.newton`)
+replaces the nudge whenever it passes Deuflhard's monotonicity test and
+reaches a local maximum of the action.
 """
 
 from __future__ import annotations
@@ -25,23 +25,18 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .flow import GUARD_FLOOR, FlowResult, integrate, newton
+from .flow import FlowResult, integrate, newton
 from .geometry import (check_equivariance, check_table_keys, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
 from .lagrangian import periodic_action
 from .lagrangian import hessian  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
-from .sequences import (AffineSystem, GroupDescription, PeriodicLift, expand_constraints,
-                        first_inadmissible, generated_group, intersection_index,
-                        spatiotemporal_group)
+from .sequences import (SNAP_TOL, GroupDescription, PeriodicLift, expand_constraints,
+                        generated_group, intersection_index, spatiotemporal_group)
 from .sequences import is_birkhoff, minimal_period  # noqa: F401 - tracer sites (ROADMAP item 1)
 from .spectral import CriterionReport, SearchClass, class_criterion, kappa_chord, search_class
 from .spectral import criterion  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
 
 log = logging.getLogger(__name__)
-
-#: a continued lift is accepted only when Newton's first step passes the
-#: simplified-Newton monotonicity test ||dx_bar_1|| < THETA_MAX ||dx_0||
-THETA_MAX = 0.5
 
 
 class CriterionInconclusive(RuntimeError):
@@ -160,48 +155,19 @@ def checked_criterion(request: SearchRequest):
 
 @lru_cache(maxsize=32)
 def _class_structures(search: SearchClass) -> tuple:
-    """The class's :class:`AffineSystem`, with its B^T H B entries, and the
-    group its generators generate (family -> exponents), built once per class
-    and process, once the reference satisfies its own class.  Every caller
-    gets the same objects, so they are read-only: the arrays, the mapping and
-    its exponent sets."""
+    """The class's :class:`~.sequences.AffineSystem` and the group its
+    generators generate (family -> exponents), built once per class and
+    process, once the reference satisfies its own class.  Every caller gets
+    the same objects, so they are read-only: the system's arrays, the mapping
+    and its exponent sets."""
     system = expand_constraints(search.n, search.generators, search.p, search.q)
     ref_residual = system.residual(search.reference.coords)
-    if ref_residual > 1e-9:
+    if ref_residual > SNAP_TOL:
         raise RuntimeError("internal error: the reference violates its own "
                            f"symmetry class (residual {ref_residual:.3e})")
-    for array in (*vars(system).values(), *system._hessian_entries):
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
     expected = {family: frozenset(exponents) for family, exponents
                 in generated_group(search.n, search.generators).items()}
     return system, MappingProxyType(expected)
-
-
-def _correct(boundary, guess: PeriodicLift, system: AffineSystem, reference: PeriodicLift):
-    """Newton's method in the class's orbit basis from a predicted lift: the
-    search at delta = infinity (:func:`~.flow.newton`).
-
-    The guess, an affine combination of lifts of the class, is not projected
-    (a stationary lift comes back bit for bit).  Returns (run, ratio, None),
-    ratio Deuflhard's simplified-Newton monotonicity ratio of the first step,
-    or run None and the reason as the last entry when the guess leaves the
-    flow's guard (GUARD_FLOOR, 1 - GUARD_FLOOR), the first step fails the
-    test ratio < THETA_MAX, the run stops unconverged (a rejected step ends
-    it), or the reduced Hessian at the limit is not negative definite (the
-    limit is no strict local maximum of the action in the class).
-    """
-    if first_inadmissible(guess.coords, guess.q, GUARD_FLOOR) is not None:
-        return None, 0.0, "the guess is not admissible"
-    run, ratio, reduced = newton(boundary, guess, system, reference)
-    if not ratio < THETA_MAX:
-        return None, ratio, "step 1 failed the monotonicity test"
-    if not run.converged:
-        return None, ratio, f"{run.reason} after {run.n_steps} steps"
-    top = float(np.linalg.eigvalsh(reduced).max(initial=-np.inf))
-    if not top < 0:
-        return None, ratio, f"largest reduced Hessian eigenvalue {top:.3g} >= 0"
-    return run, ratio, None
 
 
 def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitReport:
@@ -250,8 +216,9 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
             guesses.insert(0, ("scaled", x.with_coords(
                 x.coords + scale * (x.coords - reference.coords))))
         for name, guess in guesses:
-            run, ratio, why = _correct(cs, guess, system, reference)
-            if run is not None:
+            corrected, ratio, why = newton(cs, guess, system, reference)
+            if why is None:
+                run = corrected
                 log.info("continued from the warm lift (%s prediction): %d Newton "
                          "steps, first-step monotonicity ratio %.3g", name,
                          run.n_steps, ratio)
@@ -260,7 +227,7 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
     if run is None:
         ratio = None
         eps = min(1.0 / (4 * n), 1e-2) if request.epsilon is None else float(request.epsilon)
-        start = search.start(eps)
+        first, start = eps, search.start(eps)
         if predicted:
             # the certified mode must gain action; shrink the nudge if the gain
             # is swamped at the default amplitude
@@ -274,9 +241,9 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
                 start = search.start(eps)
             else:
                 raise RuntimeError(
-                    f"no action gain along the certified mode down to epsilon = "
-                    f"{eps:.3g}; the margin {report.margin:.3g} is too small to "
-                    "resolve numerically")
+                    f"no action gain along the certified mode from epsilon = "
+                    f"{first:.3g} down to {eps:.3g}; the nudge amplitude or the "
+                    f"margin {report.margin:.3g} is too small to resolve numerically")
         log.info("flowing kind=%s (p, q)=(%d, %d) K=%d k=%d epsilon=%.3g "
                  "margin=%.6g", search.kind, p, q, search.K, search.k, eps,
                  report.margin)

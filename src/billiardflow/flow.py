@@ -15,7 +15,8 @@ grows by switched evolution relaxation (Mulder & van Leer, J. Comput. Phys.
 maximum.  A step that leaves the guard, lowers the action or raises the
 crossing count against a reference lift is rejected and delta cut.  At
 delta = infinity the iteration is Newton's method from its first step, and a
-rejected step ends the run.  It keeps no per-iterate history: the result is
+rejected step ends the run: :func:`newton`, the corrector that accepts or
+rejects a continued lift.  It keeps no per-iterate history: the result is
 the stop reason and where the run stopped.
 """
 
@@ -46,6 +47,9 @@ DELTA_MAX = 1e12
 DELTA_MIN = 1e-14
 #: a step may lower the action by this much, relative, before it is rejected
 ACTION_RTOL = 1e-12
+#: a corrected lift is accepted only when Newton's first step passes the
+#: simplified-Newton monotonicity test ||dx_bar_1|| < THETA_MAX ||dx_0||
+THETA_MAX = 0.5
 
 
 @dataclass
@@ -89,11 +93,13 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
             reference: PeriodicLift, delta: float):
     """The iteration from ``start`` at first pseudo-time step ``delta``.
 
-    Returns the :class:`FlowResult`, the first accepted step's contraction
-    ratio ||(I/delta - R_0)^{-1} B^T F_1|| / ||d_0|| (the simplified step at
-    the new iterate against the step taken, with the old matrix; 0 without a
-    step) and the reduced Hessian R = B^T H B at the last iterate.
+    Returns the :class:`FlowResult` and, at delta = infinity, the verdict of
+    :func:`newton`: the first accepted step's contraction ratio
+    ||(I/delta - R_0)^{-1} B^T F_1|| / ||d_0|| (the simplified step at the
+    new iterate against the step taken, with the old matrix; 0 without a
+    step) and the first failed test.  At a finite delta they are 0 and None.
     """
+    exact = delta == np.inf
     q = start.q
     x = np.asarray(start.coords, dtype=float)
     msg = _guard_violation(x, q)
@@ -149,7 +155,7 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
         if delta < np.inf:
             t += delta
         g_new = system.reduce(f_new)
-        if steps == 1:
+        if exact and steps == 1:
             size = float(np.linalg.norm(d))
             ratio = float(np.linalg.norm(np.linalg.solve(matrix, g_new))) / size if size else 0.0
         if delta < DELTA_MAX:
@@ -165,7 +171,14 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
                      reason=reason, t_final=t, grad_norm=fnorm,
                      n_steps=steps,
                      domain_violation=violation if reason == "guard_violation" else None)
-    return run, ratio, reduced
+    if not exact:
+        return run, ratio, None
+    if not ratio < THETA_MAX:
+        return run, ratio, "step 1 failed the monotonicity test"
+    if not run.converged:
+        return run, ratio, f"{reason} after {steps} steps"
+    top = float(np.linalg.eigvalsh(reduced).max(initial=-np.inf))
+    return run, ratio, None if top < 0 else f"largest reduced Hessian eigenvalue {top:.3g} >= 0"
 
 
 def integrate(boundary, start: PeriodicLift, system: AffineSystem,
@@ -190,13 +203,22 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem,
     return _search(boundary, start, system, reference, DELTA_START)[0]
 
 
-def newton(boundary, start: PeriodicLift, system: AffineSystem,
+def newton(boundary, guess: PeriodicLift, system: AffineSystem,
            reference: PeriodicLift):
-    """Newton's method in the class's orbit basis from ``start``: the
-    iteration at delta = infinity, where a rejected step ends the run.
+    """The corrector: Newton's method in the class's orbit basis from
+    ``guess``, the iteration at delta = infinity, where a rejected step ends
+    the run.
 
-    Returns the :class:`FlowResult` (whose ``t_final`` is 0), the first
-    step's contraction ratio (Deuflhard's simplified-Newton monotonicity
-    ratio) and the reduced Hessian B^T H B at the last iterate.
+    The guess, an affine combination of lifts of the class, is not projected
+    (a stationary lift comes back bit for bit).  Returns (run, ratio, why):
+    the :class:`FlowResult` (whose ``t_final`` is 0), the first step's
+    contraction ratio (Deuflhard's simplified-Newton monotonicity ratio), and
+    None when the lift is accepted, or else the first failed test: the first
+    step fails ratio < THETA_MAX, the run stops unconverged, or B^T H B at
+    the limit is not negative definite (the limit is no strict local maximum
+    of the action in the class).  A guess outside the guard is not run: run
+    is None and ratio 0.
     """
-    return _search(boundary, start, system, reference, np.inf)
+    if _guard_violation(guess.coords, guess.q) is not None:
+        return None, 0.0, "the guess is not admissible"
+    return _search(boundary, guess, system, reference, np.inf)

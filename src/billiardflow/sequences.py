@@ -220,7 +220,8 @@ class AffineSystem:
     negative is fixed at ``base`` and has no column.  B has one nonzero per
     row, so it is kept as two length-p vectors: ``column``, the column of each
     vertex's orbit, and ``weight``, its entry; a vertex of a fixed orbit has
-    column 0 and weight 0.  ``dim`` is d.
+    column 0 and weight 0.  ``dim`` is d.  Every array is read-only, so one
+    system can be shared.
     """
 
     base: np.ndarray
@@ -278,7 +279,9 @@ class AffineSystem:
         pair = w * np.concatenate((w[1:], w[:1]))
         rows = np.concatenate((col, col, col_next))
         cols = np.concatenate((col, col_next, col))
-        return rows * self.dim + cols, np.concatenate((w * w, pair, pair))
+        flat, scale = rows * self.dim + cols, np.concatenate((w * w, pair, pair))
+        flat.flags.writeable = scale.flags.writeable = False
+        return flat, scale
 
 
 def expand_constraints(n: int, generators, p: int, q: int) -> AffineSystem:
@@ -330,6 +333,8 @@ def expand_constraints(n: int, generators, p: int, q: int) -> AffineSystem:
     size = np.bincount(root, minlength=p)
     column = np.where(member, (np.cumsum(free) - 1)[root], 0)
     weight = np.where(member, parity / np.sqrt(size[root]), 0.0)
+    for array in (base, column, weight, src, dst, sign, offset):
+        array.flags.writeable = False
 
     system = AffineSystem(base, column, weight, int(np.count_nonzero(free)),
                           src, dst, sign, offset)

@@ -382,6 +382,23 @@ def test_criterion_9_birkhoff_oracle():
 # the circle, with periods that grow as the perturbation shrinks
 
 
+def least_predicted_s(base: SearchRequest):
+    """The least s >= 2 coprime to ``base.N`` whose class the criterion
+    predicts an orbit in, the largest admissible s below it, and the verdict
+    at each admissible s up to the first."""
+    verdicts = {}
+    for s in range(2, 1000):
+        if math.gcd(s, base.N) != 1:
+            continue
+        try:
+            verdicts[s] = checked_criterion(replace(base, s=s))[2].verdict
+        except ValueError:          # no admissible class at this s
+            continue
+        if verdicts[s] == "orbit_predicted":
+            return s, max(t for t in verdicts if t < s), verdicts
+    pytest.fail(f"no orbit predicted for s < 1000: {base}")
+
+
 def test_criterion_10_near_circular_tables():
     # on the n = 4 limacon the margin 2 sin(pi/4) cos^2(N pi/(4 s)) - kappa L
     # turns positive only for s above about N pi/(16 sqrt(alpha)), so the
@@ -393,15 +410,7 @@ def test_criterion_10_near_circular_tables():
         table = {"family": "limacon", "n": 4, "alpha": alpha}
         for N in (1, 4):
             base = SearchRequest(billiard=table, n=4, m=1, kind="main", N=N)
-            coprime = [s for s in range(2, 100) if math.gcd(s, N) == 1]
-            verdicts = {}
-            for s in coprime:
-                try:
-                    verdicts[s] = checked_criterion(replace(base, s=s))[2].verdict
-                except ValueError:          # no admissible class at this s
-                    continue
-            star = next(s for s in coprime if verdicts.get(s) == "orbit_predicted")
-            below = max(s for s in verdicts if s < star)
+            star, below, verdicts = least_predicted_s(base)
             assert verdicts[below] == "inconclusive"
             rep = find_orbit(replace(base, s=star))
             search = search_class("main", 4, 1, N, star)
@@ -424,10 +433,10 @@ def test_criterion_10_near_circular_tables():
 
 
 def criterion_grid():
-    """The main-kind requests on limacons with n in {3, 5} at 0.3 and 0.9 of
-    the convexity threshold 1/(1 + n^2): every coprime m <= n/2, every N | n
-    and s = 2..5 with gcd(s, N) = 1."""
-    for n in (3, 5):
+    """The main-kind requests on limacons with n in {3, 5, 6, 7} at 0.3 and
+    0.9 of the convexity threshold 1/(1 + n^2): every coprime m <= n/2,
+    every N | n and s = 2..5 with gcd(s, N) = 1."""
+    for n in (3, 5, 6, 7):
         for fraction in (0.3, 0.9):
             table = {"family": "limacon", "n": n, "alpha": fraction / (1 + n * n)}
             for m in range(1, n // 2 + 1):
@@ -453,7 +462,7 @@ def test_criterion_11_criterion_is_sharp_on_a_grid():
                               n=2, m=1, kind=kind, s=s)
                 for a in (1.3, 2.0) for kind, s in ELLIPSE_CLASSES]
     limacons = list(criterion_grid())
-    assert len(limacons) == 42
+    assert len(limacons) == 110
     tally = Counter()
     for req in limacons + ellipses:
         name = (req.billiard, req.kind, req.m, req.N, req.s)
@@ -472,12 +481,13 @@ def test_criterion_11_criterion_is_sharp_on_a_grid():
         else:
             assert rep.outcome == "collapsed_to_birkhoff", name
             tally[family, "collapsed"] += 1
-    assert tally == {("limacon", "found"): 30, ("limacon", "collapsed"): 6,
-                     ("limacon", "degenerate"): 6, ("ellipse", "found"): 10}
+    assert tally == {("limacon", "found"): 81, ("limacon", "collapsed"): 17,
+                     ("limacon", "degenerate"): 12, ("ellipse", "found"): 10}
     announce(11, "criterion sharp on a grid", t0, 120.0,
-             "clean non-Birkhoff orbits at the 30 positive limacon margins and "
-             "on the 10 ellipse classes; the 6 forced non-positive margins "
-             "collapse; the 6 s = 2, N = n requests have a degenerate mode")
+             "clean non-Birkhoff orbits at the 81 positive limacon margins "
+             "(n = 3, 5, 6, 7) and on the 10 ellipse classes; the 17 forced "
+             "non-positive margins collapse; the 12 s = 2, N = n requests have a "
+             "degenerate mode")
 
 
 # ---------------------------------------------------------------------------
@@ -564,3 +574,52 @@ def test_criterion_14_d2_tables_that_are_not_ellipses():
              "typeI, typeII and typeV classes on the n = 2 limacon at alpha = "
              "0.06 and 0.18: 25 clean orbits at the positive margins, and the 3 "
              "forced non-positive margins collapse")
+
+
+# ---------------------------------------------------------------------------
+# 15. any rational rotation number near the circle
+
+
+#: the rotation numbers m/n of criterion 15: every coprime m <= n/2, n = 3..8
+ROTATION_NUMBERS = [(3, 1), (4, 1), (5, 1), (5, 2), (6, 1), (7, 1), (7, 2), (7, 3),
+                    (8, 1), (8, 3)]
+
+
+def test_criterion_15_any_rational_rotation_number_near_the_circle():
+    """The paper: arbitrarily small analytic perturbations of the circle have
+    non-Birkhoff orbits of any rational rotation number.  On the n-limacon
+    at alpha = 1e-4 and 1e-5, main with N = 1 and each m/n above, the least
+    predicted s* (criterion 10's search) holds a clean orbit of minimal
+    period s* n with 2 crossings; the verdict at s* - 1 is inconclusive and
+    a forced find there collapses.  The margin
+    2 sin(m pi/n) cos^2(pi/(s n)) - kappa L turns positive for s above about
+    pi/(n^2 sqrt(alpha)), whatever m, so s* grows by sqrt(10) from one alpha
+    to the next."""
+    t0 = time.monotonic()
+    stars = {}
+    for n, m in ROTATION_NUMBERS:
+        for alpha in (1e-4, 1e-5):
+            base = SearchRequest(billiard={"family": "limacon", "n": n, "alpha": alpha},
+                                 n=n, m=m, kind="main", N=1)
+            star, below, verdicts = least_predicted_s(base)
+            name = (n, m, alpha)
+            assert below == star - 1 and verdicts[below] == "inconclusive", name
+            rep = find_orbit(replace(base, s=star))
+            assert (rep.outcome, rep.anomalies, rep.crossings_vs_reference,
+                    rep.group.minimal_period) == \
+                ("non_birkhoff_found", [], 2, star * n), name
+            forced = find_orbit(replace(base, s=below, force=True))
+            assert forced.outcome == "collapsed_to_birkhoff", name
+            stars[n, m, alpha] = star
+    assert [stars[n, m, 1e-4] for n, m in ROTATION_NUMBERS] == \
+        [35, 20, 13, 13, 9, 7, 7, 7, 5, 5]
+    assert [stars[n, m, 1e-5] for n, m in ROTATION_NUMBERS] == \
+        [111, 63, 40, 40, 28, 21, 21, 21, 16, 16]
+    for n, m in ROTATION_NUMBERS:
+        growth = stars[n, m, 1e-5] / stars[n, m, 1e-4]
+        assert abs(growth / math.sqrt(10) - 1) < 0.1, (n, m, growth)
+    announce(15, "any rational rotation number near the circle", t0, 30.0,
+             f"{len(ROTATION_NUMBERS)} rotation numbers m/n, n = 3..8, on n-limacons "
+             "at alpha = 1e-4 and 1e-5: a clean non-Birkhoff orbit of period s* n "
+             "at the least predicted s*, a forced collapse at s* - 1, and s* "
+             "growing by sqrt(10)")

@@ -443,14 +443,26 @@ def test_a_kind_that_fixes_N_rejects_another(line, code, tmp_path, capsys):
 
 
 def test_no_action_gain_along_the_mode_exits_4(flagship_ini, tmp_path, capsys, monkeypatch):
-    # a constant action gains nothing at any nudge amplitude
-    monkeypatch.setattr(finder, "periodic_action", lambda boundary, lift: 1.0)
-    code = main(["find", "--config", str(flagship_ini), "--out", str(tmp_path / "x")])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("flow failure: no action gain along the certified mode")
-    assert "Traceback" not in err
-    assert not (tmp_path / "x").exists()
+    # README's table at a set epsilon = 1e-9, whose gain (about margin
+    # epsilon^2) lies below the action's roundoff, so that halving epsilon
+    # only lowers it; then a constant action, which gains nothing at any
+    # nudge amplitude
+    tiny = tmp_path / "tiny.ini"
+    tiny.write_text(readme_ini() + "\n[flow]\nepsilon = 1e-9\n")
+    errors = []
+    for config in (tiny, flagship_ini):
+        if config is flagship_ini:
+            monkeypatch.setattr(finder, "periodic_action", lambda boundary, lift: 1.0)
+        code = main(["find", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("flow failure: no action gain along the certified mode")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+        errors.append(err)
+    # the margin is not small: the message names both amplitudes and the nudge
+    assert "from epsilon = 1e-09 down to 1.56e-11; the nudge amplitude or the " \
+        "margin 0.13 is too small" in errors[0]
 
 
 MISSPELLED = "shift = 7\n\n[flow]\nepsilom = 1e-3\n\n[ouput]\nout = runs\n"

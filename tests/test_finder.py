@@ -539,7 +539,7 @@ def test_a_sweep_near_the_threshold_continues_from_the_scaled_lift(values, expec
         assert continued.epsilon is None and continued.flow.t_final == 0.0
         assert continued.flow.reason == "stationary"
         assert continued.flow.n_steps > 0
-        assert 0 < continued.corrector_ratio < finder.THETA_MAX
+        assert 0 < continued.corrector_ratio < flow.THETA_MAX
     assert_independent(FLAGSHIP, entries)
 
 
@@ -654,9 +654,28 @@ def test_the_corrector_rejects_a_saddle():
     search = search_class("main", 4, 1, 4, 3)
     system = expand_constraints(4, search.generators, search.p, search.q)
     table = reparametrize_constant_speed(make_boundary(LIMACON4))
-    run, ratio, why = finder._correct(table, search.reference, system, search.reference)
-    assert run is None and ratio == 0.0
+    run, ratio, why = flow.newton(table, search.reference, system, search.reference)
+    assert run.converged and ratio == 0.0
     assert "eigenvalue" in why
+
+
+def test_the_search_solves_once_per_trial_step(monkeypatch):
+    # each trial step is one dense solve and, inside the guard, one kernel
+    # call after the start's; the search makes no other solve, and Newton's
+    # run as the corrector makes one more, for its first-step ratio
+    solve, kernel = np.linalg.solve, flow._gradient_coords
+    solves, calls = [], []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    monkeypatch.setattr(flow, "_gradient_coords",
+                        lambda *args: calls.append(1) or kernel(*args))
+    first = find_orbit(FLAGSHIP)
+    assert len(solves) == len(calls) - 1 == first.flow.n_steps == 10
+    solves.clear()
+    calls.clear()
+    nearby = replace(FLAGSHIP, billiard=dict(LIMACON4, alpha=0.052))
+    continued = find_orbit(nearby, warm=(first.criterion.margin, first.final_lift))
+    assert continued.start == "continued" and continued.flow.n_steps > 0
+    assert len(solves) == len(calls) == continued.flow.n_steps + 1
 
 
 #: the five tier-1 classes, each on the limacon of its table symmetry n at
