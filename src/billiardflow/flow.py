@@ -8,8 +8,10 @@ Euler step of the gradient flow dx/dt = F(x) with pseudo-time step delta,
     d = (I/delta - B^T H B)^{-1} B^T F,    x <- x + B d,
 
 F, the action W and its Hessian H read off one order-2 kernel call.  B is a
-gather and B^T a bincount, and B^T H B is assembled from H's 3p nonzero
-entries, so only the d x d solve costs more than O(p).  delta
+gather and B^T a bincount.  The class keeps its orbits in path order, so
+B^T H B is one bincount of H's entries into a tridiagonal matrix (with one
+corner when the orbits form a cycle), and one pivot-free LDL^T per trial
+step solves for d in O(d): no step builds a d x d matrix.  delta
 grows by switched evolution relaxation (Mulder & van Leer, J. Comput. Phys.
 59, 1985), so the step turns into Newton's method as the iterate nears a
 maximum.  A step that leaves the guard, lowers the action or raises the
@@ -22,7 +24,9 @@ the stop reason and where the run stopped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -34,8 +38,8 @@ from .sequences import (SNAP_TOL, AffineSystem, PeriodicLift, first_inadmissible
 #: the admissible-increment guard: increments must stay in (floor, 1 - floor)
 GUARD_FLOOR = 1e-6
 #: convergence: ||F||_inf below RESIDUAL_TARGET, or below STATIONARITY_TOL
-#: once a step no longer lowers it (its roundoff floor, which at p = 192
-#: lies near 1e-12)
+#: once the step ||d||_inf is no smaller than the last accepted one (the
+#: step's roundoff floor; ||F||_inf's lies near 1e-12 at p = 192)
 RESIDUAL_TARGET = 1e-12
 STATIONARITY_TOL = 1e-10
 #: accepted-step budget of one run
@@ -89,15 +93,73 @@ def _guard_violation(coords: np.ndarray, q: int):
     return None
 
 
+def _factor(diag: list, off: list) -> tuple:
+    """Pivot-free LDL^T of the symmetric matrix with diagonal ``diag``,
+    A[j, j+1] = off[j] and the corner A[d-1, 0] = off[d-1] (0 on a path; at
+    d = 2 both entries of ``off`` join 0 and 1, at d = 1 neither counts), in
+    O(d) (Golub & Van Loan, Matrix Computations, 4th ed., 4.3): the
+    reciprocal pivots 1/D, L's sub-diagonal L[j, j-1] (0 at j = 0 and at
+    j = d-1) and L's last row, which carries the corner's fill.  A zero or
+    non-finite pivot gives the reciprocal NaN, which spreads to every later
+    pivot and to every entry of a solve, so nothing raises.
+    """
+    d = len(diag)
+    if not d:
+        return [], [], []
+    inf, nan = math.inf, math.nan
+    inv, low, last = [], [0.0], []
+    piv, fill, end = diag[0], off[-1], diag[-1]
+    for a, b in zip(diag[1:-1], off):
+        r = 1.0 / piv if 0.0 < abs(piv) < inf else nan
+        l, m = b * r, fill * r
+        inv.append(r)
+        low.append(l)
+        last.append(m)
+        end -= m * fill
+        piv, fill = a - l * b, -m * b
+    if d > 1:       # the last row meets the sub-diagonal
+        r = 1.0 / piv if 0.0 < abs(piv) < inf else nan
+        fill += off[-2]
+        m = fill * r
+        inv.append(r)
+        low.append(0.0)
+        last.append(m)
+        piv = end - m * fill
+    inv.append(1.0 / piv if 0.0 < abs(piv) < inf else nan)
+    return inv, low, last
+
+
+def _solve(factor: tuple, g: list) -> list:
+    """x with L D L^T x = g, for the ``factor`` of :func:`_factor`."""
+    inv, low, last = factor
+    y, prev = [], 0.0
+    for v, l in zip(g, low):
+        prev = v - l * prev
+        y.append(prev)
+    if not y:
+        return y
+    end = prev = (prev - sum(map(mul, last, y))) * inv[-1]
+    x = [end]
+    for v, r, l, m in zip(y[-2::-1], inv[-2::-1], low[:0:-1], last[::-1]):
+        prev = v * r - l * prev - m * end
+        x.append(prev)
+    x.reverse()
+    return x
+
+
 def _search(boundary, start: PeriodicLift, system: AffineSystem,
             reference: PeriodicLift, delta: float):
     """The iteration from ``start`` at first pseudo-time step ``delta``.
 
-    Returns the :class:`FlowResult` and, at delta = infinity, the verdict of
-    :func:`newton`: the first accepted step's contraction ratio
-    ||(I/delta - R_0)^{-1} B^T F_1|| / ||d_0|| (the simplified step at the
-    new iterate against the step taken, with the old matrix; 0 without a
-    step) and the first failed test.  At a finite delta they are 0 and None.
+    Each trial step factors I/delta - B^T H B once (:func:`_factor`); a
+    zero or non-finite pivot gives a NaN step, which the guard rejects, so
+    at a finite delta delta is cut by 4, and at delta = infinity the run
+    ends with "guard_violation".  Returns the :class:`FlowResult` and, at
+    delta = infinity, the verdict of :func:`newton`: the first accepted
+    step's contraction ratio ||(I/delta - R_0)^{-1} B^T F_1|| / ||d_0||
+    (the simplified step at the new iterate against the step taken, with
+    the old factorization; 0 without a step) and the first failed test.
+    At a finite delta they are 0 and None.
     """
     exact = delta == np.inf
     q = start.q
@@ -114,19 +176,25 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
     cross = intersection_index(start, reference)
     # the last integer count; a tangent start bounds nothing until there is one
     last_crossing = cross if isinstance(cross, int) else np.inf
-    steps, t, ratio, violation = 0, 0.0, 0.0, None
+    steps, t, ratio, violation, last_size = 0, 0.0, 0.0, None, np.inf
     while True:
-        reduced = system.reduced_hessian(*h)
+        r_diag, r_off = system.reduced_hessian(*h)
         if fnorm < RESIDUAL_TARGET:
             reason = "stationary"
             break
         if steps == MAX_STEPS:
             reason = "max_steps"
             break
+        rhs, off = g.tolist(), (-r_off).tolist()
         while True:     # trial steps from x, delta cut after each rejection
-            matrix = -reduced
-            matrix.flat[::system.dim + 1] += 1.0 / delta
-            d = np.linalg.solve(matrix, g)
+            factor = _factor((1.0 / delta - r_diag).tolist(), off)
+            step = _solve(factor, rhs)
+            size = max(map(abs, step), default=0.0)
+            if fnorm < STATIONARITY_TOL and size >= last_size:
+                # the step has reached its roundoff floor
+                reason = "stationary"
+                break
+            d = np.array(step)
             x_new = x + system.expand(d)
             violation = _guard_violation(x_new, q)
             reason = None if violation is None else "guard_violation"
@@ -145,25 +213,21 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
                 break
         if reason is not None:
             break
-        fnorm_new = float(np.max(np.abs(f_new)))
-        if fnorm < STATIONARITY_TOL and not fnorm_new < fnorm:
-            # the residual has reached its roundoff floor
-            reason = "stationary"
-            break
 
         steps += 1
         if delta < np.inf:
             t += delta
         g_new = system.reduce(f_new)
         if exact and steps == 1:
-            size = float(np.linalg.norm(d))
-            ratio = float(np.linalg.norm(np.linalg.solve(matrix, g_new))) / size if size else 0.0
+            norm = float(np.linalg.norm(d))
+            ratio = float(np.linalg.norm(_solve(factor, g_new.tolist()))) / norm if norm else 0.0
         if delta < DELTA_MAX:
             # grow by the residual ratio, at least 2; a zero residual jumps to the cap
             norm_new = float(np.linalg.norm(g_new))
             growth = float(np.linalg.norm(g)) / norm_new if norm_new else np.inf
             delta = min(delta * max(growth, 2.0), DELTA_MAX)
-        x, f, fnorm, action, h, g = x_new, f_new, fnorm_new, action_new, h_new, g_new
+        x, f, action, h, g = x_new, f_new, action_new, h_new, g_new
+        fnorm, last_size = float(np.max(np.abs(f))), size
         if isinstance(cross, int):
             last_crossing = cross
 
@@ -177,8 +241,13 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
         return run, ratio, "step 1 failed the monotonicity test"
     if not run.converged:
         return run, ratio, f"{reason} after {steps} steps"
-    top = float(np.linalg.eigvalsh(reduced).max(initial=-np.inf))
-    return run, ratio, None if top < 0 else f"largest reduced Hessian eigenvalue {top:.3g} >= 0"
+    # Sylvester's law of inertia: B^T H B is negative definite when every
+    # pivot of -B^T H B is positive
+    inv = _factor((-r_diag).tolist(), (-r_off).tolist())[0]
+    up = sum(not r > 0 for r in inv)
+    return run, ratio, None if not up else (
+        f"the reduced Hessian has an eigenvalue >= 0: {up} of the {len(inv)} "
+        "LDL^T pivots of -B^T H B are not positive")
 
 
 def integrate(boundary, start: PeriodicLift, system: AffineSystem,
@@ -196,9 +265,10 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem,
         Lift against which the integer crossing index may not increase.
 
     The run converges when ``||F||_inf < RESIDUAL_TARGET``, or when
-    ``||F||_inf < STATIONARITY_TOL`` and a step does not lower it; it stops
-    unconverged after ``MAX_STEPS`` accepted steps, or when rejections cut
-    delta below ``DELTA_MIN``.
+    ``||F||_inf < STATIONARITY_TOL`` and the step ``||d||_inf`` is no smaller
+    than the last accepted one, at the iterate the step was taken from; it
+    stops unconverged after ``MAX_STEPS`` accepted steps, or when rejections
+    cut delta below ``DELTA_MIN``.
     """
     return _search(boundary, start, system, reference, DELTA_START)[0]
 
@@ -216,8 +286,8 @@ def newton(boundary, guess: PeriodicLift, system: AffineSystem,
     None when the lift is accepted, or else the first failed test: the first
     step fails ratio < THETA_MAX, the run stops unconverged, or B^T H B at
     the limit is not negative definite (the limit is no strict local maximum
-    of the action in the class).  A guess outside the guard is not run: run
-    is None and ratio 0.
+    of the action in the class), read off the signs of the LDL^T pivots of
+    -B^T H B.  A guess outside the guard is not run: run is None and ratio 0.
     """
     if _guard_violation(guess.coords, guess.q) is not None:
         return None, 0.0, "the guess is not admissible"

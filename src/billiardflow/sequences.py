@@ -220,8 +220,10 @@ class AffineSystem:
     negative is fixed at ``base`` and has no column.  B has one nonzero per
     row, so it is kept as two length-p vectors: ``column``, the column of each
     vertex's orbit, and ``weight``, its entry; a vertex of a fixed orbit has
-    column 0 and weight 0.  ``dim`` is d.  Every array is read-only, so one
-    system can be shared.
+    column 0 and weight 0.  The columns follow the free orbits in path
+    order, so B^T H B is tridiagonal, with one corner when they form a
+    cycle.  ``dim`` is d.  Every array is read-only, so one system can be
+    shared.
     """
 
     base: np.ndarray
@@ -259,29 +261,33 @@ class AffineSystem:
             return np.zeros(self.weight.size)
         return self.weight * step[self.column]
 
-    def reduced_hessian(self, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """B^T H B, d x d, for the cyclic tridiagonal H with diagonal ``diag``
-        and H[i, i+1] = H[i+1, i] = off[i], indices mod p (at p = 2 both
-        off[0] and off[1] join vertices 0 and 1): one bincount over H's 3p
-        entries."""
-        flat, scale = self._hessian_entries
+    def reduced_hessian(self, diag: np.ndarray, off: np.ndarray) -> tuple:
+        """B^T H B for the cyclic tridiagonal H with diagonal ``diag`` and
+        H[i, i+1] = H[i+1, i] = off[i], indices mod p (at p = 2 both off[0]
+        and off[1] join vertices 0 and 1), as its diagonal and its cyclic
+        off-diagonal, two length-d vectors: the sub-diagonal, then the corner
+        B^T H B[d-1, 0] (0 unless the orbits form a cycle of d >= 3), all
+        from one bincount of H's 2p distinct entries."""
+        slot, scale = self._hessian_entries
         d = self.dim
-        values = scale * np.concatenate((diag, off, off))
-        return np.bincount(flat, values, minlength=d * d)[:d * d].reshape(d, d)
+        values = np.bincount(slot, scale * np.concatenate((diag, off)), minlength=2 * d)
+        return values[:d], values[d:2 * d]
 
     @cached_property
     def _hessian_entries(self) -> tuple:
-        """Where each entry of H lands in B^T H B, and its weight: the flat
-        index column_i d + column_j and w_i w_j of the entries (i, i), then
-        (i, i+1), then (i+1, i)."""
+        """Where each entry of H lands in (diagonal, off-diagonal) and its
+        weight: H[i, i] on the diagonal at column_i, with w_i^2, and the pair
+        H[i, i+1] = H[i+1, i], with w_i w_{i+1}, on the off-diagonal at the
+        lesser column, at d - 1 when it joins the cycle's ends, or twice on
+        the diagonal when both vertices lie on one orbit."""
         col, w = self.column, self.weight
-        col_next = np.concatenate((col[1:], col[:1]))
-        pair = w * np.concatenate((w[1:], w[:1]))
-        rows = np.concatenate((col, col, col_next))
-        cols = np.concatenate((col, col_next, col))
-        flat, scale = rows * self.dim + cols, np.concatenate((w * w, pair, pair))
-        flat.flags.writeable = scale.flags.writeable = False
-        return flat, scale
+        col_next, pair = np.roll(col, -1), w * np.roll(w, -1)
+        d, loop = self.dim, col == col_next
+        lesser = np.where(np.abs(col - col_next) == 1, np.minimum(col, col_next), d - 1)
+        slot = np.concatenate((col, np.where(loop, col, d + lesser)))
+        scale = np.concatenate((w * w, np.where(loop, 2.0, 1.0) * pair))
+        slot.flags.writeable = scale.flags.writeable = False
+        return slot, scale
 
 
 def expand_constraints(n: int, generators, p: int, q: int) -> AffineSystem:
@@ -326,12 +332,28 @@ def expand_constraints(n: int, generators, p: int, q: int) -> AffineSystem:
     root_value = np.zeros(p)
     root_value[root[a]] = 0.5 * parity[b] * (sign[flip] * shift[a] + offset[flip] - shift[b])
     base = parity * root_value[root] + shift
-    # one column per free orbit, numbered by its root
+    # one column per free orbit, numbered along the chain that H's couplings
+    # x_i ~ x_{i+1} trace through the orbits.  The edges' index maps are
+    # dihedral, so an orbit meets at most two others: the free orbits form
+    # paths (walked from an end), or one cycle (walked from the orbit of
+    # vertex 0), and B^T H B is tridiagonal, with a corner on a cycle
     free = root == i
     free[root[a]] = False
     member = free[root]
+    near = {r: [] for r in np.flatnonzero(free).tolist()}
+    for u, v in zip(root.tolist(), np.roll(root, -1).tolist()):
+        if u != v and u in near and v in near and v not in near[u]:
+            near[u].append(v)
+            near[v].append(u)
+    rank = {}
+    for r in sorted(near, key=lambda r: len(near[r]) == 2):
+        while r not in rank:
+            rank[r] = len(rank)
+            r = next((v for v in near[r] if v not in rank), r)
+    path = np.zeros(p, dtype=int)
+    path[list(rank)] = list(rank.values())
     size = np.bincount(root, minlength=p)
-    column = np.where(member, (np.cumsum(free) - 1)[root], 0)
+    column = np.where(member, path[root], 0)
     weight = np.where(member, parity / np.sqrt(size[root]), 0.0)
     for array in (base, column, weight, src, dst, sign, offset):
         array.flags.writeable = False

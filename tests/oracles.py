@@ -121,6 +121,17 @@ def circulant(p, alpha, beta):
     return h
 
 
+def cyclic_tridiagonal(diag, off):
+    """H with diagonal ``diag`` and H[i, i+1] = H[i+1, i] = off[i], indices
+    mod p, added entry by entry (at p = 2 both off entries join 0 and 1)."""
+    p = diag.size
+    h = np.diag(diag)
+    for i in range(p):
+        h[i, (i + 1) % p] += off[i]
+        h[(i + 1) % p, i] += off[i]
+    return h
+
+
 def dense_basis(system) -> np.ndarray:
     """The class's orthonormal (p, d) orbit basis B as a dense matrix: row i
     holds ``weight[i]`` in column ``column[i]``, and a fixed vertex's row is 0."""

@@ -23,6 +23,7 @@ from billiardflow import (
     reparametrize_constant_speed,
     symmetric_birkhoff,
 )
+from billiardflow import flow
 from billiardflow.finder import checked_criterion
 from billiardflow.geometry import (
     convexity_margin,
@@ -496,9 +497,9 @@ def test_criterion_11_criterion_is_sharp_on_a_grid():
 
 #: (n, m, N, alpha, s0, the s at and above s0, the largest admissible s below
 #: s0), s0 the least s with a positive closed-form margin; the listed s are
-#: coprime to N, and p = s n stays at or below 512
+#: coprime to N, and p = s n stays at or below 4096
 INFINITELY_MANY = [
-    (4, 1, 1, 0.004, 4, (4, 5, 8, 16, 32, 64, 128), 3),
+    (4, 1, 1, 0.004, 4, (4, 5, 8, 16, 32, 64, 128, 256, 512, 1024), 3),
     (4, 1, 4, 0.02, 6, (7, 9, 11, 13, 15, 17, 19), 5),
     (5, 2, 1, 0.003, 3, (3, 4, 6, 8, 16, 32, 64, 100), 2),
 ]
@@ -508,9 +509,8 @@ def test_criterion_13_infinitely_many_orbits():
     """The paper's sufficient condition: kappa L < 2 sin(m pi/n) makes the
     main margin 2 sin(m pi/n) cos^2(N pi/(s n)) - kappa L positive for every
     s >= s0 coprime to N, and each such class holds a clean non-Birkhoff
-    orbit of minimal period s n with 2N crossings.  Covered up to p = 512:
-    the final residual grows about linearly with p, so longer periods need
-    its cause found first (ROADMAP item 6)."""
+    orbit of minimal period s n with 2N crossings.  Covered up to
+    p = 4096."""
     t0 = time.monotonic()
     found = []
     for n, m, N, alpha, s0, sizes, below in INFINITELY_MANY:
@@ -529,11 +529,10 @@ def test_criterion_13_infinitely_many_orbits():
                     rep.crossings_vs_reference) == \
                 ("non_birkhoff_found", [], s * n, 2 * N), (n, m, N, s)
             found.append(rep.final_lift)
-    assert max(lift.p for lift in found) <= 512
     assert not any(same_orbit(a, b) for i, a in enumerate(found) for b in found[i + 1:])
     announce(13, "infinitely many orbits", t0, 30.0,
              f"{len(found)} clean non-Birkhoff orbits at every listed s >= s0 on "
-             "three limacon classes, p up to 512, and an inconclusive margin "
+             "three limacon classes, p up to 4096, and an inconclusive margin "
              "below each s0")
 
 
@@ -623,3 +622,27 @@ def test_criterion_15_any_rational_rotation_number_near_the_circle():
              "at alpha = 1e-4 and 1e-5: a clean non-Birkhoff orbit of period s* n "
              "at the least predicted s*, a forced collapse at s* - 1, and s* "
              "growing by sqrt(10)")
+
+
+#: criterion 15's forced finds at s* - 1 that end nearest the roundoff floor
+#: of the step: (n, m, alpha, s* - 1)
+FORCED_NEAR_THE_FLOOR = [(3, 1, 1e-5, 110), (3, 1, 1e-4, 34), (4, 1, 1e-5, 62),
+                         (8, 3, 1e-5, 15)]
+
+
+def test_criterion_15_forced_collapse_does_not_hang_on_the_last_bits(monkeypatch):
+    """The forced finds at s* - 1 collapse to the reference whatever the last
+    bits of each step: below STATIONARITY_TOL the run stops on the step
+    size, not on whether roundoff happens to lower ||F||_inf.  Each step is
+    scaled by 1 + k 2^-52, k = -8, -6, ..., 8 and k = -256, -248, ..., 256,
+    a range wide enough that a stop on ||F||_inf ceasing to fall leaves
+    (3, 1) at alpha = 1e-5 on a non-Birkhoff lift at seven of its k."""
+    solve = flow._solve
+    scales = sorted(set(range(-8, 9, 2)) | set(range(-256, 257, 8)))
+    for n, m, alpha, s in FORCED_NEAR_THE_FLOOR:
+        request = SearchRequest(billiard={"family": "limacon", "n": n, "alpha": alpha},
+                                n=n, m=m, kind="main", N=1, s=s, force=True)
+        for k in scales:
+            monkeypatch.setattr(flow, "_solve", lambda factor, g, k=k: [
+                v * (1 + k * 2.0 ** -52) for v in solve(factor, g)])
+            assert find_orbit(request).outcome == "collapsed_to_birkhoff", (n, m, alpha, k)

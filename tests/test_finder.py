@@ -659,23 +659,45 @@ def test_the_corrector_rejects_a_saddle():
     assert "eigenvalue" in why
 
 
-def test_the_search_solves_once_per_trial_step(monkeypatch):
-    # each trial step is one dense solve and, inside the guard, one kernel
-    # call after the start's; the search makes no other solve, and Newton's
-    # run as the corrector makes one more, for its first-step ratio
-    solve, kernel = np.linalg.solve, flow._gradient_coords
-    solves, calls = [], []
-    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+def test_the_search_factors_once_per_trial_step(monkeypatch):
+    # each trial step is one LDL^T factorization, one solve with it and,
+    # inside the guard, one kernel call after the start's; Newton's run as
+    # the corrector solves once more with its first factorization, for its
+    # first-step ratio, and factors once more at the limit, for its inertia
+    factor, solve, kernel = flow._factor, flow._solve, flow._gradient_coords
+    factors, solves, calls = [], [], []
+    monkeypatch.setattr(flow, "_factor", lambda *args: factors.append(1) or factor(*args))
+    monkeypatch.setattr(flow, "_solve", lambda *args: solves.append(1) or solve(*args))
     monkeypatch.setattr(flow, "_gradient_coords",
                         lambda *args: calls.append(1) or kernel(*args))
     first = find_orbit(FLAGSHIP)
-    assert len(solves) == len(calls) - 1 == first.flow.n_steps == 10
-    solves.clear()
-    calls.clear()
+    assert len(factors) == len(solves) == len(calls) - 1 == first.flow.n_steps == 10
+    for spied in (factors, solves, calls):
+        spied.clear()
     nearby = replace(FLAGSHIP, billiard=dict(LIMACON4, alpha=0.052))
     continued = find_orbit(nearby, warm=(first.criterion.margin, first.final_lift))
     assert continued.start == "continued" and continued.flow.n_steps > 0
-    assert len(solves) == len(calls) == continued.flow.n_steps + 1
+    assert len(factors) == len(solves) == len(calls) == continued.flow.n_steps + 1
+
+
+def test_the_search_calls_no_dense_solver(monkeypatch):
+    # the step, the corrector's ratio and its definiteness test all come from
+    # the tridiagonal factorization: the flagship find, README's sweep (whose
+    # continued entries run the corrector) and a search in the class of
+    # every lift run with np.linalg.solve and eigvalsh out of reach
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense solver was called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert find_orbit(FLAGSHIP).outcome == "non_birkhoff_found"
+    entries = sweep(FLAGSHIP, "alpha", [0.048, 0.0515, 0.055])
+    assert [e.report.start for e in entries] == ["nudged", "continued", "continued"]
+    table = reparametrize_constant_speed(make_boundary(LIMACON4))
+    search = search_class("main", 4, 1, 4, 3)
+    run = flow.integrate(table, search.start(0.01), expand_constraints(4, (), 12, 3),
+                         search.reference)
+    assert run.converged and run.n_steps > 0
 
 
 #: the five tier-1 classes, each on the limacon of its table symmetry n at

@@ -9,17 +9,20 @@ from billiardflow import (
     expand_constraints,
     gradient_field,
     integrate,
+    make_boundary,
     periodic_action,
     repeat_lift,
+    reparametrize_constant_speed,
     search_class,
     symmetric_birkhoff,
 )
 from billiardflow import flow as flow_module
 from billiardflow.flow import newton
-from billiardflow.sequences import PeriodicLift, intersection_index
+from billiardflow.lagrangian import _gradient_coords
+from billiardflow.sequences import AffineSystem, PeriodicLift, intersection_index
 import oracles
-from oracles import (ACTION_ROUNDOFF, comparison_check, dp5_flow, increments, project,
-                     trapezoid)
+from oracles import (ACTION_ROUNDOFF, comparison_check, dense_basis, dp5_flow, increments,
+                     project, trapezoid)
 
 
 def flagship_setup(boundary):
@@ -144,20 +147,107 @@ def test_max_steps_stops_the_run(limacon4_cs, monkeypatch):
     assert run.n_steps == 3
 
 
-def test_plateau_returns_best_iterate(limacon4_cs, monkeypatch):
-    # with an unreachable target the residual plateaus at its roundoff
-    # floor: the first step that does not lower ||F||_inf below
-    # STATIONARITY_TOL ends the run, which reports the iterate before it
+def test_plateau_stops_at_the_step_roundoff_floor(limacon4_cs, monkeypatch):
+    # with an unreachable target the run goes on below STATIONARITY_TOL while
+    # each step is smaller than the last accepted one; the first step that
+    # is not ends it at the iterate it was taken from, before any kernel call
+    # at the discarded point
     monkeypatch.setattr(flow_module, "RESIDUAL_TARGET", 0.0)
     ref, system, start = flagship_setup(limacon4_cs)
+    solve, steps = flow_module._solve, []
+    monkeypatch.setattr(flow_module, "_solve",
+                        lambda *args: steps.append(solve(*args)) or steps[-1])
     run, calls = spied_run(monkeypatch, limacon4_cs, start, system=system, reference=ref)
     assert run.converged and run.reason == "stationary" and run.failure is None
-    last = float(np.max(np.abs(calls[-1][1][0])))
-    assert run.grad_norm < flow_module.STATIONARITY_TOL and not last < run.grad_norm
-    assert not np.array_equal(calls[-1][0], run.final_lift.coords)
-    # the reported state is the better iterate: its residual recomputes to grad_norm
+    assert len(steps) == len(calls) == run.n_steps + 1
+    sizes = [max(map(abs, step)) for step in steps]
+    assert sizes[-1] >= sizes[-2] and run.grad_norm < flow_module.STATIONARITY_TOL
+    # the run stops where the kernel was last called: its residual recomputes
+    # to grad_norm
+    assert np.array_equal(calls[-1][0], run.final_lift.coords)
     again = float(np.max(np.abs(gradient_field(limacon4_cs, run.final_lift))))
     assert again == run.grad_norm
+
+
+#: the five tier-1 classes and main N = 1 at p = 192, each on a limacon
+STEP_CLASSES = [("main", 4, 1, 4, 3, 0.05), ("typeI", 2, 1, None, 7, 0.15),
+                ("typeII", 2, 1, None, 4, 0.15), ("typeV", 2, 1, None, 5, 0.15),
+                ("main", 4, 1, 1, 5, 0.03), ("main", 4, 1, 1, 48, 0.03)]
+
+
+@pytest.mark.parametrize("kind, n, m, N, s, alpha", STEP_CLASSES,
+                         ids=[f"{c[0]}-s{c[4]}" for c in STEP_CLASSES])
+def test_the_step_equals_the_dense_solve(kind, n, m, N, s, alpha):
+    # one LDL^T of I/delta - B^T H B solves for B^T F as the dense solve
+    # does, on a path and on the cycle of the class of every lift
+    search = search_class(kind, n, m, N, s)
+    table = reparametrize_constant_speed(make_boundary({"family": "limacon", "n": n,
+                                                        "alpha": alpha}))
+    f, _, h = _gradient_coords(table, search.start(0.01).coords, 2)
+    for system in (expand_constraints(n, search.generators, search.p, search.q),
+                   expand_constraints(n, (), search.p, search.q)):
+        basis = dense_basis(system)
+        reduced = basis.T @ oracles.cyclic_tridiagonal(*h) @ basis
+        g = system.reduce(f)
+        r_diag, r_off = system.reduced_hessian(*h)
+        for delta in (5e-3, 1.0, np.inf):
+            dense = np.linalg.solve(np.eye(system.dim) / delta - reduced, g)
+            factor = flow_module._factor((1.0 / delta - r_diag).tolist(), (-r_off).tolist())
+            step = np.array(flow_module._solve(factor, g.tolist()))
+            assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense)), delta
+
+
+def test_the_pivot_signs_count_the_negative_eigenvalues():
+    # Sylvester's law of inertia: the LDL^T pivots of a symmetric tridiagonal
+    # or cyclic tridiagonal matrix have as many negative signs as it has
+    # negative eigenvalues, definite or not
+    rng = np.random.default_rng(32)
+    kinds = set()
+    for trial in range(200):
+        d = int(rng.integers(1, 25))
+        diag, off = rng.standard_normal(d) + rng.uniform(-3, 3), rng.standard_normal(d)
+        if trial % 2 == 0 or d < 3:
+            off[-1] = 0.0           # a path; at d = 2 both entries join 0 and 1
+        matrix = oracles.cyclic_tridiagonal(diag, off) if d > 1 else np.diag(diag)
+        inv = flow_module._factor(diag.tolist(), off.tolist())[0]
+        negative = int(np.sum(np.linalg.eigvalsh(matrix) < 0))
+        assert sum(r < 0 for r in inv) == negative, trial
+        kinds.add(min(negative, 1) + (negative == d))
+    assert kinds == {0, 1, 2}       # definite both ways, and indefinite
+
+
+def test_a_zero_pivot_gives_a_step_the_guard_rejects(limacon4_cs, monkeypatch):
+    # an exact zero pivot raises nothing: every later pivot and the whole
+    # step are NaN, which the guard rejects
+    ref, system, _, near = near_orbit_setup(limacon4_cs)
+    factor = flow_module._factor([0.0, 1.0, 2.0], [1.0, 1.0, 0.5])
+    assert all(np.isnan(factor[0])) and all(np.isnan(flow_module._solve(factor, [1.0, 0, 0])))
+    step = np.array(flow_module._solve(flow_module._factor([0.0], [0.0]), [1.0]))
+    assert flow_module._guard_violation(near.coords + system.expand(step), near.q)
+    # in the search, the first factorization of each run from near the
+    # orbit meets a zero pivot (the flagship class has d = 1): at a finite
+    # delta the step is rejected, delta cut by 4 and the run goes on; at
+    # delta = infinity the run ends
+    reduced, factor_of, pivots = system.reduced_hessian, flow_module._factor, []
+
+    def first_zero(shift):
+        def hessian(self, diag, off):
+            r_diag, r_off = reduced(diag, off)
+            return (r_diag if pivots else np.full(1, shift)), r_off
+        return hessian
+
+    monkeypatch.setattr(flow_module, "_factor",
+                        lambda diag, off: pivots.append(diag[0]) or factor_of(diag, off))
+    monkeypatch.setattr(AffineSystem, "reduced_hessian",
+                        first_zero(1.0 / flow_module.DELTA_START))
+    run = integrate(limacon4_cs, near, system=system, reference=ref)
+    assert pivots[:2] == [0.0, 1.0 / (flow_module.DELTA_START / 4) - 1.0 / flow_module.DELTA_START]
+    assert run.converged
+    pivots.clear()
+    monkeypatch.setattr(AffineSystem, "reduced_hessian", first_zero(0.0))
+    run, ratio, why = newton(limacon4_cs, near, system, ref)
+    assert pivots == [0.0] and run.reason == "guard_violation" and run.n_steps == 0
+    assert why == "guard_violation after 0 steps" and "nan" in run.domain_violation
 
 
 def test_inadmissible_start_is_rejected(limacon4_cs):

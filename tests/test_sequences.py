@@ -29,8 +29,9 @@ from billiardflow.sequences import (
 )
 from billiardflow.spectral import search_class
 from billiardflow import sequences
-from oracles import (dense_basis, full_table_group, identity_table, loop_intersection_index,
-                     loop_score, project, same_orbit, save_lift, translate)
+from oracles import (cyclic_tridiagonal, dense_basis, full_table_group, identity_table,
+                     loop_intersection_index, loop_score, project, same_orbit, save_lift,
+                     translate)
 
 
 def brute_force_well_ordered(lift, tol=1e-9):
@@ -705,17 +706,6 @@ def test_orbit_basis_spans_the_null_space_of_the_dense_system(fields, dim):
                                                    rel=0, abs=1e-12)
 
 
-def cyclic_tridiagonal(diag, off):
-    """H with diagonal ``diag`` and H[i, i+1] = H[i+1, i] = off[i], indices
-    mod p, added entry by entry (at p = 2 both off entries join 0 and 1)."""
-    p = diag.size
-    h = np.diag(diag)
-    for i in range(p):
-        h[i, (i + 1) % p] += off[i]
-        h[(i + 1) % p, i] += off[i]
-    return h
-
-
 #: every KINDS row at a small and a large s (p up to 514), and the degenerate
 #: main class of criterion 11 (n = N = 3, s = 2), which has no free orbit
 O_P_CLASSES = [
@@ -730,9 +720,8 @@ O_P_CLASSES = [
                          ids=[f"{c[0]}-N{c[3]}-s{c[4]}" for c in O_P_CLASSES]
                          + ["identity-p2", "identity-p12"])
 def test_the_class_forms_equal_the_dense_products(case):
-    # B^T f, B d and B^T H B, kept as a bincount, a gather and a bincount over
-    # H's 3p entries, against dense products with the basis the oracle builds
-    # from the same column and weight vectors
+    # B^T f and B d, kept as a bincount and a gather, against dense products
+    # with the basis the oracle builds from the same column and weight vectors
     if isinstance(case, int):
         # no generators: the class of every lift, B = I
         system = expand_constraints(1, (), case, 1)
@@ -748,14 +737,43 @@ def test_the_class_forms_equal_the_dense_products(case):
     basis = dense_basis(system)
     rng = np.random.default_rng(p)
     f, step = rng.standard_normal(p), rng.standard_normal(d)
-    diag, off = rng.standard_normal(p), rng.standard_normal(p)
-    pairs = [(system.reduce(f), basis.T @ f), (system.expand(step), basis @ step),
-             (system.reduced_hessian(diag, off),
-              basis.T @ cyclic_tridiagonal(diag, off) @ basis)]
-    for fast, dense in pairs:
+    for fast, dense in [(system.reduce(f), basis.T @ f), (system.expand(step), basis @ step)]:
         assert fast.shape == dense.shape
         ulp = np.spacing(np.max(np.abs(dense), initial=1.0))
         assert np.max(np.abs(fast - dense), initial=0.0) <= 4 * ulp
+
+
+@pytest.mark.parametrize("case", [c + (branch,) for c in O_P_CLASSES for branch in (0, 1)]
+                         + [2, 3, 4, 12],
+                         ids=[f"{c[0]}-N{c[3]}-s{c[4]}-branch{branch}" for c in O_P_CLASSES
+                              for branch in (0, 1)]
+                         + [f"identity-p{p}" for p in (2, 3, 4, 12)])
+def test_the_reduced_hessian_is_cyclic_tridiagonal_in_path_order(case):
+    # the free orbits are numbered along the chain of H's couplings, so
+    # B^T H B is its diagonal, its sub-diagonal and (on a cycle) one corner:
+    # consecutive vertices sit on orbits at most one apart, or on the corner
+    # (0, d - 1), and the three match the dense product to 1e-14
+    if isinstance(case, int):
+        system = expand_constraints(1, (), case, 1)
+    else:
+        kind, n, m, N, s, branch = case
+        search = search_class(kind, n, m, N, s, branch=branch)
+        system = expand_constraints(n, search.generators, search.p, search.q)
+    p, d = system.weight.size, system.dim
+    col, free = system.column, system.weight != 0
+    joined = free & np.roll(free, -1)
+    gap = np.abs(col - np.roll(col, -1))[joined]
+    assert np.all((gap <= 1) | ((gap == d - 1) & (d >= 3)))
+    rng = np.random.default_rng(p)
+    diag, off = rng.standard_normal(p), rng.standard_normal(p)
+    basis = dense_basis(system)
+    dense = basis.T @ cyclic_tridiagonal(diag, off) @ basis
+    r_diag, r_off = system.reduced_hessian(diag, off)
+    assert r_diag.shape == r_off.shape == (d,)
+    if d < 3 and d:
+        assert r_off[-1] == 0.0     # no corner off a cycle of three or more
+    scale = np.max(np.abs(dense), initial=1.0)
+    assert np.max(np.abs(cyclic_tridiagonal(r_diag, r_off) - dense), initial=0.0) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
