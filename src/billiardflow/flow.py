@@ -32,8 +32,8 @@ import numpy as np
 
 from .lagrangian import _gradient_coords
 from .lagrangian import periodic_action  # noqa: F401 - a benchmark tracer site (ROADMAP item 1)
-from .sequences import (SNAP_TOL, AffineSystem, PeriodicLift, first_inadmissible,
-                        intersection_index)
+from .sequences import (SNAP_TOL, AffineSystem, PeriodicLift, _crossings,
+                        first_inadmissible, intersection_index)
 
 #: the admissible-increment guard: increments must stay in (floor, 1 - floor)
 GUARD_FLOOR = 1e-6
@@ -173,6 +173,7 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
     f, action, h = _gradient_coords(boundary, x, 2)
     fnorm = float(np.max(np.abs(f)))
     g = system.reduce(f)
+    gnorm = None if exact else float(np.linalg.norm(g))    # ||B^T F||, carried over
     cross = intersection_index(start, reference)
     # the last integer count; a tangent start bounds nothing until there is one
     last_crossing = cross if isinstance(cross, int) else np.inf
@@ -200,7 +201,7 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
             reason = None if violation is None else "guard_violation"
             if reason is None:
                 f_new, action_new, h_new = _gradient_coords(boundary, x_new, 2)
-                cross = intersection_index(PeriodicLift(start.p, q, x_new), reference)
+                cross = _crossings(x_new - reference.coords)
                 if action_new < action - ACTION_RTOL * abs(action):
                     reason = "action_decrease"
                 elif isinstance(cross, int) and cross > last_crossing:
@@ -221,11 +222,13 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
         if exact and steps == 1:
             norm = float(np.linalg.norm(d))
             ratio = float(np.linalg.norm(_solve(factor, g_new.tolist()))) / norm if norm else 0.0
-        if delta < DELTA_MAX:
-            # grow by the residual ratio, at least 2; a zero residual jumps to the cap
+        if not exact:
             norm_new = float(np.linalg.norm(g_new))
-            growth = float(np.linalg.norm(g)) / norm_new if norm_new else np.inf
-            delta = min(delta * max(growth, 2.0), DELTA_MAX)
+            if delta < DELTA_MAX:
+                # grow by the residual ratio, at least 2; a zero residual jumps to the cap
+                growth = gnorm / norm_new if norm_new else np.inf
+                delta = min(delta * max(growth, 2.0), DELTA_MAX)
+            gnorm = norm_new
         x, f, action, h, g = x_new, f_new, action_new, h_new, g_new
         fnorm, last_size = float(np.max(np.abs(f))), size
         if isinstance(cross, int):

@@ -165,8 +165,13 @@ def intersection_index(xl: PeriodicLift, yl: PeriodicLift):
     """
     if (xl.p, xl.q) != (yl.p, yl.q):
         raise ValueError("intersection index requires lifts in the same (p, q) class")
-    d = xl.coords - yl.coords
-    p = xl.p
+    return _crossings(xl.coords - yl.coords)
+
+
+def _crossings(d: np.ndarray):
+    """The intersection index of two lifts of one class from their difference
+    d = x - y: see :func:`intersection_index`."""
+    p = d.size
     zero = np.abs(d) <= SNAP_TOL
     if zero.any():
         if zero.all():

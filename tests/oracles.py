@@ -11,8 +11,11 @@ projection onto a class (the package keeps the basis as two vectors and never
 projects), the comparison principle of two flow runs, integer translates of a
 lift, orbit equality by a loop over time shifts and reversals, the
 classification from whole p x p identity tables, each a strided view of a
-window (the package gathers only the entries a prefilter needs) and the crossing count by its loop over zeros
-(the package counts a difference without zeros in one pass).  It also
+window (the package gathers only the entries a prefilter needs), the
+crossing count by its loop over zeros (the package counts a difference
+without zeros in one pass) and the arc-length inversion by Newton's method
+over every mode of the speed from a piecewise-linear start (the package sums
+the speed's lattice modes only, from a quintic Hermite start).  It also
 holds the helpers only tests use: the trapezoid rule and writing an orbit
 file.
 """
@@ -24,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from billiardflow.geometry import NEWTON_MAX_STEPS, NEWTON_XTOL, SERIES_TRIM, _speed
 from billiardflow.lagrangian import _gradient_coords
 from billiardflow.sequences import (CLASSIFY_TOL, FAMILIES, SNAP_TOL, GroupDescription,
                                     SymmetryGenerator, first_inadmissible, lift_text,
@@ -372,3 +376,34 @@ def loop_intersection_index(xl, yl):
             return "tangent"
     signs = np.sign(d[~zero])
     return int(np.count_nonzero(signs[1:] != signs[:-1])) + int(signs[0] != signs[-1])
+
+
+def newton_arc_inverse(boundary, speed, total):
+    """The parameters x_j whose normalized arc length is j / nodes, by
+    Newton's method on every mode of the speed.
+
+    ``speed`` is the FFT of the speed at the nodes and ``total`` the
+    circumference L; sigma(x) = x + 2 Re sum_{k>0} a_k (e^{2 pi i k x} - 1),
+    a_k = speed_k / (2 pi i k L), is evaluated by Horner's rule in
+    e^{2 pi i x}, from the piecewise-linear inverse of sigma's node values.
+    """
+    nodes = speed.size
+    y = np.arange(nodes) / nodes
+    k = np.arange(1, nodes // 2)
+    a = speed[k] / (2j * math.pi * k * total)
+    wiggle = np.fft.irfft(np.r_[0.0, a], nodes) * nodes
+    x = np.interp(y, np.append(y + wiggle - wiggle[0], 1.0), np.append(y, 1.0))
+    above = np.nonzero(np.abs(speed[k]) > SERIES_TRIM * total)[0]
+    a = a[:above.max(initial=-1) + 1]
+    offset = a.real.sum()
+    for _ in range(NEWTON_MAX_STEPS):
+        u = np.exp(2j * math.pi * x)
+        acc = np.zeros_like(u)
+        for c in a[::-1].tolist():
+            acc += c
+            acc *= u
+        step = (x + 2.0 * (acc.real - offset) - y) * total / _speed(boundary.jet, x)
+        x = x - step
+        if np.max(np.abs(step)) <= NEWTON_XTOL:
+            return x
+    raise ValueError("the arc-length inversion did not converge")

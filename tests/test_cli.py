@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import billiardflow
-from billiardflow import finder, flow, periodic_action, repeat_lift, symmetric_birkhoff
+from billiardflow import (finder, flow, geometry, periodic_action, repeat_lift,
+                          symmetric_birkhoff)
 from billiardflow.cli import KEYS, main
 from billiardflow.sequences import PeriodicLift
 from oracles import save_lift
@@ -175,6 +176,17 @@ def test_find_non_converged_exits_4(flagship_ini, tmp_path, capsys, monkeypatch)
     assert (tmp_path / "x" / "orbit.orbit.txt").exists()
     report = json.loads((tmp_path / "x" / "orbit.report.json").read_text())
     assert report["outcome"] == "non_converged"
+
+
+def test_find_exits_2_when_the_arc_length_inversion_does_not_converge(
+        flagship_ini, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "NEWTON_MAX_STEPS", 0)
+    out_dir = tmp_path / "x"
+    assert main(["find", "--config", str(flagship_ini), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the arc-length inversion did not converge")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_a_plateau_reports_the_action_of_the_lift_it_returns(flagship_ini, limacon4_cs,

@@ -367,11 +367,14 @@ def test_steps_that_stay_rejected_underflow_delta(limacon4_cs, monkeypatch):
     # below DELTA_MIN and the run stops where it began
     calls = []
 
-    def counting_up(xl, yl):
+    def counting_up(*lifts_or_difference):
         calls.append(1)
         return len(calls)
 
+    # the start's count goes through intersection_index, each trial's through
+    # the counter it shares, on the difference from the reference
     monkeypatch.setattr(flow_module, "intersection_index", counting_up)
+    monkeypatch.setattr(flow_module, "_crossings", counting_up)
     ref, system, start = flagship_setup(limacon4_cs)
     run = integrate(limacon4_cs, start, system=system, reference=ref)
     assert run.reason == run.failure == "step_underflow" and not run.converged
@@ -413,11 +416,14 @@ def test_a_rising_crossing_count_stops_the_run(limacon4_cs, monkeypatch):
     ref, system, orbit, near = near_orbit_setup(limacon4_cs)
     calls = []
 
-    def counting_up(xl, yl):
+    def counting_up(*lifts_or_difference):
         calls.append(1)
         return len(calls)
 
+    # the start's count goes through intersection_index, each trial's through
+    # the counter it shares, on the difference from the reference
     monkeypatch.setattr(flow_module, "intersection_index", counting_up)
+    monkeypatch.setattr(flow_module, "_crossings", counting_up)
     run, _, why = newton(limacon4_cs, near, system, ref)
     assert run.reason == run.failure == "crossing_increase" and not run.converged
     assert run.n_steps == 0 and why == "crossing_increase after 0 steps"

@@ -1,6 +1,7 @@
 """Boundary construction, curvature, symmetry checks, reparametrization."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -24,7 +25,7 @@ from billiardflow import (
 from billiardflow import geometry
 from billiardflow.geometry import orientation_det
 from billiardflow.sequences import PeriodicLift
-from oracles import trapezoid
+from oracles import newton_arc_inverse, trapezoid
 
 
 def curve(boundary, x, order=0):
@@ -336,6 +337,67 @@ def test_reparametrization_rejects_a_series_it_cannot_resolve():
     cap = geometry.ARC_NODES_CAP
     with pytest.raises(ValueError, match=f"{cap} nodes do not resolve the constant-speed"):
         reparametrize_constant_speed(make_limacon(4, 0.99))
+
+
+def inversion_tables():
+    """Limacons n = 2..9 at 0.9x their convexity threshold, the flagship
+    (n = 4, alpha = 0.052), the n = 2 limacon at alpha = 0.195 and the
+    (1.3, 1), 2:1, 5:1 and 10:1 ellipses; the 5:1 ellipse's series takes
+    512 to 2,048 nodes, the 10:1 ellipse's 1,024 to 8,192."""
+    limacons = [make_limacon(n, 0.9 / (1 + n * n)) for n in range(2, 10)]
+    limacons += [make_limacon(4, 0.052), make_limacon(2, 0.195)]
+    return limacons + [make_ellipse(a, 1.0) for a in (1.3, 2.0, 5.0, 10.0)]
+
+
+def test_arc_inversion_matches_newton_on_every_mode(monkeypatch):
+    # at every node count the doubling visits: one Newton pass from the
+    # quintic Hermite start (one order-1 jet call), and the same parameters,
+    # to 2e-15, as Newton's method on every mode of the speed from a
+    # piecewise-linear start
+    inverse = geometry._arc_inverse
+    visits = []
+
+    def spied(boundary, samples, speed, total):
+        orders = []
+
+        def jet(x, order):
+            orders.append(order)
+            return boundary.jet(x, order)
+
+        x = inverse(replace(boundary, jet=jet), samples, speed, total)
+        gap = np.max(np.abs(x - newton_arc_inverse(boundary, speed, total)))
+        visits.append((speed.size, orders, gap))
+        return x
+
+    monkeypatch.setattr(geometry, "_arc_inverse", spied)
+    for table in inversion_tables():
+        visits.clear()
+        reparametrize_constant_speed(table)
+        assert visits
+        for nodes, orders, gap in visits:
+            assert orders == [1], (nodes, orders)
+            assert gap <= 2e-15, (nodes, gap)
+    assert [nodes for nodes, _, _ in visits] == [1024, 2048, 4096, 8192]
+
+
+def test_reparametrization_memory_is_linear_in_the_nodes():
+    # the 10:1 ellipse's series needs 8,192 nodes and about 2,000 speed
+    # modes; a table of every power of e^{2 pi i n x} at every node would
+    # take about 270 MB, the Horner passes keep O(nodes)
+    table = make_ellipse(10.0, 1.0)
+    tracemalloc.start()
+    try:
+        reparametrize_constant_speed(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_reparametrization_raises_when_the_inversion_does_not_converge(monkeypatch):
+    monkeypatch.setattr(geometry, "NEWTON_MAX_STEPS", 0)
+    with pytest.raises(ValueError, match="the arc-length inversion did not converge"):
+        reparametrize_constant_speed(make_limacon(4, 0.05))
 
 
 def test_convexity_margin_positive_cases(limacon4, ellipse21, circle4):
