@@ -224,10 +224,9 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
             ratio = float(np.linalg.norm(_solve(factor, g_new.tolist()))) / norm if norm else 0.0
         if not exact:
             norm_new = float(np.linalg.norm(g_new))
-            if delta < DELTA_MAX:
-                # grow by the residual ratio, at least 2; a zero residual jumps to the cap
-                growth = gnorm / norm_new if norm_new else np.inf
-                delta = min(delta * max(growth, 2.0), DELTA_MAX)
+            # grow by the residual ratio, at least 2; a zero residual jumps to the cap
+            growth = gnorm / norm_new if norm_new else np.inf
+            delta = min(delta * max(growth, 2.0), DELTA_MAX)
             gnorm = norm_new
         x, f, action, h, g = x_new, f_new, action_new, h_new, g_new
         fnorm, last_size = float(np.max(np.abs(f))), size

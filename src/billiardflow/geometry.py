@@ -147,8 +147,11 @@ def make_circle(radius: float = 1.0, symmetry_order: int = 2) -> Boundary:
     """Circle of the given radius: the ellipse with equal semi-axes.
 
     A circle is equivariant under every dihedral group; ``symmetry_order``
-    records the n the caller intends to work with.
+    records the n >= 1 the caller intends to work with (1: the reflection
+    alone).
     """
+    if symmetry_order < 1:
+        raise ValueError(f"symmetry order n={symmetry_order} must be >= 1")
     radius = _positive("radius", radius)
     return replace(make_ellipse(radius, radius), symmetry_order=int(symmetry_order))
 

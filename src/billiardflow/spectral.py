@@ -80,18 +80,17 @@ class SearchKind:
     ``N``: rotation count of the kind's order-2N subgroup (None: the request
     sets it).  ``two_fold``: it needs (n, m) = (2, 1); ``odd_s``: odd s >= 3.
     ``generators``: two (family of :data:`~.sequences.FAMILIES`, name of its
-    index shift "K", "k" or "s") pairs.  ``mode``: (wave, period, phase) of
-    the nudge v_i = wave(2 pi i/T - pi phi/T), T and phi the shifts (or "p")
-    they name.  ``shift``: (name, default, modulus) of the index shift a
-    request may override; a default or modulus that is a name ("n", "s",
-    "reflection") is that quantity of :func:`search_class`.
+    index shift "K", "k" or "s") pairs, exactly one of them index-reversing;
+    it fixes the nudge (see :meth:`SearchClass.start`).  ``shift``: (name,
+    default, modulus) of the index shift a request may override; a default
+    or modulus that is a name ("n", "s", "reflection") is that quantity of
+    :func:`search_class`.
     """
 
     N: int | None
     two_fold: bool
     odd_s: bool
     generators: tuple
-    mode: tuple
     shift: tuple
 
 
@@ -103,18 +102,16 @@ _SUBGROUP = (("rotation_preserving", "K"), ("reflection_reversing", "k"))
 KINDS = {
     # k keeps the residue that solves the reflection identity at the
     # reference (for odd n and even p, k + n is a geometrically distinct orbit)
-    "main": SearchKind(None, False, False, _SUBGROUP, (np.sin, "K", "k"),
-                       ("k", "reflection", "n")),
-    "typeI": SearchKind(2, True, True, _SUBGROUP, (np.sin, "K", "k"),
-                        ("k", "reflection", "n")),
+    "main": SearchKind(None, False, False, _SUBGROUP, ("k", "reflection", "n")),
+    "typeI": SearchKind(2, True, True, _SUBGROUP, ("k", "reflection", "n")),
     # the reversing rotation's shift is odd
     "typeII": SearchKind(1, True, False,
                          (("rotation_reversing", "K"), ("reflection_preserving", "s")),
-                         (np.cos, "p", "K"), ("K", 1, 2)),
+                         ("K", 1, 2)),
     # one reflection acting through two index shifts of equal parity
     "typeV": SearchKind(1, True, False,
                         (("reflection_reversing", "k"), ("reflection_preserving", "s")),
-                        (np.sin, "p", "k"), ("k", "s", 2)),
+                        ("k", "s", 2)),
 }
 
 
@@ -150,22 +147,19 @@ class SearchClass(NamedTuple):
         return repeat_lift(symmetric_birkhoff(self.n, self.m, self.branch), self.s)
 
     def start(self, epsilon: float) -> PeriodicLift:
-        """The reference nudged by epsilon along the kind's symmetric mode.
-
-        The mode is v_i = wave(2 pi i/T - pi phi/T): main/typeI sin with
-        T = K, phi = k (K-periodic in the index and odd about the reflection
-        axis); typeII cos with T = p, phi = K; typeV sin with T = p, phi = k.
-        It satisfies the class constraints, so the nudged lift stays in the
-        class.  T < 3 (a degenerate mode) raises ValueError.
+        """The reference nudged by epsilon along the class's wavenumber-N mode
+        v_i = wave(2 pi i/T - pi t/T), T = p/N, about the axis t/2 of the
+        index-reversing generator (shift t): sin, odd about it, for a
+        reflection, cos for a rotation.  The nudged lift stays in the class.
+        T < 3 (a degenerate mode) raises ValueError.
         """
-        wave, period, phase = KINDS[self.kind].mode
-        sizes = {"p": self.p, "K": self.K, "k": self.k}
-        T = sizes[period]
+        T = self.p // self.N
         if T < 3:
-            raise ValueError(f"degenerate symmetric mode: need {period} >= 3, "
-                             f"got {period}={T}")
+            raise ValueError(f"degenerate symmetric mode: need K >= 3, got K={T}")
+        axis = next(g for g in self.generators if FAMILIES[g.kind][0] == -1)
+        wave = np.sin if FAMILIES[axis.kind][1] == -1 else np.cos
         reference = self.reference
-        v = wave(2.0 * np.pi * np.arange(self.p) / T - np.pi * sizes[phase] / T)
+        v = wave(2.0 * np.pi * np.arange(self.p) / T - np.pi * axis.shift / T)
         return reference.with_coords(reference.coords + epsilon * v)
 
 

@@ -566,6 +566,22 @@ def test_check_rejects_non_finite_table_parameters(billiard, name, tmp_path, cap
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("command", ["check", "find"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_check_and_find_reject_a_circle_of_order_below_one(n, command, tmp_path, capsys):
+    ini = tmp_path / "circle.ini"
+    ini.write_text(CIRCLE_INI.replace("n = 4\n\n[theorem]", f"n = {n}\n\n[theorem]"))
+    out_dir = tmp_path / "artifacts"
+    args = [command, "--config", str(ini)]
+    if command == "find":
+        args += ["--force", "--out", str(out_dir)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0] == f"error: symmetry order n={n} must be >= 1", err
+    assert not out_dir.exists()
+
+
 def test_render_orbit_figure_mode(flagship_ini, tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     assert main(["find", "--config", str(flagship_ini),

@@ -57,6 +57,32 @@ def test_stationary_start_returns_immediately(circle4):
     assert np.array_equal(run.final_lift.coords, lift.coords)
 
 
+def test_a_class_without_a_free_orbit_is_stationary_at_its_reference(monkeypatch):
+    # main n = 3, m = 1, N = 3, s = 2 fixes every index (d = 0): the search
+    # takes no step and Newton's definiteness test factors an empty matrix
+    boundary = reparametrize_constant_speed(
+        make_boundary({"family": "limacon", "n": 3, "alpha": 0.05}))
+    search = search_class("main", 3, 1, N=3, s=2)
+    system = expand_constraints(3, search.generators, search.p, search.q)
+    assert system.dim == 0
+    reference = search.reference
+    run = integrate(boundary, reference, system, reference)
+    assert (run.reason, run.n_steps) == ("stationary", 0)
+
+    factor, sizes = flow_module._factor, []
+
+    def spy(diag, off):
+        sizes.append(len(diag))
+        return factor(diag, off)
+
+    monkeypatch.setattr(flow_module, "_factor", spy)
+    run, ratio, why = newton(boundary, reference, system, reference)
+    assert (run.reason, run.n_steps, ratio, why) == ("stationary", 0, 0.0, None)
+    assert np.array_equal(run.final_lift.coords, reference.coords)
+    assert sizes == [0]
+    assert flow_module._solve(factor([], []), []) == []
+
+
 def test_flagship_flow_reaches_stationarity(limacon4_cs):
     ref, system, start = flagship_setup(limacon4_cs)
     run = integrate(limacon4_cs, start, system=system, reference=ref)

@@ -436,6 +436,16 @@ def test_make_limacon_rejects_a_table_that_is_no_simple_symmetric_curve(n, alpha
         make_limacon(n, alpha)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_make_circle_rejects_an_order_below_one(n):
+    with pytest.raises(ValueError, match=f"symmetry order n={n} must be >= 1"):
+        make_circle(1.0, n)
+
+
+def test_make_circle_accepts_the_reflection_alone():
+    assert make_circle(1.0, 1).symmetry_order == 1
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_check_equivariance_rejects_an_order_below_one(limacon4, n):
     with pytest.raises(ValueError, match="n must be >= 1"):

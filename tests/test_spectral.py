@@ -15,7 +15,7 @@ from billiardflow import (
     search_class,
     symmetric_birkhoff,
 )
-from billiardflow.geometry import make_circle
+from billiardflow.geometry import Boundary, make_circle
 from billiardflow.spectral import class_criterion
 from billiardflow.sequences import (
     PeriodicLift,
@@ -69,6 +69,22 @@ def test_limacon_kappa_chord_frozen(limacon4_cs):
     kappa, chord = kappa_chord(limacon4_cs, 4, 1)
     assert kappa == pytest.approx(LIMACON4_KAPPA, rel=1e-10)
     assert chord == pytest.approx(LIMACON4_CHORD, rel=1e-10)
+
+
+def test_kappa_chord_rejects_a_degenerate_tangent():
+    # gamma(x) = exp(i (2 pi x - sin 2 pi x)) stops at x = 0: gamma'(0) = 0
+    def jet(x, order):
+        x = np.asarray(x, dtype=float)
+        turn = 2.0 * math.pi * x
+        theta = turn - np.sin(turn)
+        d_theta = 2.0 * math.pi * (1.0 - np.cos(turn))
+        dd_theta = 4.0 * math.pi ** 2 * np.sin(turn)
+        z = np.exp(1j * theta)
+        return [z, 1j * d_theta * z, (1j * dd_theta - d_theta ** 2) * z][:order + 1]
+
+    table = Boundary(jet, symmetry_order=1, speed=None)
+    with pytest.raises(ValueError, match="degenerate tangent"):
+        kappa_chord(table, 2, 1, 0)
 
 
 def test_kappa_chord_is_parametrization_independent(limacon4, limacon4_cs):
