@@ -14,8 +14,8 @@ classification from whole p x p identity tables, each a strided view of a
 window (the package gathers only the entries a prefilter needs), the
 crossing count by its loop over zeros (the package counts a difference
 without zeros in one pass) and the arc-length inversion by Newton's method
-over every mode of the speed from a piecewise-linear start (the package sums
-the speed's lattice modes only, from a quintic Hermite start).  It also
+over every mode of the speed (the package sums the speed's lattice modes
+only; both start from the piecewise-linear inverse).  It also
 holds the helpers only tests use: the trapezoid rule and writing an orbit
 file.
 """

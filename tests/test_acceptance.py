@@ -24,7 +24,7 @@ from billiardflow import (
     symmetric_birkhoff,
 )
 from billiardflow import flow
-from billiardflow.finder import checked_criterion
+from billiardflow.finder import checked_boundary, checked_criterion
 from billiardflow.geometry import (
     convexity_margin,
     make_circle,
@@ -33,7 +33,7 @@ from billiardflow.geometry import (
 )
 from billiardflow.sequences import (PeriodicLift, generated_group, intersection_index,
                                     type_label)
-from billiardflow.spectral import search_class
+from billiardflow.spectral import class_criterion, search_class
 from oracles import (
     ACTION_ROUNDOFF,
     birkhoff_coefficients,
@@ -386,13 +386,18 @@ def test_criterion_9_birkhoff_oracle():
 def least_predicted_s(base: SearchRequest):
     """The least s >= 2 coprime to ``base.N`` whose class the criterion
     predicts an orbit in, the largest admissible s below it, and the verdict
-    at each admissible s up to the first."""
+    at each admissible s up to the first.  The table is checked, and its
+    kappa L computed, once; only the class changes with s."""
+    boundary = checked_boundary(base.billiard, base.n)
+    kappa, chord = kappa_chord(boundary, base.n, base.m, base.branch)
     verdicts = {}
     for s in range(2, 1000):
         if math.gcd(s, base.N) != 1:
             continue
         try:
-            verdicts[s] = checked_criterion(replace(base, s=s))[2].verdict
+            search = search_class(base.kind, base.n, base.m, base.N, s, base.branch,
+                                  base.reflection, base.shift)
+            verdicts[s] = class_criterion(search, kappa, chord).verdict
         except ValueError:          # no admissible class at this s
             continue
         if verdicts[s] == "orbit_predicted":

@@ -189,6 +189,23 @@ def test_find_exits_2_when_the_arc_length_inversion_does_not_converge(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("n, alpha", [(170, 1.7e-5), (256, 7.6e-6)])
+def test_find_on_a_high_order_limacon_finds_the_predicted_orbit(n, alpha, tmp_path, capsys):
+    # main, m = 1, N = 1, s = 3 at half the convexity threshold: the
+    # constant-speed series of an order-n table starts on 8n nodes or more,
+    # so it resolves the table, and find returns the orbit check predicts
+    config = tmp_path / "high.ini"
+    config.write_text(f"[billiard]\nfamily = limacon\nn = {n}\nalpha = {alpha}\n\n"
+                      f"[theorem]\nkind = main\nn = {n}\nm = 1\nN = 1\ns = 3\n")
+    assert main(["check", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["predicted_min_period"] == 3 * n
+    out_dir = tmp_path / "o"
+    assert main(["find", "--config", str(config), "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "orbit.report.json").read_text())
+    assert (report["outcome"], report["minimal_period"]) == ("non_birkhoff_found", 3 * n)
+
+
 def test_a_plateau_reports_the_action_of_the_lift_it_returns(flagship_ini, limacon4_cs,
                                                             tmp_path, capsys, monkeypatch):
     # with an unreachable residual target the search stops where ||F||_inf

@@ -350,21 +350,20 @@ def inversion_tables():
 
 
 def test_arc_inversion_matches_newton_on_every_mode(monkeypatch):
-    # at every node count the doubling visits: one Newton pass from the
-    # quintic Hermite start (one order-1 jet call), and the same parameters,
-    # to 2e-15, as Newton's method on every mode of the speed from a
-    # piecewise-linear start
+    # at every node count the doubling visits: at most three Newton steps
+    # (one order-1 jet call each) from the piecewise-linear start, and the
+    # same parameters, to 2e-15, as Newton's method on every mode of the speed
     inverse = geometry._arc_inverse
     visits = []
 
-    def spied(boundary, samples, speed, total):
+    def spied(boundary, speed, total):
         orders = []
 
         def jet(x, order):
             orders.append(order)
             return boundary.jet(x, order)
 
-        x = inverse(replace(boundary, jet=jet), samples, speed, total)
+        x = inverse(replace(boundary, jet=jet), speed, total)
         gap = np.max(np.abs(x - newton_arc_inverse(boundary, speed, total)))
         visits.append((speed.size, orders, gap))
         return x
@@ -375,9 +374,31 @@ def test_arc_inversion_matches_newton_on_every_mode(monkeypatch):
         reparametrize_constant_speed(table)
         assert visits
         for nodes, orders, gap in visits:
-            assert orders == [1], (nodes, orders)
+            assert orders in ([1], [1, 1], [1, 1, 1]), (nodes, orders)
             assert gap <= 2e-15, (nodes, gap)
     assert [nodes for nodes, _, _ in visits] == [1024, 2048, 4096, 8192]
+
+
+def test_series_speed_of_the_ten_to_one_ellipse_is_constant_to_1e_11():
+    # the roundoff of the series grows with the eccentricity and the node
+    # count: the 10:1 ellipse, on 8,192 nodes, holds constant speed to about
+    # 5e-12 relative, outside the 1e-12 of the tables above
+    cs = reparametrize_constant_speed(make_ellipse(10.0, 1.0))
+    speed = np.abs(curve(cs, np.linspace(0.0, 1.0, 1001), 1))
+    assert np.max(np.abs(speed - cs.speed)) <= 1e-11 * cs.speed
+
+
+@pytest.mark.parametrize("n", [84, 170, 256, 512])
+@pytest.mark.parametrize("share", [0.5, 0.9])
+def test_a_high_order_limacon_is_traced_to_1e_12(n, share):
+    # the speed of an order-n limacon has modes only at multiples of n; the
+    # series starts on enough nodes (8n or more) for the top quarter of its
+    # modes to hold some, so the doubling resolves it and the series traces
+    # r = 1 + alpha cos(n theta) and no other curve
+    alpha = share / (1 + n * n)
+    cs = reparametrize_constant_speed(make_limacon(n, alpha))
+    z = curve(cs, np.linspace(0.0, 1.0, 4001))
+    assert np.max(np.abs(np.abs(z) - (1.0 + alpha * np.cos(n * np.angle(z))))) <= 1e-12
 
 
 def test_reparametrization_memory_is_linear_in_the_nodes():
