@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .flow import FlowResult, integrate, newton
+from .flow import FlowResult, _evaluate, integrate, newton
 from .geometry import (check_equivariance, check_table_keys, convexity_margin,
                        make_boundary, reparametrize_constant_speed)
 from .lagrangian import periodic_action
@@ -170,6 +170,17 @@ def _class_structures(search: SearchClass) -> tuple:
     return system, MappingProxyType(expected)
 
 
+@lru_cache(maxsize=32)
+def _nudge(search: SearchClass) -> tuple:
+    """The class's reference lift and its unit nudge mode
+    (:attr:`~.spectral.SearchClass.mode`), built once per class and process;
+    read-only, like :func:`_class_structures`.  The nudge by epsilon is
+    ``reference.coords + epsilon * mode``, as in :meth:`~.spectral.SearchClass.start`."""
+    reference, mode = search.reference, search.mode
+    reference.coords.flags.writeable = mode.flags.writeable = False
+    return reference, mode
+
+
 def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitReport:
     """Search for a non-Birkhoff orbit in the requested symmetry class.
 
@@ -199,8 +210,8 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
                     report.p, report.q)
 
     n, p, q = search.n, search.p, search.q
-    reference = search.reference
     system, expected = _class_structures(search)
+    reference, mode = _nudge(search)
 
     cs = reparametrize_constant_speed(boundary)
     action_ref = periodic_action(cs, reference)
@@ -227,19 +238,21 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
     if run is None:
         ratio = None
         eps = min(1.0 / (4 * n), 1e-2) if request.epsilon is None else float(request.epsilon)
-        first, start = eps, search.start(eps)
-        if predicted:
+        first, halvings = eps, 0
+        while True:
+            start = reference.with_coords(reference.coords + eps * mode)
+            # one kernel call inside the guard: the gap reads its action and
+            # the search starts from it
+            evaluation = _evaluate(cs, start)
+            gap = evaluation[1] - action_ref
             # the certified mode must gain action; shrink the nudge if the gain
             # is swamped at the default amplitude
-            for _ in range(6):
-                gap = periodic_action(cs, start) - action_ref
-                if gap > 0:
-                    break
-                log.info("halving epsilon %.3g -> %.3g: action gap %.3e <= 0",
-                         eps, 0.5 * eps, gap)
-                eps *= 0.5
-                start = search.start(eps)
-            else:
+            if not predicted or gap > 0:
+                break
+            log.info("halving epsilon %.3g -> %.3g: action gap %.3e <= 0",
+                     eps, 0.5 * eps, gap)
+            eps, halvings = 0.5 * eps, halvings + 1
+            if halvings == 6:
                 raise RuntimeError(
                     f"no action gain along the certified mode from epsilon = "
                     f"{first:.3g} down to {eps:.3g}; the nudge amplitude or the "
@@ -247,7 +260,8 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
         log.info("flowing kind=%s (p, q)=(%d, %d) K=%d k=%d epsilon=%.3g "
                  "margin=%.6g", search.kind, p, q, search.K, search.k, eps,
                  report.margin)
-        run = integrate(cs, start, system=system, reference=reference)
+        run = integrate(cs, start, system=system, reference=reference,
+                        _evaluation=evaluation)
     final = run.final_lift
     group = spatiotemporal_group(final, n)
     if not run.converged:
@@ -320,7 +334,7 @@ def sweep(base: SearchRequest, param: str, values, workers: int | None = None):
     request.  ``workers`` is accepted and ignored, for callers that still
     pass it (ROADMAP item 1).
     """
-    requests = []
+    values, requests = list(values), []
     for v in values:
         if param == "alpha":
             descriptor = dict(base.billiard)

@@ -93,6 +93,15 @@ def _guard_violation(coords: np.ndarray, q: int):
     return None
 
 
+def _evaluate(boundary, lift: PeriodicLift) -> tuple:
+    """The order-2 kernel at ``lift``, (F, W, (diag, off)), once the lift is
+    inside the guard; otherwise ValueError names the increment outside."""
+    msg = _guard_violation(lift.coords, lift.q)
+    if msg is not None:
+        raise ValueError(f"start violates the admissible-increment guard: {msg}")
+    return _gradient_coords(boundary, lift.coords, 2)
+
+
 def _factor(diag: list, off: list) -> tuple:
     """Pivot-free LDL^T of the symmetric matrix with diagonal ``diag``,
     A[j, j+1] = off[j] and the corner A[d-1, 0] = off[d-1] (0 on a path; at
@@ -148,8 +157,11 @@ def _solve(factor: tuple, g: list) -> list:
 
 
 def _search(boundary, start: PeriodicLift, system: AffineSystem,
-            reference: PeriodicLift, delta: float):
+            reference: PeriodicLift, delta: float, evaluation: tuple | None = None):
     """The iteration from ``start`` at first pseudo-time step ``delta``.
+
+    ``evaluation`` is :func:`_evaluate` at ``start`` when the caller has it,
+    else the search evaluates the start itself.
 
     Each trial step factors I/delta - B^T H B once (:func:`_factor`); a
     zero or non-finite pivot gives a NaN step, which the guard rejects, so
@@ -163,17 +175,14 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
     """
     exact = delta == np.inf
     q = start.q
-    x = np.asarray(start.coords, dtype=float)
-    msg = _guard_violation(x, q)
-    if msg is not None:
-        raise ValueError(f"start violates the admissible-increment guard: {msg}")
+    x = start.coords
+    f, action, h = _evaluate(boundary, start) if evaluation is None else evaluation
     if system.residual(x) > SNAP_TOL:
         raise ValueError("start does not satisfy the constraint system")
 
-    f, action, h = _gradient_coords(boundary, x, 2)
-    fnorm = float(np.max(np.abs(f)))
+    fnorm = float(np.abs(f).max())
     g = system.reduce(f)
-    gnorm = None if exact else float(np.linalg.norm(g))    # ||B^T F||, carried over
+    gnorm = None if exact else math.sqrt(g @ g)    # ||B^T F||, carried over
     cross = intersection_index(start, reference)
     # the last integer count; a tangent start bounds nothing until there is one
     last_crossing = cross if isinstance(cross, int) else np.inf
@@ -220,16 +229,17 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
             t += delta
         g_new = system.reduce(f_new)
         if exact and steps == 1:
-            norm = float(np.linalg.norm(d))
-            ratio = float(np.linalg.norm(_solve(factor, g_new.tolist()))) / norm if norm else 0.0
+            norm = math.sqrt(d @ d)
+            simplified = np.array(_solve(factor, g_new.tolist()))
+            ratio = math.sqrt(simplified @ simplified) / norm if norm else 0.0
         if not exact:
-            norm_new = float(np.linalg.norm(g_new))
+            norm_new = math.sqrt(g_new @ g_new)
             # grow by the residual ratio, at least 2; a zero residual jumps to the cap
             growth = gnorm / norm_new if norm_new else np.inf
             delta = min(delta * max(growth, 2.0), DELTA_MAX)
             gnorm = norm_new
         x, f, action, h, g = x_new, f_new, action_new, h_new, g_new
-        fnorm, last_size = float(np.max(np.abs(f))), size
+        fnorm, last_size = float(np.abs(f).max()), size
         if isinstance(cross, int):
             last_crossing = cross
 
@@ -253,7 +263,7 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
 
 
 def integrate(boundary, start: PeriodicLift, system: AffineSystem,
-              reference: PeriodicLift) -> FlowResult:
+              reference: PeriodicLift, *, _evaluation: tuple | None = None) -> FlowResult:
     """Search from ``start`` for a stationary point of the action: the
     iteration at first pseudo-time step ``DELTA_START``.
 
@@ -270,9 +280,10 @@ def integrate(boundary, start: PeriodicLift, system: AffineSystem,
     ``||F||_inf < STATIONARITY_TOL`` and the step ``||d||_inf`` is no smaller
     than the last accepted one, at the iterate the step was taken from; it
     stops unconverged after ``MAX_STEPS`` accepted steps, or when rejections
-    cut delta below ``DELTA_MIN``.
+    cut delta below ``DELTA_MIN``.  ``_evaluation`` is internal: the
+    caller's :func:`_evaluate` at ``start``, which the search then reuses.
     """
-    return _search(boundary, start, system, reference, DELTA_START)[0]
+    return _search(boundary, start, system, reference, DELTA_START, _evaluation)[0]
 
 
 def newton(boundary, guess: PeriodicLift, system: AffineSystem,

@@ -31,7 +31,8 @@ MARGIN_XTOL = 1e-12
 #: the constant-speed series: first node count (raised to 8n for order n),
 #: doubled up to ARC_NODES_CAP while the top quarter of the modes of the speed
 #: or of the curve is above SERIES_TOL relative to the largest; modes below
-#: SERIES_TRIM relative to the largest are left out
+#: SERIES_TRIM relative to the largest are left out.  ARC_NODES_CAP also caps
+#: the entries of the arc-length inversion's table of powers
 SERIES_NODES_START = 256
 ARC_NODES_CAP = 1 << 16
 SERIES_TOL = 1e-15
@@ -283,31 +284,37 @@ def _series_sums(coef: np.ndarray, n: int, y) -> np.ndarray:
     and ``coef[2r + 1, j] = conj(c_{1-nj})`` (``coef[2r + 1, 0]`` is zero); the
     result has one row per pair and one column per entry of y, flattened.  The
     powers of w = e^{2 pi i n y} are built once for all rows, by doubling
-    outwards from the dominant mode k = 1, which is cheaper than one
-    exponential per mode and keeps that mode's phase to an ulp; y is reduced
-    mod 1 first, so the long lifts of long orbits do too.
+    (:func:`_powers`) outwards from the dominant mode k = 1, which is cheaper
+    than one exponential per mode and keeps that mode's phase to an ulp; y is
+    reduced mod 1 first, so the long lifts of long orbits do too.
     """
-    depth = coef.shape[1]
     y = np.asarray(y, dtype=float).reshape(-1)
     t = y - np.floor(y)
-    powers = np.empty((depth, t.size), dtype=complex)
+    powers = np.empty((coef.shape[1], t.size), dtype=complex)
+    sums = coef @ _powers(np.exp((2j * math.pi * n) * t), powers)
+    return np.exp(2j * math.pi * t) * (sums[0::2] + sums[1::2].conj())
+
+
+def _powers(w: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """``powers`` with its rows overwritten by w^0, w^1, ..., built by
+    doubling: each pass multiplies the rows built so far by the next power
+    of w."""
+    depth = powers.shape[0]
     powers[0] = 1.0
-    jump = np.exp((2j * math.pi * n) * t)
     size = 1
     while size < depth:
         grow = min(size, depth - size)
-        np.multiply(powers[:grow], jump, out=powers[size:size + grow])
+        np.multiply(powers[:grow], w, out=powers[size:size + grow])
         size += grow
         if size < depth:        # the next block needs the next power
-            jump = jump * jump
-    sums = coef @ powers
-    return np.exp(2j * math.pi * t) * (sums[0::2] + sums[1::2].conj())
+            w = w * w
+    return powers
 
 
 def _resolved(coef: np.ndarray) -> bool:
     """Whether the top quarter of an FFT's modes is below SERIES_TOL relative."""
     top = coef[3 * coef.size // 8: coef.size - 3 * coef.size // 8 + 1]
-    return bool(np.max(np.abs(top)) <= SERIES_TOL * np.max(np.abs(coef)))
+    return bool(np.abs(top).max() <= SERIES_TOL * np.abs(coef).max())
 
 
 def _arc_inverse(boundary: Boundary, speed: np.ndarray, total: float) -> np.ndarray:
@@ -316,18 +323,22 @@ def _arc_inverse(boundary: Boundary, speed: np.ndarray, total: float) -> np.ndar
     ``speed`` is the FFT of the speed at the nodes and ``total`` the
     circumference L.  Integrated term by term the speed gives
     sigma(x) = x + 2 Re sum_{k>0} a_k (e^{2 pi i k x} - 1), with
-    a_k = speed_k / (2 pi i k L).  An order-n table's speed is
-    1/n-periodic, so only the modes k = 0 (mod n) are summed, the rest being
-    roundoff.  Newton's method starts from the piecewise-linear inverse of
-    sigma's node values (one inverse FFT of those modes) and evaluates sigma
-    by Horner's rule in e^{2 pi i n x}, in O(nodes) memory whatever the mode
-    count; it takes at most two steps on the limacons and three on the
-    ellipses out to 10:1.
+    a_k = speed_k / (2 pi i k L), and sigma'(x) = 1 + 2 Re sum_{k>0}
+    2 pi i k a_k e^{2 pi i k x}.  An order-n table's speed is 1/n-periodic,
+    so only the modes k = 0 (mod n) are summed, the rest being roundoff.
+    Newton's method starts from the piecewise-linear inverse of sigma's node
+    values (one inverse FFT of those modes).  Each step reads sigma and
+    sigma' off one table of the powers of w = e^{2 pi i n x}
+    (:func:`_powers`), in blocks of at most ``ARC_NODES_CAP`` entries, so
+    memory stays O(nodes) whatever the mode count: a block's sums are one
+    matrix product, and Horner's rule in the block's top power joins them.
+    It takes at most two steps on the limacons and three on the ellipses out
+    to 10:1.
     """
     nodes = speed.size
     n = max(1, boundary.symmetry_order)
     k = np.arange(n, nodes // 2, n)
-    above = np.nonzero(np.abs(speed[k]) > SERIES_TRIM * total)[0]
+    above = (np.abs(speed[k]) > SERIES_TRIM * total).nonzero()[0]
     k = k[:above.max(initial=-1) + 1]
     a = speed[k] / (2j * math.pi * k * total)
     modes = np.zeros(nodes // 2, dtype=complex)
@@ -336,16 +347,26 @@ def _arc_inverse(boundary: Boundary, speed: np.ndarray, total: float) -> np.ndar
     y = np.arange(nodes) / nodes
     x = np.interp(y, np.append(y + wiggle - wiggle[0], 1.0), np.append(y, 1.0))
     offset = a.real.sum()
-    a = a[::-1].tolist()
+    # the series of sigma - x + 2 offset and of sigma' - 1, halved, in the
+    # powers w^0 .. w^J (J n the last mode kept), cut into blocks, top first
+    coef = np.zeros((2, k.size + 1), dtype=complex)
+    coef[0, 1:], coef[1, 1:] = a, speed[k] / total
+    width = min(coef.shape[1], ARC_NODES_CAP // nodes)
+    blocks = [coef[:, j:j + width] for j in range(0, coef.shape[1], width)][::-1]
+    powers = np.empty((width, nodes), dtype=complex)    # one table for every step
     for _ in range(NEWTON_MAX_STEPS):
         w = np.exp((2j * math.pi * n) * x)
-        acc = np.zeros_like(w)
-        for c in a:
-            acc += c
-            acc *= w
-        step = (x + 2.0 * (acc.real - offset) - y) * total / _speed(boundary.jet, x)
+        _powers(w, powers)
+        top = blocks[0]
+        sums = top @ powers[:top.shape[1]]
+        if len(blocks) > 1:
+            jump = powers[-1] * w
+            for block in blocks[1:]:
+                sums *= jump
+                sums += block @ powers
+        step = (x + 2.0 * (sums[0].real - offset) - y) / (1.0 + 2.0 * sums[1].real)
         x = x - step
-        if np.max(np.abs(step)) <= NEWTON_XTOL:
+        if np.abs(step).max() <= NEWTON_XTOL:
             return x
     raise ValueError("the arc-length inversion did not converge")
 
@@ -356,7 +377,8 @@ def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
     The speed is periodic and analytic, so its Fourier series converges
     exponentially.  The curve is sampled where its arc length is uniform (see
     :func:`_arc_inverse`: Newton's method from the piecewise-linear start,
-    over the speed's modes k = 0 (mod n), in O(nodes) memory) and transformed
+    each step reading sigma and sigma' off one blocked table of the powers
+    of the speed's modes k = 0 (mod n), in O(nodes) memory) and transformed
     by FFT.  The node count starts at the least power of two at or above both
     ``SERIES_NODES_START`` and 8n, so that the top quarter of the modes holds
     at least two of the speed's wavenumbers k = 0 (mod n), and doubles until
@@ -400,14 +422,14 @@ def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
 
     wave = np.fft.fftfreq(nodes, 1.0 / nodes).astype(int)
     kept = np.where((wave - 1) % n == 0, coef.real, 0.0)
-    dropped = float(np.sum(np.abs(coef - kept)) / np.sum(np.abs(kept)))
+    dropped = float(np.abs(coef - kept).sum() / np.abs(kept).sum())
     if dropped > GEOMETRIC_TOL:
         raise ValueError(
             f"the constant-speed series drops {dropped:.3e} (relative) to keep "
             f"the order-{n} dihedral symmetry the table claims")
 
     # rows k = 1 + n j and k = 1 - n j, out to the last mode above SERIES_TRIM
-    significant = wave[np.abs(kept) > SERIES_TRIM * np.max(np.abs(kept))]
+    significant = wave[np.abs(kept) > SERIES_TRIM * np.abs(kept).max()]
     j = np.arange(max(significant.max() - 1, 1 - significant.min()) // n + 1)
     series = np.stack((kept[(1 + n * j) % nodes], kept[(1 - n * j) % nodes]))
     series[1, 0] = 0.0

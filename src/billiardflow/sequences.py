@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -133,9 +133,13 @@ def _entries(window: np.ndarray, coords: np.ndarray, family, k, i) -> np.ndarray
     return window[coords.size - 1 + k + d * i] - sign * coords[i] - c * i
 
 
+@lru_cache(maxsize=64)
 def _sample(p: int) -> np.ndarray:
-    """The prefilter's columns: column 0 and a fixed handful spread over a row."""
-    return np.unique([0, 1, p // 4, p // 2, 3 * p // 4, p - 1])
+    """The prefilter's columns: column 0 and a fixed handful spread over a
+    row; built once per p, read-only."""
+    sample = np.unique([0, 1, p // 4, p // 2, 3 * p // 4, p - 1])
+    sample.flags.writeable = False
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +180,7 @@ def _crossings(d: np.ndarray):
     if zero.any():
         if zero.all():
             return "tangent"
-        for i in np.nonzero(zero)[0]:
+        for i in zero.nonzero()[0]:
             if not d[(i - 1) % p] * d[(i + 1) % p] < 0:
                 return "tangent"
         d = d[~zero]
@@ -460,9 +464,9 @@ def _one_ceiling(least: np.ndarray, largest: np.ndarray) -> bool:
     else the ceiling).  It never decreases as its argument grows, so a row's
     least and largest entry decide; NaN has none."""
     extremes = np.array((least, largest))
-    nearest = np.round(extremes)
+    nearest = extremes.round()
     ceiling = np.where(np.abs(extremes - nearest) < SNAP_TOL, nearest, np.ceil(extremes))
-    return bool(np.all(ceiling[0] == ceiling[1]))
+    return bool((ceiling[0] == ceiling[1]).all())
 
 
 def spatiotemporal_group(lift: PeriodicLift, n: int) -> GroupDescription:
@@ -503,23 +507,23 @@ def spatiotemporal_group(lift: PeriodicLift, n: int) -> GroupDescription:
 
     # [e, family, k]: M and the score on the sampled columns
     target = (np.arange(n) / n)[:, None, None]
-    nearest = np.round(first - target)
+    nearest = (first - target).round()
     bound = np.maximum(spread(least, largest), np.abs(first - target - nearest))
     # each row's least and largest entry once read in full, -inf and inf until then
     low, high = np.full((count, p), -np.inf), np.full((count, p), np.inf)
 
     def scores(rows: np.ndarray) -> np.ndarray:
         """[e, family, k] -> the score once ``rows`` ([family, k]) are read; inf if unread."""
-        f, r = np.nonzero(rows & (low == -np.inf))
+        f, r = (rows & (low == -np.inf)).nonzero()
         if f.size:
             _, low[f, r], high[f, r] = _rows(_entries(window, x, f[:, None], r[:, None], k))
         return np.maximum(spread(low, high), bound)
 
-    hit = scores(np.any(bound <= CLASSIFY_TOL, axis=0)) <= CLASSIFY_TOL
+    hit = scores((bound <= CLASSIFY_TOL).any(axis=0)) <= CLASSIFY_TOL
     shift = hit.argmax(axis=2)
     names = list(FAMILIES)
     elements, exponents = [], {name: set() for name in names}
-    for e, f in zip(*(i.tolist() for i in np.nonzero(hit.any(axis=2)))):
+    for e, f in zip(*(i.tolist() for i in hit.any(axis=2).nonzero())):
         k_e = int(shift[e, f])
         elements.append(SymmetryGenerator(names[f], e, k_e, int(nearest[e, f, k_e])))
         exponents[names[f]].add(e)
@@ -539,7 +543,7 @@ def spatiotemporal_group(lift: PeriodicLift, n: int) -> GroupDescription:
 
         top = np.zeros((count, p), dtype=bool)
         top[np.unravel_index(bounds.argmin(), bounds.shape)[1:]] = True
-        borderline = float(least_score(np.any(bounds < least_score(top), axis=0)))
+        borderline = float(least_score((bounds < least_score(top)).any(axis=0)))
     # the sampled extremes can only refute well-ordering; all rows confirm it
     birkhoff = _one_ceiling(least[0], largest[0])
     if birkhoff:

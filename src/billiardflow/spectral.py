@@ -146,11 +146,11 @@ class SearchClass(NamedTuple):
         """The symmetric Birkhoff reference, as a (p, q) lift."""
         return repeat_lift(symmetric_birkhoff(self.n, self.m, self.branch), self.s)
 
-    def start(self, epsilon: float) -> PeriodicLift:
-        """The reference nudged by epsilon along the class's wavenumber-N mode
-        v_i = wave(2 pi i/T - pi t/T), T = p/N, about the axis t/2 of the
-        index-reversing generator (shift t): sin, odd about it, for a
-        reflection, cos for a rotation.  The nudged lift stays in the class.
+    @property
+    def mode(self) -> np.ndarray:
+        """The class's wavenumber-N mode v_i = wave(2 pi i/T - pi t/T),
+        T = p/N, about the axis t/2 of the index-reversing generator
+        (shift t): sin, odd about it, for a reflection, cos for a rotation.
         T < 3 (a degenerate mode) raises ValueError.
         """
         T = self.p // self.N
@@ -158,9 +158,13 @@ class SearchClass(NamedTuple):
             raise ValueError(f"degenerate symmetric mode: need K >= 3, got K={T}")
         axis = next(g for g in self.generators if FAMILIES[g.kind][0] == -1)
         wave = np.sin if FAMILIES[axis.kind][1] == -1 else np.cos
-        reference = self.reference
-        v = wave(2.0 * np.pi * np.arange(self.p) / T - np.pi * axis.shift / T)
-        return reference.with_coords(reference.coords + epsilon * v)
+        return wave(2.0 * np.pi * np.arange(self.p) / T - np.pi * axis.shift / T)
+
+    def start(self, epsilon: float) -> PeriodicLift:
+        """The reference nudged by epsilon along the class's :attr:`mode`;
+        the nudged lift stays in the class."""
+        mode, reference = self.mode, self.reference
+        return reference.with_coords(reference.coords + epsilon * mode)
 
 
 def search_class(kind: str, n: int, m: int, N: int | None = None, s: int = 2,

@@ -474,14 +474,22 @@ def test_a_kind_that_fixes_N_rejects_another(line, code, tmp_path, capsys):
 def test_no_action_gain_along_the_mode_exits_4(flagship_ini, tmp_path, capsys, monkeypatch):
     # README's table at a set epsilon = 1e-9, whose gain (about margin
     # epsilon^2) lies below the action's roundoff, so that halving epsilon
-    # only lowers it; then a constant action, which gains nothing at any
+    # only lowers it; then a constant action, at the reference and in the
+    # nudged start's evaluation the gap reads, which gains nothing at any
     # nudge amplitude
     tiny = tmp_path / "tiny.ini"
     tiny.write_text(readme_ini() + "\n[flow]\nepsilon = 1e-9\n")
+    evaluate = finder._evaluate
+
+    def constant(boundary, lift):
+        f, _, h = evaluate(boundary, lift)
+        return f, 1.0, h
+
     errors = []
     for config in (tiny, flagship_ini):
         if config is flagship_ini:
             monkeypatch.setattr(finder, "periodic_action", lambda boundary, lift: 1.0)
+            monkeypatch.setattr(finder, "_evaluate", constant)
         code = main(["find", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 4
         err = capsys.readouterr().err

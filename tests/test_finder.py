@@ -21,6 +21,7 @@ from billiardflow import (
     hessian,
     kappa_chord,
     make_boundary,
+    periodic_action,
     reparametrize_constant_speed,
     search_class,
     sweep,
@@ -405,6 +406,19 @@ def test_a_sweep_runs_its_entries_in_order_on_the_calling_thread(monkeypatch, ba
         assert np.array_equal(entry.report.final_lift.coords, alone.final_lift.coords)
 
 
+def test_a_sweep_over_a_generator_gives_the_entries_of_a_list():
+    # sweep reads its values once, so a generator is not used up by the
+    # validation before the entries run
+    values = [0.05, 0.052]
+    listed = sweep(FLAGSHIP, "alpha", values)
+    generated = sweep(FLAGSHIP, "alpha", (v for v in values))
+    assert [e.value for e in generated] == [e.value for e in listed] == values
+    for a, b in zip(listed, generated):
+        assert (a.error, a.report.outcome, a.report.start) == \
+            (b.error, b.report.outcome, b.report.start)
+        assert np.array_equal(a.report.final_lift.coords, b.report.final_lift.coords)
+
+
 def test_sweep_parameter_validation(monkeypatch):
     # all are rejected before any entry runs
     calls = []
@@ -428,6 +442,39 @@ def test_unknown_kind_is_rejected():
 
 
 FLAGSHIP = SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=4, s=3)
+
+
+#: the five classes of the benchmark's find_small workload, each on a table
+#: of its alpha band
+FIND_SMALL = [
+    FLAGSHIP,
+    SearchRequest(billiard=LIMACON2_15, n=2, m=1, kind="typeI", s=7),
+    SearchRequest(billiard=LIMACON2_19, n=2, m=1, kind="typeII", s=4),
+    SearchRequest(billiard=LIMACON2_10, n=2, m=1, kind="typeV", s=5),
+    SearchRequest(billiard=LIMACON4, n=4, m=1, kind="main", N=1, s=5),
+]
+
+
+@pytest.mark.parametrize("request_", FIND_SMALL, ids=lambda r: f"{r.kind}-s{r.s}")
+def test_the_gap_reads_the_action_of_the_nudged_start_bit_for_bit(request_, monkeypatch):
+    # the nudged start is evaluated once, by the order-2 kernel the search
+    # then starts from, and the action gap reads that kernel's W: equal bit
+    # for bit to periodic_action at the start, and the start is the class's
+    # nudge of the reported epsilon
+    evaluate, seen = finder._evaluate, []
+
+    def spied(table, lift):
+        seen.append((table, lift, evaluate(table, lift)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(finder, "_evaluate", spied)
+    rep = find_orbit(request_)
+    assert (rep.outcome, rep.start) == ("non_birkhoff_found", "nudged")
+    assert seen
+    for table, lift, (_, action, _) in seen:
+        assert action == periodic_action(table, lift)
+    search = finder.checked_criterion(request_)[1]
+    assert np.array_equal(seen[-1][1].coords, search.start(rep.epsilon).coords)
 
 
 def test_threads_running_find_orbit_leave_the_warning_filters_as_they_were(monkeypatch):
