@@ -157,9 +157,9 @@ def checked_criterion(request: SearchRequest):
 def _class_structures(search: SearchClass) -> tuple:
     """The class's :class:`~.sequences.AffineSystem` and the group its
     generators generate (family -> exponents), built once per class and
-    process, once the reference satisfies its own class.  Every caller gets
-    the same objects, so they are read-only: the system's arrays, the mapping
-    and its exponent sets."""
+    process, once the class's reference satisfies it.  Every caller gets the
+    same objects, so they are read-only: the system's arrays, the mapping and
+    its exponent sets."""
     system = expand_constraints(search.n, search.generators, search.p, search.q)
     ref_residual = system.residual(search.reference.coords)
     if ref_residual > SNAP_TOL:
@@ -168,17 +168,6 @@ def _class_structures(search: SearchClass) -> tuple:
     expected = {family: frozenset(exponents) for family, exponents
                 in generated_group(search.n, search.generators).items()}
     return system, MappingProxyType(expected)
-
-
-@lru_cache(maxsize=32)
-def _nudge(search: SearchClass) -> tuple:
-    """The class's reference lift and its unit nudge mode
-    (:attr:`~.spectral.SearchClass.mode`), built once per class and process;
-    read-only, like :func:`_class_structures`.  The nudge by epsilon is
-    ``reference.coords + epsilon * mode``, as in :meth:`~.spectral.SearchClass.start`."""
-    reference, mode = search.reference, search.mode
-    reference.coords.flags.writeable = mode.flags.writeable = False
-    return reference, mode
 
 
 def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitReport:
@@ -211,7 +200,7 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
 
     n, p, q = search.n, search.p, search.q
     system, expected = _class_structures(search)
-    reference, mode = _nudge(search)
+    reference = search.reference
 
     cs = reparametrize_constant_speed(boundary)
     action_ref = periodic_action(cs, reference)
@@ -240,7 +229,7 @@ def find_orbit(request: SearchRequest, *, warm: tuple | None = None) -> OrbitRep
         eps = min(1.0 / (4 * n), 1e-2) if request.epsilon is None else float(request.epsilon)
         first, halvings = eps, 0
         while True:
-            start = reference.with_coords(reference.coords + eps * mode)
+            start = search.start(eps)
             # one kernel call inside the guard: the gap reads its action and
             # the search starts from it
             evaluation = _evaluate(cs, start)

@@ -160,10 +160,11 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
             reference: PeriodicLift, delta: float, evaluation: tuple | None = None):
     """The iteration from ``start`` at first pseudo-time step ``delta``.
 
-    ``evaluation`` is :func:`_evaluate` at ``start`` when the caller has it,
-    else the search evaluates the start itself.
+    ``evaluation`` is the order-2 kernel at the guarded ``start`` when the
+    caller has it, else the search evaluates the start (:func:`_evaluate`).
 
-    Each trial step factors I/delta - B^T H B once (:func:`_factor`); a
+    B^T H B is built only where a trial step follows, and at delta = infinity
+    at the limit.  Each trial step factors it once (:func:`_factor`); a
     zero or non-finite pivot gives a NaN step, which the guard rejects, so
     at a finite delta delta is cut by 4, and at delta = infinity the run
     ends with "guard_violation".  Returns the :class:`FlowResult` and, at
@@ -188,13 +189,13 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
     last_crossing = cross if isinstance(cross, int) else np.inf
     steps, t, ratio, violation, last_size = 0, 0.0, 0.0, None, np.inf
     while True:
-        r_diag, r_off = system.reduced_hessian(*h)
         if fnorm < RESIDUAL_TARGET:
             reason = "stationary"
             break
         if steps == MAX_STEPS:
             reason = "max_steps"
             break
+        r_diag, r_off = system.reduced_hessian(*h)
         rhs, off = g.tolist(), (-r_off).tolist()
         while True:     # trial steps from x, delta cut after each rejection
             factor = _factor((1.0 / delta - r_diag).tolist(), off)
@@ -255,6 +256,7 @@ def _search(boundary, start: PeriodicLift, system: AffineSystem,
         return run, ratio, f"{reason} after {steps} steps"
     # Sylvester's law of inertia: B^T H B is negative definite when every
     # pivot of -B^T H B is positive
+    r_diag, r_off = system.reduced_hessian(*h)
     inv = _factor((-r_diag).tolist(), (-r_off).tolist())[0]
     up = sum(not r > 0 for r in inv)
     return run, ratio, None if not up else (
@@ -304,4 +306,5 @@ def newton(boundary, guess: PeriodicLift, system: AffineSystem,
     """
     if _guard_violation(guess.coords, guess.q) is not None:
         return None, 0.0, "the guess is not admissible"
-    return _search(boundary, guess, system, reference, np.inf)
+    return _search(boundary, guess, system, reference, np.inf,
+                   _gradient_coords(boundary, guess.coords, 2))

@@ -32,7 +32,7 @@ MARGIN_XTOL = 1e-12
 #: doubled up to ARC_NODES_CAP while the top quarter of the modes of the speed
 #: or of the curve is above SERIES_TOL relative to the largest; modes below
 #: SERIES_TRIM relative to the largest are left out.  ARC_NODES_CAP also caps
-#: the entries of the arc-length inversion's table of powers
+#: the entries of every table of powers (:func:`_power_sums`)
 SERIES_NODES_START = 256
 ARC_NODES_CAP = 1 << 16
 SERIES_TOL = 1e-15
@@ -282,33 +282,46 @@ def _series_sums(coef: np.ndarray, n: int, y) -> np.ndarray:
 
     One complex sum per pair of rows of ``coef``, with ``coef[2r, j] = c_{1+nj}``
     and ``coef[2r + 1, j] = conj(c_{1-nj})`` (``coef[2r + 1, 0]`` is zero); the
-    result has one row per pair and one column per entry of y, flattened.  The
-    powers of w = e^{2 pi i n y} are built once for all rows, by doubling
-    (:func:`_powers`) outwards from the dominant mode k = 1, which is cheaper
-    than one exponential per mode and keeps that mode's phase to an ulp; y is
-    reduced mod 1 first, so the long lifts of long orbits do too.
+    result has one row per pair and one column per entry of y, flattened.
+    The rows are power series in w = e^{2 pi i n y} (:func:`_power_sums`),
+    summed outwards from the dominant mode k = 1, which keeps that mode's
+    phase to an ulp; y is reduced mod 1 first, so the long lifts of long
+    orbits do too.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     t = y - np.floor(y)
-    powers = np.empty((coef.shape[1], t.size), dtype=complex)
-    sums = coef @ _powers(np.exp((2j * math.pi * n) * t), powers)
+    sums = _power_sums(coef, np.exp((2j * math.pi * n) * t))
     return np.exp(2j * math.pi * t) * (sums[0::2] + sums[1::2].conj())
 
 
-def _powers(w: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """``powers`` with its rows overwritten by w^0, w^1, ..., built by
-    doubling: each pass multiplies the rows built so far by the next power
-    of w."""
-    depth = powers.shape[0]
+def _power_sums(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The sums sum_j coef[r, j] w^j, one row per row of ``coef`` and one
+    column per entry of w, from one table of the powers of w, built by
+    doubling (each pass multiplies the powers so far by the next power).
+    The table holds at most ``ARC_NODES_CAP`` entries and at least one
+    power, so memory stays O(w.size) at any depth: ``coef`` is cut into
+    blocks of its width, top first, each block's sums one matrix product,
+    joined by Horner's rule in the block's top power.
+    """
+    depth = coef.shape[1]
+    width = min(depth, max(1, ARC_NODES_CAP // w.size))
+    powers = np.empty((width, w.size), dtype=complex)
     powers[0] = 1.0
-    size = 1
-    while size < depth:
-        grow = min(size, depth - size)
-        np.multiply(powers[:grow], w, out=powers[size:size + grow])
+    size, wk = 1, w
+    while size < width:
+        grow = min(size, width - size)
+        np.multiply(powers[:grow], wk, out=powers[size:size + grow])
         size += grow
-        if size < depth:        # the next block needs the next power
-            w = w * w
-    return powers
+        if size < width:        # the next block needs the next power
+            wk = wk * wk
+    blocks = [coef[:, j:j + width] for j in range(0, depth, width)][::-1]
+    sums = blocks[0] @ powers[:blocks[0].shape[1]]
+    if len(blocks) > 1:
+        jump = powers[-1] * w
+        for block in blocks[1:]:
+            sums *= jump
+            sums += block @ powers
+    return sums
 
 
 def _resolved(coef: np.ndarray) -> bool:
@@ -328,11 +341,9 @@ def _arc_inverse(boundary: Boundary, speed: np.ndarray, total: float) -> np.ndar
     so only the modes k = 0 (mod n) are summed, the rest being roundoff.
     Newton's method starts from the piecewise-linear inverse of sigma's node
     values (one inverse FFT of those modes).  Each step reads sigma and
-    sigma' off one table of the powers of w = e^{2 pi i n x}
-    (:func:`_powers`), in blocks of at most ``ARC_NODES_CAP`` entries, so
-    memory stays O(nodes) whatever the mode count: a block's sums are one
-    matrix product, and Horner's rule in the block's top power joins them.
-    It takes at most two steps on the limacons and three on the ellipses out
+    sigma' off the powers of w = e^{2 pi i n x} (:func:`_power_sums`, one
+    blocked table, so memory stays O(nodes) whatever the mode count).  It
+    takes at most two steps on the limacons and three on the ellipses out
     to 10:1.
     """
     nodes = speed.size
@@ -348,22 +359,11 @@ def _arc_inverse(boundary: Boundary, speed: np.ndarray, total: float) -> np.ndar
     x = np.interp(y, np.append(y + wiggle - wiggle[0], 1.0), np.append(y, 1.0))
     offset = a.real.sum()
     # the series of sigma - x + 2 offset and of sigma' - 1, halved, in the
-    # powers w^0 .. w^J (J n the last mode kept), cut into blocks, top first
+    # powers w^0 .. w^J (J n the last mode kept)
     coef = np.zeros((2, k.size + 1), dtype=complex)
     coef[0, 1:], coef[1, 1:] = a, speed[k] / total
-    width = min(coef.shape[1], ARC_NODES_CAP // nodes)
-    blocks = [coef[:, j:j + width] for j in range(0, coef.shape[1], width)][::-1]
-    powers = np.empty((width, nodes), dtype=complex)    # one table for every step
     for _ in range(NEWTON_MAX_STEPS):
-        w = np.exp((2j * math.pi * n) * x)
-        _powers(w, powers)
-        top = blocks[0]
-        sums = top @ powers[:top.shape[1]]
-        if len(blocks) > 1:
-            jump = powers[-1] * w
-            for block in blocks[1:]:
-                sums *= jump
-                sums += block @ powers
+        sums = _power_sums(coef, np.exp((2j * math.pi * n) * x))
         step = (x + 2.0 * (sums[0].real - offset) - y) / (1.0 + 2.0 * sums[1].real)
         x = x - step
         if np.abs(step).max() <= NEWTON_XTOL:
@@ -375,14 +375,12 @@ def reparametrize_constant_speed(boundary: Boundary) -> Boundary:
     """The same curve traced at constant speed, as one trigonometric series.
 
     The speed is periodic and analytic, so its Fourier series converges
-    exponentially.  The curve is sampled where its arc length is uniform (see
-    :func:`_arc_inverse`: Newton's method from the piecewise-linear start,
-    each step reading sigma and sigma' off one blocked table of the powers
-    of the speed's modes k = 0 (mod n), in O(nodes) memory) and transformed
-    by FFT.  The node count starts at the least power of two at or above both
-    ``SERIES_NODES_START`` and 8n, so that the top quarter of the modes holds
-    at least two of the speed's wavenumbers k = 0 (mod n), and doubles until
-    that quarter of both the speed and the resampled curve is at roundoff.
+    exponentially.  The curve is sampled where its arc length is uniform
+    (:func:`_arc_inverse`) and transformed by FFT.  The node count starts at
+    the least power of two at or above both ``SERIES_NODES_START`` and 8n,
+    so that the top quarter of the modes holds at least two of the speed's
+    wavenumbers k = 0 (mod n), and doubles until that quarter of both the
+    speed and the resampled curve is at roundoff.
     Of the curve's modes only the wavenumbers k = 1 (mod n) with real coefficients
     are kept: exactly the series with ``R @ gamma(y) == gamma(y + 1/n)`` and
     ``S @ gamma(y) == gamma(-y)``, so dihedral equivariance holds by

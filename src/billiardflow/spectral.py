@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -115,12 +115,14 @@ KINDS = {
 }
 
 
-class SearchClass(NamedTuple):
+@dataclass(frozen=True)
+class SearchClass:
     """The symmetry class one search runs in (see :func:`search_class`).
 
     The (n, m, branch) symmetric Birkhoff reference repeated s times lies in
     the (p, q) = (s n, s m) class; K and k are the index shifts and
     ``generators`` the two :class:`~.sequences.SymmetryGenerator` of the class.
+    :attr:`reference` and :attr:`mode` are built once per object, read-only.
     """
 
     kind: str
@@ -141,12 +143,14 @@ class SearchClass(NamedTuple):
     def q(self) -> int:
         return self.s * self.m
 
-    @property
+    @cached_property
     def reference(self) -> PeriodicLift:
         """The symmetric Birkhoff reference, as a (p, q) lift."""
-        return repeat_lift(symmetric_birkhoff(self.n, self.m, self.branch), self.s)
+        reference = repeat_lift(symmetric_birkhoff(self.n, self.m, self.branch), self.s)
+        reference.coords.flags.writeable = False
+        return reference
 
-    @property
+    @cached_property
     def mode(self) -> np.ndarray:
         """The class's wavenumber-N mode v_i = wave(2 pi i/T - pi t/T),
         T = p/N, about the axis t/2 of the index-reversing generator
@@ -158,15 +162,17 @@ class SearchClass(NamedTuple):
             raise ValueError(f"degenerate symmetric mode: need K >= 3, got K={T}")
         axis = next(g for g in self.generators if FAMILIES[g.kind][0] == -1)
         wave = np.sin if FAMILIES[axis.kind][1] == -1 else np.cos
-        return wave(2.0 * np.pi * np.arange(self.p) / T - np.pi * axis.shift / T)
+        mode = wave(2.0 * np.pi * np.arange(self.p) / T - np.pi * axis.shift / T)
+        mode.flags.writeable = False
+        return mode
 
     def start(self, epsilon: float) -> PeriodicLift:
         """The reference nudged by epsilon along the class's :attr:`mode`;
         the nudged lift stays in the class."""
-        mode, reference = self.mode, self.reference
-        return reference.with_coords(reference.coords + epsilon * mode)
+        return self.reference.with_coords(self.reference.coords + epsilon * self.mode)
 
 
+@lru_cache(maxsize=32)
 def search_class(kind: str, n: int, m: int, N: int | None = None, s: int = 2,
                  branch: int = 1, reflection: int = 0,
                  shift: int | None = None) -> SearchClass:
@@ -180,7 +186,9 @@ def search_class(kind: str, n: int, m: int, N: int | None = None, s: int = 2,
     override must be congruent to it.  A generator of a family with sign
     sigma on x_i and shift t has exponent e = (branch (1 - sigma)/2 + m t)
     mod n and offset M = (that - e)/n, so the reference satisfies its
-    identity exactly.  A broken rule raises ValueError naming it.
+    identity exactly.  A broken rule raises ValueError naming it, on every
+    call; a valid request is built once (the last 32 are kept), so equal
+    requests share one class and its reference and mode.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {tuple(KINDS)}")

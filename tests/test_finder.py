@@ -262,9 +262,12 @@ def test_epsilon_halving_is_logged(caplog, monkeypatch):
 
 
 def test_degenerate_mode_is_rejected():
-    # s = 2, N = n gives K = 2
-    with pytest.raises(ValueError, match="K >= 3"):
-        search_class("main", 3, 1, N=3, s=2).start(0.01)
+    # s = 2, N = n gives K = 2; the class keeps no failed mode, so every
+    # access raises
+    degenerate = search_class("main", 3, 1, N=3, s=2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="K >= 3"):
+            degenerate.start(0.01)
     with pytest.raises(ValueError, match="unknown kind"):
         search_class("bogus", 4, 1, N=4, s=3)
 

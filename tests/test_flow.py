@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from billiardflow import (
+    SearchRequest,
     expand_constraints,
+    find_orbit,
     gradient_field,
     integrate,
     make_boundary,
@@ -466,6 +468,37 @@ def test_newton_from_near_the_orbit_contracts_to_it(limacon4_cs):
     assert np.max(np.abs(run.final_lift.coords - orbit.coords)) < 1e-13
     # accepted: the reduced Hessian at the limit is negative definite
     assert why is None
+
+
+def test_newton_guards_its_guess_once(limacon4_cs, monkeypatch):
+    ref, system, orbit, near = near_orbit_setup(limacon4_cs)
+    guard, on_guess = flow_module._guard_violation, []
+
+    def spy(coords, q):
+        on_guess.append(np.array_equal(coords, near.coords))
+        return guard(coords, q)
+
+    monkeypatch.setattr(flow_module, "_guard_violation", spy)
+    run, ratio, why = newton(limacon4_cs, near, system, ref)
+    assert why is None
+    # one pass on the guess, then one per step
+    assert on_guess.count(True) == 1
+    assert len(on_guess) == 1 + run.n_steps
+
+
+def test_the_reduced_hessian_is_built_only_where_a_step_follows(limacon4_cs, monkeypatch):
+    ref, system, orbit, near = near_orbit_setup(limacon4_cs)
+    reduced, built = AffineSystem.reduced_hessian, []
+    monkeypatch.setattr(AffineSystem, "reduced_hessian",
+                        lambda self, *h: built.append(1) or reduced(self, *h))
+    # README's flagship find: one per step, none at the limit
+    rep = find_orbit(SearchRequest(billiard={"family": "limacon", "n": 4, "alpha": 0.05},
+                                   n=4, m=1, kind="main", N=4, s=3))
+    assert (rep.flow.reason, rep.flow.n_steps, len(built)) == ("stationary", 10, 10)
+    # at delta = infinity, once more at the limit for the inertia test
+    del built[:]
+    run, ratio, why = newton(limacon4_cs, near, system, ref)
+    assert why is None and len(built) == run.n_steps + 1
 
 
 def test_comparison_runs_stay_strictly_ordered(limacon2_10_cs):

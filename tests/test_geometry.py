@@ -397,9 +397,9 @@ def test_a_high_order_limacon_is_traced_to_1e_12(n, share):
 
 
 def test_reparametrization_memory_is_linear_in_the_nodes():
-    # the 10:1 ellipse's series needs 8,192 nodes and about 2,000 speed
-    # modes; a table of every power of e^{2 pi i n x} at every node would
-    # take about 270 MB, the Horner passes keep O(nodes)
+    # the 10:1 ellipse's series needs 8,192 nodes, and _arc_inverse sums
+    # 136-137 lattice modes of the speed there; it reads them off the shared
+    # blocked table of powers of e^{2 pi i n x}, which keeps memory O(nodes)
     table = make_ellipse(10.0, 1.0)
     tracemalloc.start()
     try:
@@ -408,6 +408,50 @@ def test_reparametrization_memory_is_linear_in_the_nodes():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("table,points", [
+    # the flagship table at p = 8,192 (depth 17-20), and a 720-point render of
+    # the 10:1 ellipse (depth 954): both past one table of ARC_NODES_CAP entries
+    (partial(make_limacon, 4, 0.05), np.linspace(0.0, 5.0, 8192)),
+    (partial(make_ellipse, 10.0, 1.0), np.arange(720) / 720),
+])
+def test_a_blocked_jet_matches_the_single_table_sum(table, points, monkeypatch):
+    cs = reparametrize_constant_speed(table())
+    entries, power_sums = [], geometry._power_sums
+
+    def spy(coef, w):
+        entries.append(coef.shape[1] * w.size)
+        return power_sums(coef, w)
+
+    monkeypatch.setattr(geometry, "_power_sums", spy)
+    blocked = cs.jet(points, 2)
+    assert entries and min(entries) > geometry.ARC_NODES_CAP
+    # a cap no table reaches: one table holds every power
+    monkeypatch.setattr(geometry, "ARC_NODES_CAP", 1 << 62)
+    single = cs.jet(points, 2)
+    # 1e-15 L on gamma, and on each derivative the same share of its size
+    tol = 1e-15 * cs.speed / np.abs(single[0]).max()
+    for got, want in zip(blocked, single):
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def test_a_long_jet_stays_within_its_capped_power_table():
+    # one order-2 jet call at p = 16,384 on the flagship table: every power
+    # at every point would be depth x p complex entries (4.7 MB); the blocked
+    # table holds at most ARC_NODES_CAP, and the rest of the call is rows of
+    # p entries: six sums, a block product of six, w, its square, the jump,
+    # the phase and the three combined rows, under twenty in all
+    cs = reparametrize_constant_speed(make_limacon(4, 0.05))
+    p = 16384
+    x = 0.25 + np.arange(p) / 4.0
+    tracemalloc.start()
+    try:
+        cs.jet(x, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (geometry.ARC_NODES_CAP + 20 * p)
 
 
 def test_reparametrization_raises_when_the_inversion_does_not_converge(monkeypatch):

@@ -1,7 +1,7 @@
 """Stability coefficients, circulant Hessian, closed-form existence criteria."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from billiardflow import (
 from billiardflow.geometry import Boundary, make_circle
 from billiardflow.spectral import class_criterion
 from billiardflow.sequences import (
+    FAMILIES,
     PeriodicLift,
     SymmetryGenerator,
     generated_group,
@@ -388,3 +389,53 @@ def test_every_kind_uses_the_main_criterion():
                 assert rep.margin == rhs - kappa * chord
                 assert rep.verdict == ("orbit_predicted" if rep.margin > 0
                                        else "inconclusive")
+
+
+#: one class of every KINDS row, as (kind, n, m, N, s)
+CLASSES = [("main", 4, 1, 4, 3), ("main", 4, 1, 1, 5), ("typeI", 2, 1, None, 7),
+           ("typeII", 2, 1, None, 4), ("typeV", 2, 1, None, 5)]
+
+
+def test_search_class_returns_one_object_per_request():
+    search = search_class("main", 4, 1, 4, 3)
+    assert search_class("main", 4, 1, 4, 3) is search
+    assert search.reference is search.reference and search.mode is search.mode
+    assert search_class.cache_info().maxsize == 32
+
+
+@pytest.mark.parametrize("kind,n,m,N,s", CLASSES)
+def test_the_class_reference_and_mode_are_read_only_and_unchanged(kind, n, m, N, s):
+    search = search_class(kind, n, m, N, s)
+    # the reference and the mode as the class computed them on every access
+    # before it kept them: wave(2 pi i/T - pi t/T), T = p/N, about the axis
+    # of the index-reversing generator (shift t), sin for a reflection
+    reference = repeat_lift(symmetric_birkhoff(n, m), s).coords
+    T = search.p // search.N
+    axis = next(g for g in search.generators if FAMILIES[g.kind][0] == -1)
+    wave = np.sin if FAMILIES[axis.kind][1] == -1 else np.cos
+    mode = wave(2.0 * np.pi * np.arange(search.p) / T - np.pi * axis.shift / T)
+    assert np.array_equal(search.reference.coords, reference)
+    assert np.array_equal(search.mode, mode)
+    assert np.array_equal(search.start(0.01).coords, reference + 0.01 * mode)
+    for array in (search.reference.coords, search.mode):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    for name in ("reference", "mode"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(search, name, None)
+    # a start is a new lift the caller owns
+    search.start(0.01).coords[0] = 1.0
+    assert np.array_equal(search.reference.coords, reference)
+
+
+@pytest.mark.parametrize("args,match", [
+    (("bogus", 4, 1, 4, 3), "unknown kind"),
+    (("main", 4, 1, 3, 3), "N=3 must divide n=4"),
+    (("typeI", 4, 1, None, 3), "2-fold"),
+    (("main", 4, 1, 4, 1), "s=1 must be >= 2"),
+    (("typeII", 2, 1, None, 4, 1, 0, 2), "shift 2 does not match"),
+])
+def test_a_malformed_request_raises_on_every_call(args, match):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            search_class(*args)
